@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import derived_subalgebra, jacobi_defect, nilpotency_class
-from .catalog import (CatalogError, from_name, lambda_a, list_entries)
+from .catalog import CatalogError, from_name, list_entries
 from .composition import CompositionElement, format_element, multiply, \
     parse_unit
 from .config import load_config, quad_settings
@@ -60,8 +60,16 @@ def _canon_json(payload):
     return json.dumps(conv(payload), sort_keys=True, indent=2)
 
 
+def _fraction(tok):
+    """Fraction(tok), with a zero denominator reported as a usage error."""
+    try:
+        return Fraction(tok)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {tok.strip()!r}") from None
+
+
 def _parse_numbers(text):
-    return [Fraction(tok) for tok in text.split(",") if tok.strip()]
+    return [_fraction(tok) for tok in text.split(",") if tok.strip()]
 
 
 def _parse_points(text, dim, seed):
@@ -74,7 +82,7 @@ def _parse_points(text, dim, seed):
         chunk = chunk.strip()
         if not chunk:
             continue
-        vals = [float(Fraction(tok)) for tok in chunk.split(",")]
+        vals = [float(_fraction(tok)) for tok in chunk.split(",")]
         if len(vals) != dim:
             raise ValueError(f"point has {len(vals)} coordinates, "
                              f"algebra has dimension {dim}")
@@ -86,7 +94,7 @@ def _parse_function(spec, dim):
     if spec is None or spec == "gaussian":
         return GaussianTestFunction.standard(dim)
     if spec.startswith("gaussian:diag:"):
-        diag = [float(Fraction(t)) for t in spec.split(":", 2)[2].split(",")]
+        diag = [float(_fraction(t)) for t in spec.split(":", 2)[2].split(",")]
         if len(diag) != dim:
             raise ValueError(f"diagonal has {len(diag)} entries, need {dim}")
         return GaussianTestFunction(np.diag(diag), np.zeros(dim))

@@ -136,10 +136,6 @@ class ComplexGaussian:
         sigma = np.sqrt(np.diag(Ainv))
         return mean, sigma
 
-    def is_diagonal(self, tol=1e-13):
-        off = self.A - np.diag(np.diag(self.A))
-        return np.abs(off).max() <= tol * max(1.0, np.abs(self.A).max())
-
 
 class GaussianTestFunction:
     """f1(Y) = amp * exp(-1/2 (Y-b)^T Q (Y-b)), the Schwartz test data.

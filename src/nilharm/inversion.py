@@ -21,12 +21,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import bracket
-from .gaussians import ComplexGaussian, GaussianTestFunction
+from .algebra import _unit, bracket
+from .gaussians import GaussianTestFunction
 from .pfaffian import is_square_integrable, pf_polynomial
 from .quadrature import (DEFAULT_MAX_EVALS, DEFAULT_RTOL, DEFAULT_SIGMAS,
-                         radial_integrate, separable_integrate,
-                         tensor_integrate)
+                         radial_integrate, tensor_integrate)
 from .stepwise import decompose
 
 
@@ -73,19 +72,13 @@ def group_multiply(alg, X, Y):
     return GroupPoint(alg, zs)
 
 
-def _unit_fracs(dim, idx):
-    vec = [Fraction(0)] * dim
-    vec[idx] = Fraction(1)
-    return vec
-
-
 def translation_matrix(alg, x):
     """A_x with (r_x f)_1(Y) = f_1(A_x Y + X); unipotent, det 1."""
     xs = list(x.coords if isinstance(x, GroupPoint) else x)
     dim = alg.dim
     B = np.zeros((dim, dim))
     for j in range(dim):
-        col = bracket(alg, _unit_fracs(dim, j), xs)
+        col = bracket(alg, _unit(dim, j), xs)
         B[:, j] = [float(c) for c in col]
     return np.eye(dim) + 0.5 * B
 
@@ -104,21 +97,6 @@ def fourier(g):
     if isinstance(g, GaussianTestFunction):
         g = g.lift()
     return g.fourier()
-
-
-def fourier_quadrature(g, xi, rtol=DEFAULT_RTOL, max_evals=DEFAULT_MAX_EVALS):
-    """Direct quadrature of the transform at one frequency (oracle)."""
-    if isinstance(g, GaussianTestFunction):
-        g = g.lift()
-    xi = np.asarray(xi, dtype=float)
-    mean, sigma = g.envelope()
-
-    def integrand(pts):
-        return g.evaluate(pts) * np.exp(-1j * (pts @ xi))
-
-    value, _ = tensor_integrate(integrand, mean, sigma, rtol=rtol,
-                                max_evals=max_evals)
-    return value
 
 
 def flat_constant(alg):
@@ -153,29 +131,6 @@ def orbital_character(alg, lam, g):
     core = _character_core(alg, g)
     c = flat_constant(alg)
     return complex(core.evaluate(lam)) / (c * abs(pf_val))
-
-
-def orbital_character_quadrature(alg, lam, g, rtol=DEFAULT_RTOL,
-                                 max_evals=DEFAULT_MAX_EVALS):
-    """Quadrature cross-check of the character along the flat orbit."""
-    lam = np.asarray(lam, dtype=float)
-    pf = pf_polynomial(alg)
-    pf_val = pf.evaluate_float(lam[None, :])[0]
-    if pf_val == 0.0:
-        raise ValueError("singular lam: Pf(lam) = 0")
-    comp = list(alg.complement_indices)
-    cent = list(alg.center_indices)
-    ghat = fourier(g)
-    if not comp:
-        return complex(ghat.evaluate(lam)) / flat_constant(alg)
-    # integrate ghat over the affine slice v* + lam
-    fixed = ghat.restrict(cent, lam)
-    mean, sigma = fixed.envelope()
-    value, _ = tensor_integrate(lambda pts: fixed.evaluate(pts), mean, sigma,
-                                rtol=rtol, max_evals=max_evals)
-    value *= (2 * math.pi) ** (-len(comp))
-    c = flat_constant(alg)
-    return complex(value) / (c * abs(pf_val))
 
 
 class InversionReport:
@@ -291,9 +246,9 @@ def factor_point(alg, dec, x):
     p1 = GroupPoint(alg, x1)
     p2 = GroupPoint(alg, x2)
     recomposed = group_multiply(alg, p1, p2)
-    assert all(abs(float(a - b)) < 1e-12
-               for a, b in zip(recomposed.coords, xs)), \
-        "factorization failed to recompose"
+    if not all(abs(float(a - b)) < 1e-12
+               for a, b in zip(recomposed.coords, xs)):
+        raise ValueError("factorization failed to recompose")
     return p1, p2
 
 
@@ -303,7 +258,7 @@ def _stepwise_structure(dec):
     l1 = list(dec.l1_indices)
     z1_global = [l1[i] for i in sub.center_indices]
     v1_global = [l1[i] for i in sub.complement_indices]
-    return sub, z1_global, v1_global, list(dec.l2_indices)
+    return z1_global, v1_global, list(dec.l2_indices)
 
 
 def invert_stepwise(case_tag, f, x, quad_settings=None, n=None):
@@ -314,7 +269,8 @@ def invert_stepwise(case_tag, f, x, quad_settings=None, n=None):
     over the dual of l2 against chi_xi(x2).  Only the central slice of
     the L1 data enters the character, and there the joint dependence
     on (Z, T) is affine, so each frequency's integrand is again a
-    closed-form Gaussian.
+    closed-form Gaussian: the inner layer is its exact integral, and
+    only the outer layer runs adaptive quadrature.
     """
     if isinstance(case_tag, str):
         dec = decompose(case_tag, n=n)
@@ -328,13 +284,12 @@ def invert_stepwise(case_tag, f, x, quad_settings=None, n=None):
     if not isinstance(x, GroupPoint):
         x = GroupPoint(alg, x)
 
-    sub, z1_global, v1_global, l2_global = _stepwise_structure(dec)
+    z1_global, v1_global, l2_global = _stepwise_structure(dec)
     n2 = len(l2_global)
     z1 = len(z1_global)
     d1 = len(v1_global) // 2
     c1 = math.factorial(d1) * 2 ** d1
     outer_const = (2 * math.pi) ** (-n2 / 2.0)
-    pf1 = pf_polynomial(sub)
 
     x1, x2 = factor_point(alg, dec, x)
     X2 = np.array([float(x2.coords[i]) for i in l2_global])
@@ -346,7 +301,7 @@ def invert_stepwise(case_tag, f, x, quad_settings=None, n=None):
         M[gz, k] = 1.0
     x1_list = list(x1.coords)
     for k, gt in enumerate(l2_global):
-        col = bracket(alg, x1_list, _unit_fracs(dim, gt))
+        col = bracket(alg, x1_list, _unit(dim, gt))
         vec = np.array([float(c) for c in col]) * 0.5
         vec[gt] += 1.0
         M[:, z1 + k] = vec
@@ -359,71 +314,15 @@ def invert_stepwise(case_tag, f, x, quad_settings=None, n=None):
     xi_mean = np.imag(g_joint.u[t_block])
     xi_sigma = np.sqrt(np.diag(A_tt))
 
-    inner_nodes = [0]
-    strategies = set()
-
     def inner_value(xi):
         """Flat inversion of the xi-frequency slice on L1.
 
-        Strategy: separable per-axis quadrature when the transform
-        factorizes; full tensor quadrature of Theta |Pf| in low
-        dimension; otherwise the closed-form Gaussian integral (the
-        |Pf| weight cancels the character's 1/|Pf| identically, so
-        the lam-integral of Theta |Pf| is integral of s_hat / c1).
+        The Plancherel weight c1|Pf1| cancels the character's
+        1/(c1|Pf1|) identically, so the lam-integral of Theta |Pf1| is
+        the closed-form integral of s_hat over z1*, divided by c1.
         """
         s_xi = g_joint.partial_fourier(t_block, xi).scaled(outer_const)
-        s_hat = s_xi.fourier()
-        mean, sigma = s_hat.envelope()
-        forced = s.get("inner_strategy", "auto")
-        if forced == "auto":
-            if s_hat.is_diagonal():
-                strategy = "separable"
-            elif z1 <= 4:
-                strategy = "tensor"
-            else:
-                strategy = "closed"
-        else:
-            strategy = forced
-        strategies.add(strategy)
-
-        if strategy == "separable":
-            aa = np.diag(s_hat.A)
-            uu = s_hat.u
-            funcs = []
-            for k in range(z1):
-                def axis(t, _a=aa[k], _u=uu[k]):
-                    return np.exp(-0.5 * _a * t * t + _u * t)
-                funcs.append(axis)
-            value, info = separable_integrate(funcs, mean, sigma,
-                                              rtol=s["rtol"],
-                                              max_evals=s["max_evals"],
-                                              sigmas_out=s["sigmas"],
-                                              start=s["start_nodes"])
-            value *= np.exp(s_hat.v) / c1
-            # factorization sanity: the axis product must rebuild s_hat
-            probes = mean + sigma * np.linspace(-1.5, 1.5, 3)[:, None]
-            rebuilt = np.exp(s_hat.v) * np.prod(
-                [funcs[k](probes[:, k]) for k in range(z1)], axis=0)
-            assert np.allclose(rebuilt, s_hat.evaluate(probes), rtol=1e-9), \
-                "separable factorization mismatch"
-        elif strategy == "tensor":
-            def integrand(lams):
-                pf_abs = np.abs(pf1.evaluate_float(lams))
-                if np.any(pf_abs == 0.0):
-                    raise ValueError("quadrature node hit Pf(lam) = 0")
-                theta = s_hat.evaluate(lams) / (c1 * pf_abs)
-                return theta * pf_abs
-            value, info = tensor_integrate(integrand, mean, sigma,
-                                           rtol=s["rtol"],
-                                           max_evals=s["max_evals"],
-                                           sigmas_out=s["sigmas"],
-                                           start=s["start_nodes"])
-        elif strategy == "closed":
-            value = s_hat.total_integral() / c1
-            info = {"nodes": 0}
-        else:
-            raise ValueError(f"unknown inner strategy {strategy!r}")
-        inner_nodes[0] += info["nodes"]
+        value = s_xi.fourier().total_integral() / c1
         return c1 * (2 * math.pi) ** (-z1) * value
 
     def outer_integrand(xi_pts):
@@ -444,9 +343,7 @@ def invert_stepwise(case_tag, f, x, quad_settings=None, n=None):
     tag = case_tag if isinstance(case_tag, str) else alg.name
     report = InversionReport(f"stepwise:{tag}", s)
     report.add_entry(x.float_coords(), f_x, recon,
-                     extra={"outer_nodes": outer_info["nodes"],
-                            "inner_nodes_total": inner_nodes[0],
-                            "inner_strategies": sorted(strategies)})
+                     extra={"outer_nodes": outer_info["nodes"]})
     report.wall_time = time.perf_counter() - start
     return report
 

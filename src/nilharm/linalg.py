@@ -130,21 +130,6 @@ def det(rows):
     return out * sign
 
 
-def solve(a, b):
-    """Solve a@x = b exactly; raises ValueError if singular."""
-    n = len(a)
-    aug = [list(map(Fraction, row)) + [Fraction(bv)] for row, bv in zip(a, b)]
-    ech, pivots = rref(aug)
-    if n in pivots:
-        raise ValueError("inconsistent system")
-    if len(pivots) < n:
-        raise ValueError("singular matrix")
-    x = [Fraction(0)] * n
-    for r, pc in enumerate(pivots):
-        x[pc] = ech[r][n]
-    return x
-
-
 def in_span(basis, vec):
     """True iff vec lies in the row span of basis (exact)."""
     if all(x == 0 for x in vec):

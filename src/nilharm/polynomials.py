@@ -99,10 +99,6 @@ class Poly:
             return -1
         return max(sum(m) for m in self.terms)
 
-    def is_homogeneous(self):
-        degs = {sum(m) for m in self.terms}
-        return len(degs) <= 1
-
     def evaluate(self, point):
         """Exact evaluation at a sequence of Fractions (or ints)."""
         point = [Fraction(x) for x in point]

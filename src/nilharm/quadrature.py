@@ -6,8 +6,6 @@ stay even so grids never land on a hyperplane through the envelope
 center (where Pfaffian factors can vanish).
 """
 
-import math
-
 import numpy as np
 
 DEFAULT_RTOL = 1e-8
@@ -72,30 +70,6 @@ def tensor_integrate(func, means, sigmas, rtol=DEFAULT_RTOL,
                                "converged": True, "last_change": change}
         prev = value
         n *= 2
-
-
-def separable_integrate(axis_funcs, means, sigmas, rtol=DEFAULT_RTOL,
-                        max_evals=DEFAULT_MAX_EVALS,
-                        sigmas_out=DEFAULT_SIGMAS, start=8):
-    """Product of one-dimensional integrals, for factorized integrands.
-
-    axis_funcs[k] maps a node vector to values on axis k; the result is
-    the product over k of the axis integrals.
-    """
-    means = np.asarray(means, dtype=float)
-    sigmas = np.asarray(sigmas, dtype=float)
-    value = 1.0 + 0.0j
-    info = {"nodes": 0, "converged": True, "last_change": 0.0}
-    for k, fk in enumerate(axis_funcs):
-        def wrapped(pts, _fk=fk):
-            return _fk(pts[:, 0])
-        vk, ik = tensor_integrate(wrapped, means[k:k + 1], sigmas[k:k + 1],
-                                  rtol=rtol, max_evals=max_evals,
-                                  sigmas_out=sigmas_out, start=start)
-        value *= vk
-        info["nodes"] += ik["nodes"]
-        info["last_change"] = max(info["last_change"], ik["last_change"])
-    return value, info
 
 
 def radial_integrate(func, r_max, rtol=DEFAULT_RTOL,

@@ -28,14 +28,13 @@ from .polynomials import Poly
 from .stepwise import decompose, find_codim_split
 
 
-def _result(criterion, passed, detail, start=None):
+def _result(criterion, passed, detail):
     return {"criterion": criterion, "passed": bool(passed),
             "detail": detail}
 
 
 def criterion_1(seed=0):
     """Octonion table: triples, squares, identity, anticommutation."""
-    start = time.perf_counter()
     failures = []
     basis = [CompositionElement.basis("O", k) for k in range(8)]
     e0 = basis[0]
@@ -61,7 +60,7 @@ def criterion_1(seed=0):
                 failures.append(f"e{i}e{j} != -e{j}e{i}")
     detail = "all 21 triple products, 7 squares, identity, anticommutation" \
         if not failures else "; ".join(failures[:5])
-    return _result(1, not failures, detail, start)
+    return _result(1, not failures, detail)
 
 
 def _constructible():
@@ -80,7 +79,6 @@ def _constructible():
 
 def criterion_2(seed=0):
     """Structural suite on every constructible catalog algebra."""
-    start = time.perf_counter()
     failures = []
     for alg in _constructible():
         if jacobi_defect(alg) != 0:
@@ -95,12 +93,11 @@ def criterion_2(seed=0):
                 break
     detail = f"{len(_constructible())} algebras checked" \
         if not failures else "; ".join(failures[:5])
-    return _result(2, not failures, detail, start)
+    return _result(2, not failures, detail)
 
 
 def criterion_3(seed=0):
     """Restricted Pfaffian at lambda_a, exact symbolic equality."""
-    start = time.perf_counter()
     failures = []
 
     # case 1: |Pf(lambda_a)| = |a_1 ... a_m| for m <= 3
@@ -165,12 +162,11 @@ def criterion_3(seed=0):
 
     detail = "case1 m<=3, case6 m<=2, case3 all match" \
         if not failures else "; ".join(failures)
-    return _result(3, not failures, detail, start)
+    return _result(3, not failures, detail)
 
 
 def criterion_4(seed=0):
     """Square-integrability classification plus stepwise splits."""
-    start = time.perf_counter()
     failures = []
 
     sq_true = ([heisenberg(n, "C") for n in range(1, 5)]
@@ -201,12 +197,11 @@ def criterion_4(seed=0):
 
     detail = (f"{len(sq_true)} square integrable, {len(sq_false)} stepwise "
               "splits verified") if not failures else "; ".join(failures[:5])
-    return _result(4, not failures, detail, start)
+    return _result(4, not failures, detail)
 
 
 def criterion_5(seed=0):
     """Pfaffian oracle: Pf^2 = det and congruence covariance, exact."""
-    start = time.perf_counter()
     rng = random.Random(seed + 5)
     failures = []
 
@@ -239,7 +234,7 @@ def criterion_5(seed=0):
 
     detail = "200 determinant checks, 20 congruence checks, exact" \
         if not failures else "; ".join(failures[:5])
-    return _result(5, not failures, detail, start)
+    return _result(5, not failures, detail)
 
 
 def criterion_6(seed=0):
@@ -265,7 +260,7 @@ def criterion_6(seed=0):
         failures.append(f"wall time {elapsed:.1f}s exceeds 60s")
     detail = f"5 points, max rel error {worst:.2e}" \
         if not failures else "; ".join(failures[:5])
-    return _result(6, not failures, detail, start)
+    return _result(6, not failures, detail)
 
 
 def criterion_7(seed=0):
@@ -298,12 +293,11 @@ def criterion_7(seed=0):
     # timing stays out of detail so results are reproducible verbatim
     detail = (f"case1 max rel {worst:.2e}; case3 origin rel {err3:.2e}") \
         if not failures else "; ".join(failures[:5])
-    return _result(7, not failures, detail, start)
+    return _result(7, not failures, detail)
 
 
 def criterion_8(seed=0):
     """Flatness identity on closed-form paths, < 1e-10 relative."""
-    start = time.perf_counter()
     failures = []
 
     alg = heisenberg(1, "C")
@@ -323,12 +317,11 @@ def criterion_8(seed=0):
 
     detail = f"gaps {gap:.1e} (h1C), {gapq:.1e} (h1H)" \
         if not failures else "; ".join(failures)
-    return _result(8, not failures, detail, start)
+    return _result(8, not failures, detail)
 
 
 def criterion_9(seed=0):
     """Orbit machinery: spectrum invariance, normal forms, radial identity."""
-    start = time.perf_counter()
     failures = []
     rng = np.random.default_rng(seed + 9)
 
@@ -374,7 +367,7 @@ def criterion_9(seed=0):
     detail = (f"spectra invariant; case1 normal form stable; radial "
               f"identity rel diff {chk['rel_diff']:.1e}") \
         if not failures else "; ".join(failures[:5])
-    return _result(9, not failures, detail, start)
+    return _result(9, not failures, detail)
 
 
 CRITERIA = {

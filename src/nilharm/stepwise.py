@@ -6,9 +6,7 @@ integrable representations and l2 is a small abelian complement.  The
 split is verified by exact arithmetic, never assumed.
 """
 
-from fractions import Fraction
-
-from .algebra import bracket, subalgebra
+from .algebra import subalgebra
 from .catalog import free_two_step, octonion_double
 from .pfaffian import is_square_integrable
 
@@ -44,12 +42,6 @@ class StepwiseDecomposition:
         }
 
 
-def _unit_fracs(dim, idx):
-    vec = [Fraction(0)] * dim
-    vec[idx] = Fraction(1)
-    return vec
-
-
 def verify(dec):
     """Exact verification flags for a candidate split.
 
@@ -68,7 +60,7 @@ def verify(dec):
     ideal = True
     for i in range(dim):
         for j in l1:
-            br = bracket(alg, _unit_fracs(dim, i), _unit_fracs(dim, j))
+            br = alg.bracket_basis(i, j)
             if any(br[k] != 0 for k in range(dim) if k not in l1_set):
                 ideal = False
                 break
@@ -78,7 +70,7 @@ def verify(dec):
     abelian = True
     for a in range(len(l2)):
         for b in range(a + 1, len(l2)):
-            br = bracket(alg, _unit_fracs(dim, l2[a]), _unit_fracs(dim, l2[b]))
+            br = alg.bracket_basis(l2[a], l2[b])
             if any(br):
                 abelian = False
                 break

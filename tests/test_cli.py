@@ -169,6 +169,20 @@ def test_entry_point_process():
     assert out.stdout.strip() == "e1"
 
 
+@pytest.mark.parametrize("argv", [
+    ["pfaffian", "heisenberg:1:C", "--at", "1/0"],
+    ["invert", "heisenberg:1:C", "--points", "1/0,0,0"],
+    ["invert", "heisenberg:1:C", "--function", "gaussian:diag:1,1/0,1",
+     "--points", "0,0,0"],
+])
+def test_zero_denominator_is_usage_error(argv):
+    out = subprocess.run([sys.executable, "-m", "nilharm.cli"] + argv,
+                         capture_output=True, text=True)
+    assert out.returncode == 2
+    assert "zero denominator" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
 def test_help_mentions_naming_scheme():
     parser = build_parser()
     assert "heisenberg:n:F" in parser.format_help() or \

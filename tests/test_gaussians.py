@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from nilharm.gaussians import ComplexGaussian, GaussianTestFunction
-from nilharm.quadrature import (radial_integrate, separable_integrate,
-                                tensor_integrate)
+from nilharm.quadrature import radial_integrate, tensor_integrate
 
 
 def rand_spd(rng, n):
@@ -162,23 +161,6 @@ def test_tensor_integrate_zero_dim():
         max_evals=100)
     assert value == 3.25
     assert info["nodes"] == 0 and info["converged"]
-
-
-def test_separable_matches_tensor():
-    means = [0.2, -0.1]
-    sigmas = [1.0, 0.7]
-
-    def fx(t):
-        return np.exp(-0.5 * (t - 0.2) ** 2)
-
-    def fy(t):
-        return np.cos(t) * np.exp(-0.5 * ((t + 0.1) / 0.7) ** 2)
-
-    sep, _ = separable_integrate([fx, fy], means, sigmas, rtol=1e-10)
-    ten, _ = tensor_integrate(
-        lambda pts: fx(pts[:, 0]) * fy(pts[:, 1]), means, sigmas,
-        rtol=1e-10)
-    assert abs(sep - ten) < 1e-9 * abs(ten)
 
 
 def test_radial_integrate_known_value():

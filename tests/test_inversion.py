@@ -4,22 +4,64 @@ Quadrature-free assertions are exact; everything numeric is compared
 against independent quadrature oracles or known closed forms.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from nilharm import inversion
 from nilharm.catalog import free_two_step, heisenberg
 from nilharm.gaussians import GaussianTestFunction
 from nilharm.inversion import (GroupPoint, factor_point, flat_constant,
                                flatness_identity_gap, fourier,
-                               fourier_quadrature, group_multiply,
-                               invert_flat, invert_stepwise,
+                               group_multiply, invert_flat, invert_stepwise,
                                orbit_space_quadrature_check,
-                               orbital_character,
-                               orbital_character_quadrature,
-                               right_translate, translation_matrix)
+                               orbital_character, right_translate,
+                               translation_matrix)
+from nilharm.pfaffian import pf_polynomial
+from nilharm.quadrature import (DEFAULT_MAX_EVALS, DEFAULT_RTOL,
+                                tensor_integrate)
 from nilharm.stepwise import decompose
+
+
+# Quadrature oracles for the closed forms; only the tests use them.
+def fourier_quadrature(g, xi, rtol=DEFAULT_RTOL, max_evals=DEFAULT_MAX_EVALS):
+    """Direct quadrature of the transform at one frequency (oracle)."""
+    if isinstance(g, GaussianTestFunction):
+        g = g.lift()
+    xi = np.asarray(xi, dtype=float)
+    mean, sigma = g.envelope()
+
+    def integrand(pts):
+        return g.evaluate(pts) * np.exp(-1j * (pts @ xi))
+
+    value, _ = tensor_integrate(integrand, mean, sigma, rtol=rtol,
+                                max_evals=max_evals)
+    return value
+
+
+def orbital_character_quadrature(alg, lam, g, rtol=DEFAULT_RTOL,
+                                 max_evals=DEFAULT_MAX_EVALS):
+    """Quadrature cross-check of the character along the flat orbit."""
+    lam = np.asarray(lam, dtype=float)
+    pf = pf_polynomial(alg)
+    pf_val = pf.evaluate_float(lam[None, :])[0]
+    if pf_val == 0.0:
+        raise ValueError("singular lam: Pf(lam) = 0")
+    comp = list(alg.complement_indices)
+    cent = list(alg.center_indices)
+    ghat = fourier(g)
+    if not comp:
+        return complex(ghat.evaluate(lam)) / flat_constant(alg)
+    # integrate ghat over the affine slice v* + lam
+    fixed = ghat.restrict(cent, lam)
+    mean, sigma = fixed.envelope()
+    value, _ = tensor_integrate(lambda pts: fixed.evaluate(pts), mean, sigma,
+                                rtol=rtol, max_evals=max_evals)
+    value *= (2 * math.pi) ** (-len(comp))
+    c = flat_constant(alg)
+    return complex(value) / (c * abs(pf_val))
 
 
 def rand_coords(rng, dim):
@@ -162,6 +204,17 @@ def test_factor_point_recomposes():
         assert all(x2.coords[k] == 0 for k in dec.l1_indices)
 
 
+def test_factor_point_refuses_a_wrong_recomposition(monkeypatch):
+    dec = decompose("case1")
+    alg = dec.algebra
+    x = [Fraction(k, 3) for k in range(1, alg.dim + 1)]
+    wrong = GroupPoint(alg, [c + 1 for c in x])
+    monkeypatch.setattr(inversion, "group_multiply",
+                        lambda alg, p1, p2: wrong)
+    with pytest.raises(ValueError, match="recompose"):
+        factor_point(alg, dec, x)
+
+
 def test_invert_stepwise_case1_origin_and_general():
     f = GaussianTestFunction.standard(6)
     rep = invert_stepwise("case1", f, [0.0] * 6)
@@ -169,19 +222,6 @@ def test_invert_stepwise_case1_origin_and_general():
     rep = invert_stepwise("case1", f,
                           [0.1, -0.2, 0.15, 0.3, -0.1, 0.2])
     assert rep.entries[0]["rel_error"] < 1e-9
-
-
-def test_invert_stepwise_strategies_agree():
-    f = GaussianTestFunction.standard(6)
-    x = [0.1, -0.2, 0.15, 0.3, -0.1, 0.2]
-    settings = {"rtol": 1e-9}
-    vals = {}
-    for strat in ("tensor", "closed"):
-        s = dict(settings, inner_strategy=strat)
-        rep = invert_stepwise("case1", f, x, quad_settings=s)
-        vals[strat] = rep.entries[0]["reconstructed_re"]
-        assert strat in rep.entries[0]["inner_strategies"]
-    assert np.isclose(vals["tensor"], vals["closed"], rtol=1e-7)
 
 
 def test_invert_stepwise_rejects_unverified_split():
