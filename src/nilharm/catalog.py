@@ -427,13 +427,13 @@ def _make_entries():
     for row, K, v, z, alg_desc, params, builder in _TABLE_22:
         entries[("2.2", row)] = CatalogEntry("2.2", row, K, v, z, alg_desc,
                                              params, builder)
+    for table, count in (("2.1", 23), ("2.2", 25)):
+        if sum(1 for key in entries if key[0] == table) != count:
+            raise RuntimeError(f"table {table} must have {count} rows")
     return entries
 
 
 _ENTRIES = _make_entries()
-
-assert sum(1 for key in _ENTRIES if key[0] == "2.1") == 23
-assert sum(1 for key in _ENTRIES if key[0] == "2.2") == 25
 
 
 def get_entry(table_id, row):

@@ -17,7 +17,7 @@ from .algebra import derived_subalgebra, jacobi_defect, nilpotency_class
 from .catalog import CatalogError, from_name, list_entries
 from .composition import CompositionElement, format_element, multiply, \
     parse_unit
-from .config import load_config, quad_settings
+from .config import is_node_count, load_config, quad_settings
 from .gaussians import GaussianTestFunction
 from .inversion import invert_flat, invert_stepwise
 from .orbits import orbit_representative
@@ -88,6 +88,18 @@ def _parse_points(text, dim, seed):
                              f"algebra has dimension {dim}")
         points.append(vals)
     return points
+
+
+def _node_count(text):
+    """argparse type of --nodes: a positive even integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if not is_node_count(value):
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a positive even integer")
+    return value
 
 
 def _parse_function(spec, dim):
@@ -206,7 +218,7 @@ def _cmd_decompose(args, cfg):
 def _cmd_invert(args, cfg):
     target = args.target
     qs = quad_settings(cfg)
-    if args.nodes:
+    if args.nodes is not None:
         qs["start_nodes"] = args.nodes
     tol = args.tol
     if target.replace("_", "").lower() in ("case1", "case6", "case3"):
@@ -341,8 +353,8 @@ def build_parser():
                    help="p1;p2;... (comma coords) or random:k")
     p.add_argument("--tol", type=float,
                    help="acceptance tolerance on relative error")
-    p.add_argument("--nodes", type=int,
-                   help="starting per-axis quadrature node count")
+    p.add_argument("--nodes", type=_node_count,
+                   help="even starting per-axis quadrature node count")
 
     p = add_parser("octonion", help="exact octonion arithmetic")
     p.add_argument("operation", choices=["mul", "table"])

@@ -42,9 +42,11 @@ def _build_table():
 def _check_table(table):
     # identity and squares
     for j in range(8):
-        assert table[0][j] == (1, j) and table[j][0] == (1, j)
+        if table[0][j] != (1, j) or table[j][0] != (1, j):
+            raise RuntimeError(f"e0 is not the unit at e{j}")
     for j in range(1, 8):
-        assert table[j][j] == (-1, 0)
+        if table[j][j] != (-1, 0):
+            raise RuntimeError(f"e{j}*e{j} is not -1")
     # anticommutation off the diagonal
     for i in range(1, 8):
         for j in range(1, 8):
@@ -52,7 +54,9 @@ def _check_table(table):
                 continue
             si, ki = table[i][j]
             sj, kj = table[j][i]
-            assert ki == kj and si == -sj and ki not in (i, j) and ki != 0
+            if not (ki == kj and si == -sj and ki not in (0, i, j)):
+                raise RuntimeError(f"e{i} and e{j} do not anticommute "
+                                   "to a third imaginary unit")
 
 
 TABLE = _build_table()

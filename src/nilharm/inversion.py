@@ -21,8 +21,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import _unit, bracket
+from .algebra import bracket
 from .gaussians import GaussianTestFunction
+from .linalg import identity
 from .pfaffian import is_square_integrable, pf_polynomial
 from .quadrature import (DEFAULT_MAX_EVALS, DEFAULT_RTOL, DEFAULT_SIGMAS,
                          radial_integrate, tensor_integrate)
@@ -65,10 +66,7 @@ def group_multiply(alg, X, Y):
     xs = X.coords if isinstance(X, GroupPoint) else tuple(X)
     ys = Y.coords if isinstance(Y, GroupPoint) else tuple(Y)
     br = bracket(alg, list(xs), list(ys))
-    half = Fraction(1, 2)
-    zs = [x + y + half * b if isinstance(b, Fraction)
-          else x + y + 0.5 * b
-          for x, y, b in zip(xs, ys, br)]
+    zs = [x + y + b / 2 for x, y, b in zip(xs, ys, br)]
     return GroupPoint(alg, zs)
 
 
@@ -77,8 +75,8 @@ def translation_matrix(alg, x):
     xs = list(x.coords if isinstance(x, GroupPoint) else x)
     dim = alg.dim
     B = np.zeros((dim, dim))
-    for j in range(dim):
-        col = bracket(alg, _unit(dim, j), xs)
+    for j, unit in enumerate(identity(dim)):
+        col = bracket(alg, unit, xs)
         B[:, j] = [float(c) for c in col]
     return np.eye(dim) + 0.5 * B
 
@@ -240,9 +238,7 @@ def factor_point(alg, dec, x):
     x2 = [xs[i] if i in l2 else zero for i in range(alg.dim)]
     xl1 = [zero if i in l2 else xs[i] for i in range(alg.dim)]
     br = bracket(alg, xl1, x2)
-    half = Fraction(1, 2)
-    x1 = [a - (half * b if isinstance(b, Fraction) else 0.5 * b)
-          for a, b in zip(xl1, br)]
+    x1 = [a - b / 2 for a, b in zip(xl1, br)]
     p1 = GroupPoint(alg, x1)
     p2 = GroupPoint(alg, x2)
     recomposed = group_multiply(alg, p1, p2)
@@ -300,8 +296,9 @@ def invert_stepwise(case_tag, f, x, quad_settings=None, n=None):
     for k, gz in enumerate(z1_global):
         M[gz, k] = 1.0
     x1_list = list(x1.coords)
+    units = identity(dim)
     for k, gt in enumerate(l2_global):
-        col = bracket(alg, x1_list, _unit(dim, gt))
+        col = bracket(alg, x1_list, units[gt])
         vec = np.array([float(c) for c in col]) * 0.5
         vec[gt] += 1.0
         M[:, z1 + k] = vec

@@ -1,7 +1,7 @@
 """Exact linear algebra over the rationals.
 
-Small dense matrices only (catalog algebras have dim <= 15), so plain
-fraction Gaussian elimination is fine.  Matrices are lists of lists of
+Small dense matrices only (the largest catalog algebra has dim 46), so
+plain fraction Gaussian elimination is fine.  Matrices are lists of lists of
 Fraction; vectors are lists of Fraction.
 """
 
@@ -22,11 +22,6 @@ def identity(n):
     for i in range(n):
         mat[i][i] = Fraction(1)
     return mat
-
-
-def mat_vec(mat, vec):
-    return [sum((row[j] * vec[j] for j in range(len(vec))), Fraction(0))
-            for row in mat]
 
 
 def mat_mul(a, b):
@@ -128,20 +123,3 @@ def det(rows):
                 f = mat[i][c] * inv
                 mat[i] = [mat[i][j] - f * mat[c][j] for j in range(n)]
     return out * sign
-
-
-def in_span(basis, vec):
-    """True iff vec lies in the row span of basis (exact)."""
-    if all(x == 0 for x in vec):
-        return True
-    if not basis:
-        return False
-    return rank(basis) == rank(list(basis) + [list(vec)])
-
-
-def span_equal(basis_a, basis_b):
-    ra = rank(basis_a) if basis_a else 0
-    rb = rank(basis_b) if basis_b else 0
-    if ra != rb:
-        return False
-    return rank(list(basis_a) + list(basis_b)) == ra

@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import pfaffian
-from .linalg import frac_matrix
+from .linalg import frac_matrix, rank
 
 SKEW_INPUT_TOL = 1e-12
 RANK_TOL = 1e-10
@@ -216,14 +216,8 @@ def _case3_representative(alg, coeffs):
     form = pfaffian.b_matrix(
         alg, pfaffian.LinearFunctional(alg, coeffs),
         v_indices=l1_complement_indices(alg))
-    kernel_dim = _exact_skew_kernel(form.matrix)
+    kernel_dim = len(form.matrix) - rank(form.matrix)
     return OrbitRepresentative("case3", invariants, kernel_dim)
-
-
-def _exact_skew_kernel(matrix):
-    from . import linalg
-    n = len(matrix)
-    return n - linalg.rank(matrix)
 
 
 def pf_nonsingular(alg, coeffs):

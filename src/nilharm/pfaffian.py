@@ -22,10 +22,9 @@ class LinearFunctional:
     each center coordinate is an indeterminate of the polynomial ring.
     """
 
-    __slots__ = ("alg", "coeffs", "symbolic")
+    __slots__ = ("coeffs", "symbolic")
 
     def __init__(self, alg, coeffs=None, symbolic=False):
-        self.alg = alg
         self.symbolic = symbolic
         zdim = len(alg.center_indices)
         if symbolic:
@@ -37,19 +36,6 @@ class LinearFunctional:
             if len(coeffs) != zdim:
                 raise ValueError(f"need {zdim} coefficients, got {len(coeffs)}")
             self.coeffs = coeffs
-
-    def pair_with(self, vec):
-        """<lambda, vec> for a coefficient vector on the full algebra."""
-        zdim = len(self.alg.center_indices)
-        if self.symbolic:
-            total = Poly.zero(zdim)
-            for t, idx in enumerate(self.alg.center_indices):
-                if vec[idx] != 0:
-                    total = total + Poly.variable(zdim, t) * Fraction(vec[idx])
-            return total
-        return sum((self.coeffs[t] * Fraction(vec[idx])
-                    for t, idx in enumerate(self.alg.center_indices)),
-                   Fraction(0))
 
 
 class SkewForm:
@@ -73,31 +59,15 @@ def b_matrix(alg, lam, v_indices=None):
     Brackets of complement vectors must land in the designated center;
     anything else means the algebra is not 2-step with that split.
     """
-    if nilpotency_class(alg) > 2:
-        raise ValueError("b_matrix needs a 2-step (or abelian) algebra")
-    if v_indices is None:
-        v_indices = list(alg.complement_indices)
-    center_set = set(alg.center_indices)
-    n = len(v_indices)
-    zero = Poly.zero(len(alg.center_indices)) if lam.symbolic else Fraction(0)
-    matrix = [[zero for _ in range(n)] for _ in range(n)]
-    for a in range(n):
-        for b in range(a + 1, n):
-            vec = alg.bracket_basis(v_indices[a], v_indices[b])
-            for k, c in enumerate(vec):
-                if c != 0 and k not in center_set:
-                    raise ValueError(
-                        f"[{alg.basis_labels[v_indices[a]]},"
-                        f"{alg.basis_labels[v_indices[b]]}] has a component "
-                        "outside the designated center")
-            val = lam.pair_with(vec)
-            matrix[a][b] = val
-            matrix[b][a] = -val
-    return SkewForm(
-        matrix,
-        labels=[alg.basis_labels[i] for i in v_indices],
-        var_names=[alg.basis_labels[i] for i in alg.center_indices],
-    )
+    zdim = len(alg.center_indices)
+    if lam.symbolic:
+        coeffs = [Poly.variable(zdim, t) for t in range(zdim)]
+        zero = Poly.zero(zdim)
+    else:
+        coeffs, zero = lam.coeffs, Fraction(0)
+    return _skew_form(alg, coeffs, zero, v_indices,
+                      var_names=[alg.basis_labels[i]
+                                 for i in alg.center_indices])
 
 
 def b_matrix_poly(alg, coeff_polys, v_indices=None):
@@ -107,28 +77,40 @@ def b_matrix_poly(alg, coeff_polys, v_indices=None):
     family lambda_a) into the Pfaffian symbolically: entry (i, j) is
     sum over t of coeff_polys[t] * [e_i, e_j]_t.
     """
+    if len(coeff_polys) != len(alg.center_indices):
+        raise ValueError(f"need {len(alg.center_indices)} coefficient "
+                         "polynomials")
+    return _skew_form(alg, coeff_polys, Poly.zero(coeff_polys[0].nvars),
+                      v_indices)
+
+
+def _skew_form(alg, coeffs, zero, v_indices, var_names=None):
+    # entry (a, b) = sum over t of coeffs[t] * [b_a, b_b]_t, summed in
+    # increasing t: a Poly's term order, which evaluate_float sums in,
+    # then does not depend on how the sparse rows are laid out
     if nilpotency_class(alg) > 2:
-        raise ValueError("b_matrix_poly needs a 2-step (or abelian) algebra")
+        raise ValueError("b_matrix needs a 2-step (or abelian) algebra")
     if v_indices is None:
         v_indices = list(alg.complement_indices)
-    zdim = len(alg.center_indices)
-    if len(coeff_polys) != zdim:
-        raise ValueError(f"need {zdim} coefficient polynomials")
-    nvars = coeff_polys[0].nvars
+    pos = {idx: t for t, idx in enumerate(alg.center_indices)}
     n = len(v_indices)
-    zero = Poly.zero(nvars)
     matrix = [[zero for _ in range(n)] for _ in range(n)]
     for a in range(n):
         for b in range(a + 1, n):
-            vec = alg.bracket_basis(v_indices[a], v_indices[b])
+            row = alg.bracket_row(v_indices[a], v_indices[b])
+            if any(k not in pos for k, _ in row):
+                raise ValueError(
+                    f"[{alg.basis_labels[v_indices[a]]},"
+                    f"{alg.basis_labels[v_indices[b]]}] has a component "
+                    "outside the designated center")
             val = zero
-            for t, idx in enumerate(alg.center_indices):
-                if vec[idx] != 0:
-                    val = val + coeff_polys[t] * Fraction(vec[idx])
+            for t, c in sorted((pos[k], c) for k, c in row):
+                val = val + coeffs[t] * c
             matrix[a][b] = val
             matrix[b][a] = -val
     return SkewForm(matrix,
-                    labels=[alg.basis_labels[i] for i in v_indices])
+                    labels=[alg.basis_labels[i] for i in v_indices],
+                    var_names=var_names)
 
 
 def _is_zero_entry(x):
@@ -239,7 +221,16 @@ def _pfaffian_symbolic(mat):
 
 
 def pf_polynomial(alg, v_indices=None):
-    """Symbolic Pfaffian over all of z*, in the center coordinates."""
+    """Symbolic Pfaffian over all of z*, in the center coordinates.
+
+    Cached on the algebra per v_indices ordering.
+    """
+    key = None if v_indices is None else tuple(v_indices)
+    return alg.cached(("pf_polynomial", key),
+                      lambda a: _pf_polynomial(a, v_indices))
+
+
+def _pf_polynomial(alg, v_indices):
     lam = LinearFunctional(alg, symbolic=True)
     pf = pfaffian(b_matrix(alg, lam, v_indices=v_indices))
     if isinstance(pf, Fraction):

@@ -80,7 +80,8 @@ def _constructible():
 def criterion_2(seed=0):
     """Structural suite on every constructible catalog algebra."""
     failures = []
-    for alg in _constructible():
+    algs = _constructible()
+    for alg in algs:
         if jacobi_defect(alg) != 0:
             failures.append(f"{alg.name}: jacobi defect nonzero")
         if nilpotency_class(alg) != 2:
@@ -91,7 +92,7 @@ def criterion_2(seed=0):
                    if k not in center_set):
                 failures.append(f"{alg.name}: derived not inside center")
                 break
-    detail = f"{len(_constructible())} algebras checked" \
+    detail = f"{len(algs)} algebras checked" \
         if not failures else "; ".join(failures[:5])
     return _result(2, not failures, detail)
 

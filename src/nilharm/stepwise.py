@@ -57,25 +57,9 @@ def verify(dec):
     l1_set = set(l1)
 
     # l1 is a coordinate subspace, so span membership is a support check
-    ideal = True
-    for i in range(dim):
-        for j in l1:
-            br = alg.bracket_basis(i, j)
-            if any(br[k] != 0 for k in range(dim) if k not in l1_set):
-                ideal = False
-                break
-        if not ideal:
-            break
-
-    abelian = True
-    for a in range(len(l2)):
-        for b in range(a + 1, len(l2)):
-            br = alg.bracket_basis(l2[a], l2[b])
-            if any(br):
-                abelian = False
-                break
-        if not abelian:
-            break
+    ideal = all(k in l1_set for i in range(dim) for j in l1
+                for k, _ in alg.bracket_row(i, j))
+    abelian = not any(alg.bracket_row(a, b) for a in l2 for b in l2)
 
     sqint = False
     if ideal:

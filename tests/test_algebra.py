@@ -1,15 +1,17 @@
 """Structure constants, brackets, and the z + v bookkeeping."""
 
+import importlib
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nilharm.algebra import (LieAlgebraData, ad_matrix, bracket, center,
                              derived_subalgebra, from_json, is_two_step,
                              jacobi_defect, nilpotency_class, subalgebra,
                              to_json)
-from nilharm.catalog import abelian, free_two_step, heisenberg, \
+from nilharm.catalog import abelian, free_two_step, from_name, heisenberg, \
     octonion_double
 
 
@@ -45,6 +47,15 @@ def test_jacobi_defect_detects_a_broken_table():
     alg = LieAlgebraData(3, ["x", "y", "z"], structure,
                          center_indices=(), complement_indices=(0, 1, 2))
     assert jacobi_defect(alg) == 1
+
+
+def test_nilpotency_class_refuses_a_non_nilpotent_table():
+    # the table above: C^2 = C^3 = span(x, z), so the series stalls
+    structure = {(0, 1): [0, 0, 1], (0, 2): [1, 0, 0]}
+    alg = LieAlgebraData(3, ["x", "y", "z"], structure,
+                         center_indices=(), complement_indices=(0, 1, 2))
+    with pytest.raises(ValueError, match="not nilpotent"):
+        nilpotency_class(alg)
 
 
 def test_two_step_and_derived_inside_center():
@@ -109,3 +120,104 @@ def test_json_round_trip():
     rng = random.Random(1)
     x, y = rand_vec(rng, alg.dim), rand_vec(rng, alg.dim)
     assert bracket(back, x, y) == bracket(alg, x, y)
+
+# nilharm.pfaffian is the re-exported function pfaffian(), which shadows
+# the module of that name, so the modules are fetched by import path
+algebra = importlib.import_module("nilharm.algebra")
+pfaffian = importlib.import_module("nilharm.pfaffian")
+
+
+# Algebras for the sparse-kernel property test, built once: octdouble,
+# the dim-46 table 2.2 row 23, and three families of other shapes.
+ORACLE_ALGEBRAS = [from_name(name) for name in (
+    "heisenberg:2:C", "heisenberg:1:O", "free2step:4:R", "octdouble",
+    "table:2.2:23")]
+
+
+def dense_bracket(alg, x, y):
+    """[x, y] read straight off the dense structure rows."""
+    out = [Fraction(0)] * alg.dim
+    for (i, j), vec in alg.structure.items():
+        c = x[i] * y[j] - x[j] * y[i]
+        for k, v in enumerate(vec):
+            out[k] += c * v
+    return out
+
+
+rationals = st.fractions(min_value=-9, max_value=9, max_denominator=7)
+
+
+@st.composite
+def algebra_and_vectors(draw):
+    alg = draw(st.sampled_from(ORACLE_ALGEBRAS))
+    # half the coordinates zero on average, as in typical queries
+    coord = st.one_of(st.just(Fraction(0)), rationals)
+    vec = st.lists(coord, min_size=alg.dim, max_size=alg.dim)
+    return alg, draw(vec), draw(vec)
+
+
+@settings(max_examples=60, deadline=None)
+@given(algebra_and_vectors())
+def test_sparse_bracket_matches_dense_oracle(case):
+    alg, x, y = case
+    assert bracket(alg, x, y) == dense_bracket(alg, x, y)
+
+
+def count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_invariants_are_computed_once_per_algebra(monkeypatch):
+    nclass = count_calls(monkeypatch, algebra, "_nilpotency_class")
+    cen = count_calls(monkeypatch, algebra, "_center")
+    pf = count_calls(monkeypatch, pfaffian, "_pf_polynomial")
+    alg = free_two_step(3, "R")
+    v1 = list(alg.complement_indices[:-1])
+    for _ in range(3):
+        assert nilpotency_class(alg) == 2
+        assert len(center(alg)) == 3
+        pfaffian.pf_polynomial(alg)
+        pfaffian.pf_polynomial(alg, v_indices=v1)
+        pfaffian.pf_at(alg, [1, 2, 3])   # its 2-step guard is cached too
+    assert (len(nclass), len(cen)) == (1, 1)
+    # one per key: the full complement and the v1 ordering
+    assert len(pf) == 2
+    # a new instance computes its own
+    nilpotency_class(free_two_step(3, "R"))
+    assert len(nclass) == 2
+
+
+def test_invariants_are_not_computed_at_construction(monkeypatch):
+    nclass = count_calls(monkeypatch, algebra, "_nilpotency_class")
+    cen = count_calls(monkeypatch, algebra, "_center")
+    heisenberg(2, "C")
+    assert nclass == [] and cen == []
+
+
+def test_mutating_a_returned_center_leaves_the_cache_alone():
+    alg = heisenberg(2, "C")
+    first = center(alg)
+    expected = [list(row) for row in first]
+    first[0][0] = Fraction(99)
+    first.append([Fraction(1)] * alg.dim)
+    assert center(alg) == expected
+
+
+def test_bracket_row_is_antisymmetric_and_sparse():
+    alg = octonion_double()
+    for i in range(alg.dim):
+        assert alg.bracket_row(i, i) == ()
+        for j in range(alg.dim):
+            row = alg.bracket_row(i, j)
+            assert all(c != 0 for _, c in row)
+            assert [(k, -c) for k, c in row] == list(alg.bracket_row(j, i))
+            dense = alg.bracket_basis(i, j)
+            assert dict(row) == {k: c for k, c in enumerate(dense) if c}

@@ -1,6 +1,7 @@
 """CLI surface: exit codes, pinned text lines, canonical JSON."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -101,6 +102,64 @@ def test_config_unknown_key_is_error(tmp_path):
     res = invoke(["check", "abelian:2", "--config", str(cfg)])
     assert res.exit_code == 2
     assert "unknown key" in res.human_text
+
+
+def run_cli(argv, env=None):
+    # bounded: before load-time checks, a negative quad_rtol never
+    # converged and grew the quadrature until memory ran out
+    return subprocess.run([sys.executable, "-m", "nilharm.cli"] + argv,
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
+@pytest.mark.parametrize("line", [
+    "max_evals = abc", "max_evals = 0", "max_evals = 2.5",
+    "start_nodes = 3", "start_nodes = -2", "seed = 1.5", "seed = true",
+    "quad_rtol = -1e-8", "flat_rtol = 0", "stepwise_rtol = nan",
+    "truncation_sigmas = inf", "truncation_sigmas = many",
+])
+def test_bad_config_value_is_usage_error(tmp_path, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    out = run_cli(["--config", str(cfg), "invert", "heisenberg:1:C",
+                   "--points", "0.1,0,0"])
+    assert out.returncode == 2
+    key = line.split("=")[0].strip()
+    assert out.stderr.startswith(f"config error: {cfg}:1: {key} must be")
+    assert "Traceback" not in out.stderr
+
+
+def test_good_config_values_load(tmp_path):
+    cfg = tmp_path / "ok.cfg"
+    cfg.write_text("max_evals = 4096\nstart_nodes = 4\nseed = -3\n"
+                   "truncation_sigmas = 6\nflat_rtol = 1e-7\n")
+    doc = json.loads(invoke(["check", "abelian:2", "--config", str(cfg),
+                             "--json"]).human_text)["config"]
+    assert (doc["max_evals"], doc["start_nodes"], doc["seed"]) == (4096, 4, -3)
+    assert (doc["truncation_sigmas"], doc["flat_rtol"]) == (6, 1e-7)
+
+
+def test_bad_seed_env_variable_is_usage_error():
+    env = dict(os.environ, NILHARM_SEED="abc")
+    out = run_cli(["check", "abelian:2"], env=env)
+    assert out.returncode == 2
+    assert "config error: NILHARM_SEED: seed must be an integer" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("nodes", ["1", "3", "0", "-2", "abc"])
+def test_nodes_must_be_positive_and_even(nodes):
+    out = run_cli(["invert", "heisenberg:1:C", "--points", "0.1,0,0",
+                   f"--nodes={nodes}"])
+    assert out.returncode == 2
+    assert "is not a positive even integer" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
+def test_even_nodes_are_accepted():
+    res = invoke(["invert", "heisenberg:1:C", "--points", "0.1,0,0",
+                  "--nodes", "4", "--json"])
+    assert res.exit_code == 0
+    assert json.loads(res.human_text)["settings"]["start_nodes"] == 4
 
 
 def test_seed_env_variable(monkeypatch):

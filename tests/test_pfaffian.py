@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from nilharm.algebra import LieAlgebraData
 from nilharm.catalog import (abelian, free_two_step, heisenberg, lambda_a,
                              octonion_double)
 from nilharm.pfaffian import (b_matrix, b_matrix_poly, is_square_integrable,
@@ -176,6 +177,18 @@ def test_b_matrix_poly_substitutes_center_polynomials():
     for val in (Fraction(2), Fraction(-3)):
         direct = pf_at(alg, [val * c for c in coeffs], v_indices=v)
         assert pf.evaluate([val]) == direct
+
+
+def test_skew_forms_refuse_brackets_outside_the_designated_center():
+    # [a, b] = c, but only d is designated central
+    structure = {(0, 1): [0, 0, 1, 0]}
+    alg = LieAlgebraData(4, ["a", "b", "c", "d"], structure,
+                         center_indices=(3,), complement_indices=(0, 1, 2))
+    from nilharm.pfaffian import LinearFunctional
+    with pytest.raises(ValueError, match="outside the designated center"):
+        b_matrix(alg, LinearFunctional(alg, coeffs=[1]))
+    with pytest.raises(ValueError, match="outside the designated center"):
+        b_matrix_poly(alg, [Poly.variable(1, 0)])
 
 
 def test_pf_at_rejects_wrong_length():
