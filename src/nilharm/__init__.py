@@ -4,22 +4,43 @@ Constructs the algebra families underlying commutative nilmanifolds,
 computes Pfaffian Plancherel data in exact arithmetic, decides square
 integrability, builds verified stepwise splits, and validates the
 Fourier inversion formulas numerically.
+
+The exact core (pure Python) is imported with the package; the numeric
+layers (gaussians, inversion, orbits), and numpy with them, load on
+first access to one of their names.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
 from .algebra import LieAlgebraData, bracket, jacobi_defect, nilpotency_class
 from .catalog import (abelian, free_two_step, from_name, heisenberg,
                       lambda_a, octonion_double)
-from .gaussians import ComplexGaussian, GaussianTestFunction
-from .inversion import (GroupPoint, InversionReport, factor_point,
-                        group_multiply, invert_flat, invert_stepwise,
-                        orbit_space_quadrature_check, orbital_character,
-                        right_translate)
-from .orbits import OrbitRepresentative, orbit_representative, skew_spectrum
 from .pfaffian import (SquareIntegrability, b_matrix, is_square_integrable,
                        pf_at, pf_polynomial, pfaffian)
 from .stepwise import StepwiseDecomposition, decompose, find_codim_split
+
+_LAZY = {
+    "ComplexGaussian": "gaussians", "GaussianTestFunction": "gaussians",
+    "GroupPoint": "inversion", "InversionReport": "inversion",
+    "factor_point": "inversion", "group_multiply": "inversion",
+    "invert_flat": "inversion", "invert_stepwise": "inversion",
+    "orbit_space_quadrature_check": "inversion",
+    "orbital_character": "inversion", "right_translate": "inversion",
+    "OrbitRepresentative": "orbits", "orbit_representative": "orbits",
+    "skew_spectrum": "orbits",
+}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module("." + _LAZY[name], __name__),
+                    name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "LieAlgebraData", "bracket", "jacobi_defect", "nilpotency_class",

@@ -8,22 +8,21 @@ configuration is echoed into every payload.
 
 import argparse
 import json
+import numbers
 import sys
 from fractions import Fraction
-
-import numpy as np
 
 from .algebra import derived_subalgebra, jacobi_defect, nilpotency_class
 from .catalog import CatalogError, from_name, list_entries
 from .composition import CompositionElement, format_element, multiply, \
     parse_unit
-from .config import is_node_count, load_config, quad_settings
-from .gaussians import GaussianTestFunction
-from .inversion import invert_flat, invert_stepwise
-from .orbits import orbit_representative
+from .config import is_node_count, is_positive, load_config, quad_settings
 from .pfaffian import is_square_integrable, pf_at, pf_polynomial
 from .stepwise import decompose, find_codim_split, verify
-from . import selftest as selftest_mod
+
+# numpy and the numeric layers (gaussians, inversion, orbits, selftest)
+# are imported inside the handlers that use them, so the exact
+# subcommands start without them.
 
 
 class CommandResult:
@@ -49,13 +48,14 @@ def _canon_json(payload):
             return [conv(v) for v in obj]
         if isinstance(obj, Fraction):
             return str(obj)
-        if isinstance(obj, (np.floating,)):
-            return float(obj)
-        if isinstance(obj, (np.integer,)):
+        if isinstance(obj, bool):   # an Integral, but JSON true/false
+            return obj
+        # numpy registers its scalar types with numbers
+        if isinstance(obj, numbers.Integral):
             return int(obj)
-        if isinstance(obj, float):
+        if isinstance(obj, numbers.Real):
             # 17 significant digits round-trips any double exactly
-            return float(format(obj, ".17g"))
+            return float(format(float(obj), ".17g"))
         return obj
     return json.dumps(conv(payload), sort_keys=True, indent=2)
 
@@ -74,7 +74,14 @@ def _parse_numbers(text):
 
 def _parse_points(text, dim, seed):
     if text.startswith("random:"):
-        k = int(text.split(":", 1)[1])
+        try:
+            k = int(text.split(":", 1)[1])
+        except ValueError:
+            k = 0
+        if k < 1:
+            raise ValueError(f"--points {text!r}: random:k needs an "
+                             "integer k >= 1")
+        import numpy as np
         rng = np.random.default_rng(seed)
         return [list(rng.normal(0.0, 0.5, size=dim)) for _ in range(k)]
     points = []
@@ -87,22 +94,27 @@ def _parse_points(text, dim, seed):
             raise ValueError(f"point has {len(vals)} coordinates, "
                              f"algebra has dimension {dim}")
         points.append(vals)
+    if not points:
+        raise ValueError(f"--points {text!r} gives no point")
     return points
 
 
-def _node_count(text):
-    """argparse type of --nodes: a positive even integer."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = None
-    if not is_node_count(value):
-        raise argparse.ArgumentTypeError(
-            f"{text!r} is not a positive even integer")
-    return value
+def _checked_type(parse, accepts, what):
+    """An argparse type: parse the text, then refuse what accepts rejects."""
+    def convert(text):
+        try:
+            value = parse(text)
+        except ValueError:
+            value = None
+        if not accepts(value):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
+        return value
+    return convert
 
 
 def _parse_function(spec, dim):
+    import numpy as np
+    from .gaussians import GaussianTestFunction
     if spec is None or spec == "gaussian":
         return GaussianTestFunction.standard(dim)
     if spec.startswith("gaussian:diag:"):
@@ -189,6 +201,7 @@ def _cmd_classify(args, cfg):
 
 
 def _cmd_orbit(args, cfg):
+    from .orbits import orbit_representative
     alg = from_name(args.algebra)
     coeffs = _parse_numbers(args.coeffs)
     rep = orbit_representative(alg, coeffs)
@@ -216,6 +229,7 @@ def _cmd_decompose(args, cfg):
 
 
 def _cmd_invert(args, cfg):
+    from .inversion import invert_flat, invert_stepwise
     target = args.target
     qs = quad_settings(cfg)
     if args.nodes is not None:
@@ -260,32 +274,34 @@ def _cmd_invert(args, cfg):
 
 
 def _cmd_octonion(args, cfg):
+    wanted = {"mul": 2, "table": 0}[args.operation]
+    if len(args.operands) != wanted:
+        raise ValueError(f"octonion {args.operation} takes "
+                         + (f"exactly {wanted} operands" if wanted
+                            else "no operands")
+                         + f", got {len(args.operands)}")
     if args.operation == "mul":
-        a = parse_unit(args.operands[0])
-        b = parse_unit(args.operands[1])
-        prod = multiply(a, b)
-        text = format_element(prod)
-        payload = {"product": text, "config": cfg}
-        return CommandResult("ok", payload, text)
-    if args.operation == "table":
-        lines = []
-        rows = []
-        for i in range(8):
-            row = []
-            for j in range(8):
-                p = multiply(CompositionElement.basis("O", i),
-                             CompositionElement.basis("O", j))
-                row.append(format_element(p))
-            rows.append(row)
-            lines.append(" ".join(f"{s:>4s}" for s in row))
-        return CommandResult("ok", {"table": rows, "config": cfg},
-                             "\n".join(lines))
-    raise ValueError(f"unknown octonion operation {args.operation!r}")
+        a, b = (parse_unit(op) for op in args.operands)
+        text = format_element(multiply(a, b))
+        return CommandResult("ok", {"product": text, "config": cfg}, text)
+    lines = []
+    rows = []
+    for i in range(8):
+        row = []
+        for j in range(8):
+            p = multiply(CompositionElement.basis("O", i),
+                         CompositionElement.basis("O", j))
+            row.append(format_element(p))
+        rows.append(row)
+        lines.append(" ".join(f"{s:>4s}" for s in row))
+    return CommandResult("ok", {"table": rows, "config": cfg},
+                         "\n".join(lines))
 
 
 def _cmd_selftest(args, cfg):
+    from . import selftest
     only = set(int(t) for t in args.only.split(",")) if args.only else None
-    results = selftest_mod.run_all(seed=cfg["seed"], only=only)
+    results = selftest.run_all(seed=cfg["seed"], only=only)
     all_passed = all(r["passed"] for r in results)
     lines = [f"criterion {r['criterion']}: "
              f"{'PASS' if r['passed'] else 'FAIL'}  {r['detail']}"
@@ -351,9 +367,11 @@ def build_parser():
                    help="gaussian or gaussian:diag:q1,...,qn")
     p.add_argument("--points", default="random:3",
                    help="p1;p2;... (comma coords) or random:k")
-    p.add_argument("--tol", type=float,
+    p.add_argument("--tol", type=_checked_type(float, is_positive,
+                                               "a positive finite number"),
                    help="acceptance tolerance on relative error")
-    p.add_argument("--nodes", type=_node_count,
+    p.add_argument("--nodes", type=_checked_type(int, is_node_count,
+                                                 "a positive even integer"),
                    help="even starting per-axis quadrature node count")
 
     p = add_parser("octonion", help="exact octonion arithmetic")

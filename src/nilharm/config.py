@@ -22,7 +22,7 @@ def _is_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _is_positive(value):
+def is_positive(value):
     return ((_is_int(value) or isinstance(value, float))
             and math.isfinite(value) and value > 0)
 
@@ -33,7 +33,7 @@ def is_node_count(value):
     return _is_int(value) and value > 0 and value % 2 == 0
 
 
-_POSITIVE = (_is_positive, "a positive finite number")
+_POSITIVE = (is_positive, "a positive finite number")
 _RULES = {"quad_rtol": _POSITIVE, "flat_rtol": _POSITIVE,
           "stepwise_rtol": _POSITIVE, "truncation_sigmas": _POSITIVE,
           "max_evals": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),

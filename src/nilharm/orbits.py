@@ -16,8 +16,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import pfaffian
 from .linalg import frac_matrix, rank
+from .pfaffian import LinearFunctional, b_matrix, pf_at, pf_polynomial
 
 SKEW_INPUT_TOL = 1e-12
 RANK_TOL = 1e-10
@@ -213,9 +213,8 @@ def _case3_representative(alg, coeffs):
             "functional is not in implemented normal-form reach: case 3 "
             "representatives are computed only on the (e3, e6, e2)* span")
     invariants = [float(coeffs[k]) for k in _CASE3_SUPPORT]
-    form = pfaffian.b_matrix(
-        alg, pfaffian.LinearFunctional(alg, coeffs),
-        v_indices=l1_complement_indices(alg))
+    form = b_matrix(alg, LinearFunctional(alg, coeffs),
+                    v_indices=l1_complement_indices(alg))
     kernel_dim = len(form.matrix) - rank(form.matrix)
     return OrbitRepresentative("case3", invariants, kernel_dim)
 
@@ -226,13 +225,13 @@ def pf_nonsingular(alg, coeffs):
     Square integrable algebras use the full Pfaffian on n/z; the three
     exceptional families use the restriction to their l1 split.
     """
-    full = pfaffian.pf_polynomial(alg)
+    full = pf_polynomial(alg)
     if not full.is_zero():
         return full.evaluate(coeffs) != 0
     v_indices = l1_complement_indices(alg)
     if v_indices is None:
         return False
-    value = pfaffian.pf_at(alg, coeffs, v_indices=v_indices)
+    value = pf_at(alg, coeffs, v_indices=v_indices)
     return value != 0
 
 

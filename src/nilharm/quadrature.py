@@ -1,9 +1,10 @@
 """Deterministic tensor-product quadrature with envelope truncation.
 
 Gauss-Legendre nodes per axis on [mean - k*sigma, mean + k*sigma],
-doubling the per-axis count until the value stabilizes.  Node counts
-stay even so grids never land on a hyperplane through the envelope
-center (where Pfaffian factors can vanish).
+doubling the per-axis count until the value stabilizes, up to
+MAX_NODES_PER_AXIS.  Node counts stay even so grids never land on a
+hyperplane through the envelope center (where Pfaffian factors can
+vanish).
 """
 
 import numpy as np
@@ -12,10 +13,18 @@ DEFAULT_RTOL = 1e-8
 DEFAULT_MAX_EVALS = 2 ** 20
 DEFAULT_SIGMAS = 8.0
 
+# leggauss solves an n x n eigenproblem, O(n^2) memory and O(n^3) time;
+# past this many nodes per axis an integral counts as not converging
+MAX_NODES_PER_AXIS = 1024
+
 _rule_cache = {}
 
 
 def gauss_legendre(n):
+    if n > MAX_NODES_PER_AXIS:
+        raise RuntimeError(
+            "quadrature budget exhausted before convergence "
+            f"({n} nodes/axis, cap {MAX_NODES_PER_AXIS})")
     if n not in _rule_cache:
         _rule_cache[n] = np.polynomial.legendre.leggauss(n)
     return _rule_cache[n]

@@ -4,11 +4,14 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
+import nilharm
 from nilharm import selftest
-from nilharm.cli import build_parser, run
+from nilharm.cli import _canon_json, build_parser, run
 
 
 def invoke(argv):
@@ -246,3 +249,153 @@ def test_help_mentions_naming_scheme():
     parser = build_parser()
     assert "heisenberg:n:F" in parser.format_help() or \
         "heisenberg" in parser.format_help()
+
+
+MALFORMED_OPERANDS = [
+    (["invert", "heisenberg:1:C", "--points=random:0"],
+     "--points 'random:0': random:k needs an integer k >= 1"),
+    (["invert", "heisenberg:1:C", "--points=random:-2"],
+     "--points 'random:-2': random:k needs an integer k >= 1"),
+    (["invert", "heisenberg:1:C", "--points=;"],
+     "--points ';' gives no point"),
+    (["invert", "heisenberg:1:C", "--points=0,0,0", "--tol=nan"],
+     "argument --tol: 'nan' is not a positive finite number"),
+    (["invert", "heisenberg:1:C", "--points=0,0,0", "--tol=0"],
+     "argument --tol: '0' is not a positive finite number"),
+    (["invert", "heisenberg:1:C", "--points=0,0,0", "--tol=-1e-6"],
+     "argument --tol: '-1e-6' is not a positive finite number"),
+    (["invert", "heisenberg:1:C", "--points=0,0,0", "--tol=inf"],
+     "argument --tol: 'inf' is not a positive finite number"),
+    (["octonion", "mul", "e1"],
+     "octonion mul takes exactly 2 operands, got 1"),
+    (["octonion", "mul", "e1", "e2", "e3"],
+     "octonion mul takes exactly 2 operands, got 3"),
+    (["octonion", "table", "e1"], "octonion table takes no operands, got 1"),
+]
+
+
+@pytest.mark.parametrize("argv, message", MALFORMED_OPERANDS,
+                         ids=[" ".join(a) for a, _ in MALFORMED_OPERANDS])
+def test_malformed_operands_are_usage_errors(argv, message):
+    out = run_cli(argv)
+    assert out.returncode == 2
+    assert message in out.stderr
+    assert "Traceback" not in out.stderr
+
+
+def test_nonconverging_quadrature_stops_at_the_node_cap(tmp_path):
+    # a tolerance below float noise never converges; the per-axis node
+    # cap turns that into the budget error instead of an eigen-solve
+    # that grows without bound
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text("quad_rtol = 1e-300\n")
+    out = run_cli(["--config", str(cfg), "invert", "heisenberg:1:C",
+                   "--points", "0.1,0,0"])
+    assert out.returncode == 2
+    assert "quadrature budget exhausted" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
+NUMERIC_MODULES = ("numpy", "nilharm.inversion", "nilharm.gaussians",
+                   "nilharm.orbits", "nilharm.selftest")
+
+# runs cli.main on each argv of a JSON list in one fresh interpreter and
+# prints, per argv, the exit code and the numeric modules loaded so far
+_MODULES_AFTER = """
+import contextlib, io, json, sys
+from nilharm import cli
+report = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), \\
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    report.append([code, [m for m in json.loads(sys.argv[2])
+                          if m in sys.modules]])
+print(json.dumps(report))
+"""
+
+
+def test_exact_subcommands_do_not_load_numpy():
+    runs = [
+        (["catalog", "--json"], 0),
+        (["check", "heisenberg:2:H"], 0),
+        (["pfaffian", "heisenberg:2:H", "--at", "1,0,-2", "--json"], 0),
+        (["classify", "heisenberg:3:C", "--json"], 0),
+        (["classify", "free2step:5:R"], 0),
+        (["classify", "wrong:1:X"], 2),
+        (["decompose", "case3", "--verify", "--json"], 0),
+        (["octonion", "mul", "e6", "e7", "--json"], 0),
+        (["octonion", "table"], 0),
+        (["octonion", "mul", "e1"], 2),
+        (["decompose"], 2),
+        (["frobnicate"], 2),
+    ]
+    out = subprocess.run(
+        [sys.executable, "-c", _MODULES_AFTER,
+         json.dumps([argv for argv, _ in runs]),
+         json.dumps(NUMERIC_MODULES)],
+        capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    report = json.loads(out.stdout)
+    assert report == [[code, []] for _, code in runs]
+
+
+def test_numeric_subcommands_keep_their_payloads():
+    out = run_cli(["orbit", "free2step:5:R", "--coeffs",
+                   "2,0,0,0,0,0,0,0,0,0", "--json"])
+    assert out.returncode == 0
+    doc = json.loads(out.stdout)
+    del doc["config"]
+    assert doc == {"algebra": "free2step:5:R", "case": "case1",
+                   "invariants": [2.0], "kernel_dim": 3}
+
+    out = run_cli(["invert", "heisenberg:1:C", "--points", "0.1,0,0",
+                   "--json"])
+    assert out.returncode == 0
+    doc = json.loads(out.stdout)
+    assert doc["formula"] == "flat:heisenberg:1:C"
+    assert doc["tolerance"] == 1e-6
+    assert doc["settings"] == {"max_evals": 2 ** 20, "rtol": 1e-8,
+                               "sigmas": 8.0, "start_nodes": 8}
+    (entry,) = doc["entries"]
+    assert (entry["x"], entry["z_nodes"]) == ([0.1, 0.0, 0.0], 64)
+    assert abs(entry["f_x"] - np.exp(-0.005)) < 1e-15
+    assert doc["max_rel_error"] < 1e-12
+
+    # random:k draws from the config seed (0)
+    out = run_cli(["invert", "heisenberg:1:C", "--points", "random:2",
+                   "--json"])
+    assert out.returncode == 0
+    drawn = np.random.default_rng(0).normal(0.0, 0.5, size=(2, 3))
+    assert [e["x"] for e in json.loads(out.stdout)["entries"]] == [
+        [float(v) for v in row] for row in drawn]
+
+
+def test_star_import_binds_every_public_name():
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import json, nilharm\nns = {}\n"
+         "exec('from nilharm import *', ns)\n"
+         "print(json.dumps(sorted(set(nilharm.__all__) - set(ns))))"],
+        capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) == []
+    assert nilharm.invert_flat.__module__ == "nilharm.inversion"
+    assert nilharm.pfaffian.__module__ == "nilharm.pfaffian"
+    with pytest.raises(AttributeError):
+        nilharm.no_such_name
+
+
+def test_canon_json_converts_numpy_scalars_without_numpy():
+    doc = {"f64": np.float64(0.1), "f32": np.float32(0.1),
+           "i64": np.int64(-7), "flags": [True, False],
+           "q": Fraction(-2, 3), "third": 1 / 3, "big": np.float64(1e300),
+           "pair": (np.int64(3), np.float32(2.5)), "n": None, "s": "x"}
+    assert _canon_json(doc) == (
+        '{\n  "big": 1e+300,\n  "f32": 0.10000000149011612,\n'
+        '  "f64": 0.1,\n  "flags": [\n    true,\n    false\n  ],\n'
+        '  "i64": -7,\n  "n": null,\n  "pair": [\n    3,\n    2.5\n  ],\n'
+        '  "q": "-2/3",\n  "s": "x",\n  "third": 0.3333333333333333\n}')

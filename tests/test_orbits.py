@@ -1,6 +1,9 @@
 """Skew spectra, Darboux bases, and orbit normal forms."""
 
+import json
 import math
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -165,3 +168,22 @@ def test_l1_complement_indices_families():
     assert l1_complement_indices(free_two_step(4, "R")) is None
     oct_v1 = l1_complement_indices(octonion_double())
     assert len(oct_v1) == 6
+
+
+def test_orbits_imported_after_the_package_reads_the_pfaffian_layer():
+    # the package rebinds nilharm.pfaffian to the function pfaffian(), so
+    # `from . import pfaffian` in a module imported later gets the function
+    script = (
+        "import json, nilharm\n"
+        "import nilharm.orbits as orbits\n"
+        "alg = nilharm.octonion_double()\n"
+        "rep = orbits._case3_representative(\n"
+        "    alg, nilharm.lambda_a(alg, [1, 2, 3]))\n"
+        "print(json.dumps([rep.kernel_dim,\n"
+        "    orbits.pf_nonsingular(alg, nilharm.lambda_a(alg, [1, 2, 3])),\n"
+        "    orbits.pf_nonsingular(alg, nilharm.lambda_a(alg, [0, 2, 3])),\n"
+        "    type(nilharm.pfaffian).__name__]))\n")
+    out = subprocess.run([sys.executable, "-c", script],
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) == [0, True, False, "function"]
