@@ -179,10 +179,6 @@ def _nilpotency_class(alg):
     return step
 
 
-def is_two_step(alg):
-    return nilpotency_class(alg) <= 2
-
-
 def subalgebra(alg, indices, name=""):
     """Restrict to the span of the given basis indices.
 

@@ -18,9 +18,19 @@ from .algebra import LieAlgebraData
 
 HERMITIAN_CONVENTION = "<u,v> = sum_i u_i * conj(v_i)"
 
+# the largest constructible table row has dimension 46; the exact core
+# is quadratic to cubic in the dimension, so far larger sizes only hang
+MAX_DIM = 64
+
 
 class CatalogError(ValueError):
     pass
+
+
+def _check_dim(dim, name):
+    if dim > MAX_DIM:
+        raise CatalogError(f"{name} has dimension {dim}; constructed "
+                           f"algebras are capped at dimension {MAX_DIM}")
 
 
 def _structure_dict(dim, entries):
@@ -43,6 +53,7 @@ def heisenberg(n, F):
     d = {"C": 2, "H": 4, "O": 8}[F]
     zdim = d - 1
     dim = zdim + n * d
+    _check_dim(dim, f"heisenberg:{n}:{F}")
     labels = [f"z{k}" for k in range(1, d)]
     for p in range(1, n + 1):
         labels.extend(f"u{p}e{k}" for k in range(d))
@@ -81,6 +92,8 @@ def free_two_step(n, F):
         raise CatalogError("free 2-step needs n >= 2")
     if F not in ("R", "C"):
         raise CatalogError(f"free 2-step is defined over R and C, not {F!r}")
+    _check_dim((n * (n - 1) // 2 + n) * (1 if F == "R" else 2),
+               f"free2step:{n}:{F}")
     pairs = [(p, q) for p in range(n) for q in range(p + 1, n)]
     npairs = len(pairs)
     pair_index = {pq: t for t, pq in enumerate(pairs)}
@@ -127,8 +140,7 @@ def free_two_step(n, F):
 def octonion_double():
     """Im O + Im O with bracket [(0,u),(0,v)] = (-Im(uv), 0).
 
-    Basis: z1..z7 = (e_k, 0) then v1..v7 = (0, e_k).  The ordering
-    v1,v2,v3,v5,v6,v4,v7 used for Pfaffian work is stored in meta.
+    Basis: z1..z7 = (e_k, 0) then v1..v7 = (0, e_k).
     """
     dim = 14
     labels = [f"z{k}" for k in range(1, 8)] + [f"v{k}" for k in range(1, 8)]
@@ -140,7 +152,6 @@ def octonion_double():
             for m in range(1, 8):
                 if prod.coeffs[m] != 0:
                     entries.append((6 + i, 6 + j, m - 1, -prod.coeffs[m]))
-    v_index = {k: 6 + k for k in range(1, 8)}
     return LieAlgebraData(
         dim=dim,
         basis_labels=labels,
@@ -148,9 +159,7 @@ def octonion_double():
         center_indices=range(7),
         complement_indices=range(7, 14),
         name="octdouble",
-        meta={"family": "octdouble",
-              "alt_orderings": {"pfaffian_v": [v_index[k] for k in
-                                               (1, 2, 3, 5, 6, 4, 7)]}},
+        meta={"family": "octdouble"},
     )
 
 
@@ -158,6 +167,7 @@ def abelian(n):
     """R^n with zero bracket; everything is central."""
     if n <= 0:
         raise CatalogError("abelian needs n >= 1")
+    _check_dim(n, f"abelian:{n}")
     return LieAlgebraData(
         dim=n,
         basis_labels=[f"a{k + 1}" for k in range(n)],
@@ -180,6 +190,7 @@ def direct_sum(*blocks, name=""):
     if len(blocks) == 1:
         return blocks[0]
     dim = sum(b.dim for b in blocks)
+    _check_dim(dim, name or "+".join(b.name for b in blocks))
     labels, center, complement = [], [], []
     structure = {}
     offset = 0

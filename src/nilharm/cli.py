@@ -68,6 +68,14 @@ def _fraction(tok):
         raise ValueError(f"zero denominator in {tok.strip()!r}") from None
 
 
+def _float(tok):
+    """float(_fraction(tok)), with a number past the float range refused."""
+    try:
+        return float(_fraction(tok))
+    except OverflowError:
+        raise ValueError(f"{tok.strip()!r} is too large for a float") from None
+
+
 def _parse_numbers(text):
     return [_fraction(tok) for tok in text.split(",") if tok.strip()]
 
@@ -89,7 +97,7 @@ def _parse_points(text, dim, seed):
         chunk = chunk.strip()
         if not chunk:
             continue
-        vals = [float(_fraction(tok)) for tok in chunk.split(",")]
+        vals = [_float(tok) for tok in chunk.split(",")]
         if len(vals) != dim:
             raise ValueError(f"point has {len(vals)} coordinates, "
                              f"algebra has dimension {dim}")
@@ -118,7 +126,7 @@ def _parse_function(spec, dim):
     if spec is None or spec == "gaussian":
         return GaussianTestFunction.standard(dim)
     if spec.startswith("gaussian:diag:"):
-        diag = [float(_fraction(t)) for t in spec.split(":", 2)[2].split(",")]
+        diag = [_float(t) for t in spec.split(":", 2)[2].split(",")]
         if len(diag) != dim:
             raise ValueError(f"diagonal has {len(diag)} entries, need {dim}")
         return GaussianTestFunction(np.diag(diag), np.zeros(dim))
@@ -301,6 +309,9 @@ def _cmd_octonion(args, cfg):
 def _cmd_selftest(args, cfg):
     from . import selftest
     only = set(int(t) for t in args.only.split(",")) if args.only else None
+    if only and not only <= set(selftest.CRITERIA):
+        raise ValueError(f"--only {args.only!r}: criteria are numbered "
+                         f"{min(selftest.CRITERIA)}-{max(selftest.CRITERIA)}")
     results = selftest.run_all(seed=cfg["seed"], only=only)
     all_passed = all(r["passed"] for r in results)
     lines = [f"criterion {r['criterion']}: "
@@ -401,7 +412,8 @@ def run(argv):
     }
     try:
         result = handlers[args.command](args, cfg)
-    except (CatalogError, ValueError, RuntimeError, IndexError) as exc:
+    except (CatalogError, ValueError, RuntimeError, IndexError,
+            OverflowError) as exc:
         return CommandResult("error", {"error": str(exc)}, f"error: {exc}")
     if getattr(args, "json", False):
         result = CommandResult(result.status, result.payload,

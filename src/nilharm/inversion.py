@@ -22,11 +22,10 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import bracket
-from .gaussians import GaussianTestFunction
+from .config import DEFAULTS, quad_settings
 from .linalg import identity
 from .pfaffian import is_square_integrable, pf_polynomial
-from .quadrature import (DEFAULT_MAX_EVALS, DEFAULT_RTOL, DEFAULT_SIGMAS,
-                         radial_integrate, tensor_integrate)
+from .quadrature import tensor_integrate
 from .stepwise import decompose
 
 
@@ -42,15 +41,8 @@ class GroupPoint:
         self.algebra = algebra
         self.coords = coords
 
-    @classmethod
-    def zero(cls, algebra):
-        return cls(algebra, [Fraction(0)] * algebra.dim)
-
     def float_coords(self):
         return np.array([float(c) for c in self.coords])
-
-    def inverse(self):
-        return GroupPoint(self.algebra, [-c for c in self.coords])
 
     def __eq__(self, other):
         return (isinstance(other, GroupPoint)
@@ -86,15 +78,7 @@ def right_translate(alg, f, x):
     xs = x.coords if isinstance(x, GroupPoint) else tuple(x)
     M = translation_matrix(alg, xs)
     m0 = np.array([float(c) for c in xs])
-    g = f.lift() if isinstance(f, GaussianTestFunction) else f
-    return g.pullback(M, m0)
-
-
-def fourier(g):
-    """Closed-form transform, f^(xi) = integral g(Y) e^{-i<xi,Y>} dY."""
-    if isinstance(g, GaussianTestFunction):
-        g = g.lift()
-    return g.fourier()
+    return f.lift().pullback(M, m0)
 
 
 def flat_constant(alg):
@@ -114,7 +98,7 @@ def _character_core(alg, g):
     at lam.
     """
     comp = list(alg.complement_indices)
-    ghat = fourier(g)
+    ghat = g.fourier()
     core = ghat.marginalize(comp) if comp else ghat
     return core.scaled((2 * math.pi) ** (-len(comp)))
 
@@ -132,11 +116,9 @@ def orbital_character(alg, lam, g):
 
 
 class InversionReport:
-    """Per-point reconstruction records plus the settings that made them."""
+    """Per-point reconstruction records and the time they took."""
 
-    def __init__(self, formula, settings):
-        self.formula = formula
-        self.settings = dict(settings)
+    def __init__(self):
         self.entries = []
         self.wall_time = 0.0
 
@@ -156,25 +138,11 @@ class InversionReport:
         self.entries.append(entry)
         return entry
 
-    @property
-    def max_rel_error(self):
-        return max(e["rel_error"] for e in self.entries) if self.entries else 0.0
 
-    def as_dict(self):
-        return {
-            "formula": self.formula,
-            "settings": self.settings,
-            "entries": self.entries,
-            "max_rel_error": self.max_rel_error,
-            "wall_time_s": self.wall_time,
-        }
-
-
-def _settings(quad_settings):
-    s = {"rtol": DEFAULT_RTOL, "max_evals": DEFAULT_MAX_EVALS,
-         "sigmas": DEFAULT_SIGMAS, "start_nodes": 8}
-    if quad_settings:
-        s.update(quad_settings)
+def _settings(overrides):
+    s = quad_settings(DEFAULTS)
+    if overrides:
+        s.update(overrides)
     return s
 
 
@@ -221,7 +189,7 @@ def invert_flat(alg, f, x, quad_settings=None):
         recon = c * (2 * math.pi) ** (-zdim) * value
 
     f_x = float(f.evaluate(x.float_coords()))
-    report = InversionReport(f"flat:{alg.name}", s)
+    report = InversionReport()
     report.add_entry(x.float_coords(), f_x, recon,
                      extra={"z_nodes": info.get("nodes", 0)})
     report.wall_time = time.perf_counter() - start
@@ -257,7 +225,7 @@ def _stepwise_structure(dec):
     return z1_global, v1_global, list(dec.l2_indices)
 
 
-def invert_stepwise(case_tag, f, x, quad_settings=None, n=None):
+def invert_stepwise(case_tag, f, x, quad_settings=None):
     """Reconstruct f at x by the two-layer inversion for one case.
 
     Inner layer: flat inversion on L1 applied to the partial Fourier
@@ -269,7 +237,7 @@ def invert_stepwise(case_tag, f, x, quad_settings=None, n=None):
     only the outer layer runs adaptive quadrature.
     """
     if isinstance(case_tag, str):
-        dec = decompose(case_tag, n=n)
+        dec = decompose(case_tag)
     else:
         dec = case_tag
     if not dec.verification or not all(dec.verification.values()):
@@ -303,8 +271,7 @@ def invert_stepwise(case_tag, f, x, quad_settings=None, n=None):
         vec[gt] += 1.0
         M[:, z1 + k] = vec
     m0 = x1.float_coords()
-    g_joint = (f.lift() if isinstance(f, GaussianTestFunction) else f
-               ).pullback(M, m0)
+    g_joint = f.lift().pullback(M, m0)
 
     t_block = list(range(z1, z1 + n2))
     A_tt = g_joint.A[np.ix_(t_block, t_block)]
@@ -337,8 +304,7 @@ def invert_stepwise(case_tag, f, x, quad_settings=None, n=None):
     recon = outer_const * value
 
     f_x = float(f.evaluate(x.float_coords()))
-    tag = case_tag if isinstance(case_tag, str) else alg.name
-    report = InversionReport(f"stepwise:{tag}", s)
+    report = InversionReport()
     report.add_entry(x.float_coords(), f_x, recon,
                      extra={"outer_nodes": outer_info["nodes"]})
     report.wall_time = time.perf_counter() - start
@@ -363,27 +329,25 @@ def flatness_identity_gap(alg, f, x):
     lhs = core.total_integral() * (2 * math.pi) ** (-zdim)
 
     # route 2: (2pi)^{-dim n} * integral of g^ over all of n*
-    ghat = fourier(g)
+    ghat = g.fourier()
     rhs = ghat.total_integral() * (2 * math.pi) ** (-alg.dim)
 
     scale = max(abs(lhs), abs(rhs))
     return abs(lhs - rhs) / scale, lhs, rhs
 
 
-def orbit_space_quadrature_check(alg, h=None, radius=8.0, rtol=DEFAULT_RTOL,
-                                 seed=0):
+def orbit_space_quadrature_check(alg, seed=0):
     """Two independent quadratures of integral h(|lam|)|Pf(lam)| dlam.
 
-    Requires dim z* = 3 and a rotation-invariant integrand; the
-    Pfaffian factor is sampled under random rotations and the check
-    refuses if it is not radial.  Reports a Richardson-style
-    truncation estimate from halving the radius.
+    h(r) = exp(-r^2/2), once on the cube [-8, 8]^3 in z* and once as
+    the radial profile 4 pi r^2 h(r)|Pf(r e1)| on [0, 8].  Requires
+    dim z* = 3; the Pfaffian factor is sampled under random rotations
+    and the check refuses if it is not radial.
     """
     zdim = len(alg.center_indices)
     if zdim != 3:
         raise ValueError("orbit-space check requires dim z = 3")
-    if h is None:
-        h = lambda r: np.exp(-0.5 * r * r)
+    h = lambda r: np.exp(-0.5 * r * r)
     pf = pf_polynomial(alg)
 
     rng = np.random.default_rng(seed)
@@ -399,25 +363,26 @@ def orbit_space_quadrature_check(alg, h=None, radius=8.0, rtol=DEFAULT_RTOL,
         r = np.sqrt(np.einsum("ni,ni->n", pts, pts))
         return h(r) * np.abs(pf.evaluate_float(pts))
 
+    radius = 8.0
     value_cart, cart_info = tensor_integrate(
-        cart, np.zeros(3), np.ones(3), rtol=rtol, sigmas_out=radius)
+        cart, np.zeros(3), np.ones(3), sigmas_out=radius)
 
-    def radial(rs):
-        pts = np.zeros((len(rs), 3))
-        pts[:, 0] = rs
+    def radial(pts):
+        rs = pts[:, 0]
+        on_axis = np.zeros((len(rs), 3))
+        on_axis[:, 0] = rs
         return 4.0 * math.pi * rs * rs * h(rs) * np.abs(
-            pf.evaluate_float(pts))
+            pf.evaluate_float(on_axis))
 
-    value_rad, rad_info = radial_integrate(radial, radius, rtol=rtol)
-    value_rad_half, _ = radial_integrate(radial, radius / 2.0, rtol=rtol)
+    # the one-axis box [R/2 - R/2, R/2 + R/2] = [0, R]
+    value_rad, rad_info = tensor_integrate(
+        radial, [radius / 2], [radius / 2], sigmas_out=1.0, start=16)
 
     scale = max(abs(value_cart), abs(value_rad), 1e-300)
     return {
         "value_cartesian": float(np.real(value_cart)),
         "value_radial": float(np.real(value_rad)),
         "rel_diff": float(abs(value_cart - value_rad) / scale),
-        "truncation_estimate": float(abs(value_rad - value_rad_half)),
-        "radius": radius,
         "cartesian_nodes": cart_info["nodes"],
         "radial_nodes": rad_info["nodes"],
     }

@@ -16,37 +16,25 @@ from .polynomials import Poly
 
 
 class LinearFunctional:
-    """Element of z* on an algebra's designated center basis.
+    """Element of z* with rational coefficients on the center basis."""
 
-    Either concrete (rational coefficients) or symbolic, in which case
-    each center coordinate is an indeterminate of the polynomial ring.
-    """
+    __slots__ = ("coeffs",)
 
-    __slots__ = ("coeffs", "symbolic")
-
-    def __init__(self, alg, coeffs=None, symbolic=False):
-        self.symbolic = symbolic
+    def __init__(self, alg, coeffs):
         zdim = len(alg.center_indices)
-        if symbolic:
-            if coeffs is not None:
-                raise ValueError("symbolic functional takes no coefficients")
-            self.coeffs = None
-        else:
-            coeffs = [Fraction(c) for c in coeffs]
-            if len(coeffs) != zdim:
-                raise ValueError(f"need {zdim} coefficients, got {len(coeffs)}")
-            self.coeffs = coeffs
+        coeffs = [Fraction(c) for c in coeffs]
+        if len(coeffs) != zdim:
+            raise ValueError(f"need {zdim} coefficients, got {len(coeffs)}")
+        self.coeffs = coeffs
 
 
 class SkewForm:
     """Matrix of b_lambda over an ordered complement basis."""
 
-    __slots__ = ("matrix", "labels", "var_names")
+    __slots__ = ("matrix",)
 
-    def __init__(self, matrix, labels, var_names=None):
+    def __init__(self, matrix):
         self.matrix = matrix
-        self.labels = tuple(labels)
-        self.var_names = tuple(var_names) if var_names else None
 
     @property
     def dim(self):
@@ -59,15 +47,7 @@ def b_matrix(alg, lam, v_indices=None):
     Brackets of complement vectors must land in the designated center;
     anything else means the algebra is not 2-step with that split.
     """
-    zdim = len(alg.center_indices)
-    if lam.symbolic:
-        coeffs = [Poly.variable(zdim, t) for t in range(zdim)]
-        zero = Poly.zero(zdim)
-    else:
-        coeffs, zero = lam.coeffs, Fraction(0)
-    return _skew_form(alg, coeffs, zero, v_indices,
-                      var_names=[alg.basis_labels[i]
-                                 for i in alg.center_indices])
+    return _skew_form(alg, lam.coeffs, Fraction(0), v_indices)
 
 
 def b_matrix_poly(alg, coeff_polys, v_indices=None):
@@ -84,7 +64,7 @@ def b_matrix_poly(alg, coeff_polys, v_indices=None):
                       v_indices)
 
 
-def _skew_form(alg, coeffs, zero, v_indices, var_names=None):
+def _skew_form(alg, coeffs, zero, v_indices):
     # entry (a, b) = sum over t of coeffs[t] * [b_a, b_b]_t, summed in
     # increasing t: a Poly's term order, which evaluate_float sums in,
     # then does not depend on how the sparse rows are laid out
@@ -108,9 +88,7 @@ def _skew_form(alg, coeffs, zero, v_indices, var_names=None):
                 val = val + coeffs[t] * c
             matrix[a][b] = val
             matrix[b][a] = -val
-    return SkewForm(matrix,
-                    labels=[alg.basis_labels[i] for i in v_indices],
-                    var_names=var_names)
+    return SkewForm(matrix)
 
 
 def _is_zero_entry(x):
@@ -231,11 +209,12 @@ def pf_polynomial(alg, v_indices=None):
 
 
 def _pf_polynomial(alg, v_indices):
-    lam = LinearFunctional(alg, symbolic=True)
-    pf = pfaffian(b_matrix(alg, lam, v_indices=v_indices))
+    zdim = len(alg.center_indices)
+    coeffs = [Poly.variable(zdim, t) for t in range(zdim)]
+    pf = pfaffian(_skew_form(alg, coeffs, Poly.zero(zdim), v_indices))
     if isinstance(pf, Fraction):
         # 0x0 matrix carries no symbolic entries to infer variables from
-        pf = Poly.constant(len(alg.center_indices), pf)
+        pf = Poly.constant(zdim, pf)
     return pf
 
 

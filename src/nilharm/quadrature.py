@@ -1,17 +1,16 @@
-"""Deterministic tensor-product quadrature with envelope truncation.
+"""One adaptive quadrature loop: tensor Gauss-Legendre on a truncated box.
 
 Gauss-Legendre nodes per axis on [mean - k*sigma, mean + k*sigma],
 doubling the per-axis count until the value stabilizes, up to
 MAX_NODES_PER_AXIS.  Node counts stay even so grids never land on a
 hyperplane through the envelope center (where Pfaffian factors can
-vanish).
+vanish).  The default tolerance, budget, box width and starting count
+are the ones in config.DEFAULTS.
 """
 
 import numpy as np
 
-DEFAULT_RTOL = 1e-8
-DEFAULT_MAX_EVALS = 2 ** 20
-DEFAULT_SIGMAS = 8.0
+from .config import DEFAULTS
 
 # leggauss solves an n x n eigenproblem, O(n^2) memory and O(n^3) time;
 # past this many nodes per axis an integral counts as not converging
@@ -37,9 +36,10 @@ def axis_rule(n, lo, hi):
     return lo + half * (x + 1.0), half * w
 
 
-def tensor_integrate(func, means, sigmas, rtol=DEFAULT_RTOL,
-                     max_evals=DEFAULT_MAX_EVALS, sigmas_out=DEFAULT_SIGMAS,
-                     start=8):
+def tensor_integrate(func, means, sigmas, rtol=DEFAULTS["quad_rtol"],
+                     max_evals=DEFAULTS["max_evals"],
+                     sigmas_out=DEFAULTS["truncation_sigmas"],
+                     start=DEFAULTS["start_nodes"]):
     """integral of func over the truncated box, with per-axis doubling.
 
     func maps an (npts, dim) array to complex values.  Returns
@@ -80,22 +80,3 @@ def tensor_integrate(func, means, sigmas, rtol=DEFAULT_RTOL,
         prev = value
         n *= 2
 
-
-def radial_integrate(func, r_max, rtol=DEFAULT_RTOL,
-                     max_evals=DEFAULT_MAX_EVALS, start=16):
-    """integral_0^{r_max} func(r) dr by doubling Gauss-Legendre."""
-    n = start
-    prev = None
-    while True:
-        if n > max_evals:
-            raise RuntimeError("radial quadrature budget exhausted")
-        x, w = axis_rule(n, 0.0, r_max)
-        value = np.sum(func(x) * w)
-        if prev is not None:
-            scale = max(abs(value), abs(prev), 1e-300)
-            change = abs(value - prev) / scale
-            if change < rtol:
-                return value, {"nodes": n, "converged": True,
-                               "last_change": change}
-        prev = value
-        n *= 2

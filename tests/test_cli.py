@@ -2,6 +2,7 @@
 
 import json
 import os
+import resource
 import subprocess
 import sys
 from fractions import Fraction
@@ -214,6 +215,13 @@ def test_selftest_subset_exit_codes():
     assert "criterion 1: PASS" in res.human_text
 
 
+@pytest.mark.parametrize("only", ["0", "10", "99", "1,99"])
+def test_selftest_unknown_criterion_is_usage_error(only):
+    res = invoke(["selftest", "--only", only])
+    assert res.exit_code == 2
+    assert "criteria are numbered 1-9" in res.human_text
+
+
 def test_selftest_criterion_3_is_red(monkeypatch):
     # a failing criterion must give exit 1 and a FAIL line
     monkeypatch.setitem(selftest.CRITERIA, 3, lambda seed=0: {
@@ -245,6 +253,22 @@ def test_zero_denominator_is_usage_error(argv):
     assert "Traceback" not in out.stderr
 
 
+def _limit_memory():
+    # a size check that fails would allocate without bound
+    resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
+
+
+@pytest.mark.parametrize("name", ["heisenberg:100000:C", "free2step:100000:R",
+                                  "abelian:100000", "table:2.2:1:n=100"])
+def test_oversized_algebra_is_refused_at_once(name):
+    out = subprocess.run([sys.executable, "-m", "nilharm.cli", "classify",
+                          name], capture_output=True, text=True, timeout=20,
+                         preexec_fn=_limit_memory)
+    assert out.returncode == 2
+    assert "capped at dimension 64" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
 def test_help_mentions_naming_scheme():
     parser = build_parser()
     assert "heisenberg:n:F" in parser.format_help() or \
@@ -271,6 +295,12 @@ MALFORMED_OPERANDS = [
     (["octonion", "mul", "e1", "e2", "e3"],
      "octonion mul takes exactly 2 operands, got 3"),
     (["octonion", "table", "e1"], "octonion table takes no operands, got 1"),
+    (["invert", "heisenberg:1:C", "--points", "1e400,0,0"],
+     "'1e400' is too large for a float"),
+    (["invert", "heisenberg:1:C", "--function", "gaussian:diag:1e400,1,1"],
+     "'1e400' is too large for a float"),
+    (["orbit", "free2step:3:R", "--coeffs", "1e400,0,0"],
+     "too large for a float"),
 ]
 
 

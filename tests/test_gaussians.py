@@ -5,7 +5,7 @@ import pytest
 
 from nilharm.gaussians import ComplexGaussian, GaussianTestFunction
 from nilharm.quadrature import (MAX_NODES_PER_AXIS, gauss_legendre,
-                               radial_integrate, tensor_integrate)
+                               tensor_integrate)
 
 
 def rand_spd(rng, n):
@@ -164,23 +164,13 @@ def test_tensor_integrate_zero_dim():
     assert info["nodes"] == 0 and info["converged"]
 
 
-def test_radial_integrate_known_value():
-    # integral of r^2 e^{-r} on [0, R] for large R tends to 2
-    val, _ = radial_integrate(lambda r: r ** 2 * np.exp(-r), 60.0,
-                              rtol=1e-10, max_evals=2 ** 20)
-    assert abs(val - 2.0) < 1e-8
-
-
 def test_gauss_legendre_refuses_past_the_node_cap():
     x, w = gauss_legendre(MAX_NODES_PER_AXIS)
     assert len(x) == MAX_NODES_PER_AXIS and abs(w.sum() - 2.0) < 1e-12
     with pytest.raises(RuntimeError, match="budget exhausted"):
         gauss_legendre(2 * MAX_NODES_PER_AXIS)
-    # a tolerance below float noise never converges: both doubling
-    # rules stop at the cap, not at max_evals
-    with pytest.raises(RuntimeError, match="budget exhausted"):
-        radial_integrate(lambda r: np.exp(-r * r), 4.0, rtol=1e-300,
-                         max_evals=2 ** 30)
+    # a tolerance below float noise never converges: the doubling
+    # stops at the cap, not at max_evals
     with pytest.raises(RuntimeError, match="budget exhausted"):
         tensor_integrate(lambda pts: np.exp(-pts[:, 0] ** 2), [0.0], [1.0],
                          rtol=1e-300, max_evals=2 ** 30)

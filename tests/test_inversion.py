@@ -12,21 +12,22 @@ import pytest
 
 from nilharm import inversion
 from nilharm.catalog import free_two_step, heisenberg
+from nilharm.config import DEFAULTS
 from nilharm.gaussians import GaussianTestFunction
 from nilharm.inversion import (GroupPoint, factor_point, flat_constant,
-                               flatness_identity_gap, fourier,
-                               group_multiply, invert_flat, invert_stepwise,
+                               flatness_identity_gap, group_multiply,
+                               invert_flat, invert_stepwise,
                                orbit_space_quadrature_check,
                                orbital_character, right_translate,
                                translation_matrix)
 from nilharm.pfaffian import pf_polynomial
-from nilharm.quadrature import (DEFAULT_MAX_EVALS, DEFAULT_RTOL,
-                                tensor_integrate)
+from nilharm.quadrature import tensor_integrate
 from nilharm.stepwise import decompose
 
 
 # Quadrature oracles for the closed forms; only the tests use them.
-def fourier_quadrature(g, xi, rtol=DEFAULT_RTOL, max_evals=DEFAULT_MAX_EVALS):
+def fourier_quadrature(g, xi, rtol=DEFAULTS["quad_rtol"],
+                       max_evals=DEFAULTS["max_evals"]):
     """Direct quadrature of the transform at one frequency (oracle)."""
     if isinstance(g, GaussianTestFunction):
         g = g.lift()
@@ -41,8 +42,8 @@ def fourier_quadrature(g, xi, rtol=DEFAULT_RTOL, max_evals=DEFAULT_MAX_EVALS):
     return value
 
 
-def orbital_character_quadrature(alg, lam, g, rtol=DEFAULT_RTOL,
-                                 max_evals=DEFAULT_MAX_EVALS):
+def orbital_character_quadrature(alg, lam, g, rtol=DEFAULTS["quad_rtol"],
+                                 max_evals=DEFAULTS["max_evals"]):
     """Quadrature cross-check of the character along the flat orbit."""
     lam = np.asarray(lam, dtype=float)
     pf = pf_polynomial(alg)
@@ -51,7 +52,7 @@ def orbital_character_quadrature(alg, lam, g, rtol=DEFAULT_RTOL,
         raise ValueError("singular lam: Pf(lam) = 0")
     comp = list(alg.complement_indices)
     cent = list(alg.center_indices)
-    ghat = fourier(g)
+    ghat = g.fourier()
     if not comp:
         return complex(ghat.evaluate(lam)) / flat_constant(alg)
     # integrate ghat over the affine slice v* + lam
@@ -82,14 +83,6 @@ def test_group_multiply_is_associative_and_inverts():
         assert lhs == rhs
         neg = [-c for c in x]
         assert group_multiply(alg, x, neg).coords == zero
-
-
-def test_group_point_wrapper():
-    alg = heisenberg(1, "C")
-    p = GroupPoint(alg, [Fraction(1), Fraction(2), Fraction(3)])
-    q = p.inverse()
-    assert q.coords == (-1, -2, -3)
-    assert GroupPoint.zero(alg).coords == (0, 0, 0)
 
 
 def test_translation_matrix_realizes_right_translation():
@@ -123,7 +116,7 @@ def test_right_translate_pointwise():
 
 def test_fourier_against_quadrature():
     f = GaussianTestFunction(np.diag([1.0, 2.0]), np.array([0.3, -0.1]))
-    ghat = fourier(f)
+    ghat = f.lift().fourier()
     for xi in ([0.0, 0.0], [1.0, -0.5], [0.4, 2.0]):
         oracle = fourier_quadrature(f, np.array(xi), rtol=1e-11)
         closed = ghat.evaluate(np.array([xi]))[0]
@@ -232,7 +225,7 @@ def test_invert_stepwise_rejects_unverified_split():
 
 def test_orbit_space_quadrature_check_quaternionic():
     alg = heisenberg(1, "H")
-    out = orbit_space_quadrature_check(alg, radius=6.0, rtol=1e-8)
+    out = orbit_space_quadrature_check(alg)
     assert out["rel_diff"] < 1e-6
     assert out["value_cartesian"] > 0
 
