@@ -9,6 +9,7 @@ configuration is echoed into every payload.
 import argparse
 import json
 import numbers
+import re
 import sys
 from fractions import Fraction
 
@@ -60,8 +61,24 @@ def _canon_json(payload):
     return json.dumps(conv(payload), sort_keys=True, indent=2)
 
 
+# Fraction expands a decimal exponent in full: "1e10000000" builds a
+# ten-million-digit integer, about 14 s.  Past this bound a number is
+# refused; 1e400 (past the float range) still parses exactly.
+MAX_DECIMAL_EXPONENT = 1000
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
+
+
 def _fraction(tok):
-    """Fraction(tok), with a zero denominator reported as a usage error."""
+    """Fraction(tok), with a zero denominator or an exponent past
+    MAX_DECIMAL_EXPONENT reported as a usage error."""
+    exp = _EXPONENT.search(tok)
+    if exp:
+        digits = exp.group(1).replace("_", "").lstrip("0") or "0"
+        # the length test first, so int() never reads a long string
+        if (len(digits) > len(str(MAX_DECIMAL_EXPONENT))
+                or int(digits) > MAX_DECIMAL_EXPONENT):
+            raise ValueError(f"the exponent of {tok.strip()!r} exceeds "
+                             f"{MAX_DECIMAL_EXPONENT} in magnitude")
     try:
         return Fraction(tok)
     except ZeroDivisionError:

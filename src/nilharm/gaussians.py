@@ -44,9 +44,16 @@ class ComplexGaussian:
         single = pts.ndim == 1
         if single:
             pts = pts[None, :]
-        quad = -0.5 * np.einsum("ni,ij,nj->n", pts, self.A, pts)
-        lin = pts @ self.u
-        out = np.exp(quad + lin + self.v)
+        # real and imaginary parts of the exponent from real products,
+        # so the grid is never copied to complex
+        out = np.empty(len(pts), dtype=complex)
+        out.real = np.einsum("ni,ni->n", pts @ self.A, pts)
+        out.real *= -0.5
+        out.real += pts @ self.u.real
+        out.real += self.v.real
+        out.imag = pts @ self.u.imag
+        out.imag += self.v.imag
+        np.exp(out, out=out)
         return out[0] if single else out
 
     def scaled(self, factor):

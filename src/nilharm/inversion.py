@@ -178,8 +178,10 @@ def invert_flat(alg, f, x, quad_settings=None):
             pf_abs = np.abs(pf.evaluate_float(lams))
             if np.any(pf_abs == 0.0):
                 raise ValueError("quadrature node hit Pf(lam) = 0")
-            theta = core.evaluate(lams) / (c * pf_abs)
-            return theta * pf_abs
+            theta = core.evaluate(lams)
+            theta /= c * pf_abs
+            theta *= pf_abs
+            return theta
 
         value, info = tensor_integrate(integrand, mean, sigma,
                                        rtol=s["rtol"],

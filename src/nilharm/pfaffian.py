@@ -242,18 +242,22 @@ def is_square_integrable(alg, v_indices=None):
     """Pf != 0 as a polynomial, plus a rational witness when nonzero.
 
     Witness search is deterministic: all-ones first, then a fixed-seed
-    stream of small integer points.  A nonzero polynomial of this size
-    cannot dodge 500 such samples; if that ever trips, it is a bug.
+    stream of small integer points, stopping at the first nonzero value.
+    A nonzero polynomial of this size cannot dodge 500 such samples; if
+    that ever trips, it is a bug.
     """
     pf = pf_polynomial(alg, v_indices=v_indices)
     if pf.is_zero():
         return SquareIntegrability(False, None, pf)
-    zdim = len(alg.center_indices)
-    candidates = [[Fraction(1)] * zdim]
-    rng = random.Random(0)
-    for _ in range(500):
-        candidates.append([Fraction(rng.randint(-9, 9)) for _ in range(zdim)])
-    for point in candidates:
+    for point in _witness_candidates(len(alg.center_indices)):
         if pf.evaluate(point) != 0:
             return SquareIntegrability(True, point, pf)
     raise RuntimeError("nonzero Pfaffian but witness search failed")
+
+
+def _witness_candidates(zdim):
+    # lazy, so a hit at all-ones draws no random point
+    yield [Fraction(1)] * zdim
+    rng = random.Random(0)
+    for _ in range(500):
+        yield [Fraction(rng.randint(-9, 9)) for _ in range(zdim)]

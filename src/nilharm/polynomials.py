@@ -120,9 +120,11 @@ class Poly:
         points = np.asarray(points, dtype=float)
         if points.ndim == 1:
             points = points[None, :]
+        # each term is coeff * x_j^e_j * ... in increasing j, summed in
+        # the dict's term order: pfaffian._skew_form relies on that order
         out = np.zeros(points.shape[0])
         for mono, coeff in self.terms.items():
-            term = np.full(points.shape[0], float(coeff))
+            term = float(coeff)
             for j, e in enumerate(mono):
                 if e:
                     term = term * points[:, j] ** e

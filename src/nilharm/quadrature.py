@@ -6,7 +6,15 @@ MAX_NODES_PER_AXIS.  Node counts stay even so grids never land on a
 hyperplane through the envelope center (where Pfaffian factors can
 vanish).  The default tolerance, budget, box width and starting count
 are the ones in config.DEFAULTS.
+
+Grid layout: a level with n nodes per axis is the n^dim tensor grid in
+C order, axis 0 slowest and the last axis fastest.  The points are
+filled in place from the axis nodes; the weights are the outer product
+of the axis weights, multiplied from axis 0 up.  func is called once
+per level on all of that level's points as one (n^dim, dim) array.
 """
+
+from functools import reduce
 
 import numpy as np
 
@@ -64,13 +72,12 @@ def tensor_integrate(func, means, sigmas, rtol=DEFAULTS["quad_rtol"],
                 "quadrature budget exhausted before convergence "
                 f"({n} nodes/axis, dim {dim})")
         axes = [axis_rule(n, los[k], his[k]) for k in range(dim)]
-        grids = np.meshgrid(*[a[0] for a in axes], indexing="ij")
-        pts = np.stack([g.reshape(-1) for g in grids], axis=-1)
-        wgrids = np.meshgrid(*[a[1] for a in axes], indexing="ij")
-        wts = np.ones(total)
-        for wg in wgrids:
-            wts = wts * wg.reshape(-1)
-        value = np.sum(func(pts) * wts)
+        pts = np.empty((n,) * dim + (dim,))
+        for k, (x, _) in enumerate(axes):
+            # shape (n, 1, ..., 1) broadcasts x along grid axis k
+            pts[..., k] = x.reshape((n,) + (1,) * (dim - 1 - k))
+        wts = reduce(np.multiply.outer, [w for _, w in axes])
+        value = np.sum(func(pts.reshape(total, dim)) * wts.reshape(total))
         if prev is not None:
             scale = max(abs(value), abs(prev), 1e-300)
             change = abs(value - prev) / scale

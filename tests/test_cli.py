@@ -12,7 +12,7 @@ import pytest
 
 import nilharm
 from nilharm import selftest
-from nilharm.cli import _canon_json, build_parser, run
+from nilharm.cli import MAX_DECIMAL_EXPONENT, _canon_json, build_parser, run
 
 
 def invoke(argv):
@@ -251,6 +251,26 @@ def test_zero_denominator_is_usage_error(argv):
     assert out.returncode == 2
     assert "zero denominator" in out.stderr
     assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["pfaffian", "heisenberg:1:C", "--at", "1e10000000"],
+    ["pfaffian", "heisenberg:1:C", "--at=-5E-10000000"],
+    ["invert", "heisenberg:1:C", "--points=1e10000000,0,0"],
+])
+def test_huge_decimal_exponent_is_refused_before_expansion(argv):
+    # Fraction would build the ten-million-digit integer: ~14 s
+    out = subprocess.run([sys.executable, "-m", "nilharm.cli"] + argv,
+                         capture_output=True, text=True, timeout=20)
+    assert out.returncode == 2
+    assert f"exceeds {MAX_DECIMAL_EXPONENT} in magnitude" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
+def test_exponent_within_the_bound_parses_exactly():
+    res = invoke(["pfaffian", "heisenberg:1:C", "--at", "1e400"])
+    assert res.exit_code == 0
+    assert res.human_text.endswith(" = -1" + "0" * 400)
 
 
 def _limit_memory():

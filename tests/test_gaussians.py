@@ -1,5 +1,8 @@
 """Closed-form Gaussian calculus against quadrature oracles."""
 
+import cmath
+from math import prod
+
 import numpy as np
 import pytest
 
@@ -22,6 +25,32 @@ def quad_oracle(g, sigmas=10.0):
         lambda pts: np.imag(g.evaluate(pts)), means, sig,
         rtol=1e-10, max_evals=2 ** 22, sigmas_out=sigmas)
     return value + 1j * imag
+
+
+def reference_value(A, u, v, y):
+    """exp(-1/2 y^T A y + u^T y + v) at one point, summed term by term."""
+    n = len(y)
+    quad = sum(y[i] * A[i, j] * y[j] for i in range(n) for j in range(n))
+    lin = sum(u[i] * y[i] for i in range(n))
+    return cmath.exp(-0.5 * quad + lin + v)
+
+
+@pytest.mark.parametrize("dim", range(5))
+def test_evaluate_matches_a_per_point_reference(dim):
+    rng = np.random.default_rng(70 + dim)
+    A = rand_spd(rng, dim)
+    u = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    v = complex(rng.normal(), rng.normal())
+    g = ComplexGaussian(A, u, v)
+    pts = rng.normal(size=(9, dim))
+    batch = g.evaluate(pts)
+    assert batch.shape == (9,)
+    for y, got in zip(pts, batch):
+        want = reference_value(g.A, u, v, y)
+        assert abs(got - want) <= 1e-13 * abs(want)
+        single = g.evaluate(y)
+        assert np.ndim(single) == 0
+        assert abs(single - want) <= 1e-13 * abs(want)
 
 
 def test_total_integral_matches_quadrature():
@@ -154,6 +183,35 @@ def test_tensor_integrate_budget_error():
     with pytest.raises(RuntimeError):
         tensor_integrate(lambda pts: np.exp(np.sum(np.cos(7 * pts), axis=1)),
                          [0.0] * 4, [1.0] * 4, rtol=1e-14, max_evals=100)
+
+
+def test_tensor_integrate_is_exact_on_a_monomial_over_an_asymmetric_box():
+    # Gauss-Legendre with 8 nodes is exact to degree 15, so both levels
+    # give the exact value; a transposed axis or a weight on the wrong
+    # node does not
+    powers = (1, 2, 3)
+    means, sigmas = [1.0, -0.5, 2.0], [0.5, 1.5, 0.25]
+    los = [m - 2 * s for m, s in zip(means, sigmas)]
+    his = [m + 2 * s for m, s in zip(means, sigmas)]
+    exact = prod((hi ** (k + 1) - lo ** (k + 1)) / (k + 1)
+                 for lo, hi, k in zip(los, his, powers))
+    grids = []
+
+    def func(pts):
+        grids.append(pts)
+        return prod(pts[:, k] ** e for k, e in enumerate(powers))
+
+    value, info = tensor_integrate(func, means, sigmas, rtol=1e-12,
+                                   sigmas_out=2.0)
+    assert abs(value - exact) <= 1e-13 * abs(exact)
+    assert info["nodes_per_axis"] == 16
+    # C order: the last axis varies fastest, axis 0 slowest
+    first = grids[0]
+    assert first.shape == (8 ** 3, 3)
+    assert np.all(first[:8, :2] == first[0, :2])
+    assert np.all(np.diff(first[:8, 2]) > 0)
+    assert np.all(first[:64, 0] == first[0, 0])
+    assert first[64, 0] > first[0, 0]
 
 
 def test_tensor_integrate_zero_dim():

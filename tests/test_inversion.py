@@ -164,6 +164,8 @@ def test_invert_flat_quaternionic():
     f = GaussianTestFunction.standard(alg.dim)
     report = invert_flat(alg, f, [0.0] * alg.dim)
     assert report.entries[0]["rel_error"] < 1e-8
+    # the default rule converges on the 64^3 grid
+    assert report.entries[0]["z_nodes"] == 262144
 
 
 def test_invert_flat_abelian_is_classical():
@@ -225,9 +227,10 @@ def test_invert_stepwise_rejects_unverified_split():
 
 def test_orbit_space_quadrature_check_quaternionic():
     alg = heisenberg(1, "H")
-    out = orbit_space_quadrature_check(alg)
+    out = orbit_space_quadrature_check(alg, seed=0)
     assert out["rel_diff"] < 1e-6
     assert out["value_cartesian"] > 0
+    assert (out["cartesian_nodes"], out["radial_nodes"]) == (262144, 32)
 
 
 def test_orbit_space_check_needs_three_dim_center():

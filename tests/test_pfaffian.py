@@ -1,5 +1,6 @@
 """Symbolic Pfaffians, square integrability, and the exact recursion."""
 
+import importlib
 import random
 from fractions import Fraction
 
@@ -144,6 +145,64 @@ def test_square_integrability_decisions():
         assert not is_square_integrable(alg)
     # degenerate but consistent: v = 0 means Pf = 1, never zero
     assert is_square_integrable(abelian(2))
+
+
+def test_witness_search_matches_the_full_candidate_list(monkeypatch):
+    # t1 - t2 vanishes at all-ones, so the witness comes from the stream
+    alg = heisenberg(1, "H")
+    pf = Poly.variable(3, 0) - Poly.variable(3, 1)
+    rng = random.Random(0)
+    candidates = [[Fraction(1)] * 3] + [
+        [Fraction(rng.randint(-9, 9)) for _ in range(3)] for _ in range(500)]
+    want = next(p for p in candidates if pf.evaluate(p) != 0)
+    module = importlib.import_module("nilharm.pfaffian")
+    monkeypatch.setattr(module, "pf_polynomial",
+                        lambda alg, v_indices=None: pf)
+    res = is_square_integrable(alg)
+    assert res and res.witness == want
+
+
+def test_witness_search_stops_at_all_ones(monkeypatch):
+    alg = heisenberg(1, "C")
+
+    def no_draws(seed):
+        raise AssertionError("a random point was drawn")
+
+    module = importlib.import_module("nilharm.pfaffian")
+    monkeypatch.setattr(module.random, "Random", no_draws)
+    res = is_square_integrable(alg)
+    assert res and res.witness == [Fraction(1)]
+
+
+def evaluate_float_reference(poly, points):
+    """Term by term: coefficient first, then variables in index order."""
+    points = np.asarray(points, dtype=float)
+    if points.ndim == 1:
+        points = points[None, :]
+    out = np.zeros(points.shape[0])
+    for mono, coeff in poly.terms.items():
+        term = np.full(points.shape[0], float(coeff))
+        for j, e in enumerate(mono):
+            if e:
+                term = term * points[:, j] ** e
+        out += term
+    return out
+
+
+def test_evaluate_float_is_bit_identical_to_the_term_loop():
+    rng = np.random.default_rng(12)
+    polys = [pf_polynomial(heisenberg(1, "O")),
+             pf_polynomial(heisenberg(2, "H")),
+             pf_polynomial(octonion_double(), v_indices=list(
+                 octonion_double().complement_indices)[1:]),
+             Poly.constant(3, Fraction(-7, 3)), Poly.zero(3)]
+    for poly in polys:
+        pts = rng.normal(size=(50, poly.nvars))
+        for arg in (pts, pts[0]):
+            got = poly.evaluate_float(arg)
+            want = evaluate_float_reference(poly, arg)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 def test_restricted_pfaffian_via_v_indices():
