@@ -85,6 +85,24 @@ def _fraction(tok):
         raise ValueError(f"zero denominator in {tok.strip()!r}") from None
 
 
+def _exact_str(value):
+    """str(value) for an exact result of any length.
+
+    Python refuses int-to-string conversions past 4300 digits.  The
+    inputs are bounded (MAX_DECIMAL_EXPONENT, catalog.MAX_DIM), and the
+    longest Pfaffian value, heisenberg:15:H at 1e1000, has ~30 000
+    digits, so the limit is lifted for this one conversion.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):  # no limit before 3.10.7
+        return str(value)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _float(tok):
     """float(_fraction(tok)), with a number past the float range refused."""
     try:
@@ -97,6 +115,11 @@ def _parse_numbers(text):
     return [_fraction(tok) for tok in text.split(",") if tok.strip()]
 
 
+# random:k draws k points before any of them runs; past this bound
+# the list alone would take hours to build and fill memory
+MAX_POINTS = 1000
+
+
 def _parse_points(text, dim, seed):
     if text.startswith("random:"):
         try:
@@ -106,6 +129,9 @@ def _parse_points(text, dim, seed):
         if k < 1:
             raise ValueError(f"--points {text!r}: random:k needs an "
                              "integer k >= 1")
+        if k > MAX_POINTS:
+            raise ValueError(f"--points {text!r}: random:k takes at most "
+                             f"{MAX_POINTS} points")
         import numpy as np
         rng = np.random.default_rng(seed)
         return [list(rng.normal(0.0, 0.5, size=dim)) for _ in range(k)]
@@ -197,9 +223,9 @@ def _cmd_pfaffian(args, cfg):
     text = f"Pf = {pf.format()}"
     if args.at:
         coeffs = _parse_numbers(args.at)
-        val = pf_at(alg, coeffs)
-        payload["at"] = [str(c) for c in coeffs]
-        payload["value"] = str(val)
+        val = _exact_str(pf_at(alg, coeffs))
+        payload["at"] = [_exact_str(c) for c in coeffs]
+        payload["value"] = val
         text += f"\nPf({args.at}) = {val}"
     return CommandResult("ok", payload, text)
 

@@ -53,10 +53,15 @@ class GroupPoint:
         return f"GroupPoint({self.coords})"
 
 
+def _as_point(alg, x):
+    """x itself if it is a GroupPoint, else a GroupPoint of alg at x."""
+    return x if isinstance(x, GroupPoint) else GroupPoint(alg, x)
+
+
 def group_multiply(alg, X, Y):
     """BCH product X + Y + [X,Y]/2; exact on rational coordinates."""
-    xs = X.coords if isinstance(X, GroupPoint) else tuple(X)
-    ys = Y.coords if isinstance(Y, GroupPoint) else tuple(Y)
+    xs = _as_point(alg, X).coords
+    ys = _as_point(alg, Y).coords
     br = bracket(alg, list(xs), list(ys))
     zs = [x + y + b / 2 for x, y, b in zip(xs, ys, br)]
     return GroupPoint(alg, zs)
@@ -64,7 +69,7 @@ def group_multiply(alg, X, Y):
 
 def translation_matrix(alg, x):
     """A_x with (r_x f)_1(Y) = f_1(A_x Y + X); unipotent, det 1."""
-    xs = list(x.coords if isinstance(x, GroupPoint) else x)
+    xs = list(_as_point(alg, x).coords)
     dim = alg.dim
     B = np.zeros((dim, dim))
     for j, unit in enumerate(identity(dim)):
@@ -75,10 +80,9 @@ def translation_matrix(alg, x):
 
 def right_translate(alg, f, x):
     """(r_x f)(y) = f(y x) as a closed-form Gaussian with phase."""
-    xs = x.coords if isinstance(x, GroupPoint) else tuple(x)
-    M = translation_matrix(alg, xs)
-    m0 = np.array([float(c) for c in xs])
-    return f.lift().pullback(M, m0)
+    x = _as_point(alg, x)
+    M = translation_matrix(alg, x)
+    return f.lift().pullback(M, x.float_coords())
 
 
 def flat_constant(alg):
@@ -159,8 +163,7 @@ def invert_flat(alg, f, x, quad_settings=None):
                          "flat inversion does not apply")
     s = _settings(quad_settings)
     start = time.perf_counter()
-    if not isinstance(x, GroupPoint):
-        x = GroupPoint(alg, x)
+    x = _as_point(alg, x)
 
     zdim = len(alg.center_indices)
     c = flat_constant(alg)
@@ -200,8 +203,7 @@ def invert_flat(alg, f, x, quad_settings=None):
 
 def factor_point(alg, dec, x):
     """x = x1 * x2 with x1 in L1, x2 in L2; exact on rationals."""
-    if not isinstance(x, GroupPoint):
-        x = GroupPoint(alg, x)
+    x = _as_point(alg, x)
     l2 = set(dec.l2_indices)
     xs = list(x.coords)
     zero = Fraction(0) if isinstance(xs[0], Fraction) else 0.0
@@ -247,8 +249,7 @@ def invert_stepwise(case_tag, f, x, quad_settings=None):
     alg = dec.algebra
     s = _settings(quad_settings)
     start = time.perf_counter()
-    if not isinstance(x, GroupPoint):
-        x = GroupPoint(alg, x)
+    x = _as_point(alg, x)
 
     z1_global, v1_global, l2_global = _stepwise_structure(dec)
     n2 = len(l2_global)
@@ -320,8 +321,7 @@ def flatness_identity_gap(alg, f, x):
     closed form).  Route 2: Euclidean Fourier inversion of (r_x f)_1
     at 0.  Both reduce to total integrals of explicit Gaussians.
     """
-    if not isinstance(x, GroupPoint):
-        x = GroupPoint(alg, x)
+    x = _as_point(alg, x)
     g = right_translate(alg, f, x)
     zdim = len(alg.center_indices)
 

@@ -1,10 +1,15 @@
 """Skew forms b_lambda, exact Pfaffians, and square integrability.
 
 b_lambda(x, y) = lambda([x, y]) on the complement v of the designated
-center.  The Pfaffian runs in two modes: fraction elimination for a
-concrete lambda, and memoized cofactor expansion for the symbolic
-matrix over the polynomial ring in the center coordinates.  Sign
-convention: Pf([[0, a], [-a, 0]]) = a, so Pf(M)^2 = det(M).
+center.  One Pfaffian serves every ring: cofactor expansion along the
+first index, memoized on index tuples, reading only the strict upper
+triangle.  Entries need only *, +, - and a zero test, so the same
+expansion runs on Fractions (a concrete lambda), on Poly entries (the
+symbolic matrix over the center coordinates) and on complex floats
+(the case-6 phase in orbits).  Its cost is the number of index tuples
+it reaches: linear in n on the catalog's block-sparse forms, up to
+2^n on a dense n x n.  Sign convention: Pf([[0, a], [-a, 0]]) = a, so
+Pf(M)^2 = det(M).
 """
 
 import random
@@ -98,104 +103,61 @@ def _is_zero_entry(x):
 def _check_skew(matrix):
     n = len(matrix)
     for i in range(n):
-        if not _is_zero_entry(matrix[i][i]):
-            raise ValueError("matrix is not antisymmetric (diagonal)")
-        for j in range(i + 1, n):
-            lhs, rhs = matrix[i][j], matrix[j][i]
-            if isinstance(lhs, Poly) or isinstance(rhs, Poly):
-                if not (lhs + rhs).is_zero():
-                    raise ValueError("matrix is not antisymmetric")
-            elif lhs != -rhs:
+        for j in range(i, n):
+            if not _is_zero_entry(matrix[i][j] + matrix[j][i]):
                 raise ValueError("matrix is not antisymmetric")
 
 
 def pfaffian(form):
     """Pfaffian of a SkewForm or plain skew matrix, exact.
 
-    Odd dimension gives 0 (degenerate form); the empty matrix gives 1.
-    Rational entries use skew elimination; polynomial entries use
-    cofactor expansion memoized on index subsets.
+    A Fraction for rational entries, a Poly if any entry is a Poly;
+    odd dimension gives 0 (degenerate form), the empty matrix 1.
     """
     matrix = form.matrix if isinstance(form, SkewForm) else form
     _check_skew(matrix)
-    n = len(matrix)
-    symbolic = any(isinstance(x, Poly) for row in matrix for x in row)
-    if symbolic:
-        nvars = next(x.nvars for row in matrix for x in row
-                     if isinstance(x, Poly))
-        lifted = [[x if isinstance(x, Poly) else Poly.constant(nvars, x)
-                   for x in row] for row in matrix]
-        if n % 2 == 1:
-            return Poly.zero(nvars)
-        if n == 0:
-            return Poly.constant(nvars, 1)
-        return _pfaffian_symbolic(lifted)
-    if n % 2 == 1:
-        return Fraction(0)
-    if n == 0:
-        return Fraction(1)
-    return _pfaffian_numeric([[Fraction(x) for x in row] for row in matrix])
+    poly = next((x for row in matrix for x in row if isinstance(x, Poly)),
+                None)
+    if poly is None:
+        zero, one = Fraction(0), Fraction(1)
+    else:
+        zero, one = Poly.zero(poly.nvars), Poly.constant(poly.nvars, 1)
+    if len(matrix) % 2:
+        return zero     # the expansion would take 2^n steps to find it
+    return _pfaffian_expansion(matrix, zero, one)
 
 
-def _pfaffian_numeric(mat):
-    # skew Schur-complement elimination with column/row pivot swaps
-    n = len(mat)
-    sign = 1
-    result = Fraction(1)
-    while n > 0:
-        pivot = None
-        for j in range(1, n):
-            if mat[0][j] != 0:
-                pivot = j
-                break
-        if pivot is None:
-            return Fraction(0)
-        if pivot != 1:
-            # swap row/col pivot <-> 1; a transposition congruence flips Pf
-            mat[1], mat[pivot] = mat[pivot], mat[1]
-            for row in mat:
-                row[1], row[pivot] = row[pivot], row[1]
-            sign = -sign
-        a = mat[0][1]
-        result *= a
-        nxt = []
-        for i in range(2, n):
-            row = []
-            for j in range(2, n):
-                row.append(mat[i][j]
-                           - (mat[0][i] * mat[1][j] - mat[0][j] * mat[1][i]) / a)
-            nxt.append(row)
-        mat = nxt
-        n -= 2
-    return sign * result
+def _pfaffian_expansion(matrix, zero, one):
+    """Pf of a skew matrix by expansion along its first index.
 
-
-def _pfaffian_symbolic(mat):
-    n = len(mat)
-    nvars = mat[0][0].nvars
+    Pf(i0, rest) = sum over t of (-1)^t m[i0][rest[t]] Pf(rest minus
+    rest[t]), memoized on index tuples; only the strict upper triangle
+    is read and zero entries are skipped.  zero and one are the ring's
+    identities: each sum starts from zero (not from a diagonal entry,
+    which a float form may carry as rounding noise), and the empty
+    tuple's Pfaffian is one.  No skew check is made.
+    """
     memo = {}
 
     def pf(indices):
         if not indices:
-            return Poly.constant(nvars, 1)
-        key = indices
-        cached = memo.get(key)
+            return one
+        cached = memo.get(indices)
         if cached is not None:
             return cached
-        i0 = indices[0]
+        row = matrix[indices[0]]
         rest = indices[1:]
-        total = Poly.zero(nvars)
+        total = zero
         for t, j in enumerate(rest):
-            entry = mat[i0][j]
-            if entry.is_zero():
+            entry = row[j]
+            if _is_zero_entry(entry):
                 continue
-            sub = rest[:t] + rest[t + 1:]
-            term = entry * pf(sub)
+            term = entry * pf(rest[:t] + rest[t + 1:])
             total = total + (term if t % 2 == 0 else -term)
-        memo[key] = total
+        memo[indices] = total
         return total
 
-    return pf(tuple(range(n)))
+    return pf(tuple(range(len(matrix))))
 
 
 def pf_polynomial(alg, v_indices=None):

@@ -273,6 +273,32 @@ def test_exponent_within_the_bound_parses_exactly():
     assert res.human_text.endswith(" = -1" + "0" * 400)
 
 
+AT_1E1000 = ["pfaffian", "heisenberg:4:H", "--at", "1e1000,1e1000,1e1000"]
+
+
+def test_exact_value_past_the_int_string_limit():
+    # Pf = (t1^2 + t2^2 + t3^2)^4 on h(4;H), so 81 * 10^8000 here: past
+    # the interpreter's 4300-digit default for int-to-string conversion
+    want = "81" + "0" * 8000
+    out = run_cli(AT_1E1000)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == \
+        "Pf(1e1000,1e1000,1e1000) = " + want
+    out = run_cli(AT_1E1000 + ["--json"])
+    assert out.returncode == 0, out.stderr
+    doc = json.loads(out.stdout)
+    assert doc["value"] == want
+    assert doc["at"] == ["1" + "0" * 1000] * 3
+
+
+def test_exact_value_conversion_restores_the_digit_limit():
+    # the limit, and its getter, exist from Python 3.10.7 on
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+    before = limit()
+    assert invoke(AT_1E1000).exit_code == 0
+    assert limit() == before
+
+
 def _limit_memory():
     # a size check that fails would allocate without bound
     resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
@@ -300,6 +326,8 @@ MALFORMED_OPERANDS = [
      "--points 'random:0': random:k needs an integer k >= 1"),
     (["invert", "heisenberg:1:C", "--points=random:-2"],
      "--points 'random:-2': random:k needs an integer k >= 1"),
+    (["invert", "heisenberg:1:C", "--points=random:1001"],
+     "--points 'random:1001': random:k takes at most 1000 points"),
     (["invert", "heisenberg:1:C", "--points=;"],
      "--points ';' gives no point"),
     (["invert", "heisenberg:1:C", "--points=0,0,0", "--tol=nan"],

@@ -105,6 +105,8 @@ def _run(argv):
 @example(["pfaffian", "heisenberg:1:C", "--at=1e10000000"], True, None)
 @example(["pfaffian", "heisenberg:1:C", "--at=-5E-10000000"], False, None)
 @example(["invert", "heisenberg:1:C", "--points=1e10000000,0,0"], True, None)
+@example(["pfaffian", "heisenberg:4:H", "--at=1e1000,1e1000,1e1000"], True,
+         None)
 def test_cli_inputs_end_in_a_documented_exit(argv, as_json, config_lines):
     with tempfile.TemporaryDirectory() as tmp:
         if config_lines is not None:

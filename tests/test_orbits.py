@@ -1,7 +1,7 @@
 """Skew spectra, Darboux bases, and orbit normal forms."""
 
 import json
-import math
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -120,9 +120,21 @@ def test_case6_representative_sigma_and_phase():
     rep = orbit_representative(alg, lambda_a(alg, [(3, 4)]))
     assert rep.case_tag == "case6"
     assert rep.kernel_dim == 1
-    (sigma, phase) = rep.invariants[-1]
-    assert math.isclose(sigma, 5.0, rel_tol=1e-9)
-    assert len(rep.invariants) == 1
+    # pinned bits: a conjugated or negated form moves the phase
+    assert rep.invariants == [(5.0, -2.214297435588181)]
+
+
+def test_case6_phase_is_pinned_on_seeded_functionals():
+    alg = free_two_step(5, "C")
+    rng = random.Random(48)
+    want = [[3.757542381536963, (13.874648653243566, 2.9335227995329047)],
+            [4.6489905552859545, (9.87234904699742, 2.8660177357747)]]
+    for invariants in want:
+        coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                  for _ in alg.center_indices]
+        rep = orbit_representative(alg, coeffs)
+        assert rep.invariants == invariants
+        assert rep.kernel_dim == 1
 
 
 def test_case3_representative_support_rule():

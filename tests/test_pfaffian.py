@@ -7,11 +7,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from nilharm import linalg
 from nilharm.algebra import LieAlgebraData
-from nilharm.catalog import (abelian, free_two_step, heisenberg, lambda_a,
-                             octonion_double)
-from nilharm.pfaffian import (b_matrix, b_matrix_poly, is_square_integrable,
-                              pf_at, pf_polynomial, pfaffian)
+from nilharm.catalog import (abelian, free_two_step, from_name, heisenberg,
+                             lambda_a, octonion_double)
+from nilharm.orbits import l1_complement_indices
+from nilharm.pfaffian import (_pfaffian_expansion, b_matrix, b_matrix_poly,
+                              is_square_integrable, pf_at, pf_polynomial,
+                              pfaffian)
 from nilharm.polynomials import Poly
 
 
@@ -31,13 +34,62 @@ def test_pfaffian_base_cases():
 
 
 def test_pfaffian_squares_to_determinant():
+    # exact, odd n included (both sides 0 there)
     rng = random.Random(41)
-    for n in (2, 4, 6, 8):
-        for _ in range(30):
+    for n in range(13):
+        for _ in range(30 if n <= 8 else 3):
             M = rand_skew(rng, n)
-            pf = pfaffian(M)
-            det = np.linalg.det(np.array(M, dtype=float))
-            assert abs(float(pf * pf) - det) < 1e-6 * max(1.0, abs(det))
+            assert pfaffian(M) ** 2 == linalg.det(M), n
+
+
+def test_pfaffian_return_type_follows_the_ring():
+    rng = random.Random(45)
+    rational = rand_skew(rng, 4)
+    assert type(pfaffian(rational)) is Fraction
+    assert type(pfaffian([[0, 3], [-3, 0]])) is Fraction
+    assert type(pfaffian(rand_skew(rng, 3))) is Fraction
+    assert pfaffian([]) == 1 and type(pfaffian([])) is Fraction
+    t = Poly.variable(2, 0)
+    poly = [[Poly.zero(2), t], [-t, Poly.zero(2)]]
+    assert pfaffian(poly) == t
+    odd = [[Poly.zero(2)] * 3 for _ in range(3)]
+    assert pfaffian(odd) == Poly.zero(2)
+    # Pf = m01 m23 - m02 m13 + m03 m12 with Poly and Fraction entries mixed
+    mixed = rand_skew(rng, 4)
+    mixed[0][1], mixed[1][0] = t, -t
+    got = pfaffian(mixed)
+    assert isinstance(got, Poly)
+    assert got == (t * mixed[2][3] - mixed[0][2] * mixed[1][3]
+                   + mixed[0][3] * mixed[1][2])
+
+
+def test_complex_expansion_squares_to_the_determinant():
+    rng = np.random.default_rng(46)
+    for n in (2, 4, 6):
+        A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        M = A - A.T
+        pf = _pfaffian_expansion(M, 0j, 1 + 0j)
+        det = np.linalg.det(M)
+        assert abs(pf * pf - det) <= 1e-12 * max(1.0, abs(det))
+        # only the strict upper triangle is read: noise on the diagonal,
+        # as a float congruence leaves it, changes no bit
+        noisy = M + np.diag(rng.normal(size=n) * 1e-9)
+        assert _pfaffian_expansion(noisy, 0j, 1 + 0j) == pf
+
+
+def test_pf_at_matches_the_symbolic_pfaffian():
+    rng = random.Random(47)
+    free = from_name("free2step:7:C")
+    cases = [(from_name("table:2.2:23"), None),
+             (heisenberg(15, "H"), None),
+             (free, l1_complement_indices(free))]
+    for alg, v in cases:
+        pf = pf_polynomial(alg, v_indices=v)
+        assert not pf.is_zero()
+        for _ in range(3):
+            lam = [Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                   for _ in alg.center_indices]
+            assert pf_at(alg, lam, v_indices=v) == pf.evaluate(lam)
 
 
 def test_pfaffian_odd_dimension_is_zero():
