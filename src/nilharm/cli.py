@@ -68,21 +68,50 @@ MAX_DECIMAL_EXPONENT = 1000
 _EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
 
 
+def _shown(tok):
+    """tok quoted for a message, its middle cut out when it is long."""
+    tok = tok.strip()
+    return repr(tok if len(tok) <= 40 else f"{tok[:16]}...{tok[-16:]}")
+
+
+def _longest_run_past_limit(tok):
+    """The digit count of tok's longest part if int() would refuse it.
+
+    Fraction reads the integer part, the fractional part, the
+    denominator and the exponent of a number with one int() each, and
+    int() refuses a string of more digits than the interpreter's limit
+    (sys.get_int_max_str_digits, 4300 by default; 0 means no limit).
+    Returns 0 when every part is within the limit.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit or len(tok) <= limit:
+        return 0
+    longest = max(sum(ch.isdecimal() for ch in run)
+                  for run in re.split(r"[./eE]", tok))
+    return longest if longest > limit else 0
+
+
 def _fraction(tok):
-    """Fraction(tok), with a zero denominator or an exponent past
-    MAX_DECIMAL_EXPONENT reported as a usage error."""
+    """Fraction(tok), with a zero denominator, an exponent past
+    MAX_DECIMAL_EXPONENT or a part too long for int() reported as a
+    usage error."""
     exp = _EXPONENT.search(tok)
     if exp:
         digits = exp.group(1).replace("_", "").lstrip("0") or "0"
         # the length test first, so int() never reads a long string
         if (len(digits) > len(str(MAX_DECIMAL_EXPONENT))
                 or int(digits) > MAX_DECIMAL_EXPONENT):
-            raise ValueError(f"the exponent of {tok.strip()!r} exceeds "
+            raise ValueError(f"the exponent of {_shown(tok)} exceeds "
                              f"{MAX_DECIMAL_EXPONENT} in magnitude")
+    run = _longest_run_past_limit(tok)
+    if run:
+        raise ValueError(f"{_shown(tok)} has a part of {run} digits; a "
+                         f"number is read up to "
+                         f"{sys.get_int_max_str_digits()} digits per part")
     try:
         return Fraction(tok)
     except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {tok.strip()!r}") from None
+        raise ValueError(f"zero denominator in {_shown(tok)}") from None
 
 
 def _exact_str(value):
@@ -108,7 +137,7 @@ def _float(tok):
     try:
         return float(_fraction(tok))
     except OverflowError:
-        raise ValueError(f"{tok.strip()!r} is too large for a float") from None
+        raise ValueError(f"{_shown(tok)} is too large for a float") from None
 
 
 def _parse_numbers(text):
@@ -122,16 +151,22 @@ MAX_POINTS = 1000
 
 def _parse_points(text, dim, seed):
     if text.startswith("random:"):
-        try:
-            k = int(text.split(":", 1)[1])
-        except ValueError:
-            k = 0
+        arg = text.split(":", 1)[1].strip()
+        if (_longest_run_past_limit(arg)
+                and re.fullmatch(r"\+?\d[\d_]*", arg)):
+            # a positive integer too long for int() is past MAX_POINTS
+            k = MAX_POINTS + 1
+        else:
+            try:
+                k = int(arg)
+            except ValueError:
+                k = 0
         if k < 1:
-            raise ValueError(f"--points {text!r}: random:k needs an "
+            raise ValueError(f"--points {_shown(text)}: random:k needs an "
                              "integer k >= 1")
         if k > MAX_POINTS:
-            raise ValueError(f"--points {text!r}: random:k takes at most "
-                             f"{MAX_POINTS} points")
+            raise ValueError(f"--points {_shown(text)}: random:k takes at "
+                             f"most {MAX_POINTS} points")
         import numpy as np
         rng = np.random.default_rng(seed)
         return [list(rng.normal(0.0, 0.5, size=dim)) for _ in range(k)]
@@ -351,10 +386,16 @@ def _cmd_octonion(args, cfg):
 
 def _cmd_selftest(args, cfg):
     from . import selftest
-    only = set(int(t) for t in args.only.split(",")) if args.only else None
-    if only and not only <= set(selftest.CRITERIA):
-        raise ValueError(f"--only {args.only!r}: criteria are numbered "
-                         f"{min(selftest.CRITERIA)}-{max(selftest.CRITERIA)}")
+    only = None
+    if args.only:
+        usage = (f"--only {_shown(args.only)}: criteria are numbered "
+                 f"{min(selftest.CRITERIA)}-{max(selftest.CRITERIA)}")
+        try:
+            only = {int(t) for t in args.only.split(",")}
+        except ValueError:  # not an integer, or past int()'s digit limit
+            raise ValueError(usage) from None
+        if not only <= set(selftest.CRITERIA):
+            raise ValueError(usage)
     results = selftest.run_all(seed=cfg["seed"], only=only)
     all_passed = all(r["passed"] for r in results)
     lines = [f"criterion {r['criterion']}: "

@@ -12,6 +12,7 @@ real through the whole pipeline; phases live in u and v.
 
 import cmath
 import math
+from math import prod
 
 import numpy as np
 
@@ -55,6 +56,36 @@ class ComplexGaussian:
         out.imag += self.v.imag
         np.exp(out, out=out)
         return out[0] if single else out
+
+    def evaluate_grid(self, axes):
+        """Values on the tensor grid of the 1-D node arrays in axes.
+
+        Returns an array of shape (len(axes[0]), ..., len(axes[-1])), C
+        order.  The real exponent is summed by broadcasting, one axis at
+        a time: axis k adds x_k (Re u_k - 1/2 A_kk x_k - sum_{l<k} A_lk
+        x_l) on the subgrid of axes 0..k, so only the last axis's pass
+        runs over the full grid, and one real exp follows.  As A is
+        real, the phase Im(u)^T x + Im v factors into per-axis unit
+        phases.  No term is exponentiated apart from the sum, so a cross
+        term that cancels against the others cannot overflow.
+        """
+        xs = np.meshgrid(*axes, indexing="ij", sparse=True)
+        expo = np.array(self.v.real)
+        for k, x in enumerate(xs):
+            term = (self.u[k].real - 0.5 * self.A[k, k] * x
+                    - sum(self.A[l, k] * xs[l] for l in range(k)))
+            term *= x
+            term += expo
+            expo = term
+        # the leading axes' phases multiply on their subgrid; the last
+        # axis's phase then multiplies the full grid in place
+        lead = prod((np.exp(1j * self.u[k].imag * x)
+                     for k, x in enumerate(xs[:-1])),
+                    start=cmath.exp(1j * self.v.imag))
+        out = np.exp(expo, out=expo) * lead
+        if xs:
+            out *= np.exp(1j * self.u[-1].imag * xs[-1])
+        return out
 
     def scaled(self, factor):
         """Multiply by a nonzero complex constant."""

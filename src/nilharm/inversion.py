@@ -177,11 +177,11 @@ def invert_flat(alg, f, x, quad_settings=None):
     else:
         mean, sigma = core.envelope()
 
-        def integrand(lams):
-            pf_abs = np.abs(pf.evaluate_float(lams))
+        def integrand(grid):
+            pf_abs = np.abs(pf.evaluate_grid(grid.axes))
             if np.any(pf_abs == 0.0):
                 raise ValueError("quadrature node hit Pf(lam) = 0")
-            theta = core.evaluate(lams)
+            theta = core.evaluate_grid(grid.axes)
             theta /= c * pf_abs
             theta *= pf_abs
             return theta
@@ -292,7 +292,8 @@ def invert_stepwise(case_tag, f, x, quad_settings=None):
         value = s_xi.fourier().total_integral() / c1
         return c1 * (2 * math.pi) ** (-z1) * value
 
-    def outer_integrand(xi_pts):
+    def outer_integrand(grid):
+        xi_pts = grid.points()
         vals = np.empty(len(xi_pts), dtype=complex)
         for i, xi in enumerate(xi_pts):
             vals[i] = inner_value(xi)
@@ -361,16 +362,17 @@ def orbit_space_quadrature_check(alg, seed=0):
         if abs(a - b) > 1e-9 * max(1.0, abs(a)):
             raise ValueError("integrand is not rotation-invariant; refusing")
 
-    def cart(pts):
-        r = np.sqrt(np.einsum("ni,ni->n", pts, pts))
-        return h(r) * np.abs(pf.evaluate_float(pts))
+    def cart(grid):
+        r = np.sqrt(sum(x * x for x in np.meshgrid(*grid.axes, indexing="ij",
+                                                   sparse=True)))
+        return h(r) * np.abs(pf.evaluate_grid(grid.axes))
 
     radius = 8.0
     value_cart, cart_info = tensor_integrate(
         cart, np.zeros(3), np.ones(3), sigmas_out=radius)
 
-    def radial(pts):
-        rs = pts[:, 0]
+    def radial(grid):
+        rs = grid.axes[0]
         on_axis = np.zeros((len(rs), 3))
         on_axis[:, 0] = rs
         return 4.0 * math.pi * rs * rs * h(rs) * np.abs(

@@ -7,14 +7,20 @@ hyperplane through the envelope center (where Pfaffian factors can
 vanish).  The default tolerance, budget, box width and starting count
 are the ones in config.DEFAULTS.
 
-Grid layout: a level with n nodes per axis is the n^dim tensor grid in
-C order, axis 0 slowest and the last axis fastest.  The points are
-filled in place from the axis nodes; the weights are the outer product
-of the axis weights, multiplied from axis 0 up.  func is called once
-per level on all of that level's points as one (n^dim, dim) array.
+Integrand contract: func is called once per level with a TensorGrid,
+the per-axis node arrays of that level's n^dim tensor grid, and returns
+the n^dim values in C order (axis 0 slowest, the last axis fastest),
+either flat or shaped (n,) * dim.  An integrand with tensor structure
+evaluates from the axes by broadcasting (ComplexGaussian.evaluate_grid,
+Poly.evaluate_grid) and never forms the points; one that needs
+scattered points calls grid.points() for the (n^dim, dim) array.
+len(grid) is the node count n^dim, so a wrapper that counts len() of
+the integrand's argument counts evaluated nodes.  The weights are
+contracted against the values one axis at a time, last axis first, so
+no n^dim weight array is built either.
 """
 
-from functools import reduce
+from math import prod
 
 import numpy as np
 
@@ -44,22 +50,48 @@ def axis_rule(n, lo, hi):
     return lo + half * (x + 1.0), half * w
 
 
+class TensorGrid:
+    """The tensor product of per-axis node arrays, in C order."""
+
+    __slots__ = ("axes",)
+
+    def __init__(self, axes):
+        self.axes = tuple(axes)
+
+    def __len__(self):
+        return prod(len(x) for x in self.axes)
+
+    @property
+    def shape(self):
+        return tuple(len(x) for x in self.axes)
+
+    def points(self):
+        """The (len(self), dim) array of the grid's points, C order."""
+        dim = len(self.axes)
+        pts = np.empty(self.shape + (dim,))
+        for k, x in enumerate(np.meshgrid(*self.axes, indexing="ij",
+                                          sparse=True)):
+            pts[..., k] = x
+        return pts.reshape(len(self), dim)
+
+
 def tensor_integrate(func, means, sigmas, rtol=DEFAULTS["quad_rtol"],
                      max_evals=DEFAULTS["max_evals"],
                      sigmas_out=DEFAULTS["truncation_sigmas"],
                      start=DEFAULTS["start_nodes"]):
     """integral of func over the truncated box, with per-axis doubling.
 
-    func maps an (npts, dim) array to complex values.  Returns
-    (value, info); info records node counts and the last relative
-    change.  Raises if the budget is exhausted before convergence.
+    func maps a TensorGrid to its n^dim values (see the module
+    docstring).  Returns (value, info); info records node counts and
+    the last relative change.  Raises if the budget is exhausted before
+    convergence.
     """
     means = np.asarray(means, dtype=float)
     sigmas = np.asarray(sigmas, dtype=float)
     dim = means.size
     if dim == 0:
-        return func(np.zeros((1, 0)))[0], {"nodes": 0, "converged": True,
-                                           "last_change": 0.0}
+        value = np.ravel(func(TensorGrid(())))[0]
+        return value, {"nodes": 0, "converged": True, "last_change": 0.0}
     los = means - sigmas_out * sigmas
     his = means + sigmas_out * sigmas
 
@@ -71,13 +103,10 @@ def tensor_integrate(func, means, sigmas, rtol=DEFAULTS["quad_rtol"],
             raise RuntimeError(
                 "quadrature budget exhausted before convergence "
                 f"({n} nodes/axis, dim {dim})")
-        axes = [axis_rule(n, los[k], his[k]) for k in range(dim)]
-        pts = np.empty((n,) * dim + (dim,))
-        for k, (x, _) in enumerate(axes):
-            # shape (n, 1, ..., 1) broadcasts x along grid axis k
-            pts[..., k] = x.reshape((n,) + (1,) * (dim - 1 - k))
-        wts = reduce(np.multiply.outer, [w for _, w in axes])
-        value = np.sum(func(pts.reshape(total, dim)) * wts.reshape(total))
+        rules = [axis_rule(n, los[k], his[k]) for k in range(dim)]
+        value = np.reshape(func(TensorGrid(x for x, _ in rules)), (n,) * dim)
+        for _, w in reversed(rules):
+            value = value @ w
         if prev is not None:
             scale = max(abs(value), abs(prev), 1e-300)
             change = abs(value - prev) / scale

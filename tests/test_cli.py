@@ -299,6 +299,47 @@ def test_exact_value_conversion_restores_the_digit_limit():
     assert limit() == before
 
 
+# past the interpreter's default int-string limit of 4300 digits
+LONG = "7" * 5000
+SHORT_LONG = "'7777777777777777...7777777777777777'"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["pfaffian", "heisenberg:1:C", "--at", f"{LONG},1,1"],
+     f"{SHORT_LONG} has a part of 5000 digits"),
+    (["pfaffian", "heisenberg:1:C", "--at", f"1.{LONG}"],
+     "has a part of 5000 digits"),
+    (["invert", "heisenberg:1:C", "--points", f"0.1,0.2,{LONG}"],
+     f"{SHORT_LONG} has a part of 5000 digits"),
+    (["orbit", "free2step:3:R", "--coeffs", f"1/{LONG},0,0"],
+     "has a part of 5000 digits"),
+    (["invert", "heisenberg:1:C", f"--points=random:{LONG}"],
+     "random:k takes at most 1000 points"),
+    (["selftest", "--only", LONG],
+     f"--only {SHORT_LONG}: criteria are numbered 1-9"),
+], ids=["at", "at-fraction-digits", "points", "coeffs-denominator",
+        "random-k", "selftest-only"])
+def test_long_mantissa_is_a_usage_error(argv, message):
+    # the check reads the interpreter's limit, pinned here to its default
+    env = dict(os.environ, PYTHONINTMAXSTRDIGITS="4300")
+    out = run_cli(argv, env=env)
+    assert out.returncode == 2
+    assert message in out.stderr
+    assert "Exceeds the limit" not in out.stderr
+    assert "Traceback" not in out.stderr
+    assert len(out.stderr) < 200  # the echoed token is cut short
+
+
+def test_parts_within_the_digit_limit_still_parse():
+    # Fraction reads the integer and fractional parts with one int()
+    # each, so two 3000-digit parts are within the limit
+    head = "1" + "0" * 2999
+    res = invoke(["pfaffian", "heisenberg:1:C", "--at",
+                  f"{head}.{'0' * 3000}"])
+    assert res.exit_code == 0, res.human_text
+    assert res.human_text.endswith(" = -1" + "0" * 2999)
+
+
 def _limit_memory():
     # a size check that fails would allocate without bound
     resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))

@@ -107,6 +107,14 @@ def _run(argv):
 @example(["invert", "heisenberg:1:C", "--points=1e10000000,0,0"], True, None)
 @example(["pfaffian", "heisenberg:4:H", "--at=1e1000,1e1000,1e1000"], True,
          None)
+@example(["pfaffian", "heisenberg:1:C", "--at=" + "7" * 5000 + ",1,1"], True,
+         None)
+@example(["invert", "heisenberg:1:C", "--points=0.1,0.2," + "7" * 5000],
+         False, None)
+@example(["invert", "heisenberg:1:C", "--points=random:" + "7" * 5000], True,
+         None)
+@example(["orbit", "free2step:3:R", "--coeffs=1/" + "7" * 5000 + ",0,0"],
+         True, None)
 def test_cli_inputs_end_in_a_documented_exit(argv, as_json, config_lines):
     with tempfile.TemporaryDirectory() as tmp:
         if config_lines is not None:

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from nilharm.gaussians import ComplexGaussian, GaussianTestFunction
-from nilharm.quadrature import (MAX_NODES_PER_AXIS, gauss_legendre,
-                               tensor_integrate)
+from nilharm.quadrature import (MAX_NODES_PER_AXIS, TensorGrid, axis_rule,
+                               gauss_legendre, tensor_integrate)
 
 
 def rand_spd(rng, n):
@@ -19,10 +19,10 @@ def rand_spd(rng, n):
 def quad_oracle(g, sigmas=10.0):
     means, sig = g.envelope()
     value, _ = tensor_integrate(
-        lambda pts: np.real(g.evaluate(pts)), means, sig,
+        lambda grid: np.real(g.evaluate(grid.points())), means, sig,
         rtol=1e-10, max_evals=2 ** 22, sigmas_out=sigmas)
     imag, _ = tensor_integrate(
-        lambda pts: np.imag(g.evaluate(pts)), means, sig,
+        lambda grid: np.imag(g.evaluate(grid.points())), means, sig,
         rtol=1e-10, max_evals=2 ** 22, sigmas_out=sigmas)
     return value + 1j * imag
 
@@ -51,6 +51,48 @@ def test_evaluate_matches_a_per_point_reference(dim):
         single = g.evaluate(y)
         assert np.ndim(single) == 0
         assert abs(single - want) <= 1e-13 * abs(want)
+
+
+@pytest.mark.parametrize("dim", range(1, 5))
+def test_evaluate_grid_matches_evaluate_on_the_grid_points(dim):
+    rng = np.random.default_rng(80 + dim)
+    A = rand_spd(rng, dim)
+    u = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    g = ComplexGaussian(A, u, complex(rng.normal(), rng.normal()))
+    # unequal axis lengths, so a transposed layout cannot pass
+    grid = TensorGrid(rng.normal(size=3 + k) for k in range(dim))
+    got = g.evaluate_grid(grid.axes)
+    assert got.shape == grid.shape
+    want = g.evaluate(grid.points())
+    assert np.all(np.abs(got.reshape(-1) - want) <= 1e-13 * np.abs(want))
+
+
+def test_evaluate_grid_is_finite_far_out_and_ill_conditioned():
+    # envelope mean at +-40 and cond(A) = 1e6: exponentiating each
+    # per-axis or pairwise term apart overflows on these grids, the
+    # summed exponent does not
+    rng = np.random.default_rng(90)
+    for dim in (2, 3, 4):
+        q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+        A = q @ np.diag(np.geomspace(1e-3, 1e3, dim)) @ q.T
+        mean = 40.0 * (-1.0) ** np.arange(dim)
+        u = A @ mean + 3j * rng.normal(size=dim)
+        g = ComplexGaussian(A, u, -0.5 * mean @ A @ mean + 0.3j)
+        center, sigma = g.envelope()
+        assert np.allclose(center, mean)
+        grid = TensorGrid(axis_rule(16, m - 8 * s, m + 8 * s)[0]
+                          for m, s in zip(center, sigma))
+        got = g.evaluate_grid(grid.axes).reshape(-1)
+        assert np.all(np.isfinite(got))
+        pts = grid.points()
+        want = g.evaluate(pts)
+        # both round an exponent whose terms reach this size, so they
+        # may differ by some ulps of it, and no more
+        terms = (0.5 * np.einsum("ni,ij,nj->n", np.abs(pts), np.abs(g.A),
+                                 np.abs(pts))
+                 + np.abs(pts) @ np.abs(u.real))
+        assert np.all(np.abs(got - want)
+                      <= 1e-13 * terms * np.abs(want) + 1e-300)
 
 
 def test_total_integral_matches_quadrature():
@@ -86,13 +128,15 @@ def test_fourier_matches_quadrature_pointwise():
     for _ in range(3):
         xi = rng.normal(size=n)
 
-        def integrand(pts):
+        def integrand(grid):
+            pts = grid.points()
             return np.real(g.evaluate(pts) * np.exp(-1j * pts @ xi))
 
         re, _ = tensor_integrate(integrand, means, sig, rtol=1e-10,
                                  max_evals=2 ** 22)
 
-        def integrand_im(pts):
+        def integrand_im(grid):
+            pts = grid.points()
             return np.imag(g.evaluate(pts) * np.exp(-1j * pts @ xi))
 
         im, _ = tensor_integrate(integrand_im, means, sig, rtol=1e-10,
@@ -122,7 +166,8 @@ def test_marginalize_matches_axis_integral():
     marg = g.marginalize([1])
     for x0 in (-0.7, 0.0, 0.4):
 
-        def slice_integrand(ts):
+        def slice_integrand(grid):
+            ts = grid.axes[0]
             pts = np.column_stack([np.full(len(ts), x0), ts])
             return np.real(g.evaluate(pts))
 
@@ -181,7 +226,8 @@ def test_standard_test_function():
 
 def test_tensor_integrate_budget_error():
     with pytest.raises(RuntimeError):
-        tensor_integrate(lambda pts: np.exp(np.sum(np.cos(7 * pts), axis=1)),
+        tensor_integrate(lambda grid: np.exp(np.sum(np.cos(7 * grid.points()),
+                                                    axis=1)),
                          [0.0] * 4, [1.0] * 4, rtol=1e-14, max_evals=100)
 
 
@@ -197,7 +243,8 @@ def test_tensor_integrate_is_exact_on_a_monomial_over_an_asymmetric_box():
                  for lo, hi, k in zip(los, his, powers))
     grids = []
 
-    def func(pts):
+    def func(grid):
+        pts = grid.points()
         grids.append(pts)
         return prod(pts[:, k] ** e for k, e in enumerate(powers))
 
@@ -205,6 +252,12 @@ def test_tensor_integrate_is_exact_on_a_monomial_over_an_asymmetric_box():
                                    sigmas_out=2.0)
     assert abs(value - exact) <= 1e-13 * abs(exact)
     assert info["nodes_per_axis"] == 16
+    # values shaped like the grid, broadcast from its axes, count the same
+    shaped, _ = tensor_integrate(
+        lambda grid: prod(x ** e for x, e in zip(
+            np.meshgrid(*grid.axes, indexing="ij", sparse=True), powers)),
+        means, sigmas, rtol=1e-12, sigmas_out=2.0)
+    assert abs(shaped - exact) <= 1e-13 * abs(exact)
     # C order: the last axis varies fastest, axis 0 slowest
     first = grids[0]
     assert first.shape == (8 ** 3, 3)
@@ -212,6 +265,16 @@ def test_tensor_integrate_is_exact_on_a_monomial_over_an_asymmetric_box():
     assert np.all(np.diff(first[:8, 2]) > 0)
     assert np.all(first[:64, 0] == first[0, 0])
     assert first[64, 0] > first[0, 0]
+
+
+def test_tensor_grid_counts_and_lays_out_its_nodes():
+    axes = [np.array([1.0, 2.0]), np.array([10.0, 20.0, 30.0])]
+    grid = TensorGrid(axes)
+    assert len(grid) == 6 and grid.shape == (2, 3)
+    assert grid.points().tolist() == [[1, 10], [1, 20], [1, 30],
+                                      [2, 10], [2, 20], [2, 30]]
+    empty = TensorGrid(())
+    assert len(empty) == 1 and empty.points().shape == (1, 0)
 
 
 def test_tensor_integrate_zero_dim():
@@ -230,5 +293,5 @@ def test_gauss_legendre_refuses_past_the_node_cap():
     # a tolerance below float noise never converges: the doubling
     # stops at the cap, not at max_evals
     with pytest.raises(RuntimeError, match="budget exhausted"):
-        tensor_integrate(lambda pts: np.exp(-pts[:, 0] ** 2), [0.0], [1.0],
+        tensor_integrate(lambda grid: np.exp(-grid.axes[0] ** 2), [0.0], [1.0],
                          rtol=1e-300, max_evals=2 ** 30)
