@@ -27,10 +27,18 @@ class CatalogError(ValueError):
     pass
 
 
-def _check_dim(dim, name):
+def _check_dim(dim, *name):
+    """Refuse a dimension past MAX_DIM; the parts of name join with ':'.
+
+    Past 10^12 only the family is named: a size of thousands of digits
+    gives a dimension that str() refuses (over 4300 digits) and a
+    message as long as the input.
+    """
     if dim > MAX_DIM:
-        raise CatalogError(f"{name} has dimension {dim}; constructed "
-                           f"algebras are capped at dimension {MAX_DIM}")
+        shown = (f"{':'.join(map(str, name))} has dimension {dim}"
+                 if dim < 10 ** 12 else f"{name[0]} has dimension > 10^12")
+        raise CatalogError(f"{shown}; constructed algebras are capped at "
+                           f"dimension {MAX_DIM}")
 
 
 def _structure_dict(dim, entries):
@@ -53,7 +61,7 @@ def heisenberg(n, F):
     d = {"C": 2, "H": 4, "O": 8}[F]
     zdim = d - 1
     dim = zdim + n * d
-    _check_dim(dim, f"heisenberg:{n}:{F}")
+    _check_dim(dim, "heisenberg", n, F)
     labels = [f"z{k}" for k in range(1, d)]
     for p in range(1, n + 1):
         labels.extend(f"u{p}e{k}" for k in range(d))
@@ -93,7 +101,7 @@ def free_two_step(n, F):
     if F not in ("R", "C"):
         raise CatalogError(f"free 2-step is defined over R and C, not {F!r}")
     _check_dim((n * (n - 1) // 2 + n) * (1 if F == "R" else 2),
-               f"free2step:{n}:{F}")
+               "free2step", n, F)
     pairs = [(p, q) for p in range(n) for q in range(p + 1, n)]
     npairs = len(pairs)
     pair_index = {pq: t for t, pq in enumerate(pairs)}
@@ -167,7 +175,7 @@ def abelian(n):
     """R^n with zero bracket; everything is central."""
     if n <= 0:
         raise CatalogError("abelian needs n >= 1")
-    _check_dim(n, f"abelian:{n}")
+    _check_dim(n, "abelian", n)
     return LieAlgebraData(
         dim=n,
         basis_labels=[f"a{k + 1}" for k in range(n)],

@@ -193,7 +193,7 @@ def _checked_type(parse, accepts, what):
         except ValueError:
             value = None
         if not accepts(value):
-            raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
+            raise argparse.ArgumentTypeError(f"{_shown(text)} is not {what}")
         return value
     return convert
 
@@ -452,7 +452,9 @@ def build_parser():
 
     p = add_parser("decompose", help="stepwise split for a case")
     p.add_argument("case", help="case1, case6, or case3")
-    p.add_argument("--n", type=int, help="generator count for case1/case6")
+    p.add_argument("--n", type=_checked_type(int, lambda n: n is not None,
+                                             "an integer"),
+                   help="generator count for case1/case6")
     p.add_argument("--verify", action="store_true",
                    help="re-run the exact verification flags")
 

@@ -4,8 +4,9 @@ Flat case: f(x) = c * integral over the dual center of
 Theta(r_x f)(lam) |Pf(lam)| dlam, with c = d! 2^d, 2d = dim(n/z).
 
 Stepwise case: factor x = x1 * x2, partial Fourier transform along l2,
-flat inversion on L1 per frequency, then the outer integral against
-chi_xi(x2).
+flat inversion on L1 per frequency xi, then the outer integral against
+chi_xi(x2).  The inner layer is xi -> integral of g_joint^(lam, xi)
+over z1*, one closed-form Gaussian in xi evaluated on the outer grid.
 
 Measure convention used throughout: the Fourier kernel e^{-i<xi,Y>}
 integrates against plain Lebesgue dY, and every k-dimensional dual
@@ -220,91 +221,64 @@ def factor_point(alg, dec, x):
     return p1, p2
 
 
-def _stepwise_structure(dec):
-    """Index bookkeeping for the split: global positions of z1, v1, l2."""
-    sub = dec.l1_subalgebra()
-    l1 = list(dec.l1_indices)
-    z1_global = [l1[i] for i in sub.center_indices]
-    v1_global = [l1[i] for i in sub.complement_indices]
-    return z1_global, v1_global, list(dec.l2_indices)
+def _joint_gaussian(dec, f, x):
+    """(r_x f)_1 on the slice z1 + l2, as a Gaussian g_joint in (Z, T).
+
+    With x = x1 x2 the slice point is Z + X1 + T + [X1, T]/2.  Returns
+    g_joint, dim z1 and the l2 coordinates X2 of x2.
+    """
+    alg, l1, l2 = dec.algebra, dec.l1_indices, dec.l2_indices
+    z1_global = [l1[i] for i in dec.l1_subalgebra().center_indices]
+    z1 = len(z1_global)
+    x1, x2 = factor_point(alg, dec, x)
+    M = np.zeros((alg.dim, z1 + len(l2)))
+    M[z1_global, range(z1)] = 1.0
+    units = identity(alg.dim)
+    for k, gt in enumerate(l2):
+        col = bracket(alg, list(x1.coords), units[gt])
+        M[:, z1 + k] = [float(c) * 0.5 for c in col]
+        M[gt, z1 + k] += 1.0
+    X2 = np.array([float(x2.coords[i]) for i in l2])
+    return f.lift().pullback(M, x1.float_coords()), z1, X2
 
 
 def invert_stepwise(case_tag, f, x, quad_settings=None):
     """Reconstruct f at x by the two-layer inversion for one case.
 
-    Inner layer: flat inversion on L1 applied to the partial Fourier
-    transform of the translated data along l2.  Outer layer: integral
-    over the dual of l2 against chi_xi(x2).  Only the central slice of
-    the L1 data enters the character, and there the joint dependence
-    on (Z, T) is affine, so each frequency's integrand is again a
-    closed-form Gaussian: the inner layer is its exact integral, and
-    only the outer layer runs adaptive quadrature.
+    Inner layer: flat inversion on L1 of the partial Fourier transform
+    of the translated data along l2, at frequency xi.  Only the central
+    slice of the L1 data enters the character, and the Plancherel
+    weight c1|Pf1| cancels the character's 1/(c1|Pf1|), so the inner
+    layer is xi -> (2pi)^{-dim z1} integral g_joint^(lam, xi) dlam over
+    z1*: one closed-form Gaussian in xi, built once.  Outer layer: its
+    integral over the dual of l2 against chi_xi(x2), by adaptive
+    quadrature that evaluates the Gaussian on each level's whole grid.
     """
-    if isinstance(case_tag, str):
-        dec = decompose(case_tag)
-    else:
-        dec = case_tag
+    dec = decompose(case_tag) if isinstance(case_tag, str) else case_tag
     if not dec.verification or not all(dec.verification.values()):
         raise ValueError("decomposition failed verification")
-    alg = dec.algebra
     s = _settings(quad_settings)
     start = time.perf_counter()
-    x = _as_point(alg, x)
+    x = _as_point(dec.algebra, x)
 
-    z1_global, v1_global, l2_global = _stepwise_structure(dec)
-    n2 = len(l2_global)
-    z1 = len(z1_global)
-    d1 = len(v1_global) // 2
-    c1 = math.factorial(d1) * 2 ** d1
-    outer_const = (2 * math.pi) ** (-n2 / 2.0)
-
-    x1, x2 = factor_point(alg, dec, x)
-    X2 = np.array([float(x2.coords[i]) for i in l2_global])
-
-    # joint Gaussian in (Z, T): f_1(Z + X1 + T + [X1,T]/2)
-    dim = alg.dim
-    M = np.zeros((dim, z1 + n2))
-    for k, gz in enumerate(z1_global):
-        M[gz, k] = 1.0
-    x1_list = list(x1.coords)
-    units = identity(dim)
-    for k, gt in enumerate(l2_global):
-        col = bracket(alg, x1_list, units[gt])
-        vec = np.array([float(c) for c in col]) * 0.5
-        vec[gt] += 1.0
-        M[:, z1 + k] = vec
-    m0 = x1.float_coords()
-    g_joint = f.lift().pullback(M, m0)
-
+    g_joint, z1, X2 = _joint_gaussian(dec, f, x)
+    n2 = len(X2)
     t_block = list(range(z1, z1 + n2))
-    A_tt = g_joint.A[np.ix_(t_block, t_block)]
     xi_mean = np.imag(g_joint.u[t_block])
-    xi_sigma = np.sqrt(np.diag(A_tt))
+    xi_sigma = np.sqrt(np.diag(g_joint.A)[t_block])
 
-    def inner_value(xi):
-        """Flat inversion of the xi-frequency slice on L1.
-
-        The Plancherel weight c1|Pf1| cancels the character's
-        1/(c1|Pf1|) identically, so the lam-integral of Theta |Pf1| is
-        the closed-form integral of s_hat over z1*, divided by c1.
-        """
-        s_xi = g_joint.partial_fourier(t_block, xi).scaled(outer_const)
-        value = s_xi.fourier().total_integral() / c1
-        return c1 * (2 * math.pi) ** (-z1) * value
-
-    def outer_integrand(grid):
-        xi_pts = grid.points()
-        vals = np.empty(len(xi_pts), dtype=complex)
-        for i, xi in enumerate(xi_pts):
-            vals[i] = inner_value(xi)
-        return vals * np.exp(1j * (xi_pts @ X2))
+    # the partial transform along l2 and the outer integral share
+    # (2pi)^{-n2} evenly; chi_xi(x2) = e^{i xi.X2} joins the linear term
+    outer_const = (2 * math.pi) ** (-n2 / 2.0)
+    inner = g_joint.fourier().marginalize(range(z1)).scaled(
+        outer_const * (2 * math.pi) ** (-z1))
+    inner.u = inner.u + 1j * X2
 
     outer_rtol = max(s["rtol"], 1e-9)
-    value, outer_info = tensor_integrate(outer_integrand, xi_mean, xi_sigma,
-                                         rtol=outer_rtol,
-                                         max_evals=2 ** 14,
-                                         sigmas_out=s["sigmas"],
-                                         start=s["start_nodes"])
+    value, outer_info = tensor_integrate(
+        lambda grid: inner.evaluate_grid(grid.axes), xi_mean, xi_sigma,
+        rtol=outer_rtol, max_evals=2 ** 14, sigmas_out=s["sigmas"],
+        start=s["start_nodes"])
     recon = outer_const * value
 
     f_x = float(f.evaluate(x.float_coords()))

@@ -14,7 +14,8 @@ from .pfaffian import is_square_integrable
 class StepwiseDecomposition:
     """A coordinate split of the basis into l1 and l2 index sets."""
 
-    __slots__ = ("algebra", "l1_indices", "l2_indices", "verification")
+    __slots__ = ("algebra", "l1_indices", "l2_indices", "verification",
+                 "_l1")
 
     def __init__(self, algebra, l1_indices, l2_indices, verification=None):
         l1 = tuple(sorted(l1_indices))
@@ -27,10 +28,15 @@ class StepwiseDecomposition:
         self.l1_indices = l1
         self.l2_indices = l2
         self.verification = dict(verification) if verification else None
+        self._l1 = None
 
-    def l1_subalgebra(self, name=""):
-        return subalgebra(self.algebra, self.l1_indices,
-                          name=name or (self.algebra.name + ".l1"))
+    def l1_subalgebra(self):
+        """l1 as an algebra, built on first use and kept: the split's
+        index sets never change."""
+        if self._l1 is None:
+            self._l1 = subalgebra(self.algebra, self.l1_indices,
+                                  name=self.algebra.name + ".l1")
+        return self._l1
 
     def as_dict(self):
         return {

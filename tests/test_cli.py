@@ -330,6 +330,45 @@ def test_long_mantissa_is_a_usage_error(argv, message):
     assert len(out.stderr) < 200  # the echoed token is cut short
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["decompose", "case1", "--n", LONG],
+     f"argument --n: {SHORT_LONG} is not an integer"),
+    (["invert", "heisenberg:1:C", "--nodes", LONG],
+     f"argument --nodes: {SHORT_LONG} is not a positive even integer"),
+    (["invert", "heisenberg:1:C", "--tol", LONG],
+     f"argument --tol: {SHORT_LONG} is not a positive finite number"),
+    # parses (3001 < 4300 digits), but the dimension has ~6000 digits
+    (["decompose", "case1", "--n", "7" * 3001],
+     "free2step has dimension > 10^12; constructed algebras are capped "
+     "at dimension 64"),
+    (["decompose", "case6", "--n", "7" * 3001],
+     "free2step has dimension > 10^12"),
+    (["classify", "heisenberg:" + "7" * 3001 + ":C"],
+     "heisenberg has dimension > 10^12"),
+], ids=["n", "nodes", "tol", "n-dimension", "n-dimension-case6",
+        "heisenberg-dimension"])
+def test_long_option_tokens_are_cut_short(argv, message):
+    env = dict(os.environ, PYTHONINTMAXSTRDIGITS="4300")
+    out = run_cli(argv, env=env)
+    assert out.returncode == 2
+    assert message in out.stderr
+    assert "Exceeds the limit" not in out.stderr
+    assert "Traceback" not in out.stderr
+    assert "7" * 40 not in out.stderr  # no token echoed in full
+
+
+def test_checked_types_keep_their_messages_on_short_tokens():
+    out = run_cli(["decompose", "case1", "--n", "x"])
+    assert out.returncode == 2
+    assert "argument --n: 'x' is not an integer" in out.stderr
+    res = invoke(["decompose", "case1", "--n", "11"])
+    assert res.exit_code == 2
+    assert res.human_text == ("error: free2step:11:R has dimension 66; "
+                              "constructed algebras are capped at "
+                              "dimension 64")
+    assert invoke(["decompose", "case1", "--n", "5"]).exit_code == 0
+
+
 def test_parts_within_the_digit_limit_still_parse():
     # Fraction reads the integer and fractional parts with one int()
     # each, so two 3000-digit parts are within the limit

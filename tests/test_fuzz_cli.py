@@ -115,6 +115,10 @@ def _run(argv):
          None)
 @example(["orbit", "free2step:3:R", "--coeffs=1/" + "7" * 5000 + ",0,0"],
          True, None)
+@example(["decompose", "case1", "--n=" + "7" * 3001], True, None)
+@example(["decompose", "case6", "--n=" + "7" * 5000], False, None)
+@example(["invert", "heisenberg:1:C", "--nodes=" + "8" * 5000], True, None)
+@example(["invert", "heisenberg:1:C", "--tol=" + "7" * 5000], False, None)
 def test_cli_inputs_end_in_a_documented_exit(argv, as_json, config_lines):
     with tempfile.TemporaryDirectory() as tmp:
         if config_lines is not None:

@@ -237,9 +237,73 @@ def test_invert_stepwise_case1_origin_and_general():
     f = GaussianTestFunction.standard(6)
     rep = invert_stepwise("case1", f, [0.0] * 6)
     assert rep.entries[0]["rel_error"] < 1e-9
+    assert rep.entries[0]["outer_nodes"] == 64
     rep = invert_stepwise("case1", f,
                           [0.1, -0.2, 0.15, 0.3, -0.1, 0.2])
     assert rep.entries[0]["rel_error"] < 1e-9
+    assert rep.entries[0]["outer_nodes"] == 64
+
+
+def test_invert_stepwise_case3_origin():
+    rep = invert_stepwise("case3", GaussianTestFunction.standard(14),
+                          [0.0] * 14, quad_settings={"rtol": 1e-6})
+    assert rep.entries[0]["rel_error"] < 1e-9
+    assert rep.entries[0]["outer_nodes"] == 64
+
+
+# case6 drops a complex generator: l2 is 2-dimensional, so the outer
+# quadrature runs on a 64 x 64 grid
+CASE6_GENERIC = [0.1, -0.2, 0.15, 0.05, -0.1, 0.2,
+                 -0.15, 0.25, 0.1, -0.05, 0.3, -0.25]
+
+
+@pytest.mark.parametrize("x", [[0.0] * 12, CASE6_GENERIC],
+                         ids=["origin", "generic"])
+def test_invert_stepwise_case6(x):
+    rep = invert_stepwise("case6", GaussianTestFunction.standard(12), x)
+    assert rep.entries[0]["rel_error"] < 1e-9
+    assert rep.entries[0]["outer_nodes"] == 4096
+
+
+def _outer_level(monkeypatch, *args, **kwargs):
+    """invert_stepwise's report, with the nodes and the integrand values
+    of the last level of its outer quadrature."""
+    level = []
+
+    def recording(func, *a, **kw):
+        def integrand(grid):
+            values = func(grid)
+            level[:] = [grid.points(), np.ravel(values)]
+            return values
+        return tensor_integrate(integrand, *a, **kw)
+
+    monkeypatch.setattr(inversion, "tensor_integrate", recording)
+    rep = invert_stepwise(*args, **kwargs)
+    return rep, level[0], level[1]
+
+
+@pytest.mark.parametrize("case, dim, x, qs", [
+    ("case1", 6, [0.1, -0.2, 0.15, 0.3, -0.1, 0.2], None),
+    ("case3", 14, [0.05 * k - 0.3 for k in range(14)], {"rtol": 1e-6}),
+    ("case6", 12, CASE6_GENERIC, None),
+], ids=["case1", "case3", "case6"])
+def test_stepwise_inner_gaussian_against_the_per_frequency_chain(
+        monkeypatch, case, dim, x, qs):
+    # per outer node xi: partial transform along l2, flat inversion on L1
+    # as the closed-form integral of its transform over z1*, and the
+    # character chi_xi(x2); x2 != 0 at these points
+    f = GaussianTestFunction.standard(dim)
+    rep, xis, got = _outer_level(monkeypatch, case, f, x, quad_settings=qs)
+    assert rep.entries[0]["rel_error"] < 1e-9
+    g_joint, z1, X2 = inversion._joint_gaussian(decompose(case), f, x)
+    assert np.abs(X2).max() > 0.1
+    t_block = list(range(z1, z1 + len(X2)))
+    outer_const = (2 * math.pi) ** (-len(X2) / 2.0)
+    for xi, value in zip(xis, got):
+        s_xi = g_joint.partial_fourier(t_block, xi).scaled(outer_const)
+        want = (s_xi.fourier().total_integral() * (2 * math.pi) ** (-z1)
+                * np.exp(1j * (xi @ X2)))
+        assert abs(value - want) <= 1e-12 * abs(want)
 
 
 def test_invert_stepwise_rejects_unverified_split():

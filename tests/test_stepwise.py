@@ -2,7 +2,10 @@
 
 import pytest
 
+from nilharm import stepwise
 from nilharm.catalog import free_two_step, heisenberg, octonion_double
+from nilharm.gaussians import GaussianTestFunction
+from nilharm.inversion import invert_stepwise
 from nilharm.pfaffian import is_square_integrable
 from nilharm.stepwise import (StepwiseDecomposition, decompose,
                               find_codim_split, verify)
@@ -54,6 +57,24 @@ def test_verification_flags_meaning():
                           "l2_abelian_subalgebra", "l1_square_integrable"}
     sub = dec.l1_subalgebra()
     assert is_square_integrable(sub)
+
+
+def test_l1_subalgebra_is_built_once_per_split(monkeypatch):
+    calls = []
+    build = stepwise.subalgebra
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(stepwise, "subalgebra", counting)
+    dec = decompose("case1", n=3)
+    assert dec.l1_subalgebra() is dec.l1_subalgebra()
+    verify(dec)
+    rep = invert_stepwise(dec, GaussianTestFunction.standard(6), [0.0] * 6)
+    assert rep.entries[0]["rel_error"] < 1e-9
+    assert calls == [dec.l1_indices]
+    assert dec.l1_subalgebra().name == "free2step:3:R.l1"
 
 
 def test_bad_split_fails_verification():
