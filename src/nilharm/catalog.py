@@ -27,6 +27,12 @@ class CatalogError(ValueError):
     pass
 
 
+def shown(tok):
+    """tok quoted for a message, its middle cut out when it is long."""
+    tok = tok.strip()
+    return repr(tok if len(tok) <= 40 else f"{tok[:16]}...{tok[-16:]}")
+
+
 def _check_dim(dim, *name):
     """Refuse a dimension past MAX_DIM; the parts of name join with ':'.
 
@@ -499,7 +505,7 @@ def from_name(name):
     except (ValueError, IndexError) as exc:
         if isinstance(exc, CatalogError):
             raise
-        raise CatalogError(f"cannot parse algebra name {name!r}; "
+        raise CatalogError(f"cannot parse algebra name {shown(name)}; "
                            f"known families: {_FAMILIES}") from exc
-    raise CatalogError(f"unknown algebra name {name!r}; "
+    raise CatalogError(f"unknown algebra name {shown(name)}; "
                        f"known families: {_FAMILIES}")

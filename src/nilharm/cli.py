@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 
 from .algebra import derived_subalgebra, jacobi_defect, nilpotency_class
-from .catalog import CatalogError, from_name, list_entries
+from .catalog import CatalogError, from_name, list_entries, shown
 from .composition import CompositionElement, format_element, multiply, \
     parse_unit
 from .config import is_node_count, is_positive, load_config, quad_settings
@@ -68,12 +68,6 @@ MAX_DECIMAL_EXPONENT = 1000
 _EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
 
 
-def _shown(tok):
-    """tok quoted for a message, its middle cut out when it is long."""
-    tok = tok.strip()
-    return repr(tok if len(tok) <= 40 else f"{tok[:16]}...{tok[-16:]}")
-
-
 def _longest_run_past_limit(tok):
     """The digit count of tok's longest part if int() would refuse it.
 
@@ -91,6 +85,11 @@ def _longest_run_past_limit(tok):
     return longest if longest > limit else 0
 
 
+def _too_many_digits(tok, run):
+    return (f"{shown(tok)} has a part of {run} digits; a number is read "
+            f"up to {sys.get_int_max_str_digits()} digits per part")
+
+
 def _fraction(tok):
     """Fraction(tok), with a zero denominator, an exponent past
     MAX_DECIMAL_EXPONENT or a part too long for int() reported as a
@@ -101,17 +100,15 @@ def _fraction(tok):
         # the length test first, so int() never reads a long string
         if (len(digits) > len(str(MAX_DECIMAL_EXPONENT))
                 or int(digits) > MAX_DECIMAL_EXPONENT):
-            raise ValueError(f"the exponent of {_shown(tok)} exceeds "
+            raise ValueError(f"the exponent of {shown(tok)} exceeds "
                              f"{MAX_DECIMAL_EXPONENT} in magnitude")
     run = _longest_run_past_limit(tok)
     if run:
-        raise ValueError(f"{_shown(tok)} has a part of {run} digits; a "
-                         f"number is read up to "
-                         f"{sys.get_int_max_str_digits()} digits per part")
+        raise ValueError(_too_many_digits(tok, run))
     try:
         return Fraction(tok)
     except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {_shown(tok)}") from None
+        raise ValueError(f"zero denominator in {shown(tok)}") from None
 
 
 def _exact_str(value):
@@ -137,7 +134,7 @@ def _float(tok):
     try:
         return float(_fraction(tok))
     except OverflowError:
-        raise ValueError(f"{_shown(tok)} is too large for a float") from None
+        raise ValueError(f"{shown(tok)} is too large for a float") from None
 
 
 def _parse_numbers(text):
@@ -162,10 +159,10 @@ def _parse_points(text, dim, seed):
             except ValueError:
                 k = 0
         if k < 1:
-            raise ValueError(f"--points {_shown(text)}: random:k needs an "
+            raise ValueError(f"--points {shown(text)}: random:k needs an "
                              "integer k >= 1")
         if k > MAX_POINTS:
-            raise ValueError(f"--points {_shown(text)}: random:k takes at "
+            raise ValueError(f"--points {shown(text)}: random:k takes at "
                              f"most {MAX_POINTS} points")
         import numpy as np
         rng = np.random.default_rng(seed)
@@ -186,14 +183,22 @@ def _parse_points(text, dim, seed):
 
 
 def _checked_type(parse, accepts, what):
-    """An argparse type: parse the text, then refuse what accepts rejects."""
+    """An argparse type: parse the text, then refuse what accepts rejects.
+
+    A text that parse refuses for a part past int()'s digit limit is
+    reported as such, not as malformed.
+    """
     def convert(text):
         try:
             value = parse(text)
         except ValueError:
+            run = _longest_run_past_limit(text)
+            if run:
+                raise argparse.ArgumentTypeError(
+                    _too_many_digits(text, run)) from None
             value = None
         if not accepts(value):
-            raise argparse.ArgumentTypeError(f"{_shown(text)} is not {what}")
+            raise argparse.ArgumentTypeError(f"{shown(text)} is not {what}")
         return value
     return convert
 
@@ -315,26 +320,26 @@ def _cmd_decompose(args, cfg):
 
 
 def _cmd_invert(args, cfg):
-    from .inversion import invert_flat, invert_stepwise
     target = args.target
     qs = quad_settings(cfg)
     if args.nodes is not None:
         qs["start_nodes"] = args.nodes
-    tol = args.tol
-    if target.replace("_", "").lower() in ("case1", "case6", "case3"):
+    stepwise = target.replace("_", "").lower() in ("case1", "case6", "case3")
+    if stepwise:
         dec = decompose(target)
-        dim = dec.algebra.dim
-        f = _parse_function(args.function, dim)
-        points = _parse_points(args.points, dim, cfg["seed"])
-        tol = tol if tol is not None else cfg["stepwise_rtol"]
+        alg = dec.algebra
+        tol = args.tol if args.tol is not None else cfg["stepwise_rtol"]
+    else:
+        alg = from_name(target)
+        tol = args.tol if args.tol is not None else cfg["flat_rtol"]
+    # the points first: a malformed one is refused before numpy loads
+    points = _parse_points(args.points, alg.dim, cfg["seed"])
+    f = _parse_function(args.function, alg.dim)
+    from .inversion import invert_flat, invert_stepwise
+    if stepwise:
         runner = lambda pt: invert_stepwise(dec, f, pt, quad_settings=qs)
         formula = f"stepwise:{target}"
     else:
-        alg = from_name(target)
-        dim = alg.dim
-        f = _parse_function(args.function, dim)
-        points = _parse_points(args.points, dim, cfg["seed"])
-        tol = tol if tol is not None else cfg["flat_rtol"]
         runner = lambda pt: invert_flat(alg, f, pt, quad_settings=qs)
         formula = f"flat:{target}"
 
@@ -388,7 +393,7 @@ def _cmd_selftest(args, cfg):
     from . import selftest
     only = None
     if args.only:
-        usage = (f"--only {_shown(args.only)}: criteria are numbered "
+        usage = (f"--only {shown(args.only)}: criteria are numbered "
                  f"{min(selftest.CRITERIA)}-{max(selftest.CRITERIA)}")
         try:
             only = {int(t) for t in args.only.split(",")}

@@ -28,8 +28,9 @@ def is_positive(value):
 
 
 def is_node_count(value):
-    """Positive and even: an odd Gauss-Legendre rule puts a node on the
-    envelope centre, where Pf(lambda) vanishes."""
+    """Positive and even: any odd symmetric rule (Gauss-Hermite or
+    Gauss-Legendre) puts a node on the envelope centre, where
+    Pf(lambda) can vanish."""
     return _is_int(value) and value > 0 and value % 2 == 0
 
 
@@ -91,6 +92,5 @@ def quad_settings(cfg):
     return {
         "rtol": cfg["quad_rtol"],
         "max_evals": cfg["max_evals"],
-        "sigmas": cfg["truncation_sigmas"],
         "start_nodes": cfg["start_nodes"],
     }

@@ -168,7 +168,7 @@ class ComplexGaussian:
                          + 0.5 * (n * math.log(2 * math.pi) - logdet))
 
     def envelope(self):
-        """(mean, per-axis sigma) of the |g| envelope, for truncation."""
+        """(mean, per-axis sigma) of the |g| envelope, for quadrature."""
         Ainv = np.linalg.inv(self.A)
         mean = Ainv @ np.real(self.u)
         sigma = np.sqrt(np.diag(Ainv))

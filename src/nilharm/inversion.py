@@ -16,6 +16,7 @@ unique allocation that matches the displayed inversion constants for
 the three exceptional cases.
 """
 
+import functools
 import math
 import time
 from fractions import Fraction
@@ -157,6 +158,9 @@ def invert_flat(alg, f, x, quad_settings=None):
     The quadrature runs over z* with weight |Pf(lam)| against
     (2pi)^{-dim z} Lebesgue; the character values divide by the same
     |Pf(lam)|, so the integrand stays smooth across the Pf = 0 set.
+    The integral is over all of z*, by Gauss-Hermite matched to the
+    envelope of the character core; its even node counts keep every
+    node off the envelope centre.
     """
     sq = is_square_integrable(alg)
     if not sq:
@@ -190,7 +194,6 @@ def invert_flat(alg, f, x, quad_settings=None):
         value, info = tensor_integrate(integrand, mean, sigma,
                                        rtol=s["rtol"],
                                        max_evals=s["max_evals"],
-                                       sigmas_out=s["sigmas"],
                                        start=s["start_nodes"])
         recon = c * (2 * math.pi) ** (-zdim) * value
 
@@ -242,6 +245,12 @@ def _joint_gaussian(dec, f, x):
     return f.lift().pullback(M, x1.float_coords()), z1, X2
 
 
+# A case tag names a fixed algebra, so its decomposition is built on
+# first use and kept; the cache is private, so no caller holds (and can
+# change) a shared decomposition.
+_decomposition = functools.cache(decompose)
+
+
 def invert_stepwise(case_tag, f, x, quad_settings=None):
     """Reconstruct f at x by the two-layer inversion for one case.
 
@@ -252,9 +261,12 @@ def invert_stepwise(case_tag, f, x, quad_settings=None):
     layer is xi -> (2pi)^{-dim z1} integral g_joint^(lam, xi) dlam over
     z1*: one closed-form Gaussian in xi, built once.  Outer layer: its
     integral over the dual of l2 against chi_xi(x2), by adaptive
-    quadrature that evaluates the Gaussian on each level's whole grid.
+    Gauss-Hermite quadrature that evaluates the Gaussian on each
+    level's whole grid.  A case tag's decomposition is built once per
+    process.
     """
-    dec = decompose(case_tag) if isinstance(case_tag, str) else case_tag
+    dec = (_decomposition(case_tag) if isinstance(case_tag, str)
+           else case_tag)
     if not dec.verification or not all(dec.verification.values()):
         raise ValueError("decomposition failed verification")
     s = _settings(quad_settings)
@@ -277,8 +289,7 @@ def invert_stepwise(case_tag, f, x, quad_settings=None):
     outer_rtol = max(s["rtol"], 1e-9)
     value, outer_info = tensor_integrate(
         lambda grid: inner.evaluate_grid(grid.axes), xi_mean, xi_sigma,
-        rtol=outer_rtol, max_evals=2 ** 14, sigmas_out=s["sigmas"],
-        start=s["start_nodes"])
+        rtol=outer_rtol, max_evals=2 ** 14, start=s["start_nodes"])
     recon = outer_const * value
 
     f_x = float(f.evaluate(x.float_coords()))

@@ -331,10 +331,11 @@ def test_long_mantissa_is_a_usage_error(argv, message):
 
 
 @pytest.mark.parametrize("argv, message", [
+    # past the digit limit a token is too long, not malformed
     (["decompose", "case1", "--n", LONG],
-     f"argument --n: {SHORT_LONG} is not an integer"),
+     f"argument --n: {SHORT_LONG} has a part of 5000 digits"),
     (["invert", "heisenberg:1:C", "--nodes", LONG],
-     f"argument --nodes: {SHORT_LONG} is not a positive even integer"),
+     f"argument --nodes: {SHORT_LONG} has a part of 5000 digits"),
     (["invert", "heisenberg:1:C", "--tol", LONG],
      f"argument --tol: {SHORT_LONG} is not a positive finite number"),
     # parses (3001 < 4300 digits), but the dimension has ~6000 digits
@@ -355,6 +356,19 @@ def test_long_option_tokens_are_cut_short(argv, message):
     assert "Exceeds the limit" not in out.stderr
     assert "Traceback" not in out.stderr
     assert "7" * 40 not in out.stderr  # no token echoed in full
+
+
+@pytest.mark.parametrize("name", ["heisenberg:" + "7" * 5000 + ":C",
+                                  "heisenberg:" + "x" * 5000 + ":C",
+                                  "mystery" * 1000],
+                         ids=["digits", "letters", "family"])
+def test_a_long_algebra_name_is_cut_short(name):
+    env = dict(os.environ, PYTHONINTMAXSTRDIGITS="4300")
+    out = run_cli(["check", name, "--json"], env=env)
+    assert out.returncode == 2
+    assert "algebra name '" in out.stderr
+    assert "Traceback" not in out.stderr
+    assert len(out.stderr) < 250
 
 
 def test_checked_types_keep_their_messages_on_short_tokens():
@@ -501,6 +515,19 @@ def test_exact_subcommands_do_not_load_numpy():
     assert report == [[code, []] for _, code in runs]
 
 
+def test_malformed_points_are_refused_before_numpy_loads():
+    runs = [["invert", "heisenberg:1:C", "--points", "1,2", "--json"],
+            ["invert", "case1", "--points", "1,2;", "--json"],
+            ["invert", "heisenberg:1:H", "--points", "1/0,0,0,0,0,0,0"],
+            ["invert", "heisenberg:1:C", "--points", "random:0"]]
+    out = subprocess.run(
+        [sys.executable, "-c", _MODULES_AFTER, json.dumps(runs),
+         json.dumps(NUMERIC_MODULES)],
+        capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) == [[2, []]] * len(runs)
+
+
 def test_numeric_subcommands_keep_their_payloads():
     out = run_cli(["orbit", "free2step:5:R", "--coeffs",
                    "2,0,0,0,0,0,0,0,0,0", "--json"])
@@ -517,9 +544,9 @@ def test_numeric_subcommands_keep_their_payloads():
     assert doc["formula"] == "flat:heisenberg:1:C"
     assert doc["tolerance"] == 1e-6
     assert doc["settings"] == {"max_evals": 2 ** 20, "rtol": 1e-8,
-                               "sigmas": 8.0, "start_nodes": 8}
+                               "start_nodes": 8}
     (entry,) = doc["entries"]
-    assert (entry["x"], entry["z_nodes"]) == ([0.1, 0.0, 0.0], 64)
+    assert (entry["x"], entry["z_nodes"]) == ([0.1, 0.0, 0.0], 16)
     assert abs(entry["f_x"] - np.exp(-0.005)) < 1e-15
     assert doc["max_rel_error"] < 1e-12
 

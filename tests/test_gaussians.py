@@ -1,14 +1,17 @@
 """Closed-form Gaussian calculus against quadrature oracles."""
 
 import cmath
+import math
 from math import prod
 
 import numpy as np
 import pytest
 
 from nilharm.gaussians import ComplexGaussian, GaussianTestFunction
-from nilharm.quadrature import (MAX_NODES_PER_AXIS, TensorGrid, axis_rule,
-                               gauss_legendre, tensor_integrate)
+from nilharm.quadrature import (MAX_HERMITE_NODES, MAX_NODES_PER_AXIS,
+                               TensorGrid, axis_rule, gauss_hermite,
+                               gauss_legendre, hermite_axis_rule,
+                               tensor_integrate)
 
 
 def rand_spd(rng, n):
@@ -267,6 +270,49 @@ def test_tensor_integrate_is_exact_on_a_monomial_over_an_asymmetric_box():
     assert first[64, 0] > first[0, 0]
 
 
+def gaussian_moment(p, m, s):
+    """integral of x^p exp(-(x - m)^2 / (2 s^2)) over the line."""
+    return s * math.sqrt(2 * math.pi) * sum(
+        math.comb(p, j) * m ** (p - j) * s ** j * prod(range(j - 1, 0, -2))
+        for j in range(0, p + 1, 2))
+
+
+def test_hermite_rule_is_exact_on_gaussian_moments_to_degree_2n_minus_1():
+    # the 8-point envelope-matched rule: exact through degree 15, not 16
+    m, s = -0.7, 1.3
+    x, w = hermite_axis_rule(8, m, s)
+    envelope = np.exp(-(x - m) ** 2 / (2 * s * s))
+    for p in range(17):
+        exact = gaussian_moment(p, m, s)
+        err = abs(w @ (x ** p * envelope) - exact)
+        if p < 16:
+            assert err <= 1e-13 * abs(exact), p
+        else:
+            assert err > 1e-6 * abs(exact)
+
+
+def test_tensor_integrate_is_exact_on_moments_of_an_anisotropic_envelope():
+    # polynomial x Gaussian on a shifted, anisotropic 3-axis envelope:
+    # with 8 nodes per axis the rule is exact to degree 15 on each axis,
+    # so both levels give the exact value; a transposed axis, a weight
+    # on the wrong node or a missing e^{t^2} does not
+    means, sigmas = [1.0, -0.5, 2.0], [0.5, 1.5, 0.25]
+    for powers in ((15, 0, 0), (0, 15, 0), (0, 0, 15), (15, 14, 13),
+                   (3, 8, 11), (0, 1, 2)):
+        def func(grid, powers=powers):
+            return prod(x ** p * np.exp(-(x - m) ** 2 / (2 * s * s))
+                        for x, p, m, s in zip(
+                            np.meshgrid(*grid.axes, indexing="ij",
+                                        sparse=True),
+                            powers, means, sigmas))
+
+        value, info = tensor_integrate(func, means, sigmas, rtol=1e-12)
+        exact = prod(gaussian_moment(p, m, s)
+                     for p, m, s in zip(powers, means, sigmas))
+        assert abs(value - exact) <= 1e-13 * abs(exact), powers
+        assert info["nodes_per_axis"] == 16
+
+
 def test_tensor_grid_counts_and_lays_out_its_nodes():
     axes = [np.array([1.0, 2.0]), np.array([10.0, 20.0, 30.0])]
     grid = TensorGrid(axes)
@@ -283,6 +329,14 @@ def test_tensor_integrate_zero_dim():
         max_evals=100)
     assert value == 3.25
     assert info["nodes"] == 0 and info["converged"]
+
+
+def test_gauss_hermite_refuses_past_the_node_cap():
+    t, w = gauss_hermite(MAX_HERMITE_NODES)
+    assert len(t) == MAX_HERMITE_NODES and np.all(np.isfinite(w))
+    assert abs(w @ np.exp(-t * t) - math.sqrt(math.pi)) < 1e-13
+    with pytest.raises(RuntimeError, match="budget exhausted"):
+        gauss_hermite(2 * MAX_HERMITE_NODES)
 
 
 def test_gauss_legendre_refuses_past_the_node_cap():

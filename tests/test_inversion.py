@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from nilharm import inversion
+from nilharm import inversion, stepwise
 from nilharm.catalog import free_two_step, heisenberg
 from nilharm.config import DEFAULTS
 from nilharm.gaussians import GaussianTestFunction
@@ -23,7 +23,7 @@ from nilharm.inversion import (GroupPoint, factor_point, flat_constant,
                                translation_matrix)
 from nilharm.pfaffian import pf_polynomial
 from nilharm.quadrature import tensor_integrate
-from nilharm.stepwise import decompose
+from nilharm.stepwise import StepwiseDecomposition, decompose, verify
 
 
 # Quadrature oracles for the closed forms; only the tests use them.
@@ -166,16 +166,15 @@ def test_invert_flat_quaternionic():
     f = GaussianTestFunction.standard(alg.dim)
     report = invert_flat(alg, f, [0.0] * alg.dim)
     assert report.entries[0]["rel_error"] < 1e-8
-    # the default rule converges on the 64^3 grid
-    assert report.entries[0]["z_nodes"] == 262144
+    # the default rule converges on the 16^3 grid
+    assert report.entries[0]["z_nodes"] == 4096
 
 
 def test_invert_flat_memory_peak():
-    # one h(1;H) reconstruction ends on the 64^3 grid.  Its tracemalloc
-    # peak was 23.1 MB when the integrand read a (64^3, 3) point array
-    # and the weights were a 64^3 outer product, and is 8.7 MB with
-    # values broadcast from the axes and weights contracted per axis;
-    # the bound sits halfway
+    # one h(1;H) reconstruction ends on the 16^3 grid.  Its tracemalloc
+    # peak was 8.73 MB when Gauss-Legendre on a truncated box ended on
+    # the 64^3 grid, and is 0.27 MB with envelope-matched Gauss-Hermite
+    # on the whole space; the bound sits halfway
     alg = heisenberg(1, "H")
     f = GaussianTestFunction.standard(alg.dim)
     x = [0.2, -0.1, 0.4, 0.3, 0.0, -0.3, 0.1]
@@ -186,9 +185,9 @@ def test_invert_flat_memory_peak():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert report.entries[0]["z_nodes"] == 262144
+    assert report.entries[0]["z_nodes"] == 4096
     assert report.entries[0]["rel_error"] < 1e-8
-    assert peak < 15.9e6
+    assert peak < 4.5e6
 
 
 def test_invert_flat_abelian_is_classical():
@@ -237,22 +236,22 @@ def test_invert_stepwise_case1_origin_and_general():
     f = GaussianTestFunction.standard(6)
     rep = invert_stepwise("case1", f, [0.0] * 6)
     assert rep.entries[0]["rel_error"] < 1e-9
-    assert rep.entries[0]["outer_nodes"] == 64
+    assert rep.entries[0]["outer_nodes"] == 16
     rep = invert_stepwise("case1", f,
                           [0.1, -0.2, 0.15, 0.3, -0.1, 0.2])
     assert rep.entries[0]["rel_error"] < 1e-9
-    assert rep.entries[0]["outer_nodes"] == 64
+    assert rep.entries[0]["outer_nodes"] == 16
 
 
 def test_invert_stepwise_case3_origin():
     rep = invert_stepwise("case3", GaussianTestFunction.standard(14),
                           [0.0] * 14, quad_settings={"rtol": 1e-6})
     assert rep.entries[0]["rel_error"] < 1e-9
-    assert rep.entries[0]["outer_nodes"] == 64
+    assert rep.entries[0]["outer_nodes"] == 16
 
 
 # case6 drops a complex generator: l2 is 2-dimensional, so the outer
-# quadrature runs on a 64 x 64 grid
+# quadrature runs on a 16 x 16 grid
 CASE6_GENERIC = [0.1, -0.2, 0.15, 0.05, -0.1, 0.2,
                  -0.15, 0.25, 0.1, -0.05, 0.3, -0.25]
 
@@ -262,7 +261,7 @@ CASE6_GENERIC = [0.1, -0.2, 0.15, 0.05, -0.1, 0.2,
 def test_invert_stepwise_case6(x):
     rep = invert_stepwise("case6", GaussianTestFunction.standard(12), x)
     assert rep.entries[0]["rel_error"] < 1e-9
-    assert rep.entries[0]["outer_nodes"] == 4096
+    assert rep.entries[0]["outer_nodes"] == 256
 
 
 def _outer_level(monkeypatch, *args, **kwargs):
@@ -304,6 +303,34 @@ def test_stepwise_inner_gaussian_against_the_per_frequency_chain(
         want = (s_xi.fourier().total_integral() * (2 * math.pi) ** (-z1)
                 * np.exp(1j * (xi @ X2)))
         assert abs(value - want) <= 1e-12 * abs(want)
+
+
+def test_invert_stepwise_builds_each_case_once(monkeypatch):
+    built = []
+    octonion_double = stepwise.octonion_double
+    monkeypatch.setattr(stepwise, "octonion_double",
+                        lambda: built.append(1) or octonion_double())
+    inversion._decomposition.cache_clear()
+    f = GaussianTestFunction.standard(14)
+    for x in ([0.0] * 14, [0.05 * k - 0.3 for k in range(14)]):
+        rep = invert_stepwise("case3", f, x, quad_settings={"rtol": 1e-6})
+        assert rep.entries[0]["rel_error"] < 1e-9
+    assert len(built) == 1
+
+
+def test_invert_stepwise_refuses_a_passed_split_that_fails_verification():
+    f = GaussianTestFunction.standard(6)
+    invert_stepwise("case1", f, [0.0] * 6)   # the case1 split is cached
+    alg = decompose("case1").algebra
+    # l2 = a center line: l1 is no ideal
+    l2 = alg.center_indices[:1]
+    bad = StepwiseDecomposition(
+        alg, [i for i in range(alg.dim) if i not in l2], l2)
+    with pytest.raises(ValueError, match="failed verification"):
+        invert_stepwise(bad, f, [0.0] * 6)
+    assert not verify(bad)["l1_is_ideal"]
+    with pytest.raises(ValueError, match="failed verification"):
+        invert_stepwise(bad, f, [0.0] * 6)
 
 
 def test_invert_stepwise_rejects_unverified_split():
