@@ -1,63 +1,70 @@
 """Finite-dimensional real Lie algebras via exact structure constants.
 
 A LieAlgebraData holds a basis, a designated center/complement split
-and the bracket table over the rationals in two forms: `structure`,
-dense coefficient rows that serialization and callers read, and the
-sparse rows derived from it, on which every bracket computed here runs.
-All structural queries run in exact arithmetic, so a zero really is a
-zero.  Algebras are immutable: invariants are computed on first use and
-cached on the instance.
+and one bracket table: sparse rows, [b_i, b_j] as its nonzero (k, c)
+pairs.  A coefficient is an int when it is integral and a Fraction
+otherwise, so every catalog algebra holds ints only.  Every bracket
+computed here runs on these rows, and the structural queries feed
+integer rows to the fraction-free elimination of linalg, so a zero
+really is a zero.  Algebras are immutable: invariants, and the dense
+`structure` table for readers that want one, are computed on first use
+and cached on the instance.
 """
 
 from collections import defaultdict
 from fractions import Fraction
+from types import MappingProxyType
 
 from . import linalg
 
-_ONE = Fraction(1)
+
+def _exact(c):
+    """c as an int when it is integral, else as a Fraction."""
+    if type(c) is not int:
+        c = Fraction(c)
+        if c.denominator == 1:
+            c = c.numerator
+    return c
 
 
 class LieAlgebraData:
     """Structure constants with a designated z + v basis split.
 
-    structure maps (i, j) with i < j to the coefficient vector of
-    [b_i, b_j]; the (j, i) value is implied by antisymmetry and
-    diagonal brackets vanish.  bracket_row(i, j) gives the nonzero
-    (k, c) pairs of [b_i, b_j] for either order.
+    entries are (i, j, k, c) with i < j, meaning [b_i, b_j] += c b_k;
+    repeated (i, j, k) add up and zero sums drop.  The (j, i) bracket
+    is implied by antisymmetry and diagonal brackets vanish.
+    bracket_row(i, j) gives the nonzero (k, c) pairs of [b_i, b_j] for
+    either order.
     """
 
-    __slots__ = ("dim", "basis_labels", "structure", "_rows",
-                 "center_indices", "complement_indices", "name", "meta",
-                 "_cache")
+    __slots__ = ("dim", "basis_labels", "_rows", "center_indices",
+                 "complement_indices", "name", "meta", "_cache")
 
-    def __init__(self, dim, basis_labels, structure, center_indices,
+    def __init__(self, dim, basis_labels, entries, center_indices,
                  complement_indices, name="", meta=None):
         if dim <= 0:
             raise ValueError("dim must be positive")
         if len(basis_labels) != dim:
             raise ValueError("basis_labels length mismatch")
-        clean = {}
+        acc = {}
+        for i, j, k, c in entries:
+            if not (0 <= i < j < dim and 0 <= k < dim):
+                raise ValueError(f"bracket entry ({i},{j},{k}) is out of "
+                                 "range or does not have i < j")
+            row = acc.setdefault((i, j), {})
+            row[k] = row.get(k, 0) + _exact(c)
         rows = tuple({} for _ in range(dim))
-        for (i, j), vec in structure.items():
-            if not (0 <= i < dim and 0 <= j < dim):
-                raise ValueError(f"structure key ({i},{j}) out of range")
-            if i >= j:
-                raise ValueError("structure keys must have i < j")
-            vec = tuple(Fraction(c) for c in vec)
-            if len(vec) != dim:
-                raise ValueError("structure value length mismatch")
-            pairs = tuple((k, c) for k, c in enumerate(vec) if c)
-            if pairs:
-                clean[(i, j)] = vec
-                rows[i][j] = pairs
-                rows[j][i] = tuple((k, -c) for k, c in pairs)
+        for (i, j), row in acc.items():
+            row = tuple((k, _exact(c)) for k, c in sorted(row.items()) if c)
+            if row:
+                rows[i][j] = row
+                rows[j][i] = tuple((k, -c) for k, c in row)
         center_indices = tuple(center_indices)
         complement_indices = tuple(complement_indices)
         if sorted(center_indices + complement_indices) != list(range(dim)):
             raise ValueError("center/complement must partition the basis")
         self.dim = dim
         self.basis_labels = tuple(basis_labels)
-        self.structure = clean
         self._rows = rows
         self.center_indices = center_indices
         self.complement_indices = complement_indices
@@ -69,12 +76,19 @@ class LieAlgebraData:
         """[b_i, b_j] as its nonzero (k, c) pairs, in increasing k."""
         return self._rows[i].get(j, ())
 
-    def bracket_basis(self, i, j):
-        """[b_i, b_j] as a coefficient vector."""
-        vec = [Fraction(0)] * self.dim
-        for k, c in self.bracket_row(i, j):
-            vec[k] = c
-        return vec
+    def brackets(self):
+        """{(i, j): bracket_row(i, j)} over the nonzero brackets with
+        i < j, in increasing (i, j)."""
+        return {(i, j): row for i, row_i in enumerate(self._rows)
+                for j, row in sorted(row_i.items()) if i < j}
+
+    @property
+    def structure(self):
+        """Read-only dense table: (i, j), i < j, to the coefficient
+        tuple of [b_i, b_j]; derived from the sparse rows on first read."""
+        return self.cached("structure", lambda alg: MappingProxyType(
+            {key: tuple(_dense(alg.dim, row))
+             for key, row in alg.brackets().items()}))
 
     def cached(self, key, compute):
         """compute(self), evaluated once per key for this instance."""
@@ -84,6 +98,13 @@ class LieAlgebraData:
 
     def __repr__(self):
         return f"LieAlgebraData({self.name or 'dim ' + str(self.dim)})"
+
+
+def _dense(dim, pairs):
+    vec = [0] * dim
+    for k, c in pairs:
+        vec[k] = c
+    return vec
 
 
 def _support(vec):
@@ -114,7 +135,7 @@ def bracket(alg, x, y):
 
 def ad_matrix(alg, i):
     """Matrix of ad(b_i) acting on coefficient columns."""
-    mat = linalg.zeros(alg.dim, alg.dim)
+    mat = [[0] * alg.dim for _ in range(alg.dim)]
     for j, row in alg._rows[i].items():
         for k, c in row:
             mat[k][j] = c
@@ -126,21 +147,22 @@ def jacobi_defect(alg):
 
     [[b_i, b_j], b_k] is the kernel on the row of [b_i, b_j] and b_k.
     """
-    worst = Fraction(0)
+    worst = 0
     n = alg.dim
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
                 out = defaultdict(int)
                 for p, q, r in ((i, j, k), (j, k, i), (k, i, j)):
-                    _accumulate(alg, alg.bracket_row(p, q), ((r, _ONE),), out)
+                    _accumulate(alg, alg.bracket_row(p, q), ((r, 1),), out)
                 worst = max([worst, *map(abs, out.values())])
     return worst
 
 
 def derived_subalgebra(alg):
     """Reduced-echelon basis of [n, n]."""
-    return linalg.rref(list(alg.structure.values()))[0]
+    return linalg.rref([_dense(alg.dim, row)
+                        for row in alg.brackets().values()])[0]
 
 
 def center(alg):
@@ -162,17 +184,19 @@ def nilpotency_class(alg):
 
 def _nilpotency_class(alg):
     # C^1 = n and C^(k+1) = [n, C^k] lies inside C^k, so the series
-    # either loses dimension at every step or has stalled for good
-    current, step = linalg.identity(alg.dim), 0
+    # either loses dimension at every step or has stalled for good.
+    # Each C^k is kept as primitive integer rows spanning it.
+    current = [_dense(alg.dim, ((i, 1),)) for i in range(alg.dim)]
+    step = 0
     while current:
         rows = []
         for v in current:
-            vs = _support(v)
+            vs = [(k, c) for k, c in enumerate(v) if c]
             for i in range(alg.dim):
-                w = _accumulate(alg, ((i, _ONE),), vs, [Fraction(0)] * alg.dim)
+                w = _accumulate(alg, ((i, 1),), vs, [0] * alg.dim)
                 if any(w):
                     rows.append(w)
-        nxt = linalg.rref(rows)[0]
+        nxt = linalg.row_basis(rows)
         if nxt and len(nxt) == len(current):
             raise ValueError("algebra is not nilpotent")
         current, step = nxt, step + 1
@@ -189,25 +213,23 @@ def subalgebra(alg, indices, name=""):
     """
     indices = list(indices)
     pos = {g: i for i, g in enumerate(indices)}
-    structure = {}
+    entries = []
     for a, gi in enumerate(indices):
         for b in range(a + 1, len(indices)):
             gj = indices[b]
-            restricted = [Fraction(0)] * len(indices)
             for k, c in alg.bracket_row(gi, gj):
                 if k not in pos:
                     raise ValueError(
                         f"span not closed: [{alg.basis_labels[gi]},"
                         f"{alg.basis_labels[gj]}] leaves the subspace")
-                restricted[pos[k]] = c
-            structure[(a, b)] = restricted
+                entries.append((a, b, pos[k], c))
     # a basis vector is central iff it brackets to zero with the span
     central = [a for a, gi in enumerate(indices)
                if not any(alg.bracket_row(gi, gj) for gj in indices)]
     sub = LieAlgebraData(
         dim=len(indices),
         basis_labels=[alg.basis_labels[g] for g in indices],
-        structure=structure,
+        entries=entries,
         center_indices=central,
         complement_indices=[a for a in range(len(indices))
                             if a not in set(central)],
@@ -217,47 +239,3 @@ def subalgebra(alg, indices, name=""):
     if len(center(sub)) != len(central):
         raise ValueError("computed center is not spanned by basis vectors")
     return sub
-
-
-def _frac_str(c):
-    return f"{c.numerator}/{c.denominator}"
-
-
-def to_json(alg):
-    """JSON-ready dict; rationals as exact "p/q" strings."""
-    brackets = []
-    for (i, j) in sorted(alg.structure):
-        brackets.append({
-            "i": i,
-            "j": j,
-            "coeffs": [_frac_str(c) for c in alg.structure[(i, j)]],
-        })
-    doc = {
-        "dim": alg.dim,
-        "labels": list(alg.basis_labels),
-        "center": list(alg.center_indices),
-        "complement": list(alg.complement_indices),
-        "brackets": brackets,
-    }
-    if alg.name:
-        doc["name"] = alg.name
-    if alg.meta:
-        doc["meta"] = alg.meta
-    return doc
-
-
-def from_json(doc):
-    structure = {}
-    for entry in doc["brackets"]:
-        structure[(entry["i"], entry["j"])] = [Fraction(s) for s in entry["coeffs"]]
-    return LieAlgebraData(
-        dim=doc["dim"],
-        basis_labels=doc["labels"],
-        structure=structure,
-        center_indices=doc["center"],
-        complement_indices=doc.get(
-            "complement",
-            [i for i in range(doc["dim"]) if i not in set(doc["center"])]),
-        name=doc.get("name", ""),
-        meta=doc.get("meta"),
-    )

@@ -47,15 +47,6 @@ def _check_dim(dim, *name):
                            f"dimension {MAX_DIM}")
 
 
-def _structure_dict(dim, entries):
-    # entries: (i, j, k, coeff) meaning [b_i, b_j] += coeff * b_k, i < j
-    out = {}
-    for i, j, k, coeff in entries:
-        vec = out.setdefault((i, j), [Fraction(0)] * dim)
-        vec[k] += Fraction(coeff)
-    return out
-
-
 def heisenberg(n, F):
     """Heisenberg algebra Im F + F^n with [(z,u),(w,v)] = (Im<u,v>, 0)."""
     if n <= 0:
@@ -86,7 +77,7 @@ def heisenberg(n, F):
     return LieAlgebraData(
         dim=dim,
         basis_labels=labels,
-        structure=_structure_dict(dim, entries),
+        entries=entries,
         center_indices=range(zdim),
         complement_indices=range(zdim, dim),
         name=f"heisenberg:{n}:{F}",
@@ -142,7 +133,7 @@ def free_two_step(n, F):
     return LieAlgebraData(
         dim=dim,
         basis_labels=labels,
-        structure=_structure_dict(dim, entries),
+        entries=entries,
         center_indices=range(zdim),
         complement_indices=range(zdim, dim),
         name=f"free2step:{n}:{F}",
@@ -169,7 +160,7 @@ def octonion_double():
     return LieAlgebraData(
         dim=dim,
         basis_labels=labels,
-        structure=_structure_dict(dim, entries),
+        entries=entries,
         center_indices=range(7),
         complement_indices=range(7, 14),
         name="octdouble",
@@ -185,7 +176,7 @@ def abelian(n):
     return LieAlgebraData(
         dim=n,
         basis_labels=[f"a{k + 1}" for k in range(n)],
-        structure={},
+        entries=[],
         center_indices=range(n),
         complement_indices=[],
         name=f"abelian:{n}",
@@ -206,22 +197,20 @@ def direct_sum(*blocks, name=""):
     dim = sum(b.dim for b in blocks)
     _check_dim(dim, name or "+".join(b.name for b in blocks))
     labels, center, complement = [], [], []
-    structure = {}
+    entries = []
     offset = 0
     for bnum, blk in enumerate(blocks, start=1):
         labels.extend(f"{bnum}:{lab}" for lab in blk.basis_labels)
         center.extend(offset + i for i in blk.center_indices)
         complement.extend(offset + i for i in blk.complement_indices)
-        for (i, j), vec in blk.structure.items():
-            full = [Fraction(0)] * dim
-            for k, c in enumerate(vec):
-                full[offset + k] = c
-            structure[(offset + i, offset + j)] = full
+        entries.extend((offset + i, offset + j, offset + k, c)
+                       for (i, j), row in blk.brackets().items()
+                       for k, c in row)
         offset += blk.dim
     return LieAlgebraData(
         dim=dim,
         basis_labels=labels,
-        structure=structure,
+        entries=entries,
         center_indices=center,
         complement_indices=complement,
         name=name or "+".join(b.name for b in blocks),

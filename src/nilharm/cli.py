@@ -9,6 +9,7 @@ configuration is echoed into every payload.
 import argparse
 import json
 import numbers
+import os
 import re
 import sys
 from fractions import Fraction
@@ -515,7 +516,13 @@ def run(argv):
 def main(argv=None):
     result = run(sys.argv[1:] if argv is None else argv)
     stream = sys.stderr if result.status == "error" else sys.stdout
-    print(result.human_text, file=stream)
+    try:
+        print(result.human_text, file=stream, flush=True)
+    except BrokenPipeError:
+        # the reader went away, so the output is lost: exit 1, with the
+        # stream on devnull so that the flush at exit does not raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+        return 1
     return result.exit_code
 
 

@@ -166,19 +166,6 @@ def norm(a):
     return sum((c * c for c in a.coeffs), Fraction(0))
 
 
-def hermitian_inner(u, v):
-    """<u,v> = sum_i u_i * conj(v_i), conjugation on the second slot."""
-    if len(u) != len(v):
-        raise ValueError("vector length mismatch")
-    if not u:
-        raise ValueError("empty vectors")
-    tag = u[0].tag
-    total = CompositionElement.zero(tag)
-    for ui, vi in zip(u, v):
-        total = total + multiply(ui, conj(vi))
-    return total
-
-
 def parse_unit(text, tag="O"):
     """Parse 'e3' or '-e3' into a basis element, for the CLI."""
     text = text.strip()

@@ -143,18 +143,6 @@ class ComplexGaussian:
         shifted.u[list(t_indices)] -= 1j * xi
         return shifted.marginalize(t_indices)
 
-    def restrict(self, fix_indices, values):
-        """Substitute fixed values for a coordinate block."""
-        fix = list(fix_indices)
-        keep = [i for i in range(self.dim) if i not in set(fix)]
-        vals = np.asarray(values, dtype=float)
-        A_kk = self.A[np.ix_(keep, keep)]
-        A_kf = self.A[np.ix_(keep, fix)]
-        A_ff = self.A[np.ix_(fix, fix)]
-        u2 = self.u[keep] - A_kf @ vals
-        v2 = self.v + self.u[fix] @ vals - 0.5 * vals @ A_ff @ vals
-        return ComplexGaussian(A_kk, u2, v2)
-
     def total_integral(self):
         """integral over R^dim, closed form."""
         n = self.dim

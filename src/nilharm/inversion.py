@@ -70,14 +70,18 @@ def group_multiply(alg, X, Y):
 
 
 def translation_matrix(alg, x):
-    """A_x with (r_x f)_1(Y) = f_1(A_x Y + X); unipotent, det 1."""
-    xs = list(_as_point(alg, x).coords)
-    dim = alg.dim
-    B = np.zeros((dim, dim))
-    for j, unit in enumerate(identity(dim)):
-        col = bracket(alg, unit, xs)
-        B[:, j] = [float(c) for c in col]
-    return np.eye(dim) + 0.5 * B
+    """A_x with (r_x f)_1(Y) = f_1(A_x Y + X); unipotent, det 1.
+
+    Column j is e_j + [e_j, X]/2, read off the sparse bracket rows of
+    b_j in float coordinates.
+    """
+    xs = _as_point(alg, x).float_coords()
+    B = np.zeros((alg.dim, alg.dim))
+    for j, row_j in enumerate(alg._rows):
+        for i, row in row_j.items():
+            for k, c in row:
+                B[k, j] += float(c) * xs[i]
+    return np.eye(alg.dim) + 0.5 * B
 
 
 def right_translate(alg, f, x):

@@ -15,7 +15,6 @@ Pf(M)^2 = det(M).
 import random
 from fractions import Fraction
 
-from . import linalg
 from .algebra import nilpotency_class
 from .polynomials import Poly
 

@@ -1,6 +1,7 @@
 """Structure constants, brackets, and the z + v bookkeeping."""
 
 import importlib
+import json
 import random
 from fractions import Fraction
 
@@ -8,8 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nilharm.algebra import (LieAlgebraData, ad_matrix, bracket, center,
-                             derived_subalgebra, from_json, jacobi_defect,
-                             nilpotency_class, subalgebra, to_json)
+                             derived_subalgebra, jacobi_defect,
+                             nilpotency_class, subalgebra)
 from nilharm.catalog import abelian, free_two_step, from_name, heisenberg, \
     octonion_double
 
@@ -17,6 +18,42 @@ from nilharm.catalog import abelian, free_two_step, from_name, heisenberg, \
 def rand_vec(rng, n):
     return [Fraction(rng.randint(-6, 6), rng.randint(1, 4))
             for _ in range(n)]
+
+
+def bracket_basis(alg, i, j):
+    """[b_i, b_j] as a coefficient vector, read off the dense table."""
+    if i > j:
+        return [-c for c in bracket_basis(alg, j, i)]
+    return list(alg.structure.get((i, j), [0] * alg.dim))
+
+
+def to_json(alg):
+    """JSON-ready dict: the bracket entries, rationals as "p/q"."""
+    doc = {
+        "dim": alg.dim,
+        "labels": list(alg.basis_labels),
+        "center": list(alg.center_indices),
+        "complement": list(alg.complement_indices),
+        "entries": [[i, j, k, str(Fraction(c))]
+                    for (i, j), row in alg.brackets().items() for k, c in row],
+    }
+    if alg.name:
+        doc["name"] = alg.name
+    if alg.meta:
+        doc["meta"] = alg.meta
+    return doc
+
+
+def from_json(doc):
+    return LieAlgebraData(
+        dim=doc["dim"],
+        basis_labels=doc["labels"],
+        entries=[(i, j, k, Fraction(c)) for i, j, k, c in doc["entries"]],
+        center_indices=doc["center"],
+        complement_indices=doc["complement"],
+        name=doc.get("name", ""),
+        meta=doc.get("meta"),
+    )
 
 
 def test_bracket_is_bilinear_and_antisymmetric():
@@ -42,16 +79,16 @@ def test_jacobi_holds_for_every_catalog_family():
 
 def test_jacobi_defect_detects_a_broken_table():
     # [x,y] = z and [x,z] = x: cyclic sum at (x,y,z) leaves -z over
-    structure = {(0, 1): [0, 0, 1], (0, 2): [1, 0, 0]}
-    alg = LieAlgebraData(3, ["x", "y", "z"], structure,
+    entries = [(0, 1, 2, 1), (0, 2, 0, 1)]
+    alg = LieAlgebraData(3, ["x", "y", "z"], entries,
                          center_indices=(), complement_indices=(0, 1, 2))
     assert jacobi_defect(alg) == 1
 
 
 def test_nilpotency_class_refuses_a_non_nilpotent_table():
     # the table above: C^2 = C^3 = span(x, z), so the series stalls
-    structure = {(0, 1): [0, 0, 1], (0, 2): [1, 0, 0]}
-    alg = LieAlgebraData(3, ["x", "y", "z"], structure,
+    entries = [(0, 1, 2, 1), (0, 2, 0, 1)]
+    alg = LieAlgebraData(3, ["x", "y", "z"], entries,
                          center_indices=(), complement_indices=(0, 1, 2))
     with pytest.raises(ValueError, match="not nilpotent"):
         nilpotency_class(alg)
@@ -87,16 +124,39 @@ def test_ad_matrix_columns_are_brackets():
         M = ad_matrix(alg, i)
         for j in range(alg.dim):
             col = [M[r][j] for r in range(alg.dim)]
-            assert col == alg.bracket_basis(i, j)
+            assert col == bracket_basis(alg, i, j)
+
+
+def test_integral_coefficients_are_ints_and_rational_ones_fractions():
+    # [a, b] = c/2 + (3/3) d, with a component that cancels
+    alg = LieAlgebraData(4, ["a", "b", "c", "d"],
+                         [(0, 1, 2, Fraction(1, 2)), (0, 1, 3, Fraction(3, 3)),
+                          (0, 1, 1, 1), (0, 1, 1, -1)],
+                         center_indices=(2, 3), complement_indices=(0, 1))
+    assert alg.bracket_row(0, 1) == ((2, Fraction(1, 2)), (3, 1))
+    assert [type(c) for _, c in alg.bracket_row(1, 0)] == [Fraction, int]
+    assert alg.structure == {(0, 1): (0, 0, Fraction(1, 2), 1)}
+    assert derived_subalgebra(alg) == [[0, 0, 1, 2]]
+
+
+def test_structure_is_read_only():
+    alg = heisenberg(1, "C")
+    with pytest.raises(TypeError):
+        alg.structure[(0, 1)] = (1, 0, 0)
+    with pytest.raises(AttributeError):
+        alg.structure = {}
 
 
 def test_structure_key_validation():
     with pytest.raises(ValueError):
-        LieAlgebraData(2, ["a", "b"], {(1, 0): [1, 0]},
+        LieAlgebraData(2, ["a", "b"], [(1, 0, 0, 1)],
                        center_indices=(1,), complement_indices=(0,))
     with pytest.raises(ValueError):
-        LieAlgebraData(2, ["a", "b"], {},
+        LieAlgebraData(2, ["a", "b"], [],
                        center_indices=(0,), complement_indices=(0, 1))
+    with pytest.raises(ValueError):
+        LieAlgebraData(2, ["a", "b"], [(0, 1, 2, 1)],
+                       center_indices=(1,), complement_indices=(0,))
 
 
 def test_subalgebra_closure_check():
@@ -110,11 +170,13 @@ def test_subalgebra_closure_check():
 
 def test_json_round_trip():
     alg = heisenberg(2, "C")
-    doc = to_json(alg)
+    doc = json.loads(json.dumps(to_json(alg)))
     back = from_json(doc)
     assert back.dim == alg.dim
     assert back.structure == alg.structure
+    assert back.brackets() == alg.brackets()
     assert back.center_indices == alg.center_indices
+    assert back.meta == alg.meta
     rng = random.Random(1)
     x, y = rand_vec(rng, alg.dim), rand_vec(rng, alg.dim)
     assert bracket(back, x, y) == bracket(alg, x, y)
@@ -217,5 +279,5 @@ def test_bracket_row_is_antisymmetric_and_sparse():
             row = alg.bracket_row(i, j)
             assert all(c != 0 for _, c in row)
             assert [(k, -c) for k, c in row] == list(alg.bracket_row(j, i))
-            dense = alg.bracket_basis(i, j)
+            dense = bracket_basis(alg, i, j)
             assert dict(row) == {k: c for k, c in enumerate(dense) if c}

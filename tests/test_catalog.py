@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from nilharm.algebra import jacobi_defect, nilpotency_class
+from nilharm import catalog
+from nilharm.algebra import LieAlgebraData, jacobi_defect, nilpotency_class
 from nilharm.catalog import (CatalogError, abelian, direct_sum, free_two_step,
                              from_name, get_entry, heisenberg, lambda_a,
                              list_entries, octonion_double)
@@ -42,7 +43,7 @@ def test_heisenberg_bracket_is_imaginary_part():
     # [x, y] = Im(x conj(y)) forces [e0, e1] = -e1 component in C
     alg = heisenberg(1, "C")
     v0, v1 = alg.complement_indices
-    vec = alg.bracket_basis(v0, v1)
+    vec = alg.structure[(v0, v1)]
     z = alg.center_indices[0]
     nonzero = [(k, c) for k, c in enumerate(vec) if c != 0]
     assert len(nonzero) == 1
@@ -98,6 +99,32 @@ def test_constructible_rows_build_two_step_algebras():
         alg = entry.build()
         assert jacobi_defect(alg) == 0
         assert nilpotency_class(alg) <= 2
+
+
+def dense_table(dim, entries):
+    """The dense table of a constructor's entries, built as the dense
+    constructors did: dim-length Fraction rows, repeated components
+    added, all-zero rows dropped."""
+    table = {}
+    for i, j, k, c in entries:
+        table.setdefault((i, j), [Fraction(0)] * dim)[k] += Fraction(c)
+    return {key: tuple(vec) for key, vec in table.items() if any(vec)}
+
+
+def test_rows_derive_the_constructor_table_and_hold_ints(monkeypatch):
+    made = []
+
+    def recording(**kwargs):
+        made.append(kwargs)
+        return LieAlgebraData(**kwargs)
+
+    monkeypatch.setattr(catalog, "LieAlgebraData", recording)
+    for entry in list_entries(constructible=True):
+        alg = entry.build()
+        assert made[-1]["dim"] == alg.dim
+        assert alg.structure == dense_table(alg.dim, made[-1]["entries"])
+        assert all(type(c) is int
+                   for row in alg.brackets().values() for _, c in row)
 
 
 def test_lambda_a_free_real_layout():

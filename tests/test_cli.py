@@ -240,6 +240,25 @@ def test_entry_point_process():
 
 
 @pytest.mark.parametrize("argv", [
+    ["catalog", "--json"],
+    ["invert", "heisenberg:1:C", "--points", "0,0,0"],
+    ["pfaffian", "heisenberg:1:H"],
+])
+def test_closed_stdout_exits_1_without_traceback(argv):
+    # the reader has gone before the first write, as in `... | true`
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        out = subprocess.run([sys.executable, "-m", "nilharm.cli"] + argv,
+                             stdout=write_end, stderr=subprocess.PIPE,
+                             text=True, timeout=60)
+    finally:
+        os.close(write_end)
+    assert out.returncode == 1
+    assert out.stderr == ""
+
+
+@pytest.mark.parametrize("argv", [
     ["pfaffian", "heisenberg:1:C", "--at", "1/0"],
     ["invert", "heisenberg:1:C", "--points", "1/0,0,0"],
     ["invert", "heisenberg:1:C", "--function", "gaussian:diag:1,1/0,1",

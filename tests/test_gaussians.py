@@ -193,16 +193,6 @@ def test_partial_fourier_equals_fourier_on_slice():
     assert abs(part.total_integral() - full) < 1e-12 * abs(full)
 
 
-def test_restrict_fixes_coordinates():
-    rng = np.random.default_rng(37)
-    g = ComplexGaussian(rand_spd(rng, 3), rng.normal(size=3), 0.0)
-    fixed = g.restrict([0, 2], [0.5, -0.3])
-    for t in (-1.0, 0.0, 2.0):
-        lhs = fixed.evaluate(np.array([[t]]))[0]
-        rhs = g.evaluate(np.array([[0.5, t, -0.3]]))[0]
-        assert abs(lhs - rhs) < 1e-13 * max(1.0, abs(rhs))
-
-
 def test_symmetry_validation():
     A = np.array([[1.0, 0.5], [0.4, 1.0]])
     with pytest.raises(ValueError):

@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 
 from nilharm import inversion, stepwise
-from nilharm.catalog import free_two_step, heisenberg
+from nilharm.algebra import bracket
+from nilharm.catalog import free_two_step, from_name, heisenberg
 from nilharm.config import DEFAULTS
-from nilharm.gaussians import GaussianTestFunction
+from nilharm.gaussians import ComplexGaussian, GaussianTestFunction
 from nilharm.inversion import (GroupPoint, factor_point, flat_constant,
                                flatness_identity_gap, group_multiply,
                                invert_flat, invert_stepwise,
@@ -44,6 +45,17 @@ def fourier_quadrature(g, xi, rtol=DEFAULTS["quad_rtol"],
     return value
 
 
+def restrict(g, fix_indices, values):
+    """g with fixed values substituted for a block of its coordinates."""
+    fix = list(fix_indices)
+    keep = [i for i in range(g.dim) if i not in set(fix)]
+    vals = np.asarray(values, dtype=float)
+    A_kf = g.A[np.ix_(keep, fix)]
+    A_ff = g.A[np.ix_(fix, fix)]
+    return ComplexGaussian(g.A[np.ix_(keep, keep)], g.u[keep] - A_kf @ vals,
+                           g.v + g.u[fix] @ vals - 0.5 * vals @ A_ff @ vals)
+
+
 def orbital_character_quadrature(alg, lam, g, rtol=DEFAULTS["quad_rtol"],
                                  max_evals=DEFAULTS["max_evals"]):
     """Quadrature cross-check of the character along the flat orbit."""
@@ -58,13 +70,24 @@ def orbital_character_quadrature(alg, lam, g, rtol=DEFAULTS["quad_rtol"],
     if not comp:
         return complex(ghat.evaluate(lam)) / flat_constant(alg)
     # integrate ghat over the affine slice v* + lam
-    fixed = ghat.restrict(cent, lam)
+    fixed = restrict(ghat, cent, lam)
     mean, sigma = fixed.envelope()
     value, _ = tensor_integrate(lambda grid: fixed.evaluate(grid.points()),
                                 mean, sigma, rtol=rtol, max_evals=max_evals)
     value *= (2 * math.pi) ** (-len(comp))
     c = flat_constant(alg)
     return complex(value) / (c * abs(pf_val))
+
+
+def test_restrict_fixes_coordinates():
+    rng = np.random.default_rng(37)
+    A = rng.normal(size=(3, 3))
+    g = ComplexGaussian(A @ A.T + 3 * np.eye(3), rng.normal(size=3), 0.0)
+    fixed = restrict(g, [0, 2], [0.5, -0.3])
+    for t in (-1.0, 0.0, 2.0):
+        lhs = fixed.evaluate(np.array([[t]]))[0]
+        rhs = g.evaluate(np.array([[0.5, t, -0.3]]))[0]
+        assert abs(lhs - rhs) < 1e-13 * max(1.0, abs(rhs))
 
 
 def rand_coords(rng, dim):
@@ -99,6 +122,23 @@ def test_translation_matrix_realizes_right_translation():
                + Fraction(x[i]) for i in range(alg.dim)]
         assert [float(a) for a in prod] == pytest.approx(
             [float(b) for b in lin])
+
+
+@pytest.mark.parametrize("name", ["heisenberg:1:C", "heisenberg:2:C",
+                                  "heisenberg:1:H", "heisenberg:1:O",
+                                  "free2step:3:R", "octdouble"])
+def test_translation_matrix_is_the_exact_bracket_in_floats(name):
+    # every entry of B is one +-1 structure constant times one
+    # coordinate, so reading the rows in floats loses nothing
+    alg = from_name(name)
+    rng = np.random.default_rng(54)
+    for x in (rand_coords(rng, alg.dim), list(rng.normal(size=alg.dim))):
+        B = np.zeros((alg.dim, alg.dim))
+        for j in range(alg.dim):
+            unit = [Fraction(int(i == j)) for i in range(alg.dim)]
+            B[:, j] = [float(c) for c in bracket(alg, unit, x)]
+        assert np.array_equal(translation_matrix(alg, x),
+                              np.eye(alg.dim) + 0.5 * B)
 
 
 def test_right_translate_pointwise():

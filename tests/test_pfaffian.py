@@ -313,8 +313,7 @@ def test_b_matrix_poly_substitutes_center_polynomials():
 
 def test_skew_forms_refuse_brackets_outside_the_designated_center():
     # [a, b] = c, but only d is designated central
-    structure = {(0, 1): [0, 0, 1, 0]}
-    alg = LieAlgebraData(4, ["a", "b", "c", "d"], structure,
+    alg = LieAlgebraData(4, ["a", "b", "c", "d"], [(0, 1, 2, 1)],
                          center_indices=(3,), complement_indices=(0, 1, 2))
     from nilharm.pfaffian import LinearFunctional
     with pytest.raises(ValueError, match="outside the designated center"):
