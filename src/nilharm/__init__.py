@@ -35,7 +35,9 @@ _LAZY = {
 
 def __getattr__(name):
     if name not in _LAZY:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        from .config import shown
+        raise AttributeError(f"module {shown(__name__)} has no attribute "
+                             f"{shown(name)}")
     value = getattr(importlib.import_module("." + _LAZY[name], __name__),
                     name)
     globals()[name] = value

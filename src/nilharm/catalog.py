@@ -15,6 +15,7 @@ from fractions import Fraction
 
 from . import composition
 from .algebra import LieAlgebraData
+from .config import read_number, shown
 
 HERMITIAN_CONVENTION = "<u,v> = sum_i u_i * conj(v_i)"
 
@@ -25,12 +26,6 @@ MAX_DIM = 64
 
 class CatalogError(ValueError):
     pass
-
-
-def shown(tok):
-    """tok quoted for a message, its middle cut out when it is long."""
-    tok = tok.strip()
-    return repr(tok if len(tok) <= 40 else f"{tok[:16]}...{tok[-16:]}")
 
 
 def _check_dim(dim, *name):
@@ -52,7 +47,8 @@ def heisenberg(n, F):
     if n <= 0:
         raise CatalogError("n must be positive")
     if F not in ("C", "H", "O"):
-        raise CatalogError(f"heisenberg is defined over C, H, O, not {F!r}")
+        raise CatalogError(
+            f"heisenberg is defined over C, H, O, not {shown(F)}")
     if F == "O" and n != 1:
         raise CatalogError("octonionic Heisenberg appears only with n = 1")
     d = {"C": 2, "H": 4, "O": 8}[F]
@@ -96,7 +92,8 @@ def free_two_step(n, F):
     if n < 2:
         raise CatalogError("free 2-step needs n >= 2")
     if F not in ("R", "C"):
-        raise CatalogError(f"free 2-step is defined over R and C, not {F!r}")
+        raise CatalogError(
+            f"free 2-step is defined over R and C, not {shown(F)}")
     _check_dim((n * (n - 1) // 2 + n) * (1 if F == "R" else 2),
                "free2step", n, F)
     pairs = [(p, q) for p in range(n) for q in range(p + 1, n)]
@@ -250,7 +247,8 @@ def lambda_a(alg, a):
         for val, unit in zip(a, (3, 6, 2)):
             coeffs[unit - 1] = Fraction(val)
         return coeffs
-    raise CatalogError(f"lambda_a is not defined for family {family!r}")
+    raise CatalogError(
+        f"lambda_a is not defined for family {shown(family)}")
 
 
 def _split_complex(val):
@@ -296,9 +294,9 @@ class CatalogEntry:
         params = dict(self.params)
         for key, val in overrides.items():
             if key not in params:
-                raise CatalogError(f"unknown parameter {key!r} for "
+                raise CatalogError(f"unknown parameter {shown(key)} for "
                                    f"table {self.table_id} row {self.row}")
-            params[key] = int(val)
+            params[key] = read_number(str(val), int)  # text or an int
         return self._builder(**params)
 
     def as_dict(self):
@@ -451,10 +449,12 @@ _ENTRIES = _make_entries()
 
 
 def get_entry(table_id, row):
+    """The entry of table table_id ('2.1' or '2.2') at the int row."""
     try:
-        return _ENTRIES[(str(table_id), int(row))]
+        return _ENTRIES[(str(table_id), row)]
     except KeyError:
-        raise CatalogError(f"no row {row} in table {table_id}") from None
+        raise CatalogError(f"no row {shown(row)} in table "
+                           f"{shown(table_id)}") from None
 
 
 def list_entries(table_id=None, constructible=None):
@@ -477,15 +477,15 @@ def from_name(name):
     family = parts[0]
     try:
         if family == "heisenberg" and len(parts) == 3:
-            return heisenberg(int(parts[1]), parts[2])
+            return heisenberg(read_number(parts[1], int), parts[2])
         if family == "free2step" and len(parts) == 3:
-            return free_two_step(int(parts[1]), parts[2])
+            return free_two_step(read_number(parts[1], int), parts[2])
         if family == "octdouble" and len(parts) == 1:
             return octonion_double()
         if family == "abelian" and len(parts) == 2:
-            return abelian(int(parts[1]))
+            return abelian(read_number(parts[1], int))
         if family == "table" and len(parts) >= 3:
-            entry = get_entry(parts[1], int(parts[2]))
+            entry = get_entry(parts[1], read_number(parts[2], int))
             overrides = {}
             for piece in parts[3:]:
                 key, _, val = piece.partition("=")

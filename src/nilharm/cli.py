@@ -10,15 +10,15 @@ import argparse
 import json
 import numbers
 import os
-import re
 import sys
 from fractions import Fraction
 
 from .algebra import derived_subalgebra, jacobi_defect, nilpotency_class
-from .catalog import CatalogError, from_name, list_entries, shown
+from .catalog import CatalogError, from_name, list_entries
 from .composition import CompositionElement, format_element, multiply, \
     parse_unit
-from .config import is_node_count, is_positive, load_config, quad_settings
+from .config import is_node_count, is_positive, load_config, \
+    quad_settings, read_number, shown
 from .pfaffian import is_square_integrable, pf_at, pf_polynomial
 from .stepwise import decompose, find_codim_split, verify
 
@@ -62,63 +62,13 @@ def _canon_json(payload):
     return json.dumps(conv(payload), sort_keys=True, indent=2)
 
 
-# Fraction expands a decimal exponent in full: "1e10000000" builds a
-# ten-million-digit integer, about 14 s.  Past this bound a number is
-# refused; 1e400 (past the float range) still parses exactly.
-MAX_DECIMAL_EXPONENT = 1000
-_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
-
-
-def _longest_run_past_limit(tok):
-    """The digit count of tok's longest part if int() would refuse it.
-
-    Fraction reads the integer part, the fractional part, the
-    denominator and the exponent of a number with one int() each, and
-    int() refuses a string of more digits than the interpreter's limit
-    (sys.get_int_max_str_digits, 4300 by default; 0 means no limit).
-    Returns 0 when every part is within the limit.
-    """
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if not limit or len(tok) <= limit:
-        return 0
-    longest = max(sum(ch.isdecimal() for ch in run)
-                  for run in re.split(r"[./eE]", tok))
-    return longest if longest > limit else 0
-
-
-def _too_many_digits(tok, run):
-    return (f"{shown(tok)} has a part of {run} digits; a number is read "
-            f"up to {sys.get_int_max_str_digits()} digits per part")
-
-
-def _fraction(tok):
-    """Fraction(tok), with a zero denominator, an exponent past
-    MAX_DECIMAL_EXPONENT or a part too long for int() reported as a
-    usage error."""
-    exp = _EXPONENT.search(tok)
-    if exp:
-        digits = exp.group(1).replace("_", "").lstrip("0") or "0"
-        # the length test first, so int() never reads a long string
-        if (len(digits) > len(str(MAX_DECIMAL_EXPONENT))
-                or int(digits) > MAX_DECIMAL_EXPONENT):
-            raise ValueError(f"the exponent of {shown(tok)} exceeds "
-                             f"{MAX_DECIMAL_EXPONENT} in magnitude")
-    run = _longest_run_past_limit(tok)
-    if run:
-        raise ValueError(_too_many_digits(tok, run))
-    try:
-        return Fraction(tok)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {shown(tok)}") from None
-
-
 def _exact_str(value):
     """str(value) for an exact result of any length.
 
     Python refuses int-to-string conversions past 4300 digits.  The
-    inputs are bounded (MAX_DECIMAL_EXPONENT, catalog.MAX_DIM), and the
-    longest Pfaffian value, heisenberg:15:H at 1e1000, has ~30 000
-    digits, so the limit is lifted for this one conversion.
+    inputs are bounded (config.MAX_DECIMAL_EXPONENT, catalog.MAX_DIM),
+    and the longest Pfaffian value, heisenberg:15:H at 1e1000, has
+    ~30 000 digits, so the limit is lifted for this one conversion.
     """
     if not hasattr(sys, "set_int_max_str_digits"):  # no limit before 3.10.7
         return str(value)
@@ -130,16 +80,9 @@ def _exact_str(value):
         sys.set_int_max_str_digits(limit)
 
 
-def _float(tok):
-    """float(_fraction(tok)), with a number past the float range refused."""
-    try:
-        return float(_fraction(tok))
-    except OverflowError:
-        raise ValueError(f"{shown(tok)} is too large for a float") from None
-
-
 def _parse_numbers(text):
-    return [_fraction(tok) for tok in text.split(",") if tok.strip()]
+    return [read_number(tok, Fraction) for tok in text.split(",")
+            if tok.strip()]
 
 
 # random:k draws k points before any of them runs; past this bound
@@ -149,16 +92,7 @@ MAX_POINTS = 1000
 
 def _parse_points(text, dim, seed):
     if text.startswith("random:"):
-        arg = text.split(":", 1)[1].strip()
-        if (_longest_run_past_limit(arg)
-                and re.fullmatch(r"\+?\d[\d_]*", arg)):
-            # a positive integer too long for int() is past MAX_POINTS
-            k = MAX_POINTS + 1
-        else:
-            try:
-                k = int(arg)
-            except ValueError:
-                k = 0
+        k = read_number(text.split(":", 1)[1], int)
         if k < 1:
             raise ValueError(f"--points {shown(text)}: random:k needs an "
                              "integer k >= 1")
@@ -173,31 +107,24 @@ def _parse_points(text, dim, seed):
         chunk = chunk.strip()
         if not chunk:
             continue
-        vals = [_float(tok) for tok in chunk.split(",")]
+        vals = [read_number(tok, float) for tok in chunk.split(",")]
         if len(vals) != dim:
             raise ValueError(f"point has {len(vals)} coordinates, "
                              f"algebra has dimension {dim}")
         points.append(vals)
     if not points:
-        raise ValueError(f"--points {text!r} gives no point")
+        raise ValueError(f"--points {shown(text)} gives no point")
     return points
 
 
-def _checked_type(parse, accepts, what):
-    """An argparse type: parse the text, then refuse what accepts rejects.
-
-    A text that parse refuses for a part past int()'s digit limit is
-    reported as such, not as malformed.
-    """
+def _checked_type(kind, accepts, what):
+    """An argparse type: read_number(text, kind), then refuse what
+    accepts rejects."""
     def convert(text):
         try:
-            value = parse(text)
-        except ValueError:
-            run = _longest_run_past_limit(text)
-            if run:
-                raise argparse.ArgumentTypeError(
-                    _too_many_digits(text, run)) from None
-            value = None
+            value = read_number(text, kind, what)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
         if not accepts(value):
             raise argparse.ArgumentTypeError(f"{shown(text)} is not {what}")
         return value
@@ -210,11 +137,12 @@ def _parse_function(spec, dim):
     if spec is None or spec == "gaussian":
         return GaussianTestFunction.standard(dim)
     if spec.startswith("gaussian:diag:"):
-        diag = [_float(t) for t in spec.split(":", 2)[2].split(",")]
+        diag = [read_number(t, float)
+                for t in spec.split(":", 2)[2].split(",")]
         if len(diag) != dim:
             raise ValueError(f"diagonal has {len(diag)} entries, need {dim}")
         return GaussianTestFunction(np.diag(diag), np.zeros(dim))
-    raise ValueError(f"unknown function spec {spec!r}; "
+    raise ValueError(f"unknown function spec {shown(spec)}; "
                      "use gaussian or gaussian:diag:q1,...,qn")
 
 
@@ -397,8 +325,8 @@ def _cmd_selftest(args, cfg):
         usage = (f"--only {shown(args.only)}: criteria are numbered "
                  f"{min(selftest.CRITERIA)}-{max(selftest.CRITERIA)}")
         try:
-            only = {int(t) for t in args.only.split(",")}
-        except ValueError:  # not an integer, or past int()'s digit limit
+            only = {read_number(t, int) for t in args.only.split(",")}
+        except ValueError:
             raise ValueError(usage) from None
         if not only <= set(selftest.CRITERIA):
             raise ValueError(usage)
@@ -458,7 +386,7 @@ def build_parser():
 
     p = add_parser("decompose", help="stepwise split for a case")
     p.add_argument("case", help="case1, case6, or case3")
-    p.add_argument("--n", type=_checked_type(int, lambda n: n is not None,
+    p.add_argument("--n", type=_checked_type(int, lambda n: True,
                                              "an integer"),
                    help="generator count for case1/case6")
     p.add_argument("--verify", action="store_true",

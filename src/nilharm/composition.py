@@ -11,6 +11,8 @@ against the generating rules; everything downstream reads it only.
 
 from fractions import Fraction
 
+from .config import read_number, shown
+
 # positively oriented: each (a,b,c) means ea*eb = ec, cyclically
 TRIPLES = ((1, 2, 3), (3, 5, 6), (6, 7, 1), (1, 4, 5),
            (3, 4, 7), (6, 4, 2), (2, 5, 7))
@@ -73,7 +75,7 @@ class CompositionElement:
 
     def __init__(self, tag, coeffs):
         if tag not in _TAG_DIM:
-            raise ValueError(f"unknown algebra tag {tag!r}")
+            raise ValueError(f"unknown algebra tag {shown(tag)}")
         dim = _TAG_DIM[tag]
         coeffs = tuple(Fraction(c) for c in coeffs)
         if len(coeffs) != dim:
@@ -89,7 +91,7 @@ class CompositionElement:
     def basis(cls, tag, j):
         dim = _TAG_DIM[tag]
         if not 0 <= j < dim:
-            raise ValueError(f"e{j} not in {tag}")
+            raise ValueError(f"{shown(f'e{j}')} not in {tag}")
         coeffs = [0] * dim
         coeffs[j] = 1
         return cls(tag, coeffs)
@@ -174,8 +176,8 @@ def parse_unit(text, tag="O"):
         sign = -1
         text = text[1:]
     if not text.startswith("e") or not text[1:].isdigit():
-        raise ValueError(f"cannot parse basis unit {text!r}")
-    el = CompositionElement.basis(tag, int(text[1:]))
+        raise ValueError(f"cannot parse basis unit {shown(text)}")
+    el = CompositionElement.basis(tag, read_number(text[1:], int))
     return el if sign == 1 else -el
 
 

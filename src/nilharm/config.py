@@ -1,11 +1,17 @@
-"""Tolerance and quadrature defaults, with key=value file overrides.
+"""Tolerance and quadrature defaults, with key=value file overrides,
+and the one reader of numbers given as text.
 
 Every report echoes the effective configuration so runs are
-reproducible from their own output.
+reproducible from their own output.  Every number read from argv, an
+algebra name, a config file or NILHARM_SEED goes through read_number,
+which bounds the token before it parses it.
 """
 
 import math
 import os
+import re
+import sys
+from fractions import Fraction
 
 DEFAULTS = {
     "quad_rtol": 1e-8,
@@ -16,6 +22,58 @@ DEFAULTS = {
     "stepwise_rtol": 1e-3,
     "seed": 0,
 }
+
+
+# Fraction expands a decimal exponent in full: "1e10000000" builds a
+# ten-million-digit integer, about 14 s.  Past this bound a number is
+# refused; 1e400 (past the float range) still parses exactly.
+MAX_DECIMAL_EXPONENT = 1000
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
+
+
+def shown(tok):
+    """tok quoted for a message, its middle cut out when it is long."""
+    tok = str(tok).strip()
+    return repr(tok if len(tok) <= 40 else f"{tok[:16]}...{tok[-16:]}")
+
+
+def read_number(tok, kind, what=None):
+    """The text tok read as kind: int, Fraction or float.
+
+    Before any parse, a decimal exponent past MAX_DECIMAL_EXPONENT and
+    a part longer than int() reads are refused: Fraction reads the
+    integer part, the fractional part, the denominator and the exponent
+    with one int() each, and int() refuses more digits than
+    sys.get_int_max_str_digits() (4300 by default; 0 means no limit).
+    A float is float(Fraction(tok)), the double float(tok) gives for
+    decimal text.  Every refusal is a ValueError that names tok through
+    shown; what names the expected value when tok is not a number.
+    """
+    exp = _EXPONENT.search(tok)
+    if exp:
+        digits = exp.group(1).replace("_", "").lstrip("0") or "0"
+        # the length test first, so int() never reads a long string
+        if (len(digits) > len(str(MAX_DECIMAL_EXPONENT))
+                or int(digits) > MAX_DECIMAL_EXPONENT):
+            raise ValueError(f"the exponent of {shown(tok)} exceeds "
+                             f"{MAX_DECIMAL_EXPONENT} in magnitude")
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and len(tok) > limit:
+        run = max(sum(ch.isdecimal() for ch in part)
+                  for part in re.split(r"[./eE]", tok))
+        if run > limit:
+            raise ValueError(f"{shown(tok)} has a part of {run} digits; a "
+                             f"number is read up to {limit} digits per part")
+    try:
+        value = int(tok) if kind is int else Fraction(tok)
+        return float(value) if kind is float else value
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {shown(tok)}") from None
+    except OverflowError:
+        raise ValueError(f"{shown(tok)} is too large for a float") from None
+    except ValueError:
+        what = what or ("an integer" if kind is int else "a number")
+        raise ValueError(f"{shown(tok)} is not {what}") from None
 
 
 def _is_int(value):
@@ -42,22 +100,22 @@ _RULES = {"quad_rtol": _POSITIVE, "flat_rtol": _POSITIVE,
           "seed": (_is_int, "an integer")}
 
 
-def _checked(key, value, where):
-    accepts, what = _RULES[key]
-    if not accepts(value):
-        raise ValueError(f"{where}: {key} must be {what}, got {value!r}")
-    return value
-
-
 def _parse_value(text):
     # a number where the text is one; anything else fails _checked
-    text = text.strip()
     for kind in (int, float):
         try:
-            return kind(text)
+            return read_number(text, kind)
         except ValueError:
             pass
     return text
+
+
+def _checked(key, text, where):
+    accepts, what = _RULES[key]
+    value = _parse_value(text)
+    if not accepts(value):
+        raise ValueError(f"{where}: {key} must be {what}, got {shown(text)}")
+    return value
 
 
 def load_config(path=None):
@@ -69,7 +127,7 @@ def load_config(path=None):
     cfg = dict(DEFAULTS)
     env_seed = os.environ.get("NILHARM_SEED")
     if env_seed is not None:
-        cfg["seed"] = _checked("seed", _parse_value(env_seed), "NILHARM_SEED")
+        cfg["seed"] = _checked("seed", env_seed, "NILHARM_SEED")
     if path:
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, 1):
@@ -82,9 +140,9 @@ def load_config(path=None):
                 key, _, val = line.partition("=")
                 key = key.strip()
                 if key not in DEFAULTS:
-                    raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-                cfg[key] = _checked(key, _parse_value(val),
-                                    f"{path}:{lineno}")
+                    raise ValueError(
+                        f"{path}:{lineno}: unknown key {shown(key)}")
+                cfg[key] = _checked(key, val, f"{path}:{lineno}")
     return cfg
 
 

@@ -8,6 +8,7 @@ split is verified by exact arithmetic, never assumed.
 
 from .algebra import subalgebra
 from .catalog import free_two_step, octonion_double
+from .config import shown
 from .pfaffian import is_square_integrable
 
 
@@ -112,7 +113,7 @@ def decompose(case_tag, n=None):
         alg = octonion_double()
         dropped = alg.complement_indices[-1:]
     else:
-        raise ValueError(f"unsupported case tag {case_tag!r}; "
+        raise ValueError(f"unsupported case tag {shown(case_tag)}; "
                          "expected case1, case6, or case3")
     l2 = set(dropped)
     l1 = [i for i in range(alg.dim) if i not in l2]

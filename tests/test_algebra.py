@@ -85,6 +85,40 @@ def test_jacobi_defect_detects_a_broken_table():
     assert jacobi_defect(alg) == 1
 
 
+def jacobi_defect_all_triples(alg):
+    """The defect over every basis triple, from the dense bracket: the
+    oracle of the visit of triples through a nonzero bracket only."""
+    def e(m):
+        return [int(t == m) for t in range(alg.dim)]
+    worst = 0
+    for i in range(alg.dim):
+        for j in range(i + 1, alg.dim):
+            for k in range(j + 1, alg.dim):
+                terms = [bracket(alg, bracket(alg, e(p), e(q)), e(r))
+                         for p, q, r in ((i, j, k), (j, k, i), (k, i, j))]
+                worst = max([worst, *(abs(sum(c)) for c in zip(*terms))])
+    return worst
+
+
+def test_jacobi_defect_matches_the_all_triples_loop():
+    broken = LieAlgebraData(3, ["x", "y", "z"], [(0, 1, 2, 1), (0, 2, 0, 1)],
+                            center_indices=(), complement_indices=(0, 1, 2))
+    tables = [broken]
+    # the defect is a maximum, so a triple left out shows on some
+    # tables only: ten sparse random integer tables
+    for seed in range(10):
+        rng = random.Random(seed)
+        n = 6
+        entries = [(i, j, rng.randrange(n), rng.choice((-2, -1, 1, 2)))
+                   for i in range(n) for j in range(i + 1, n)
+                   if rng.random() < 0.3]
+        tables.append(LieAlgebraData(n, [f"b{t}" for t in range(n)],
+                                     entries, center_indices=(),
+                                     complement_indices=range(n)))
+    for alg in tables:
+        assert jacobi_defect(alg) == jacobi_defect_all_triples(alg)
+
+
 def test_nilpotency_class_refuses_a_non_nilpotent_table():
     # the table above: C^2 = C^3 = span(x, z), so the series stalls
     entries = [(0, 1, 2, 1), (0, 2, 0, 1)]

@@ -12,7 +12,8 @@ import pytest
 
 import nilharm
 from nilharm import selftest
-from nilharm.cli import MAX_DECIMAL_EXPONENT, _canon_json, build_parser, run
+from nilharm.cli import _canon_json, build_parser, run
+from nilharm.config import DEFAULTS, MAX_DECIMAL_EXPONENT
 
 
 def invoke(argv):
@@ -120,16 +121,21 @@ def run_cli(argv, env=None):
     "start_nodes = 3", "start_nodes = -2", "seed = 1.5", "seed = true",
     "quad_rtol = -1e-8", "flat_rtol = 0", "stepwise_rtol = nan",
     "truncation_sigmas = inf", "truncation_sigmas = many",
+    "seed = " + "7" * 5000, "quad_rtol = 1e10000000", "x" * 5000 + " = 1",
 ])
 def test_bad_config_value_is_usage_error(tmp_path, line):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(line + "\n")
+    env = dict(os.environ, PYTHONINTMAXSTRDIGITS="4300")
     out = run_cli(["--config", str(cfg), "invert", "heisenberg:1:C",
-                   "--points", "0.1,0,0"])
+                   "--points", "0.1,0,0"], env=env)
     assert out.returncode == 2
     key = line.split("=")[0].strip()
-    assert out.stderr.startswith(f"config error: {cfg}:1: {key} must be")
+    want = f"{key} must be" if key in DEFAULTS else "unknown key '"
+    assert out.stderr.startswith(f"config error: {cfg}:1: {want}")
     assert "Traceback" not in out.stderr
+    assert "Exceeds the limit" not in out.stderr
+    assert len(out.stderr) < 250  # the echoed token is cut short
 
 
 def test_good_config_values_load(tmp_path):
@@ -320,6 +326,7 @@ def test_exact_value_conversion_restores_the_digit_limit():
 
 # past the interpreter's default int-string limit of 4300 digits
 LONG = "7" * 5000
+XLONG = "x" * 5000
 SHORT_LONG = "'7777777777777777...7777777777777777'"
 
 
@@ -333,7 +340,7 @@ SHORT_LONG = "'7777777777777777...7777777777777777'"
     (["orbit", "free2step:3:R", "--coeffs", f"1/{LONG},0,0"],
      "has a part of 5000 digits"),
     (["invert", "heisenberg:1:C", f"--points=random:{LONG}"],
-     "random:k takes at most 1000 points"),
+     f"{SHORT_LONG} has a part of 5000 digits"),
     (["selftest", "--only", LONG],
      f"--only {SHORT_LONG}: criteria are numbered 1-9"),
 ], ids=["at", "at-fraction-digits", "points", "coeffs-denominator",
@@ -356,7 +363,7 @@ def test_long_mantissa_is_a_usage_error(argv, message):
     (["invert", "heisenberg:1:C", "--nodes", LONG],
      f"argument --nodes: {SHORT_LONG} has a part of 5000 digits"),
     (["invert", "heisenberg:1:C", "--tol", LONG],
-     f"argument --tol: {SHORT_LONG} is not a positive finite number"),
+     f"argument --tol: {SHORT_LONG} has a part of 5000 digits"),
     # parses (3001 < 4300 digits), but the dimension has ~6000 digits
     (["decompose", "case1", "--n", "7" * 3001],
      "free2step has dimension > 10^12; constructed algebras are capped "
@@ -365,8 +372,19 @@ def test_long_mantissa_is_a_usage_error(argv, message):
      "free2step has dimension > 10^12"),
     (["classify", "heisenberg:" + "7" * 3001 + ":C"],
      "heisenberg has dimension > 10^12"),
+    # every other token a message names is cut short as well
+    (["check", f"table:2.2:1:{XLONG}=3"], "unknown parameter 'xxx"),
+    (["check", f"table:{XLONG}:1"], "no row '1' in table 'xxx"),
+    (["decompose", XLONG], "unsupported case tag 'xxx"),
+    (["invert", "heisenberg:1:C", "--points=0,0,0", f"--function={XLONG}"],
+     "unknown function spec 'xxx"),
+    (["invert", "heisenberg:1:C", "--points", ";" * 5000],
+     "--points ';;;;;;;;;;;;;;;;...;;;;;;;;;;;;;;;;' gives no point"),
+    (["octonion", "mul", f"e{LONG}", "e1"],
+     f"{SHORT_LONG} has a part of 5000 digits"),
 ], ids=["n", "nodes", "tol", "n-dimension", "n-dimension-case6",
-        "heisenberg-dimension"])
+        "heisenberg-dimension", "table-parameter", "table-id", "case-tag",
+        "function-spec", "points-separators", "octonion-unit"])
 def test_long_option_tokens_are_cut_short(argv, message):
     env = dict(os.environ, PYTHONINTMAXSTRDIGITS="4300")
     out = run_cli(argv, env=env)
@@ -375,6 +393,8 @@ def test_long_option_tokens_are_cut_short(argv, message):
     assert "Exceeds the limit" not in out.stderr
     assert "Traceback" not in out.stderr
     assert "7" * 40 not in out.stderr  # no token echoed in full
+    # argparse prints its usage lines first; the message is the last line
+    assert len(out.stderr.splitlines()[-1]) < 250
 
 
 @pytest.mark.parametrize("name", ["heisenberg:" + "7" * 5000 + ":C",
