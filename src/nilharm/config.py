@@ -86,9 +86,8 @@ def is_positive(value):
 
 
 def is_node_count(value):
-    """Positive and even: any odd symmetric rule (Gauss-Hermite or
-    Gauss-Legendre) puts a node on the envelope centre, where
-    Pf(lambda) can vanish."""
+    """Positive and even: an odd symmetric Gauss-Hermite rule puts a
+    node on the envelope centre, where Pf(lambda) can vanish."""
     return _is_int(value) and value > 0 and value % 2 == 0
 
 
@@ -129,20 +128,23 @@ def load_config(path=None):
     if env_seed is not None:
         cfg["seed"] = _checked("seed", env_seed, "NILHARM_SEED")
     if path:
-        with open(path, "r", encoding="utf-8") as fh:
+        try:
+            fh = open(path, "r", encoding="utf-8")
+        except OSError as exc:
+            raise ValueError(f"{shown(path)}: {exc.strerror}") from None
+        with fh:
             for lineno, raw in enumerate(fh, 1):
+                where = f"{shown(path)}:{lineno}"
                 line = raw.split("#", 1)[0].strip()
                 if not line:
                     continue
                 if "=" not in line:
-                    raise ValueError(
-                        f"{path}:{lineno}: expected key = value")
+                    raise ValueError(f"{where}: expected key = value")
                 key, _, val = line.partition("=")
                 key = key.strip()
                 if key not in DEFAULTS:
-                    raise ValueError(
-                        f"{path}:{lineno}: unknown key {shown(key)}")
-                cfg[key] = _checked(key, val, f"{path}:{lineno}")
+                    raise ValueError(f"{where}: unknown key {shown(key)}")
+                cfg[key] = _checked(key, val, where)
     return cfg
 
 

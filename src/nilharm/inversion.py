@@ -25,7 +25,6 @@ import numpy as np
 
 from .algebra import bracket
 from .config import DEFAULTS, quad_settings
-from .linalg import identity
 from .pfaffian import is_square_integrable, pf_polynomial
 from .quadrature import tensor_integrate
 from .stepwise import decompose
@@ -238,13 +237,9 @@ def _joint_gaussian(dec, f, x):
     z1_global = [l1[i] for i in dec.l1_subalgebra().center_indices]
     z1 = len(z1_global)
     x1, x2 = factor_point(alg, dec, x)
-    M = np.zeros((alg.dim, z1 + len(l2)))
-    M[z1_global, range(z1)] = 1.0
-    units = identity(alg.dim)
-    for k, gt in enumerate(l2):
-        col = bracket(alg, list(x1.coords), units[gt])
-        M[:, z1 + k] = [float(c) * 0.5 for c in col]
-        M[gt, z1 + k] += 1.0
+    # columns e_j + [X1, e_j]/2 of A_{-x1}; [X1, Z] = 0 on z1
+    M = translation_matrix(alg, [-c for c in x1.coords])
+    M = M[:, z1_global + list(l2)]
     X2 = np.array([float(x2.coords[i]) for i in l2])
     return f.lift().pullback(M, x1.float_coords()), z1, X2
 
@@ -331,10 +326,12 @@ def flatness_identity_gap(alg, f, x):
 def orbit_space_quadrature_check(alg, seed=0):
     """Two independent quadratures of integral h(|lam|)|Pf(lam)| dlam.
 
-    h(r) = exp(-r^2/2), once on the cube [-8, 8]^3 in z* and once as
-    the radial profile 4 pi r^2 h(r)|Pf(r e1)| on [0, 8].  Requires
-    dim z* = 3; the Pfaffian factor is sampled under random rotations
-    and the check refuses if it is not radial.
+    h(r) = exp(-r^2/2), once over z* in Cartesian coordinates and once
+    as the radial profile 4 pi r^2 h(r)|Pf(r e1)| over r >= 0, both by
+    Gauss-Hermite matched to h.  Requires dim z* = 3; the Pfaffian
+    factor is sampled under random rotations and the check refuses if
+    it is not radial.  A radial |Pf| makes the profile even in r, so
+    its integral over r >= 0 is half the one over the line.
     """
     zdim = len(alg.center_indices)
     if zdim != 3:
@@ -356,9 +353,7 @@ def orbit_space_quadrature_check(alg, seed=0):
                                                    sparse=True)))
         return h(r) * np.abs(pf.evaluate_grid(grid.axes))
 
-    radius = 8.0
-    value_cart, cart_info = tensor_integrate(
-        cart, np.zeros(3), np.ones(3), sigmas_out=radius)
+    value_cart, cart_info = tensor_integrate(cart, np.zeros(3), np.ones(3))
 
     def radial(grid):
         rs = grid.axes[0]
@@ -367,9 +362,8 @@ def orbit_space_quadrature_check(alg, seed=0):
         return 4.0 * math.pi * rs * rs * h(rs) * np.abs(
             pf.evaluate_float(on_axis))
 
-    # the one-axis box [R/2 - R/2, R/2 + R/2] = [0, R]
-    value_rad, rad_info = tensor_integrate(
-        radial, [radius / 2], [radius / 2], sigmas_out=1.0, start=16)
+    value_rad, rad_info = tensor_integrate(radial, [0.0], [1.0])
+    value_rad = value_rad / 2
 
     scale = max(abs(value_cart), abs(value_rad), 1e-300)
     return {

@@ -13,7 +13,7 @@ import pytest
 import nilharm
 from nilharm import selftest
 from nilharm.cli import _canon_json, build_parser, run
-from nilharm.config import DEFAULTS, MAX_DECIMAL_EXPONENT
+from nilharm.config import DEFAULTS, MAX_DECIMAL_EXPONENT, shown
 
 
 def invoke(argv):
@@ -132,10 +132,27 @@ def test_bad_config_value_is_usage_error(tmp_path, line):
     assert out.returncode == 2
     key = line.split("=")[0].strip()
     want = f"{key} must be" if key in DEFAULTS else "unknown key '"
-    assert out.stderr.startswith(f"config error: {cfg}:1: {want}")
+    assert out.stderr.startswith(f"config error: {shown(cfg)}:1: {want}")
     assert "Traceback" not in out.stderr
     assert "Exceeds the limit" not in out.stderr
     assert len(out.stderr) < 250  # the echoed token is cut short
+
+
+@pytest.mark.parametrize("name, line, want", [
+    ("bad.cfg", "seed = 1.5", ":1: seed must be an integer"),
+    ("missing.cfg", None, ": No such file or directory"),
+    ("x" * 5000, None, ": File name too long"),
+], ids=["bad-line", "missing", "name-too-long"])
+def test_long_config_path_is_quoted_short(tmp_path, name, line, want):
+    # a 3000-character path to the file: "/." repeated names tmp_path
+    cfg = str(tmp_path) + "/." * 1500 + "/" + name
+    if line:
+        (tmp_path / name).write_text(line + "\n")
+    out = run_cli(["--config", cfg, "check", "abelian:2"])
+    assert out.returncode == 2
+    assert out.stderr.startswith(f"config error: {shown(cfg)}{want}")
+    assert "Traceback" not in out.stderr
+    assert len(out.stderr) < 250
 
 
 def test_good_config_values_load(tmp_path):

@@ -345,6 +345,42 @@ def test_stepwise_inner_gaussian_against_the_per_frequency_chain(
         assert abs(value - want) <= 1e-12 * abs(want)
 
 
+def joint_gaussian_by_exact_brackets(dec, f, x):
+    """_joint_gaussian with each l2 column e_t + [X1, e_t]/2 bracketed
+    exactly against a unit vector (oracle)."""
+    alg, l1, l2 = dec.algebra, dec.l1_indices, dec.l2_indices
+    z1_global = [l1[i] for i in dec.l1_subalgebra().center_indices]
+    z1 = len(z1_global)
+    x1, x2 = factor_point(alg, dec, x)
+    M = np.zeros((alg.dim, z1 + len(l2)))
+    M[z1_global, range(z1)] = 1.0
+    for k, gt in enumerate(l2):
+        unit = [Fraction(int(i == gt)) for i in range(alg.dim)]
+        col = bracket(alg, list(x1.coords), unit)
+        M[:, z1 + k] = [float(c) * 0.5 for c in col]
+        M[gt, z1 + k] += 1.0
+    X2 = np.array([float(x2.coords[i]) for i in l2])
+    return f.lift().pullback(M, x1.float_coords()), z1, X2
+
+
+@pytest.mark.parametrize("case", ["case1", "case3", "case6"])
+def test_joint_gaussian_matches_the_exact_bracket_columns(case):
+    dec = decompose(case)
+    dim = dec.algebra.dim
+    rng = np.random.default_rng(58)
+    A = rng.normal(size=(dim, dim))
+    f = GaussianTestFunction(A @ A.T + dim * np.eye(dim),
+                             rng.normal(size=dim))
+    for k in range(20):
+        x = (list(rng.normal(size=dim)) if k % 2
+             else rand_coords(rng, dim))
+        got, z1, X2 = inversion._joint_gaussian(dec, f, x)
+        want, z1_want, X2_want = joint_gaussian_by_exact_brackets(dec, f, x)
+        assert z1 == z1_want and np.array_equal(X2, X2_want)
+        assert np.array_equal(got.A, want.A)
+        assert np.array_equal(got.u, want.u) and got.v == want.v
+
+
 def test_invert_stepwise_builds_each_case_once(monkeypatch):
     built = []
     octonion_double = stepwise.octonion_double
@@ -383,8 +419,13 @@ def test_orbit_space_quadrature_check_quaternionic():
     alg = heisenberg(1, "H")
     out = orbit_space_quadrature_check(alg, seed=0)
     assert out["rel_diff"] < 1e-6
-    assert out["value_cartesian"] > 0
-    assert (out["cartesian_nodes"], out["radial_nodes"]) == (262144, 32)
+    # |Pf(lam)| = |lam|^2, so each route is 4 pi * 3 sqrt(2 pi) / 2
+    exact = 3 * (2 * math.pi) ** 1.5
+    assert abs(out["value_cartesian"] - exact) <= 1e-13 * exact
+    assert abs(out["value_radial"] - exact) <= 1e-13 * exact
+    # Gauss-Hermite matched to h is exact on both: 8 and 16 nodes per
+    # axis agree, so each route stops on its second level
+    assert (out["cartesian_nodes"], out["radial_nodes"]) == (4096, 16)
 
 
 def test_orbit_space_check_needs_three_dim_center():
