@@ -6,8 +6,8 @@ integrability, builds verified stepwise splits, and validates the
 Fourier inversion formulas numerically.
 
 The exact core (pure Python) is imported with the package; the numeric
-layers (gaussians, inversion, orbits), and numpy with them, load on
-first access to one of their names.
+layers (gaussians, inversion, orbits) load on first access to one of
+their names, and numpy with them (with orbits, on its float routes).
 """
 
 import importlib

@@ -221,9 +221,9 @@ def _cmd_classify(args, cfg):
 
 
 def _cmd_orbit(args, cfg):
-    from .orbits import orbit_representative
     alg = from_name(args.algebra)
     coeffs = _parse_numbers(args.coeffs)
+    from .orbits import orbit_representative
     rep = orbit_representative(alg, coeffs)
     invariants = [list(v) if isinstance(v, tuple) else v
                   for v in rep.invariants]

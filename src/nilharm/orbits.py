@@ -7,14 +7,13 @@ invariants are the paired singular values with the residual
 determinant phase folded into the last entry.  Case 3 (octonion
 double): only functionals supported on the (e3, e6, e2) coordinates
 are in implemented normal-form reach; their l1 split drops (0, e3),
-on which Pf(lambda_a) = +-a1*(a1^2 + a2^2 + a3^2).
+on which Pf(lambda_a) = +-a1*(a1^2 + a2^2 + a3^2).  Only the float
+routes (skew_spectrum, wedge_matrix and case 6) import numpy.
 """
 
 import cmath
 import math
 from fractions import Fraction
-
-import numpy as np
 
 from .linalg import frac_matrix, rank
 from .pfaffian import (LinearFunctional, _pfaffian_expansion, b_matrix,
@@ -30,6 +29,7 @@ def skew_spectrum(M):
     The eigenvalues of M are {+-i a_j} plus zeros; i*M is hermitian,
     which is what actually gets diagonalized.
     """
+    import numpy as np
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("skew_spectrum needs a square matrix")
@@ -59,46 +59,41 @@ class DarbouxBasis:
 
 
 def darboux_basis(M):
-    """Symplectic Gram-Schmidt over Q for an exact skew matrix."""
+    """Symplectic Gram-Schmidt over Q for an exact skew matrix.
+
+    The first pair (a, b) of remaining vectors with s = G[a][b] != 0
+    leaves the basis as (u, v); every other w becomes
+    w - G[w][b]/s * u + G[w][a]/s * v.  G, the Gram matrix of the
+    remaining vectors under M, takes the matching rank-2 update
+    G[p][q] + (G[p][b] G[q][a] - G[p][a] G[q][b]) / s instead of being
+    re-evaluated, so the cost is O(n^3), not O(n^5).
+    """
     M = frac_matrix(M)
     n = len(M)
     for i in range(n):
         if M[i][i] != 0 or any(M[i][j] != -M[j][i] for j in range(n)):
             raise ValueError("darboux_basis needs an exact skew matrix")
-
-    def form(x, y):
-        return sum((x[i] * M[i][j] * y[j]
-                    for i in range(n) for j in range(n) if M[i][j] != 0),
-                   Fraction(0))
-
     remaining = [[Fraction(1) if j == i else Fraction(0) for j in range(n)]
                  for i in range(n)]
-    pairs = []
-    values = []
+    gram, pairs, values = M, [], []
     while True:
-        found = None
-        for a in range(len(remaining)):
-            for b in range(a + 1, len(remaining)):
-                if form(remaining[a], remaining[b]) != 0:
-                    found = (a, b)
-                    break
-            if found:
-                break
-        if not found:
+        m = len(remaining)
+        found = next(((a, b) for a in range(m) for b in range(a + 1, m)
+                      if gram[a][b] != 0), None)
+        if found is None:
             break
         a, b = found
         u, v = remaining[a], remaining[b]
-        s = form(u, v)
+        s = gram[a][b]
         pairs.extend([u, v])
         values.append(s)
-        reduced = []
-        for k, w in enumerate(remaining):
-            if k in (a, b):
-                continue
-            cu = form(w, v) / s
-            cv = form(w, u) / s
-            reduced.append([w[t] - cu * u[t] + cv * v[t] for t in range(n)])
-        remaining = reduced
+        keep = [k for k in range(m) if k not in found]
+        cu = {k: gram[k][b] / s for k in keep}
+        cv = {k: gram[k][a] / s for k in keep}
+        remaining = [[w - cu[k] * x + cv[k] * y
+                      for w, x, y in zip(remaining[k], u, v)] for k in keep]
+        gram = [[gram[p][q] + s * (cu[p] * cv[q] - cv[p] * cu[q])
+                 for q in keep] for p in keep]
     return DarbouxBasis(pairs + remaining, values, len(remaining))
 
 
@@ -119,6 +114,7 @@ class OrbitRepresentative:
 
 def wedge_matrix(alg, coeffs):
     """Functional on Lambda^2 F^n as an n x n skew matrix over R or C."""
+    import numpy as np
     family = alg.meta.get("family")
     if family != "free2step":
         raise ValueError("wedge_matrix needs a free 2-step algebra")
@@ -159,6 +155,7 @@ def orbit_representative(alg, coeffs):
 
 
 def _case6_representative(alg, coeffs):
+    import numpy as np
     M = wedge_matrix(alg, coeffs)
     n = M.shape[0]
     H = M @ M.conj().T

@@ -1,17 +1,22 @@
 """Skew forms b_lambda, exact Pfaffians, and square integrability.
 
 b_lambda(x, y) = lambda([x, y]) on the complement v of the designated
-center.  One Pfaffian serves every ring: cofactor expansion along the
-first index, memoized on index tuples, reading only the strict upper
-triangle.  Entries need only *, +, - and a zero test, so the same
-expansion runs on Fractions (a concrete lambda), on Poly entries (the
+center.  Every form is filled from its pattern, the nonzero brackets
+[v_a, v_b] in center coordinates, checked and cached once per algebra
+and v ordering; pf_at fills the form of L * lambda (L the lcm of the
+denominators) in integers and makes one division, by L^(n/2).  One
+Pfaffian serves every ring: cofactor expansion along the first index,
+memoized on index tuples, reading only the strict upper triangle.
+Entries need only *, +, - and a zero test, so the same expansion runs
+on ints or Fractions (a concrete lambda), on Poly entries (the
 symbolic matrix over the center coordinates) and on complex floats
 (the case-6 phase in orbits).  Its cost is the number of index tuples
-it reaches: linear in n on the catalog's block-sparse forms, up to
-2^n on a dense n x n.  Sign convention: Pf([[0, a], [-a, 0]]) = a, so
+it reaches: linear in n on the catalog's block-sparse forms, up to 2^n
+on a dense n x n.  Sign convention: Pf([[0, a], [-a, 0]]) = a, so
 Pf(M)^2 = det(M).
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -72,13 +77,27 @@ def _skew_form(alg, coeffs, zero, v_indices):
     # entry (a, b) = sum over t of coeffs[t] * [b_a, b_b]_t, summed in
     # increasing t: a Poly's term order, which evaluate_float sums in,
     # then does not depend on how the sparse rows are laid out
+    key = None if v_indices is None else tuple(v_indices)
+    v = alg.complement_indices if key is None else key
+    pattern = alg.cached(("skew_pattern", key), lambda a: _skew_pattern(a, v))
+    n = len(v)
+    matrix = [[zero] * n for _ in range(n)]
+    for a, b, terms in pattern:
+        val = zero
+        for t, c in terms:
+            val = val + coeffs[t] * c
+        matrix[a][b], matrix[b][a] = val, -val
+    return SkewForm(matrix)
+
+
+def _skew_pattern(alg, v_indices):
+    """((a, b, ((t, c), ...)), ...): the nonzero brackets [v_a, v_b],
+    a < b, as center coordinates t in increasing order."""
     if nilpotency_class(alg) > 2:
         raise ValueError("b_matrix needs a 2-step (or abelian) algebra")
-    if v_indices is None:
-        v_indices = list(alg.complement_indices)
     pos = {idx: t for t, idx in enumerate(alg.center_indices)}
     n = len(v_indices)
-    matrix = [[zero for _ in range(n)] for _ in range(n)]
+    pattern = []
     for a in range(n):
         for b in range(a + 1, n):
             row = alg.bracket_row(v_indices[a], v_indices[b])
@@ -87,12 +106,10 @@ def _skew_form(alg, coeffs, zero, v_indices):
                     f"[{alg.basis_labels[v_indices[a]]},"
                     f"{alg.basis_labels[v_indices[b]]}] has a component "
                     "outside the designated center")
-            val = zero
-            for t, c in sorted((pos[k], c) for k, c in row):
-                val = val + coeffs[t] * c
-            matrix[a][b] = val
-            matrix[b][a] = -val
-    return SkewForm(matrix)
+            if row:
+                pattern.append((a, b, tuple(sorted((pos[k], c)
+                                                   for k, c in row))))
+    return tuple(pattern)
 
 
 def _is_zero_entry(x):
@@ -180,9 +197,15 @@ def _pf_polynomial(alg, v_indices):
 
 
 def pf_at(alg, coeffs, v_indices=None):
-    """Exact Pfaffian value at a concrete functional."""
-    lam = LinearFunctional(alg, coeffs=coeffs)
-    return pfaffian(b_matrix(alg, lam, v_indices=v_indices))
+    """Exact Pfaffian value at a concrete functional, as a Fraction:
+    Pf(b_{L lambda}) / L^(n/2), the expansion run in integers."""
+    lam = LinearFunctional(alg, coeffs=coeffs).coeffs
+    scale = math.lcm(*(c.denominator for c in lam))
+    ints = [c.numerator * (scale // c.denominator) for c in lam]
+    matrix = _skew_form(alg, ints, 0, v_indices).matrix
+    n = len(matrix)
+    pf = 0 if n % 2 else _pfaffian_expansion(matrix, 0, 1)
+    return Fraction(pf, scale ** (n // 2))
 
 
 class SquareIntegrability:

@@ -273,17 +273,24 @@ def test_invariants_are_computed_once_per_algebra(monkeypatch):
     nclass = count_calls(monkeypatch, algebra, "_nilpotency_class")
     cen = count_calls(monkeypatch, algebra, "_center")
     pf = count_calls(monkeypatch, pfaffian, "_pf_polynomial")
+    pattern = count_calls(monkeypatch, pfaffian, "_skew_pattern")
     alg = free_two_step(3, "R")
     v1 = list(alg.complement_indices[:-1])
+    lam = pfaffian.LinearFunctional(alg, [1, 2, 3])
     for _ in range(3):
         assert nilpotency_class(alg) == 2
         assert len(center(alg)) == 3
         pfaffian.pf_polynomial(alg)
         pfaffian.pf_polynomial(alg, v_indices=v1)
         pfaffian.pf_at(alg, [1, 2, 3])   # its 2-step guard is cached too
+        pfaffian.pf_at(alg, [1, 2, 3], v_indices=v1)
+        pfaffian.b_matrix(alg, lam)
+        pfaffian.b_matrix(alg, lam, v_indices=tuple(v1))
     assert (len(nclass), len(cen)) == (1, 1)
-    # one per key: the full complement and the v1 ordering
+    # one per key: the full complement and the v1 ordering, shared by
+    # pf_polynomial, pf_at and b_matrix
     assert len(pf) == 2
+    assert len(pattern) == 2
     # a new instance computes its own
     nilpotency_class(free_two_step(3, "R"))
     assert len(nclass) == 2

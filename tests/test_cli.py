@@ -584,6 +584,19 @@ def test_malformed_points_are_refused_before_numpy_loads():
     assert json.loads(out.stdout) == [[2, []]] * len(runs)
 
 
+def test_exact_orbit_routes_do_not_load_numpy():
+    # a refused algebra, and case 3, which is exact (b_matrix and rank)
+    runs = [["orbit", "heisenberg:1:C", "--coeffs", "1", "--json"],
+            ["orbit", "heisenberg:1:C", "--coeffs", "1"],
+            ["orbit", "octdouble", "--coeffs", "0,3,1,0,0,2,0", "--json"]]
+    out = subprocess.run(
+        [sys.executable, "-c", _MODULES_AFTER, json.dumps(runs),
+         json.dumps(["numpy"])],
+        capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) == [[2, []], [2, []], [0, []]]
+
+
 def test_numeric_subcommands_keep_their_payloads():
     out = run_cli(["orbit", "free2step:5:R", "--coeffs",
                    "2,0,0,0,0,0,0,0,0,0", "--json"])

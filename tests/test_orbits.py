@@ -83,6 +83,92 @@ def test_darboux_radical_detected():
     assert basis.block_values == [Fraction(1)]
 
 
+def darboux_oracle(M):
+    """darboux_basis evaluating every form value from M, O(n^5)."""
+    M = [[Fraction(x) for x in row] for row in M]
+    n = len(M)
+
+    def form(x, y):
+        return sum((x[i] * M[i][j] * y[j]
+                    for i in range(n) for j in range(n) if M[i][j] != 0),
+                   Fraction(0))
+
+    remaining = [[Fraction(1) if j == i else Fraction(0) for j in range(n)]
+                 for i in range(n)]
+    pairs = []
+    values = []
+    while True:
+        found = None
+        for a in range(len(remaining)):
+            for b in range(a + 1, len(remaining)):
+                if form(remaining[a], remaining[b]) != 0:
+                    found = (a, b)
+                    break
+            if found:
+                break
+        if not found:
+            break
+        a, b = found
+        u, v = remaining[a], remaining[b]
+        s = form(u, v)
+        pairs.extend([u, v])
+        values.append(s)
+        reduced = []
+        for k, w in enumerate(remaining):
+            if k in (a, b):
+                continue
+            cu = form(w, v) / s
+            cv = form(w, u) / s
+            reduced.append([w[t] - cu * u[t] + cv * v[t] for t in range(n)])
+        remaining = reduced
+    return pairs + remaining, values, len(remaining)
+
+
+def rand_rational_skew(rng, n, density, rank):
+    """A random skew n x n with `density` of nonzero entries, or, for
+    rank < n, one of rank at most `rank`: A K A^T with A n x rank and K
+    skew rank x rank, both that sparse."""
+    def entry():
+        if rng.random() >= density:
+            return Fraction(0)
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+    A = [[entry() for _ in range(rank)] for _ in range(n)]
+    K = [[Fraction(0)] * rank for _ in range(rank)]
+    for i in range(rank):
+        for j in range(i + 1, rank):
+            K[i][j] = entry()
+            K[j][i] = -K[i][j]
+    if rank == n:
+        return K
+    AK = [[sum((A[i][k] * K[k][l] for k in range(rank)), Fraction(0))
+           for l in range(rank)] for i in range(n)]
+    return [[sum((AK[i][l] * A[j][l] for l in range(rank)), Fraction(0))
+             for j in range(n)] for i in range(n)]
+
+
+def test_darboux_basis_matches_the_from_scratch_oracle():
+    rng = random.Random(53)
+    radicals = {True: 0, False: 0}
+    cases = 0
+    for n in range(10):
+        for density in (0.3, 1.0):
+            # full rank where n allows it, and rank n - 2 or n - 3 below
+            for rank in sorted({n, max(n - 3, 0), max(n - 2, 0)}):
+                for _ in range(4):
+                    M = rand_rational_skew(rng, n, density, rank)
+                    got = darboux_basis(M)
+                    vectors, values, radical_dim = darboux_oracle(M)
+                    assert got.vectors == vectors
+                    assert got.block_values == values
+                    assert got.radical_dim == radical_dim
+                    assert all(type(s) is Fraction for s in values)
+                    radicals[radical_dim > 0] += 1
+                    cases += 1
+    assert cases >= 200
+    # nondegenerate forms come from the full-rank draws at even n only
+    assert radicals[True] >= 100 and radicals[False] >= 25
+
+
 def darboux_pfaffian(M):
     """Pf(M) = prod s_j / det B, B with the Darboux basis as columns.
 

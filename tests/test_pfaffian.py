@@ -12,7 +12,8 @@ from nilharm.algebra import LieAlgebraData
 from nilharm.catalog import (abelian, free_two_step, from_name, heisenberg,
                              lambda_a, octonion_double)
 from nilharm.orbits import l1_complement_indices
-from nilharm.pfaffian import (_pfaffian_expansion, b_matrix, b_matrix_poly,
+from nilharm.pfaffian import (LinearFunctional, _pfaffian_expansion,
+                              b_matrix, b_matrix_poly,
                               is_square_integrable, pf_at, pf_polynomial,
                               pfaffian)
 from nilharm.polynomials import Poly
@@ -320,6 +321,73 @@ def test_skew_forms_refuse_brackets_outside_the_designated_center():
         b_matrix(alg, LinearFunctional(alg, coeffs=[1]))
     with pytest.raises(ValueError, match="outside the designated center"):
         b_matrix_poly(alg, [Poly.variable(1, 0)])
+
+
+def test_a_refused_pattern_is_not_cached():
+    # [a, b] = c with only d designated central: the check runs again on
+    # every call, and nothing is left in the algebra's cache
+    alg = LieAlgebraData(4, ["a", "b", "c", "d"], [(0, 1, 2, 1)],
+                         center_indices=(3,), complement_indices=(0, 1, 2))
+    lam = LinearFunctional(alg, coeffs=[1])
+    for _ in range(2):
+        with pytest.raises(ValueError, match="outside the designated center"):
+            b_matrix(alg, lam)
+        with pytest.raises(ValueError, match="outside the designated center"):
+            pf_at(alg, [1])
+    assert all(key[0] != "skew_pattern" for key in alg._cache)
+
+
+def rational_two_step():
+    """A hand-built 2-step algebra with non-integral structure constants:
+    [x1, x2] = z1/2, [x1, x3] = 5/3 z2, [x2, x4] = -z1,
+    [x3, x4] = -3/4 z1 + 2 z2."""
+    entries = [(0, 1, 4, Fraction(1, 2)), (0, 2, 5, Fraction(5, 3)),
+               (1, 3, 4, -1), (2, 3, 4, Fraction(-3, 4)), (2, 3, 5, 2)]
+    return LieAlgebraData(6, ["x1", "x2", "x3", "x4", "z1", "z2"], entries,
+                          center_indices=(4, 5),
+                          complement_indices=(0, 1, 2, 3))
+
+
+# each is checked on its complement and on its l1 split, if it has one
+INTEGER_PF_CASES = ["heisenberg:1:C", "heisenberg:2:H", "heisenberg:1:O",
+                    "heisenberg:3:C", "free2step:3:R", "free2step:4:R",
+                    "free2step:5:C", "table:2.2:1", "table:2.2:23",
+                    "octdouble", "rational"]
+
+
+@pytest.mark.parametrize("name", INTEGER_PF_CASES)
+def test_pf_at_in_integers_matches_the_polynomial_and_the_determinant(name):
+    alg = rational_two_step() if name == "rational" else from_name(name)
+    v1 = l1_complement_indices(alg)
+    rng = random.Random(name)
+    for v in [None] + ([v1] if v1 is not None else []):
+        pf = pf_polynomial(alg, v_indices=v)
+        for k in range(4):
+            lam = [Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                   for _ in alg.center_indices]
+            if k == 0:   # integral points take the same path, with L = 1
+                lam = [Fraction(c.numerator) for c in lam]
+            got = pf_at(alg, lam, v_indices=v)
+            assert type(got) is Fraction
+            assert got == pf.evaluate(lam)
+            form = b_matrix(alg, LinearFunctional(alg, lam), v_indices=v)
+            assert got ** 2 == linalg.det(form.matrix)
+
+
+def test_pf_at_on_odd_and_empty_orderings():
+    rng = random.Random(52)
+    for alg in (rational_two_step(), from_name("heisenberg:2:H")):
+        comp = list(alg.complement_indices)
+        lam = [Fraction(rng.randint(1, 9), rng.randint(1, 6))
+               for _ in alg.center_indices]
+        for v in (comp[:1], comp[:3], comp[1:]):
+            got = pf_at(alg, lam, v_indices=v)
+            assert type(got) is Fraction and got == 0
+        got = pf_at(alg, lam, v_indices=[])
+        assert type(got) is Fraction and got == 1
+    # the full complement of free2step:3:R has odd dimension
+    got = pf_at(from_name("free2step:3:R"), [1, 2, 3])
+    assert type(got) is Fraction and got == 0
 
 
 def test_pf_at_rejects_wrong_length():
