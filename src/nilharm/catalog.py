@@ -59,17 +59,14 @@ def heisenberg(n, F):
     for p in range(1, n + 1):
         labels.extend(f"u{p}e{k}" for k in range(d))
     entries = []
-    units = [composition.CompositionElement.basis(F, k) for k in range(d)]
     for p in range(n):
         base = zdim + p * d
         for k in range(d):
             for l in range(k + 1, d):
-                # [u_p e_k, u_p e_l] = Im(e_k * conj(e_l)) in the center
-                prod = composition.im(
-                    composition.multiply(units[k], composition.conj(units[l])))
-                for m in range(1, d):
-                    if prod.coeffs[m] != 0:
-                        entries.append((base + k, base + l, m - 1, prod.coeffs[m]))
+                # [u_p e_k, u_p e_l] = Im(e_k * conj(e_l)) = -sign * e_m
+                # for e_k * e_l = sign * e_m; C and H close under the table
+                sign, m = composition.TABLE[k][l]
+                entries.append((base + k, base + l, m - 1, -sign))
     return LieAlgebraData(
         dim=dim,
         basis_labels=labels,
@@ -146,14 +143,11 @@ def octonion_double():
     """
     dim = 14
     labels = [f"z{k}" for k in range(1, 8)] + [f"v{k}" for k in range(1, 8)]
-    units = [composition.CompositionElement.basis("O", k) for k in range(8)]
     entries = []
     for i in range(1, 8):
         for j in range(i + 1, 8):
-            prod = composition.multiply(units[i], units[j])
-            for m in range(1, 8):
-                if prod.coeffs[m] != 0:
-                    entries.append((6 + i, 6 + j, m - 1, -prod.coeffs[m]))
+            sign, m = composition.TABLE[i][j]     # e_i * e_j = sign * e_m
+            entries.append((6 + i, 6 + j, m - 1, -sign))
     return LieAlgebraData(
         dim=dim,
         basis_labels=labels,

@@ -90,8 +90,12 @@ def darboux_basis(M):
         keep = [k for k in range(m) if k not in found]
         cu = {k: gram[k][b] / s for k in keep}
         cv = {k: gram[k][a] / s for k in keep}
-        remaining = [[w - cu[k] * x + cv[k] * y
-                      for w, x, y in zip(remaining[k], u, v)] for k in keep]
+        support = [j for j in range(n) if u[j] or v[j]]
+        for k in keep:      # in place: only u and v leave remaining
+            w = remaining[k]
+            for j in support:
+                w[j] = w[j] - cu[k] * u[j] + cv[k] * v[j]
+        remaining = [remaining[k] for k in keep]
         gram = [[gram[p][q] + s * (cu[p] * cv[q] - cv[p] * cu[q])
                  for q in keep] for p in keep]
     return DarbouxBasis(pairs + remaining, values, len(remaining))
@@ -208,7 +212,7 @@ def pf_nonsingular(alg, coeffs):
     exceptional families use the restriction to their l1 split.
     """
     full = pf_polynomial(alg)
-    if not full.is_zero():
+    if full:
         return full.evaluate(coeffs) != 0
     v_indices = l1_complement_indices(alg)
     if v_indices is None:

@@ -7,13 +7,14 @@ and v ordering; pf_at fills the form of L * lambda (L the lcm of the
 denominators) in integers and makes one division, by L^(n/2).  One
 Pfaffian serves every ring: cofactor expansion along the first index,
 memoized on index tuples, reading only the strict upper triangle.
-Entries need only *, +, - and a zero test, so the same expansion runs
-on ints or Fractions (a concrete lambda), on Poly entries (the
-symbolic matrix over the center coordinates) and on complex floats
-(the case-6 phase in orbits).  Its cost is the number of index tuples
-it reaches: linear in n on the catalog's block-sparse forms, up to 2^n
-on a dense n x n.  Sign convention: Pf([[0, a], [-a, 0]]) = a, so
-Pf(M)^2 = det(M).
+Entries need only *, +, - and truth as a nonzero test, so the same
+expansion runs on ints or Fractions (a concrete lambda), on Poly
+entries (the symbolic matrix over the center coordinates, with int
+coefficients when the brackets are integral, as in every catalog
+algebra) and on complex floats (the case-6 phase in orbits).  Its
+cost is the number of index tuples it reaches: linear in n on the
+catalog's block-sparse forms, up to 2^n on a dense n x n.  Sign
+convention: Pf([[0, a], [-a, 0]]) = a, so Pf(M)^2 = det(M).
 """
 
 import math
@@ -112,18 +113,6 @@ def _skew_pattern(alg, v_indices):
     return tuple(pattern)
 
 
-def _is_zero_entry(x):
-    return x.is_zero() if isinstance(x, Poly) else x == 0
-
-
-def _check_skew(matrix):
-    n = len(matrix)
-    for i in range(n):
-        for j in range(i, n):
-            if not _is_zero_entry(matrix[i][j] + matrix[j][i]):
-                raise ValueError("matrix is not antisymmetric")
-
-
 def pfaffian(form):
     """Pfaffian of a SkewForm or plain skew matrix, exact.
 
@@ -131,14 +120,16 @@ def pfaffian(form):
     odd dimension gives 0 (degenerate form), the empty matrix 1.
     """
     matrix = form.matrix if isinstance(form, SkewForm) else form
-    _check_skew(matrix)
+    n = len(matrix)
+    if any(matrix[i][j] + matrix[j][i] for i in range(n) for j in range(i, n)):
+        raise ValueError("matrix is not antisymmetric")
     poly = next((x for row in matrix for x in row if isinstance(x, Poly)),
                 None)
     if poly is None:
         zero, one = Fraction(0), Fraction(1)
     else:
         zero, one = Poly.zero(poly.nvars), Poly.constant(poly.nvars, 1)
-    if len(matrix) % 2:
+    if n % 2:
         return zero     # the expansion would take 2^n steps to find it
     return _pfaffian_expansion(matrix, zero, one)
 
@@ -166,10 +157,10 @@ def _pfaffian_expansion(matrix, zero, one):
         total = zero
         for t, j in enumerate(rest):
             entry = row[j]
-            if _is_zero_entry(entry):
+            if not entry:
                 continue
             term = entry * pf(rest[:t] + rest[t + 1:])
-            total = total + (term if t % 2 == 0 else -term)
+            total = total + term if t % 2 == 0 else total - term
         memo[indices] = total
         return total
 
@@ -187,13 +178,14 @@ def pf_polynomial(alg, v_indices=None):
 
 
 def _pf_polynomial(alg, v_indices):
+    # the form is skew by construction, so the expansion runs unchecked
     zdim = len(alg.center_indices)
     coeffs = [Poly.variable(zdim, t) for t in range(zdim)]
-    pf = pfaffian(_skew_form(alg, coeffs, Poly.zero(zdim), v_indices))
-    if isinstance(pf, Fraction):
-        # 0x0 matrix carries no symbolic entries to infer variables from
-        pf = Poly.constant(zdim, pf)
-    return pf
+    zero = Poly.zero(zdim)
+    matrix = _skew_form(alg, coeffs, zero, v_indices).matrix
+    if len(matrix) % 2:
+        return zero
+    return _pfaffian_expansion(matrix, zero, Poly.constant(zdim, 1))
 
 
 def pf_at(alg, coeffs, v_indices=None):
@@ -231,7 +223,7 @@ def is_square_integrable(alg, v_indices=None):
     that ever trips, it is a bug.
     """
     pf = pf_polynomial(alg, v_indices=v_indices)
-    if pf.is_zero():
+    if not pf:
         return SquareIntegrability(False, None, pf)
     for point in _witness_candidates(len(alg.center_indices)):
         if pf.evaluate(point) != 0:

@@ -1,29 +1,42 @@
-"""Sparse multivariate polynomials with rational coefficients.
+"""Sparse multivariate polynomials with int or Fraction coefficients.
 
 Just enough ring arithmetic for symbolic Pfaffians of the catalog
 algebras (at most 7 variables, degree <= 7).  Monomials are exponent
-tuples; the zero polynomial is the empty dict.
+tuples; the zero polynomial is the empty dict.  A coefficient is an
+int when it is integral and a Fraction otherwise (algebra._exact), so
+the Pfaffians of the catalog's integer brackets expand in ints.
 """
 
 from fractions import Fraction
+from operator import add, sub
+
+from .algebra import _exact
 
 
 class Poly:
     """Polynomial in a fixed number of variables over Q.
 
-    terms: dict exponent-tuple -> nonzero Fraction.
+    terms: dict exponent-tuple -> nonzero coefficient, an int when
+    integral, else a Fraction.
     """
 
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars, terms=None):
         self.nvars = nvars
-        self.terms = {}
-        if terms:
-            for mono, coeff in terms.items():
-                c = Fraction(coeff)
-                if c != 0:
-                    self.terms[tuple(mono)] = c
+        exact = ((tuple(m), _exact(c)) for m, c in (terms or {}).items())
+        self.terms = {m: c for m, c in exact if c}
+
+    @classmethod
+    def _of(cls, nvars, terms):
+        # trusted: terms maps tuples to nonzero numbers, taken as they
+        # are but for a Fraction that may be integral
+        for mono, c in terms.items():
+            if type(c) is not int:
+                terms[mono] = _exact(c)
+        poly = object.__new__(cls)
+        poly.nvars, poly.terms = nvars, terms
+        return poly
 
     @classmethod
     def zero(cls, nvars):
@@ -31,19 +44,16 @@ class Poly:
 
     @classmethod
     def constant(cls, nvars, c):
-        c = Fraction(c)
-        if c == 0:
-            return cls(nvars)
         return cls(nvars, {(0,) * nvars: c})
 
     @classmethod
     def variable(cls, nvars, index):
         mono = [0] * nvars
         mono[index] = 1
-        return cls(nvars, {tuple(mono): Fraction(1)})
+        return cls(nvars, {tuple(mono): 1})
 
-    def is_zero(self):
-        return not self.terms
+    def __bool__(self):
+        return bool(self.terms)
 
     def __eq__(self, other):
         if isinstance(other, Poly):
@@ -54,34 +64,42 @@ class Poly:
         return hash((self.nvars, frozenset(self.terms.items())))
 
     def __add__(self, other):
+        return self._combine(other, add)
+
+    def __sub__(self, other):
+        return self._combine(other, sub)
+
+    def _combine(self, other, op):
+        # other's new monomials go last, so a sum keeps self's term order
         other = self._coerce(other)
         out = dict(self.terms)
         for mono, coeff in other.terms.items():
-            s = out.get(mono, Fraction(0)) + coeff
-            if s == 0:
-                out.pop(mono, None)
-            else:
+            s = op(out.get(mono, 0), coeff)
+            if s:
                 out[mono] = s
-        return Poly(self.nvars, out)
+            else:
+                del out[mono]
+        return Poly._of(self.nvars, out)
 
     def __neg__(self):
-        return Poly(self.nvars, {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
+        return Poly._of(self.nvars, {m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other):
+        if not isinstance(other, Poly):
+            c = _exact(other)
+            return Poly._of(self.nvars, {m: k * c for m, k
+                                         in self.terms.items()} if c else {})
         other = self._coerce(other)
         out = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                mono = tuple(a + b for a, b in zip(m1, m2))
-                s = out.get(mono, Fraction(0)) + c1 * c2
-                if s == 0:
-                    out.pop(mono, None)
-                else:
+                mono = tuple(map(add, m1, m2))
+                s = out.get(mono, 0) + c1 * c2
+                if s:
                     out[mono] = s
-        return Poly(self.nvars, out)
+                else:
+                    del out[mono]
+        return Poly._of(self.nvars, out)
 
     __radd__ = __add__
     __rmul__ = __mul__

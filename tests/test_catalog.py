@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from nilharm import catalog
+from nilharm import catalog, composition
 from nilharm.algebra import LieAlgebraData, jacobi_defect, nilpotency_class
 from nilharm.catalog import (CatalogError, abelian, direct_sum, free_two_step,
                              from_name, get_entry, heisenberg, lambda_a,
@@ -170,3 +170,64 @@ def test_direct_sum_blocks():
     assert s.dim == a.dim + b.dim
     assert len(s.center_indices) == len(a.center_indices) + 2
     assert jacobi_defect(s) == 0
+
+
+
+# The catalog reads (sign, m) from composition.TABLE; these oracles build
+# the same entries from products of composition elements.
+
+def heisenberg_oracle_entries(n, F):
+    d = {"C": 2, "H": 4, "O": 8}[F]
+    units = [composition.CompositionElement.basis(F, k) for k in range(d)]
+    entries = []
+    for p in range(n):
+        base = d - 1 + p * d
+        for k in range(d):
+            for l in range(k + 1, d):
+                # [u_p e_k, u_p e_l] = Im(e_k * conj(e_l)) in the center
+                prod = composition.im(composition.multiply(
+                    units[k], composition.conj(units[l])))
+                entries.extend((base + k, base + l, m - 1, prod.coeffs[m])
+                               for m in range(1, d) if prod.coeffs[m] != 0)
+    return entries
+
+
+def octdouble_oracle_entries():
+    units = [composition.CompositionElement.basis("O", k) for k in range(8)]
+    entries = []
+    for i in range(1, 8):
+        for j in range(i + 1, 8):
+            # [(0, e_i), (0, e_j)] = (-Im(e_i e_j), 0)
+            prod = composition.multiply(units[i], units[j])
+            entries.extend((6 + i, 6 + j, m - 1, -prod.coeffs[m])
+                           for m in range(1, 8) if prod.coeffs[m] != 0)
+    return entries
+
+
+ORACLE_NAMES = ([f"heisenberg:{n}:{F}" for F in "CH" for n in range(1, 5)]
+                + ["heisenberg:1:O", "octdouble"])
+
+
+def oracle_entries(name):
+    if name == "octdouble":
+        return octdouble_oracle_entries()
+    _, n, F = name.split(":")
+    return heisenberg_oracle_entries(int(n), F)
+
+
+@pytest.mark.parametrize("name", ORACLE_NAMES)
+def test_table_read_brackets_match_the_composition_products(name):
+    alg = from_name(name)
+    oracle = LieAlgebraData(alg.dim, alg.basis_labels, oracle_entries(name),
+                            alg.center_indices, alg.complement_indices)
+    assert alg.brackets() and alg.brackets() == oracle.brackets()
+
+
+def test_from_name_reads_the_table_without_multiplying(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("composition product called")
+
+    for fn in ("multiply", "conj", "im"):
+        monkeypatch.setattr(composition, fn, refuse)
+    for name in ORACLE_NAMES:
+        assert from_name(name).brackets()

@@ -1,8 +1,10 @@
 """Symbolic Pfaffians, square integrability, and the exact recursion."""
 
 import importlib
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ import pytest
 from nilharm import linalg
 from nilharm.algebra import LieAlgebraData
 from nilharm.catalog import (abelian, free_two_step, from_name, heisenberg,
-                             lambda_a, octonion_double)
+                             lambda_a, list_entries, octonion_double)
 from nilharm.orbits import l1_complement_indices
 from nilharm.pfaffian import (LinearFunctional, _pfaffian_expansion,
                               b_matrix, b_matrix_poly,
@@ -87,7 +89,7 @@ def test_pf_at_matches_the_symbolic_pfaffian():
              (free, l1_complement_indices(free))]
     for alg, v in cases:
         pf = pf_polynomial(alg, v_indices=v)
-        assert not pf.is_zero()
+        assert pf
         for _ in range(3):
             lam = [Fraction(rng.randint(-9, 9), rng.randint(1, 4))
                    for _ in alg.center_indices]
@@ -148,11 +150,11 @@ def test_octonion_heisenberg_value_is_norm_power():
 def test_free_two_step_pfaffian_vanishes():
     for n, F in ((3, "R"), (5, "R"), (3, "C")):
         pf = pf_polynomial(free_two_step(n, F))
-        assert pf.is_zero()
+        assert not pf
 
 
 def test_octonion_double_pfaffian_vanishes():
-    assert pf_polynomial(octonion_double()).is_zero()
+    assert not pf_polynomial(octonion_double())
 
 
 def test_octonion_double_hyperplane_pfaffians():
@@ -285,7 +287,7 @@ def test_restricted_pfaffian_via_v_indices():
     v = list(alg.complement_indices)[:2]
     pf = pf_polynomial(alg, v_indices=v)
     assert pf.degree() == 1
-    assert not pf.is_zero()
+    assert pf
 
 
 def test_b_matrix_entries_are_bracket_pairings():
@@ -393,3 +395,129 @@ def test_pf_at_on_odd_and_empty_orderings():
 def test_pf_at_rejects_wrong_length():
     with pytest.raises(ValueError):
         pf_at(heisenberg(1, "C"), [1, 2])
+
+
+REFERENCE = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
+                        / "reference.json").read_text(encoding="utf-8"))
+
+
+def catalog_algebras():
+    """Every constructible table row at its defaults, then every algebra
+    the benchmark reference records (its sweep pool and query set)."""
+    rows = [(f"table:{e.table_id}:{e.row}", e.build())
+            for e in list_entries(constructible=True)]
+    return rows + [(name, from_name(name)) for name in REFERENCE["algebras"]]
+
+
+def test_catalog_pfaffians_have_int_coefficients():
+    for name, alg in catalog_algebras():
+        v1 = l1_complement_indices(alg)
+        for v in [None] + ([v1] if v1 is not None else []):
+            pf = pf_polynomial(alg, v_indices=v)
+            assert all(type(c) is int for c in pf.terms.values()), (name, v)
+
+
+def test_pfaffian_strings_match_the_benchmark_reference():
+    for name, want in REFERENCE["algebras"].items():
+        assert pf_polynomial(from_name(name)).format() == want["pfaffian"]
+
+
+def test_non_integral_brackets_keep_fraction_coefficients():
+    half = LieAlgebraData(3, ["x", "y", "z"], [(0, 1, 2, Fraction(1, 2))],
+                          center_indices=(2,), complement_indices=(0, 1))
+    pf = pf_polynomial(half)
+    assert pf.terms == {(1,): Fraction(1, 2)}
+    assert type(pf.terms[(1,)]) is Fraction
+    assert pf.format() == "1/2*t1"
+    # Pf = (t1/2)(-3/4 t1 + 2 t2) + 5/3 t1 t2
+    pf = pf_polynomial(rational_two_step())
+    assert pf.format() == "-3/8*t1^2 + 8/3*t1*t2"
+    # [x1, x2] = z/2 and [x3, x4] = 2z: the Fractions multiply to an int
+    quarter = LieAlgebraData(
+        5, ["x1", "x2", "x3", "x4", "z"],
+        [(0, 1, 4, Fraction(1, 2)), (2, 3, 4, Fraction(2))],
+        center_indices=(4,), complement_indices=(0, 1, 2, 3))
+    pf = pf_polynomial(quarter)
+    assert pf.terms == {(2,): 1} and type(pf.terms[(2,)]) is int
+
+
+def oracle_combine(p, q, sign):
+    """p + sign * q over Fraction dicts: p's terms first, q's new ones
+    after them in q's order, vanishing terms dropped."""
+    out = {m: Fraction(c) for m, c in p.items()}
+    for m, c in q.items():
+        s = out.get(m, Fraction(0)) + sign * Fraction(c)
+        if s == 0:
+            out.pop(m, None)
+        else:
+            out[m] = s
+    return out
+
+
+def oracle_product(p, q):
+    out = {}
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            m = tuple(a + b for a, b in zip(m1, m2))
+            s = out.get(m, Fraction(0)) + Fraction(c1) * Fraction(c2)
+            if s == 0:
+                out.pop(m, None)
+            else:
+                out[m] = s
+    return out
+
+
+def assert_terms(poly, want):
+    # same terms in the same order (evaluate_float sums in it), each
+    # coefficient an int exactly when it is integral
+    assert list(poly.terms.items()) == list(want.items())
+    for c in poly.terms.values():
+        assert (type(c) is int) == (Fraction(c).denominator == 1), c
+
+
+def random_terms(rng, nvars):
+    terms = {}
+    for _ in range(rng.randint(0, 6)):
+        mono = tuple(rng.randint(0, 2) for _ in range(nvars))
+        terms[mono] = Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3)))
+    return {m: c for m, c in terms.items() if c}
+
+
+def test_mixed_int_and_fraction_arithmetic_matches_fractions():
+    rng = random.Random(53)
+    for _ in range(300):
+        p_terms, q_terms = random_terms(rng, 3), random_terms(rng, 3)
+        # overlapping monomials, so sums cancel and Fractions add to ints
+        q_terms.update({m: rng.choice((-c, 1 - c, Fraction(1, 2) - c))
+                        for m, c in p_terms.items() if rng.random() < 0.5})
+        q_terms = {m: c for m, c in q_terms.items() if c}
+        p, q = Poly(3, p_terms), Poly(3, q_terms)
+        assert_terms(p + q, oracle_combine(p_terms, q_terms, 1))
+        assert_terms(p - q, oracle_combine(p_terms, q_terms, -1))
+        assert_terms(p * q, oracle_product(p_terms, q_terms))
+        assert_terms(-p, {m: -c for m, c in p_terms.items()})
+        for s in (3, Fraction(2, 3), Fraction(-3, 2), Fraction(4, 2), 0):
+            const = {(0, 0, 0): s} if s else {}
+            assert_terms(p * s, oracle_product(p_terms, const))
+            assert_terms(s * p, oracle_product(p_terms, const))
+            assert_terms(p + s, oracle_combine(p_terms, const, 1))
+            assert_terms(p - s, oracle_combine(p_terms, const, -1))
+
+
+def test_a_polynomial_minus_itself_is_zero():
+    assert not Poly.zero(3) and not Poly.constant(3, 0)
+    assert Poly.variable(3, 1) and Poly.constant(3, Fraction(1, 2))
+    for name in ("heisenberg:2:H", "heisenberg:1:O", "table:2.2:9"):
+        pf = pf_polynomial(from_name(name))
+        assert pf - pf == Poly.zero(pf.nvars)
+        assert not pf - pf
+        assert pf - (-pf) == pf * 2
+
+
+def test_pfaffian_refuses_a_matrix_that_is_not_skew():
+    t = Poly.variable(1, 0)
+    for bad in ([[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]],
+                [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(0)]],
+                [[Poly.zero(1), t], [t, Poly.zero(1)]]):
+        with pytest.raises(ValueError, match="not antisymmetric"):
+            pfaffian(bad)
