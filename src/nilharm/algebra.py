@@ -203,40 +203,3 @@ def _nilpotency_class(alg):
         current, step = nxt, step + 1
     return step
 
-
-def subalgebra(alg, indices, name=""):
-    """Restrict to the span of the given basis indices.
-
-    The span must be closed under the bracket.  The designated center
-    of the restriction is its computed center, which must be spanned by
-    restricted basis vectors (true for every split this package
-    builds).
-    """
-    indices = list(indices)
-    pos = {g: i for i, g in enumerate(indices)}
-    entries = []
-    for a, gi in enumerate(indices):
-        for b in range(a + 1, len(indices)):
-            gj = indices[b]
-            for k, c in alg.bracket_row(gi, gj):
-                if k not in pos:
-                    raise ValueError(
-                        f"span not closed: [{alg.basis_labels[gi]},"
-                        f"{alg.basis_labels[gj]}] leaves the subspace")
-                entries.append((a, b, pos[k], c))
-    # a basis vector is central iff it brackets to zero with the span
-    central = [a for a, gi in enumerate(indices)
-               if not any(alg.bracket_row(gi, gj) for gj in indices)]
-    sub = LieAlgebraData(
-        dim=len(indices),
-        basis_labels=[alg.basis_labels[g] for g in indices],
-        entries=entries,
-        center_indices=central,
-        complement_indices=[a for a in range(len(indices))
-                            if a not in set(central)],
-        name=name or f"{alg.name}|sub",
-        meta=dict(alg.meta),
-    )
-    if len(center(sub)) != len(central):
-        raise ValueError("computed center is not spanned by basis vectors")
-    return sub

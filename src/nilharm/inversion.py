@@ -233,8 +233,9 @@ def _joint_gaussian(dec, f, x):
     With x = x1 x2 the slice point is Z + X1 + T + [X1, T]/2.  Returns
     g_joint, dim z1 and the l2 coordinates X2 of x2.
     """
-    alg, l1, l2 = dec.algebra, dec.l1_indices, dec.l2_indices
-    z1_global = [l1[i] for i in dec.l1_subalgebra().center_indices]
+    alg, l2 = dec.algebra, dec.l2_indices
+    # a verified split has z1 = z(l1) = Z
+    z1_global = list(alg.center_indices)
     z1 = len(z1_global)
     x1, x2 = factor_point(alg, dec, x)
     # columns e_j + [X1, e_j]/2 of A_{-x1}; [X1, Z] = 0 on z1

@@ -21,7 +21,7 @@ import math
 import random
 from fractions import Fraction
 
-from .algebra import nilpotency_class
+from .algebra import center, nilpotency_class
 from .polynomials import Poly
 
 
@@ -93,7 +93,11 @@ def _skew_form(alg, coeffs, zero, v_indices):
 
 def _skew_pattern(alg, v_indices):
     """((a, b, ((t, c), ...)), ...): the nonzero brackets [v_a, v_b],
-    a < b, as center coordinates t in increasing order."""
+    a < b, as center coordinates t in increasing order.
+
+    Refuses an algebra whose designated center vectors do not span its
+    computed center: b_lambda is then not a form modulo the center.
+    """
     if nilpotency_class(alg) > 2:
         raise ValueError("b_matrix needs a 2-step (or abelian) algebra")
     pos = {idx: t for t, idx in enumerate(alg.center_indices)}
@@ -110,6 +114,10 @@ def _skew_pattern(alg, v_indices):
             if row:
                 pattern.append((a, b, tuple(sorted((pos[k], c)
                                                    for k, c in row))))
+    if (len(center(alg)) != len(alg.center_indices)
+            or any(alg._rows[z] for z in alg.center_indices)):
+        raise ValueError("the designated center is not the computed "
+                         "center of the algebra")
     return tuple(pattern)
 
 

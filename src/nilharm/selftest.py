@@ -25,7 +25,7 @@ from .orbits import (l1_complement_indices, orbit_representative,
                      skew_spectrum, wedge_matrix)
 from .pfaffian import (b_matrix_poly, is_square_integrable, pfaffian)
 from .polynomials import Poly
-from .stepwise import decompose, find_codim_split
+from .stepwise import find_codim_split
 
 
 def _result(criterion, passed, detail):
@@ -103,15 +103,15 @@ def criterion_3(seed=0):
 
     # case 1: |Pf(lambda_a)| = |a_1 ... a_m| for m <= 3
     for m in (1, 2, 3):
-        dec = decompose("case1", n=2 * m + 1)
-        alg, sub = dec.algebra, dec.l1_subalgebra()
+        alg = free_two_step(2 * m + 1, "R")
         pairs = [tuple(pq) for pq in alg.meta["wedge_pairs"]]
         pair_index = {pq: t for t, pq in enumerate(pairs)}
-        zdim = len(sub.center_indices)
+        zdim = len(alg.center_indices)
         coeffs = [Poly.zero(m)] * zdim
         for k in range(m):
             coeffs[pair_index[(2 * k, 2 * k + 1)]] = Poly.variable(m, k)
-        pf = pfaffian(b_matrix_poly(sub, coeffs))
+        pf = pfaffian(b_matrix_poly(
+            alg, coeffs, v_indices=l1_complement_indices(alg)))
         expected = Poly.constant(m, 1)
         for k in range(m):
             expected = expected * Poly.variable(m, k)
@@ -122,17 +122,17 @@ def criterion_3(seed=0):
 
     # case 6: |Pf(lambda_a)| = |a_1 ... a_m|^2 for m <= 2, a_k complex
     for m in (1, 2):
-        dec = decompose("case6", n=2 * m + 1)
-        alg, sub = dec.algebra, dec.l1_subalgebra()
+        alg = free_two_step(2 * m + 1, "C")
         pairs = [tuple(pq) for pq in alg.meta["wedge_pairs"]]
         pair_index = {pq: t for t, pq in enumerate(pairs)}
-        zdim = len(sub.center_indices)
+        zdim = len(alg.center_indices)
         coeffs = [Poly.zero(2 * m)] * zdim
         for k in range(m):
             t = pair_index[(2 * k, 2 * k + 1)]
             coeffs[2 * t] = Poly.variable(2 * m, 2 * k)        # Re a_k
             coeffs[2 * t + 1] = Poly.variable(2 * m, 2 * k + 1)  # Im a_k
-        pf = pfaffian(b_matrix_poly(sub, coeffs))
+        pf = pfaffian(b_matrix_poly(
+            alg, coeffs, v_indices=l1_complement_indices(alg)))
         expected = Poly.constant(2 * m, 1)
         for k in range(m):
             al = Poly.variable(2 * m, 2 * k)

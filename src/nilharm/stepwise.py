@@ -1,12 +1,13 @@
 """Semidirect splits n = l1 (+) l2 certifying stepwise square integrability.
 
 The three families with identically vanishing full Pfaffian each admit a
-coordinate split where l1 = (center + v1) is an ideal carrying square
-integrable representations and l2 is a small abelian complement.  The
-split is verified by exact arithmetic, never assumed.
+coordinate split where l1 = (center + v1) is an ideal that contains the
+center Z of n and is square integrable modulo Z: Pf of b_lambda on
+v1 = l1 ∩ v, for lambda in z*, is not identically zero (Moore & Wolf).
+l2 is a small abelian complement.  The split is verified by exact
+arithmetic on the parent algebra, never assumed.
 """
 
-from .algebra import subalgebra
 from .catalog import free_two_step, octonion_double
 from .config import shown
 from .pfaffian import is_square_integrable
@@ -15,8 +16,7 @@ from .pfaffian import is_square_integrable
 class StepwiseDecomposition:
     """A coordinate split of the basis into l1 and l2 index sets."""
 
-    __slots__ = ("algebra", "l1_indices", "l2_indices", "verification",
-                 "_l1")
+    __slots__ = ("algebra", "l1_indices", "l2_indices", "verification")
 
     def __init__(self, algebra, l1_indices, l2_indices, verification=None):
         l1 = tuple(sorted(l1_indices))
@@ -29,15 +29,6 @@ class StepwiseDecomposition:
         self.l1_indices = l1
         self.l2_indices = l2
         self.verification = dict(verification) if verification else None
-        self._l1 = None
-
-    def l1_subalgebra(self):
-        """l1 as an algebra, built on first use and kept: the split's
-        index sets never change."""
-        if self._l1 is None:
-            self._l1 = subalgebra(self.algebra, self.l1_indices,
-                                  name=self.algebra.name + ".l1")
-        return self._l1
 
     def as_dict(self):
         return {
@@ -55,7 +46,12 @@ def verify(dec):
     l1_is_ideal        [n, l1] inside span(l1)
     direct_sum         index sets partition the basis (by construction)
     l2_abelian_subalgebra   [l2, l2] = 0
-    l1_square_integrable    Pf of l1 modulo its computed center != 0
+    l1_square_integrable    l1 is an ideal containing Z, and Pf of
+                            b_lambda on v1 = l1 ∩ v, lambda in z*,
+                            is not identically zero
+
+    The Pfaffian is read on the parent algebra, from the same cached
+    skew-form pattern as every other Pfaffian on v1.
     """
     alg = dec.algebra
     dim = alg.dim
@@ -68,10 +64,9 @@ def verify(dec):
                 for k, _ in alg.bracket_row(i, j))
     abelian = not any(alg.bracket_row(a, b) for a in l2 for b in l2)
 
-    sqint = False
-    if ideal:
-        sub = dec.l1_subalgebra()
-        sqint = bool(is_square_integrable(sub))
+    sqint = (ideal and l1_set.issuperset(alg.center_indices)
+             and bool(is_square_integrable(alg, v_indices=[
+                 i for i in alg.complement_indices if i in l1_set])))
 
     flags = {
         "l1_is_ideal": ideal,

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from nilharm.algebra import (LieAlgebraData, ad_matrix, bracket, center,
                              derived_subalgebra, jacobi_defect,
-                             nilpotency_class, subalgebra)
+                             nilpotency_class)
 from nilharm.catalog import abelian, free_two_step, from_name, heisenberg, \
     octonion_double
 
@@ -191,15 +191,6 @@ def test_structure_key_validation():
     with pytest.raises(ValueError):
         LieAlgebraData(2, ["a", "b"], [(0, 1, 2, 1)],
                        center_indices=(1,), complement_indices=(0,))
-
-
-def test_subalgebra_closure_check():
-    alg = free_two_step(3, "R")
-    # v alone is not closed: brackets land in the center
-    with pytest.raises(ValueError):
-        subalgebra(alg, list(alg.complement_indices))
-    sub = subalgebra(alg, list(alg.center_indices) + [alg.complement_indices[0]])
-    assert sub.dim == len(alg.center_indices) + 1
 
 
 def test_json_round_trip():

@@ -348,8 +348,8 @@ def test_stepwise_inner_gaussian_against_the_per_frequency_chain(
 def joint_gaussian_by_exact_brackets(dec, f, x):
     """_joint_gaussian with each l2 column e_t + [X1, e_t]/2 bracketed
     exactly against a unit vector (oracle)."""
-    alg, l1, l2 = dec.algebra, dec.l1_indices, dec.l2_indices
-    z1_global = [l1[i] for i in dec.l1_subalgebra().center_indices]
+    alg, l2 = dec.algebra, dec.l2_indices
+    z1_global = list(alg.center_indices)
     z1 = len(z1_global)
     x1, x2 = factor_point(alg, dec, x)
     M = np.zeros((alg.dim, z1 + len(l2)))

@@ -20,6 +20,7 @@ from nilharm.pfaffian import (LinearFunctional, _pfaffian_expansion,
                               pfaffian)
 from nilharm.polynomials import Poly
 from nilharm.quadrature import TensorGrid
+from nilharm.stepwise import find_codim_split
 
 
 def rand_skew(rng, n, lo=-9, hi=9):
@@ -337,6 +338,33 @@ def test_a_refused_pattern_is_not_cached():
         with pytest.raises(ValueError, match="outside the designated center"):
             pf_at(alg, [1])
     assert all(key[0] != "skew_pattern" for key in alg._cache)
+
+
+def test_a_central_complement_vector_is_refused():
+    # [u1, u2] = z with only z designated central: u3 is central too,
+    # and h(1;C) + R is square integrable modulo its true center
+    alg = LieAlgebraData(4, ["z", "u1", "u2", "u3"], [(1, 2, 0, 1)],
+                         center_indices=(0,), complement_indices=(1, 2, 3))
+    refused = pytest.raises(ValueError, match="designated center is not")
+    with refused:
+        is_square_integrable(alg)
+    with refused:
+        find_codim_split(alg)
+    with refused:
+        b_matrix(alg, LinearFunctional(alg, coeffs=[1]))
+    with refused:
+        pf_at(alg, [1])
+    with refused:
+        pf_at(alg, [1], v_indices=(1, 2))
+
+
+def test_a_designated_center_vector_with_a_bracket_is_refused():
+    # [x, y] = w with x designated central: the computed center is w,
+    # of the same dimension, so only the row check sees it
+    alg = LieAlgebraData(3, ["x", "y", "w"], [(0, 1, 2, 1)],
+                         center_indices=(0,), complement_indices=(1, 2))
+    with pytest.raises(ValueError, match="designated center is not"):
+        b_matrix(alg, LinearFunctional(alg, coeffs=[1]))
 
 
 def rational_two_step():

@@ -1,14 +1,24 @@
 """Stepwise splits n = l1 + l2ps and their exact verification."""
 
+import importlib
+import json
+from pathlib import Path
+
 import pytest
 
-from nilharm import stepwise
-from nilharm.catalog import free_two_step, heisenberg, octonion_double
+from nilharm import linalg, stepwise
+from nilharm.algebra import LieAlgebraData
+from nilharm.catalog import (abelian, direct_sum, free_two_step, from_name,
+                             heisenberg, octonion_double)
 from nilharm.gaussians import GaussianTestFunction
 from nilharm.inversion import invert_stepwise
 from nilharm.pfaffian import is_square_integrable
 from nilharm.stepwise import (StepwiseDecomposition, decompose,
                               find_codim_split, verify)
+
+pfaffian = importlib.import_module("nilharm.pfaffian")
+REFERENCE = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
+                        / "reference.json").read_text(encoding="utf-8"))
 
 
 def test_case1_split_shape():
@@ -51,30 +61,119 @@ def test_decompose_input_validation():
 
 
 def test_verification_flags_meaning():
+    # the flag is read on the parent algebra: l1 contains Z and Pf of
+    # b_lambda on v1 = l1 ∩ v is a nonzero polynomial on z*
     dec = decompose("case1", n=3)
+    alg, l1 = dec.algebra, set(dec.l1_indices)
     flags = dec.verification
     assert set(flags) == {"l1_is_ideal", "direct_sum",
                           "l2_abelian_subalgebra", "l1_square_integrable"}
-    sub = dec.l1_subalgebra()
-    assert is_square_integrable(sub)
+    assert set(alg.center_indices) <= l1
+    v1 = [i for i in alg.complement_indices if i in l1]
+    assert is_square_integrable(alg, v_indices=v1)
+    assert not is_square_integrable(alg)
 
 
-def test_l1_subalgebra_is_built_once_per_split(monkeypatch):
-    calls = []
-    build = stepwise.subalgebra
+def test_one_l1_pattern_per_split(monkeypatch):
+    builds = []
+    build = pfaffian._skew_pattern
 
-    def counting(*args, **kwargs):
-        calls.append(args[1])
-        return build(*args, **kwargs)
+    def counting(alg, v_indices):
+        builds.append(tuple(v_indices))
+        return build(alg, v_indices)
 
-    monkeypatch.setattr(stepwise, "subalgebra", counting)
+    monkeypatch.setattr(pfaffian, "_skew_pattern", counting)
     dec = decompose("case1", n=3)
-    assert dec.l1_subalgebra() is dec.l1_subalgebra()
     verify(dec)
     rep = invert_stepwise(dec, GaussianTestFunction.standard(6), [0.0] * 6)
     assert rep.entries[0]["rel_error"] < 1e-9
-    assert calls == [dec.l1_indices]
-    assert dec.l1_subalgebra().name == "free2step:3:R.l1"
+    v1 = tuple(i for i in dec.algebra.complement_indices
+               if i in dec.l1_indices)
+    assert builds == [v1]
+
+
+def two_center_algebra():
+    """z = (z1, z2), v = (u1, u2, u3): [u1, u2] = z1, [u1, u3] = z2."""
+    return LieAlgebraData(5, ["z1", "z2", "u1", "u2", "u3"],
+                          [(2, 3, 0, 1), (2, 4, 1, 1)],
+                          center_indices=(0, 1), complement_indices=(2, 3, 4))
+
+
+def test_l1_must_be_square_integrable_modulo_the_center_of_n():
+    alg = two_center_algebra()
+    # dropping u1 leaves an abelian ideal: its own center is all of l1,
+    # and Pf on v1 = (u2, u3) vanishes on z*
+    flags = verify(StepwiseDecomposition(alg, [0, 1, 3, 4], [2]))
+    assert flags["l1_is_ideal"] and flags["l2_abelian_subalgebra"]
+    assert not flags["l1_square_integrable"]
+    dec = find_codim_split(alg)
+    assert dec.l2_indices == (4,) and all(dec.verification.values())
+
+
+def test_pair_splits_of_free2step_3_leave_no_square_integrable_l1():
+    alg = free_two_step(3, "R")
+    u1, u2, u3 = alg.complement_indices
+    for l2 in ((u2, u3), (u1, u3), (u1, u2)):
+        l1 = [i for i in range(alg.dim) if i not in l2]
+        flags = verify(StepwiseDecomposition(alg, l1, l2))
+        assert flags["l1_is_ideal"] and not flags["l1_square_integrable"]
+
+
+def test_l1_must_contain_the_center_of_n():
+    # h(1;C) + R: l1 = h(1;C) is an ideal with Pf = t1 on v1, but it
+    # leaves out the central R
+    alg = direct_sum(heisenberg(1, "C"), abelian(1))
+    z = alg.center_indices[-1]
+    l1 = [i for i in range(alg.dim) if i != z]
+    flags = verify(StepwiseDecomposition(alg, l1, [z]))
+    assert flags["l1_is_ideal"] and flags["l2_abelian_subalgebra"]
+    assert not flags["l1_square_integrable"]
+
+
+def l1_center(alg, l1):
+    """The center of l1 in l1's coordinates: the kernel of the ad rows
+    of l1 on l1, read from the dense table."""
+    table = alg.structure
+    zero = (0,) * alg.dim
+    rows = []
+    for i in l1:
+        cols = [table.get((i, j), zero) if i < j
+                else [-c for c in table.get((j, i), zero)] for j in l1]
+        rows.extend(row for row in zip(*cols) if any(row))
+    return linalg.kernel(rows) if rows else linalg.identity(len(l1))
+
+
+SPLIT_FAMILIES = ([f"free2step:{n}:{F}" for n in (3, 5, 7) for F in "RC"]
+                  + ["octdouble", "table:2.1:1", "table:2.1:1:n=5",
+                     "table:2.1:3", "table:2.1:6", "table:2.1:6:n=5"])
+
+
+@pytest.mark.parametrize("name", SPLIT_FAMILIES)
+def test_square_integrable_l1_has_center_z(monkeypatch, name):
+    # every candidate the search tries; where the flag holds, a kernel
+    # computed here (no code shared with verify) gives z(l1) = Z
+    tried = []
+    check = stepwise.verify
+
+    def recording(dec):
+        tried.append(dec)
+        return check(dec)
+
+    monkeypatch.setattr(stepwise, "verify", recording)
+    alg = from_name(name)
+    dec = find_codim_split(alg)
+    assert dec is not None and tried[-1] is dec
+    for cand in tried:
+        if cand.verification["l1_square_integrable"]:
+            l1 = cand.l1_indices
+            units = [[int(a == l1.index(z)) for a in range(len(l1))]
+                     for z in alg.center_indices]
+            assert l1_center(alg, l1) == units, cand.l2_indices
+    split = REFERENCE["algebras"].get(alg.name, {}).get("split")
+    if split is not None:
+        assert list(dec.l1_indices) == split["l1"]
+        assert list(dec.l2_indices) == split["l2"]
+        assert dec.verification == split["flags"]
 
 
 def test_bad_split_fails_verification():
