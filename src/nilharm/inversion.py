@@ -2,6 +2,13 @@
 
 Flat case: f(x) = c * integral over the dual center of
 Theta(r_x f)(lam) |Pf(lam)| dlam, with c = d! 2^d, 2d = dim(n/z).
+The character is Theta_lam(g) = c^{-1}|Pf(lam)|^{-1} F_z[g|_z](lam)
+(Moore-Wolf), by two identities: the integral of g^(lam, xi) over xi
+in v* is (2pi)^{dim v} F_z[g|_z](lam), and A_x fixes the central
+columns, so (r_x f)(Z) = f(Z + X) for central Z.  So Theta(r_x f)
+needs f only on the slice x + z, and c and |Pf| cancel, here and in
+the stepwise inner layer: criteria 6-8 cannot see a wrong c or Pf
+(ROADMAP item 3, still open).
 
 Stepwise case: factor x = x1 * x2, partial Fourier transform along l2,
 flat inversion on L1 per frequency xi, then the outer integral against
@@ -25,7 +32,7 @@ import numpy as np
 
 from .algebra import bracket
 from .config import DEFAULTS, quad_settings
-from .pfaffian import is_square_integrable, pf_polynomial
+from .pfaffian import pf_polynomial
 from .quadrature import tensor_integrate
 from .stepwise import decompose
 
@@ -99,21 +106,24 @@ def flat_constant(alg):
     return math.factorial(d) * 2 ** d
 
 
-def _character_core(alg, g):
-    """Marginal of g^ over the dual complement, as a Gaussian on z*.
+def _character_core(alg, g, at=None):
+    """F_z[g|_{at + z}], the transform over z* of Z -> g(at + Z).
 
-    Carries the (2pi)^{-dim v} orbit-measure normalization, so the
-    orbital character is c^{-1}|Pf(lam)|^{-1} times this evaluated
-    at lam.
+    It is (2pi)^{-dim v} times the marginal of g^ over v*, and at X it
+    is the core of Theta(r_x f), as (r_x f)(Z) = f(Z + X) on z.
     """
-    comp = list(alg.complement_indices)
-    ghat = g.fourier()
-    core = ghat.marginalize(comp) if comp else ghat
-    return core.scaled((2 * math.pi) ** (-len(comp)))
+    inject = np.eye(alg.dim)[:, list(alg.center_indices)]
+    at = np.zeros(alg.dim) if at is None else at
+    return g.pullback(inject, at).fourier()
 
 
 def orbital_character(alg, lam, g):
-    """Theta_{pi_lam}(g) for Gaussian g; raises on singular lam."""
+    """Theta_{pi_lam}(g) = F_z[g|_z](lam) / (c |Pf(lam)|) for Gaussian g.
+
+    F_z[g|_z] is (2pi)^{-dim v} times the integral of g^ over v*; for
+    g = r_x f it is F_z[f|_{x+z}], as (r_x f)(Z) = f(Z + X) on z.
+    Raises on singular lam.
+    """
     lam = np.asarray(lam, dtype=float)
     pf = pf_polynomial(alg)
     pf_val = pf.evaluate_float(lam[None, :])[0]
@@ -158,52 +168,33 @@ def _settings(overrides):
 def invert_flat(alg, f, x, quad_settings=None):
     """Reconstruct f at x via the flat inversion formula; reports error.
 
-    The quadrature runs over z* with weight |Pf(lam)| against
-    (2pi)^{-dim z} Lebesgue; the character values divide by the same
-    |Pf(lam)|, so the integrand stays smooth across the Pf = 0 set.
-    The integral is over all of z*, by Gauss-Hermite matched to the
-    envelope of the character core; its even node counts keep every
-    node off the envelope centre.
+    Theta(r_x f)(lam) = F_z[f|_{x+z}](lam) / (c |Pf(lam)|): the integral
+    of the transform over v* is (2pi)^{dim v} times the one over z, and
+    (r_x f)(Z) = f(Z + X) for central Z.  The weight c|Pf| cancels the
+    character, so f(x) = (2pi)^{-dim z} integral of the core over z*,
+    by Gauss-Hermite matched to its envelope.  Neither c nor Pf enters,
+    so this check cannot see them (ROADMAP item 3).
     """
-    sq = is_square_integrable(alg)
-    if not sq:
+    if not pf_polynomial(alg):
         raise ValueError("algebra is not square integrable; "
                          "flat inversion does not apply")
     s = _settings(quad_settings)
     start = time.perf_counter()
     x = _as_point(alg, x)
+    X = x.float_coords()
+    lifted = f.lift()
+    core = _character_core(alg, lifted, at=X)
 
-    zdim = len(alg.center_indices)
-    c = flat_constant(alg)
-    g = right_translate(alg, f, x)
-    core = _character_core(alg, g)
-    pf = pf_polynomial(alg)
+    mean, sigma = core.envelope()
+    value, info = tensor_integrate(lambda grid: core.evaluate_grid(grid.axes),
+                                   mean, sigma, rtol=s["rtol"],
+                                   max_evals=s["max_evals"],
+                                   start=s["start_nodes"])
+    recon = (2 * math.pi) ** (-len(mean)) * value
 
-    if zdim == 0:
-        recon = complex(core.evaluate(np.zeros(0)))
-        info = {"nodes": 0}
-    else:
-        mean, sigma = core.envelope()
-
-        def integrand(grid):
-            pf_abs = np.abs(pf.evaluate_grid(grid.axes))
-            if np.any(pf_abs == 0.0):
-                raise ValueError("quadrature node hit Pf(lam) = 0")
-            theta = core.evaluate_grid(grid.axes)
-            theta /= c * pf_abs
-            theta *= pf_abs
-            return theta
-
-        value, info = tensor_integrate(integrand, mean, sigma,
-                                       rtol=s["rtol"],
-                                       max_evals=s["max_evals"],
-                                       start=s["start_nodes"])
-        recon = c * (2 * math.pi) ** (-zdim) * value
-
-    f_x = float(f.evaluate(x.float_coords()))
+    f_x = float(np.real(lifted.evaluate(X)))
     report = InversionReport()
-    report.add_entry(x.float_coords(), f_x, recon,
-                     extra={"z_nodes": info.get("nodes", 0)})
+    report.add_entry(X, f_x, recon, extra={"z_nodes": info["nodes"]})
     report.wall_time = time.perf_counter() - start
     return report
 
@@ -303,21 +294,22 @@ def invert_stepwise(case_tag, f, x, quad_settings=None):
 def flatness_identity_gap(alg, f, x):
     """Relative gap between the two closed-form routes to (r_x f)(e).
 
-    Route 1: c * integral Theta(r_x f)|Pf| dlam over z* (telescoped in
-    closed form).  Route 2: Euclidean Fourier inversion of (r_x f)_1
-    at 0.  Both reduce to total integrals of explicit Gaussians.
+    Route 1: c * integral Theta(r_x f)|Pf| dlam over z*, where c and
+    |Pf| cancel, so it is the total integral of the slice core of
+    invert_flat.  Route 2: Euclidean Fourier inversion of (r_x f)_1
+    at 0, through the translation matrix and the dim n transform.
+    Both reduce to total integrals of explicit Gaussians.
     """
     x = _as_point(alg, x)
-    g = right_translate(alg, f, x)
     zdim = len(alg.center_indices)
 
     # route 1: the lam-integral of the character core is itself a
-    # closed-form Gaussian integral (the constant c cancels)
-    core = _character_core(alg, g)
+    # closed-form Gaussian integral
+    core = _character_core(alg, f.lift(), at=x.float_coords())
     lhs = core.total_integral() * (2 * math.pi) ** (-zdim)
 
     # route 2: (2pi)^{-dim n} * integral of g^ over all of n*
-    ghat = g.fourier()
+    ghat = right_translate(alg, f, x).fourier()
     rhs = ghat.total_integral() * (2 * math.pi) ** (-alg.dim)
 
     scale = max(abs(lhs), abs(rhs))

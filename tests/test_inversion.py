@@ -239,6 +239,63 @@ def test_invert_flat_abelian_is_classical():
     assert report.entries[0]["rel_error"] < 1e-9
 
 
+def character_core_by_full_transform(alg, f, x):
+    """The core of Theta(r_x f) as (2pi)^{-dim v} times the marginal
+    over v* of the dim n transform of r_x f (oracle)."""
+    comp = list(alg.complement_indices)
+    ghat = right_translate(alg, f, x).fourier()
+    core = ghat.marginalize(comp) if comp else ghat
+    return core.scaled((2 * math.pi) ** (-len(comp)))
+
+
+@pytest.mark.parametrize("name", ["heisenberg:1:C", "heisenberg:2:C",
+                                  "heisenberg:1:H", "heisenberg:1:O",
+                                  "abelian:2"])
+def test_slice_core_matches_the_full_transform_marginal(name):
+    alg = from_name(name)
+    rng = np.random.default_rng(60)
+    for _ in range(10):
+        A = rng.normal(size=(alg.dim, alg.dim))
+        f = GaussianTestFunction(A @ A.T + alg.dim * np.eye(alg.dim),
+                                 rng.normal(size=alg.dim))
+        x = rng.normal(size=alg.dim)
+        got = inversion._character_core(alg, f.lift(), at=x)
+        want = character_core_by_full_transform(alg, f, list(x))
+        assert np.abs(got.A - want.A).max() <= 1e-12 * np.abs(want.A).max()
+        assert np.abs(got.u - want.u).max() <= 1e-12 * np.abs(want.u).max()
+        # v is a log: its absolute error is the amplitude's relative one
+        assert abs(got.v - want.v) <= 1e-12 * max(1.0, abs(want.v))
+
+
+def test_invert_flat_transforms_only_the_center(monkeypatch):
+    calls, fourier_dims = [], []
+    translation, fourier = translation_matrix, ComplexGaussian.fourier
+    marginalize = ComplexGaussian.marginalize
+    monkeypatch.setattr(inversion, "translation_matrix",
+                        lambda *a: calls.append("translation_matrix")
+                        or translation(*a))
+    monkeypatch.setattr(ComplexGaussian, "marginalize",
+                        lambda g, out: calls.append("marginalize")
+                        or marginalize(g, out))
+    monkeypatch.setattr(ComplexGaussian, "fourier",
+                        lambda g: fourier_dims.append(g.dim) or fourier(g))
+    for name in ("heisenberg:1:C", "heisenberg:2:C", "heisenberg:1:H"):
+        alg = from_name(name)
+        fourier_dims.clear()
+        x = [0.1 * (k % 3) - 0.1 for k in range(alg.dim)]
+        rep = invert_flat(alg, GaussianTestFunction.standard(alg.dim), x)
+        assert rep.entries[0]["rel_error"] < 1e-12
+        assert fourier_dims == [len(alg.center_indices)]
+    assert calls == []
+
+
+def test_invert_flat_refuses_a_non_square_integrable_algebra():
+    alg = free_two_step(3, "R")
+    with pytest.raises(ValueError, match="not square integrable"):
+        invert_flat(alg, GaussianTestFunction.standard(alg.dim),
+                    [0.0] * alg.dim)
+
+
 def test_flatness_identity_gap_is_tiny():
     alg = heisenberg(1, "C")
     f = GaussianTestFunction(np.diag([1.0, 0.7, 1.3]),

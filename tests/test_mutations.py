@@ -1,0 +1,68 @@
+"""Mutation rows: a numeric check counts only if it is not circular.
+
+Each row names one fault and one acceptance criterion that must fail
+under it.  The fault is applied with monkeypatch and the criterion runs
+in-process through selftest.CRITERIA.  A row that no criterion catches
+today is a strict xfail naming ROADMAP item 3: the flat and stepwise
+inversion checks cancel c and |Pf| (inversion module docstring), so a
+wrong constant or Pfaffian passes them.  When a character computed
+without c and Pf lands, those rows pass and their markers go.
+"""
+
+import numpy as np
+import pytest
+
+from nilharm import inversion, quadrature, selftest
+
+
+def slice_at_minus_x(monkeypatch):
+    core = inversion._character_core
+    monkeypatch.setattr(inversion, "_character_core",
+                        lambda alg, g, at=None: core(alg, g, -at))
+
+
+def hermite_weights_without_exp(monkeypatch):
+    def gauss_hermite(n):
+        if n not in quadrature._rule_cache:
+            quadrature._rule_cache[n] = np.polynomial.hermite.hermgauss(n)
+        return quadrature._rule_cache[n]
+
+    # a fresh cache, so the correct rules cached so far are not read and
+    # the wrong ones do not outlive the test
+    monkeypatch.setattr(quadrature, "_rule_cache", {})
+    monkeypatch.setattr(quadrature, "gauss_hermite", gauss_hermite)
+
+
+def flat_constant_7(monkeypatch):
+    monkeypatch.setattr(inversion, "flat_constant", lambda alg: 7)
+
+
+def pf_polynomial_times_3(monkeypatch):
+    pf = inversion.pf_polynomial
+    monkeypatch.setattr(inversion, "pf_polynomial",
+                        lambda alg, **kw: pf(alg, **kw) * 3)
+
+
+def row(mutation, criterion, marks=()):
+    return pytest.param(mutation, criterion, marks=marks,
+                        id=f"{mutation.__name__}-{criterion}")
+
+
+ITEM_3 = pytest.mark.xfail(strict=True, reason="item 3",
+                           raises=AssertionError)
+
+ROWS = [
+    row(slice_at_minus_x, 6),
+    row(slice_at_minus_x, 8),
+    row(hermite_weights_without_exp, 6),
+    row(hermite_weights_without_exp, 7),
+] + [row(mutation, criterion, ITEM_3)
+     for mutation in (flat_constant_7, pf_polynomial_times_3)
+     for criterion in (6, 7, 8)]
+
+
+@pytest.mark.parametrize("mutation, criterion", ROWS)
+def test_mutation_fails_its_criterion(monkeypatch, mutation, criterion):
+    mutation(monkeypatch)
+    result = selftest.CRITERIA[criterion]()
+    assert not result["passed"], result["detail"]
