@@ -108,7 +108,7 @@ def _dense(dim, pairs):
 
 
 def _support(vec):
-    return [(i, Fraction(c)) for i, c in enumerate(vec) if c]
+    return [(i, c) for i, c in enumerate(vec) if c]
 
 
 def _accumulate(alg, xs, ys, out):
@@ -126,7 +126,7 @@ def _accumulate(alg, xs, ys, out):
 
 
 def bracket(alg, x, y):
-    """Bilinear extension of the structure constants; exact."""
+    """Bilinear extension of the structure constants; exact on exact input."""
     if len(x) != alg.dim or len(y) != alg.dim:
         raise ValueError("vector dimension mismatch")
     return _accumulate(alg, _support(x), _support(y),

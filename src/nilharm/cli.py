@@ -402,8 +402,8 @@ def build_parser():
                                                "a positive finite number"),
                    help="acceptance tolerance on relative error")
     p.add_argument("--nodes", type=_checked_type(int, is_node_count,
-                                                 "a positive even integer"),
-                   help="even starting per-axis quadrature node count")
+                                                 "a positive integer"),
+                   help="starting per-axis quadrature node count")
 
     p = add_parser("octonion", help="exact octonion arithmetic")
     p.add_argument("operation", choices=["mul", "table"])

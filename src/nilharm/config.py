@@ -86,16 +86,14 @@ def is_positive(value):
 
 
 def is_node_count(value):
-    """Positive and even: an odd symmetric Gauss-Hermite rule puts a
-    node on the envelope centre, where Pf(lambda) can vanish."""
-    return _is_int(value) and value > 0 and value % 2 == 0
+    return _is_int(value) and value > 0
 
 
 _POSITIVE = (is_positive, "a positive finite number")
 _RULES = {"quad_rtol": _POSITIVE, "flat_rtol": _POSITIVE,
           "stepwise_rtol": _POSITIVE, "truncation_sigmas": _POSITIVE,
-          "max_evals": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
-          "start_nodes": (is_node_count, "a positive even integer"),
+          "max_evals": (is_node_count, "an integer >= 1"),
+          "start_nodes": (is_node_count, "a positive integer"),
           "seed": (_is_int, "an integer")}
 
 

@@ -10,23 +10,24 @@ needs f only on the slice x + z, and c and |Pf| cancel, here and in
 the stepwise inner layer: criteria 6-8 cannot see a wrong c or Pf
 (ROADMAP item 3, still open).
 
-Stepwise case: factor x = x1 * x2, partial Fourier transform along l2,
-flat inversion on L1 per frequency xi, then the outer integral against
-chi_xi(x2).  The inner layer is xi -> integral of g_joint^(lam, xi)
-over z1*, one closed-form Gaussian in xi evaluated on the outer grid.
+Stepwise case: factor x = x1 * x2 with x1 in L1 and x2 in L2, take the
+partial Fourier transform along l2, invert flatly on L1 per frequency
+xi, then integrate against chi_xi(x2).  The same two identities on L1
+cancel c1|Pf1| and integrate the transform on z1 + l2 over z1*, which
+leaves (2pi)^{dim z1} F_T[g](xi) with g(T) = f(x1 * T), the data on
+the l2 slice through x1.  So f(x) = (2pi)^{-dim l2} times the integral
+of g^(xi) chi_xi(x2) dxi: c1, |Pf1| and z1 never enter, and criterion
+7 sees the group law only through x1 and chi_xi(x2) (item 3 stays
+open here too).
 
 Measure convention used throughout: the Fourier kernel e^{-i<xi,Y>}
 integrates against plain Lebesgue dY, and every k-dimensional dual
-integration carries (2pi)^{-k} * Lebesgue.  The partial transform along
-l2 and the outer integral split their (2pi)-power evenly, which is the
-unique allocation that matches the displayed inversion constants for
-the three exceptional cases.
+integration carries (2pi)^{-k} * Lebesgue.
 """
 
 import functools
 import math
 import time
-from fractions import Fraction
 
 import numpy as np
 
@@ -200,13 +201,16 @@ def invert_flat(alg, f, x, quad_settings=None):
 
 
 def factor_point(alg, dec, x):
-    """x = x1 * x2 with x1 in L1, x2 in L2; exact on rationals."""
+    """x = x1 * x2 with x1 in L1, x2 in L2; exact on rationals.
+
+    x2 is the l2 part of x and x1 = (x - x2) - [x - x2, x2]/2, both
+    read from the sparse bracket kernel in x's arithmetic.
+    """
     x = _as_point(alg, x)
     l2 = set(dec.l2_indices)
-    xs = list(x.coords)
-    zero = Fraction(0) if isinstance(xs[0], Fraction) else 0.0
-    x2 = [xs[i] if i in l2 else zero for i in range(alg.dim)]
-    xl1 = [zero if i in l2 else xs[i] for i in range(alg.dim)]
+    xs = x.coords
+    x2 = [c if i in l2 else 0 for i, c in enumerate(xs)]
+    xl1 = [0 if i in l2 else c for i, c in enumerate(xs)]
     br = bracket(alg, xl1, x2)
     x1 = [a - b / 2 for a, b in zip(xl1, br)]
     p1 = GroupPoint(alg, x1)
@@ -218,24 +222,6 @@ def factor_point(alg, dec, x):
     return p1, p2
 
 
-def _joint_gaussian(dec, f, x):
-    """(r_x f)_1 on the slice z1 + l2, as a Gaussian g_joint in (Z, T).
-
-    With x = x1 x2 the slice point is Z + X1 + T + [X1, T]/2.  Returns
-    g_joint, dim z1 and the l2 coordinates X2 of x2.
-    """
-    alg, l2 = dec.algebra, dec.l2_indices
-    # a verified split has z1 = z(l1) = Z
-    z1_global = list(alg.center_indices)
-    z1 = len(z1_global)
-    x1, x2 = factor_point(alg, dec, x)
-    # columns e_j + [X1, e_j]/2 of A_{-x1}; [X1, Z] = 0 on z1
-    M = translation_matrix(alg, [-c for c in x1.coords])
-    M = M[:, z1_global + list(l2)]
-    X2 = np.array([float(x2.coords[i]) for i in l2])
-    return f.lift().pullback(M, x1.float_coords()), z1, X2
-
-
 # A case tag names a fixed algebra, so its decomposition is built on
 # first use and kept; the cache is private, so no caller holds (and can
 # change) a shared decomposition.
@@ -245,16 +231,13 @@ _decomposition = functools.cache(decompose)
 def invert_stepwise(case_tag, f, x, quad_settings=None):
     """Reconstruct f at x by the two-layer inversion for one case.
 
-    Inner layer: flat inversion on L1 of the partial Fourier transform
-    of the translated data along l2, at frequency xi.  Only the central
-    slice of the L1 data enters the character, and the Plancherel
-    weight c1|Pf1| cancels the character's 1/(c1|Pf1|), so the inner
-    layer is xi -> (2pi)^{-dim z1} integral g_joint^(lam, xi) dlam over
-    z1*: one closed-form Gaussian in xi, built once.  Outer layer: its
-    integral over the dual of l2 against chi_xi(x2), by adaptive
-    Gauss-Hermite quadrature that evaluates the Gaussian on each
-    level's whole grid.  A case tag's decomposition is built once per
-    process.
+    With x = x1 * x2, the inner layer (flat inversion on L1 of the
+    partial transform along l2, integrated over z1*) is the transform
+    g^ of g(T) = f(x1 * T) on l2, one closed-form Gaussian in xi built
+    once.  The outer layer integrates g^(xi) chi_xi(x2) over the dual
+    of l2 by adaptive Gauss-Hermite quadrature, which evaluates the
+    Gaussian on each level's whole grid.  A case tag's decomposition
+    is built once per process.
     """
     dec = (_decomposition(case_tag) if isinstance(case_tag, str)
            else case_tag)
@@ -262,26 +245,25 @@ def invert_stepwise(case_tag, f, x, quad_settings=None):
         raise ValueError("decomposition failed verification")
     s = _settings(quad_settings)
     start = time.perf_counter()
-    x = _as_point(dec.algebra, x)
+    alg, l2 = dec.algebra, list(dec.l2_indices)
+    x = _as_point(alg, x)
+    x1, x2 = factor_point(alg, dec, x)
 
-    g_joint, z1, X2 = _joint_gaussian(dec, f, x)
-    n2 = len(X2)
-    t_block = list(range(z1, z1 + n2))
-    xi_mean = np.imag(g_joint.u[t_block])
-    xi_sigma = np.sqrt(np.diag(g_joint.A)[t_block])
-
-    # the partial transform along l2 and the outer integral share
-    # (2pi)^{-n2} evenly; chi_xi(x2) = e^{i xi.X2} joins the linear term
-    outer_const = (2 * math.pi) ** (-n2 / 2.0)
-    inner = g_joint.fourier().marginalize(range(z1)).scaled(
-        outer_const * (2 * math.pi) ** (-z1))
-    inner.u = inner.u + 1j * X2
+    # x1 * T = X1 + T + [X1, T]/2: the l2 columns of A_{-x1}
+    M = translation_matrix(alg, [-c for c in x1.coords])[:, l2]
+    g = f.lift().pullback(M, x1.float_coords())
+    # g^ has the envelope of mean Im(g.u) and covariance g.A
+    xi_mean = np.imag(g.u)
+    xi_sigma = np.sqrt(np.diag(g.A))
+    # chi_xi(x2) = e^{i xi.X2} joins the linear term
+    inner = g.fourier()
+    inner.u = inner.u + 1j * np.array([float(x2.coords[i]) for i in l2])
 
     outer_rtol = max(s["rtol"], 1e-9)
     value, outer_info = tensor_integrate(
         lambda grid: inner.evaluate_grid(grid.axes), xi_mean, xi_sigma,
         rtol=outer_rtol, max_evals=2 ** 14, start=s["start_nodes"])
-    recon = outer_const * value
+    recon = (2 * math.pi) ** (-len(l2)) * value
 
     f_x = float(f.evaluate(x.float_coords()))
     report = InversionReport()

@@ -8,9 +8,10 @@ then a slowly varying function times the rule's weight, so a few nodes
 per axis reach float precision.  The per-axis count doubles from
 `start` until two successive levels agree to rtol, up to max_evals
 nodes and MAX_HERMITE_NODES per axis.
-Node counts stay even: any odd symmetric rule puts a node on the
-envelope centre, where Pfaffian factors can vanish.  The default
-tolerance, budget and starting count are the ones in config.DEFAULTS.
+Any positive starting count works: no integrand divides by a
+Pfaffian, so an odd rule's node on the envelope centre is harmless.
+The default tolerance, budget and starting count are the ones in
+config.DEFAULTS.
 
 Integrand contract: func is called once per level with a TensorGrid,
 the per-axis node arrays of that level's n^dim tensor grid, and returns

@@ -248,6 +248,26 @@ def test_sparse_bracket_matches_dense_oracle(case):
     assert bracket(alg, x, y) == dense_bracket(alg, x, y)
 
 
+def test_bracket_keeps_the_arithmetic_of_its_input():
+    # Fractions in, Fractions out; floats in, floats out in every slot
+    # that a term reaches, and Fraction(0) in every other slot
+    rng = random.Random(9)
+    for alg in ORACLE_ALGEBRAS:
+        x, y = rand_vec(rng, alg.dim), rand_vec(rng, alg.dim)
+        exact = bracket(alg, x, y)
+        assert exact == dense_bracket(alg, x, y)
+        assert all(type(c) is Fraction for c in exact)
+        reached = {k for i in range(alg.dim) for j in range(alg.dim)
+                   if x[i] and y[j] for k, _ in alg.bracket_row(i, j)}
+        floats = bracket(alg, [float(c) for c in x], [float(c) for c in y])
+        for k, (got, want) in enumerate(zip(floats, exact)):
+            if k in reached:
+                assert type(got) is float
+                assert abs(got - float(want)) <= 1e-12 * (1 + abs(want))
+            else:
+                assert type(got) is Fraction and got == 0
+
+
 def count_calls(monkeypatch, module, name):
     calls = []
     original = getattr(module, name)

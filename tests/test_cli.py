@@ -118,7 +118,8 @@ def run_cli(argv, env=None):
 
 @pytest.mark.parametrize("line", [
     "max_evals = abc", "max_evals = 0", "max_evals = 2.5",
-    "start_nodes = 3", "start_nodes = -2", "seed = 1.5", "seed = true",
+    "start_nodes = 0", "start_nodes = -2", "start_nodes = 2.5",
+    "start_nodes = true", "seed = 1.5", "seed = true",
     "quad_rtol = -1e-8", "flat_rtol = 0", "stepwise_rtol = nan",
     "truncation_sigmas = inf", "truncation_sigmas = many",
     "seed = " + "7" * 5000, "quad_rtol = 1e10000000", "x" * 5000 + " = 1",
@@ -165,6 +166,14 @@ def test_good_config_values_load(tmp_path):
     assert (doc["truncation_sigmas"], doc["flat_rtol"]) == (6, 1e-7)
 
 
+def test_odd_start_nodes_config_loads(tmp_path):
+    cfg = tmp_path / "odd.cfg"
+    cfg.write_text("start_nodes = 3\n")
+    doc = json.loads(invoke(["check", "abelian:2", "--config", str(cfg),
+                             "--json"]).human_text)["config"]
+    assert doc["start_nodes"] == 3
+
+
 def test_bad_seed_env_variable_is_usage_error():
     env = dict(os.environ, NILHARM_SEED="abc")
     out = run_cli(["check", "abelian:2"], env=env)
@@ -173,13 +182,25 @@ def test_bad_seed_env_variable_is_usage_error():
     assert "Traceback" not in out.stderr
 
 
-@pytest.mark.parametrize("nodes", ["1", "3", "0", "-2", "abc"])
+@pytest.mark.parametrize("nodes", ["0", "-2", "2.5", "true", "abc"])
 def test_nodes_must_be_positive_and_even(nodes):
+    # refuses non-positive and non-integer counts only; odd ones are
+    # accepted (test_odd_nodes_are_accepted)
     out = run_cli(["invert", "heisenberg:1:C", "--points", "0.1,0,0",
                    f"--nodes={nodes}"])
     assert out.returncode == 2
-    assert "is not a positive even integer" in out.stderr
+    assert "is not a positive integer" in out.stderr
     assert "Traceback" not in out.stderr
+
+
+# no inversion integrand holds a Pfaffian, so an odd rule's node at the
+# envelope centre is harmless
+@pytest.mark.parametrize("nodes", ["1", "3", "7"])
+def test_odd_nodes_are_accepted(nodes):
+    res = invoke(["invert", "heisenberg:1:C", "--points", "0.1,0,0",
+                  "--nodes", nodes, "--json"])
+    assert res.exit_code == 0
+    assert json.loads(res.human_text)["settings"]["start_nodes"] == int(nodes)
 
 
 def test_even_nodes_are_accepted():

@@ -318,6 +318,20 @@ def test_factor_point_recomposes():
         assert all(x2.coords[k] == 0 for k in dec.l1_indices)
 
 
+@pytest.mark.parametrize("case", ["case1", "case3", "case6"])
+def test_factor_point_on_floats_matches_the_exact_route(case):
+    dec = decompose(case)
+    alg = dec.algebra
+    rng = np.random.default_rng(61)
+    for _ in range(10):
+        x = rng.normal(size=alg.dim).tolist()
+        got = factor_point(alg, dec, x)
+        want = factor_point(alg, dec, [Fraction(c) for c in x])
+        for p, q in zip(got, want):
+            assert all(type(c) is float for c in p.coords if c)
+            assert np.abs(p.float_coords() - q.float_coords()).max() <= 1e-14
+
+
 def test_factor_point_refuses_a_wrong_recomposition(monkeypatch):
     dec = decompose("case1")
     alg = dec.algebra
@@ -378,33 +392,11 @@ def _outer_level(monkeypatch, *args, **kwargs):
     return rep, level[0], level[1]
 
 
-@pytest.mark.parametrize("case, dim, x, qs", [
-    ("case1", 6, [0.1, -0.2, 0.15, 0.3, -0.1, 0.2], None),
-    ("case3", 14, [0.05 * k - 0.3 for k in range(14)], {"rtol": 1e-6}),
-    ("case6", 12, CASE6_GENERIC, None),
-], ids=["case1", "case3", "case6"])
-def test_stepwise_inner_gaussian_against_the_per_frequency_chain(
-        monkeypatch, case, dim, x, qs):
-    # per outer node xi: partial transform along l2, flat inversion on L1
-    # as the closed-form integral of its transform over z1*, and the
-    # character chi_xi(x2); x2 != 0 at these points
-    f = GaussianTestFunction.standard(dim)
-    rep, xis, got = _outer_level(monkeypatch, case, f, x, quad_settings=qs)
-    assert rep.entries[0]["rel_error"] < 1e-9
-    g_joint, z1, X2 = inversion._joint_gaussian(decompose(case), f, x)
-    assert np.abs(X2).max() > 0.1
-    t_block = list(range(z1, z1 + len(X2)))
-    outer_const = (2 * math.pi) ** (-len(X2) / 2.0)
-    for xi, value in zip(xis, got):
-        s_xi = g_joint.partial_fourier(t_block, xi).scaled(outer_const)
-        want = (s_xi.fourier().total_integral() * (2 * math.pi) ** (-z1)
-                * np.exp(1j * (xi @ X2)))
-        assert abs(value - want) <= 1e-12 * abs(want)
-
-
 def joint_gaussian_by_exact_brackets(dec, f, x):
-    """_joint_gaussian with each l2 column e_t + [X1, e_t]/2 bracketed
-    exactly against a unit vector (oracle)."""
+    """(r_x f)_1 on the slice z1 + l2 as a Gaussian g_joint in (Z, T),
+    with each l2 column e_t + [X1, e_t]/2 bracketed against a unit
+    vector; returns g_joint, dim z1 and X2 (oracle: the joint route,
+    whose transform integrated over z1* is the stepwise inner layer)."""
     alg, l2 = dec.algebra, dec.l2_indices
     z1_global = list(alg.center_indices)
     z1 = len(z1_global)
@@ -420,22 +412,86 @@ def joint_gaussian_by_exact_brackets(dec, f, x):
     return f.lift().pullback(M, x1.float_coords()), z1, X2
 
 
+STEPWISE_POINTS = [
+    ("case1", 6, [0.1, -0.2, 0.15, 0.3, -0.1, 0.2], None),
+    ("case3", 14, [0.05 * k - 0.3 for k in range(14)], {"rtol": 1e-6}),
+    ("case6", 12, CASE6_GENERIC, None),
+]
+
+
+@pytest.mark.parametrize("case, dim, x, qs", STEPWISE_POINTS,
+                         ids=["case1", "case3", "case6"])
+def test_stepwise_inner_gaussian_against_the_per_frequency_chain(
+        monkeypatch, case, dim, x, qs):
+    # per outer node xi: partial transform of g_joint along l2, flat
+    # inversion on L1 as the closed-form integral of its transform over
+    # z1*, and the character chi_xi(x2); x2 != 0 at these points
+    f = GaussianTestFunction.standard(dim)
+    rep, xis, got = _outer_level(monkeypatch, case, f, x, quad_settings=qs)
+    assert rep.entries[0]["rel_error"] < 1e-9
+    g_joint, z1, X2 = joint_gaussian_by_exact_brackets(decompose(case), f, x)
+    assert np.abs(X2).max() > 0.1
+    t_block = list(range(z1, z1 + len(X2)))
+    for xi, value in zip(xis, got):
+        s_xi = g_joint.partial_fourier(t_block, xi)
+        want = (s_xi.fourier().total_integral() * (2 * math.pi) ** (-z1)
+                * np.exp(1j * (xi @ X2)))
+        assert abs(value - want) <= 1e-12 * abs(want)
+
+
+def _transformed(monkeypatch):
+    """The list that each ComplexGaussian.fourier call appends its
+    input to."""
+    inputs, fourier = [], ComplexGaussian.fourier
+    monkeypatch.setattr(ComplexGaussian, "fourier",
+                        lambda g: inputs.append(g) or fourier(g))
+    return inputs
+
+
 @pytest.mark.parametrize("case", ["case1", "case3", "case6"])
-def test_joint_gaussian_matches_the_exact_bracket_columns(case):
+def test_joint_gaussian_matches_the_exact_bracket_columns(monkeypatch,
+                                                          case):
+    # the joint Gaussian of the exact bracket columns, at Z = 0, is the
+    # l2 slice g(T) = f(x1 T) that invert_stepwise transforms
     dec = decompose(case)
     dim = dec.algebra.dim
     rng = np.random.default_rng(58)
     A = rng.normal(size=(dim, dim))
     f = GaussianTestFunction(A @ A.T + dim * np.eye(dim),
                              rng.normal(size=dim))
+    sliced = _transformed(monkeypatch)
+    # only the inner layer is compared: the outer quadrature is skipped,
+    # as f(x) is far below f's peak at some of these points
+    monkeypatch.setattr(inversion, "tensor_integrate",
+                        lambda *a, **kw: (0.0, {"nodes": 0}))
     for k in range(20):
         x = (list(rng.normal(size=dim)) if k % 2
              else rand_coords(rng, dim))
-        got, z1, X2 = inversion._joint_gaussian(dec, f, x)
-        want, z1_want, X2_want = joint_gaussian_by_exact_brackets(dec, f, x)
-        assert z1 == z1_want and np.array_equal(X2, X2_want)
-        assert np.array_equal(got.A, want.A)
-        assert np.array_equal(got.u, want.u) and got.v == want.v
+        sliced.clear()
+        invert_stepwise(dec, f, x)
+        joint, z1, _ = joint_gaussian_by_exact_brackets(dec, f, x)
+        want = restrict(joint, range(z1), np.zeros(z1))
+        [got] = sliced
+        assert np.abs(got.A - want.A).max() <= 1e-12 * np.abs(want.A).max()
+        assert np.abs(got.u - want.u).max() <= 1e-12 * np.abs(want.u).max()
+        assert abs(got.v - want.v) <= 1e-12 * max(1.0, abs(want.v))
+
+
+def test_invert_stepwise_transforms_only_the_l2_slice(monkeypatch):
+    marginalized = []
+    marginalize = ComplexGaussian.marginalize
+    monkeypatch.setattr(ComplexGaussian, "marginalize",
+                        lambda g, out: marginalized.append(g)
+                        or marginalize(g, out))
+    transformed = _transformed(monkeypatch)
+    for case, dim, x, qs in STEPWISE_POINTS:
+        transformed.clear()
+        rep = invert_stepwise(case, GaussianTestFunction.standard(dim), x,
+                              quad_settings=qs)
+        assert rep.entries[0]["rel_error"] < 1e-9
+        assert [g.dim for g in transformed] == [
+            len(decompose(case).l2_indices)]
+    assert marginalized == []
 
 
 def test_invert_stepwise_builds_each_case_once(monkeypatch):

@@ -21,6 +21,14 @@ def slice_at_minus_x(monkeypatch):
                         lambda alg, g, at=None: core(alg, g, -at))
 
 
+def translation_bracket_sign_flipped(monkeypatch):
+    # A_x = 1 + B/2 becomes 1 - B/2
+    translation = inversion.translation_matrix
+    monkeypatch.setattr(inversion, "translation_matrix",
+                        lambda alg, x: 2 * np.eye(alg.dim)
+                        - translation(alg, x))
+
+
 def hermite_weights_without_exp(monkeypatch):
     def gauss_hermite(n):
         if n not in quadrature._rule_cache:
@@ -54,6 +62,7 @@ ITEM_3 = pytest.mark.xfail(strict=True, reason="item 3",
 ROWS = [
     row(slice_at_minus_x, 6),
     row(slice_at_minus_x, 8),
+    row(translation_bracket_sign_flipped, 7),
     row(hermite_weights_without_exp, 6),
     row(hermite_weights_without_exp, 7),
 ] + [row(mutation, criterion, ITEM_3)
