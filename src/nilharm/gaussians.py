@@ -87,10 +87,6 @@ class ComplexGaussian:
             out *= np.exp(1j * self.u[-1].imag * xs[-1])
         return out
 
-    def scaled(self, factor):
-        """Multiply by a nonzero complex constant."""
-        return ComplexGaussian(self.A, self.u, self.v + cmath.log(factor))
-
     def pullback(self, M, m0):
         """g(M Y + m0) as a Gaussian in Y.  M may be rectangular."""
         M = np.asarray(M, dtype=float)

@@ -20,6 +20,11 @@ of g^(xi) chi_xi(x2) dxi: c1, |Pf1| and z1 never enter, and criterion
 7 sees the group law only through x1 and chi_xi(x2) (item 3 stays
 open here too).
 
+So both formulas are Euclidean Fourier inversion of f on a slice, x + z
+or the l2 slice through x1, and both run through one routine: the
+transformed slice Gaussian integrated over its dual by Gauss-Hermite
+quadrature with the configured quad_rtol, max_evals and start_nodes.
+
 Measure convention used throughout: the Fourier kernel e^{-i<xi,Y>}
 integrates against plain Lebesgue dY, and every k-dimensional dual
 integration carries (2pi)^{-k} * Lebesgue.
@@ -159,45 +164,42 @@ class InversionReport:
         return entry
 
 
-def _settings(overrides):
-    s = quad_settings(DEFAULTS)
-    if overrides:
-        s.update(overrides)
-    return s
+def _invert(lifted, X, ghat, overrides, node_key, start):
+    """f(X) = (2pi)^{-k} times the integral of ghat, the transform of f
+    on a k-dim slice (times chi_xi(x2) on the stepwise one), by
+    Gauss-Hermite matched to its envelope with the configured settings;
+    f(X) itself is read from lifted.
+    """
+    s = {**quad_settings(DEFAULTS), **(overrides or {})}
+    mean, sigma = ghat.envelope()
+    value, info = tensor_integrate(lambda grid: ghat.evaluate_grid(grid.axes),
+                                   mean, sigma, rtol=s["rtol"],
+                                   max_evals=s["max_evals"],
+                                   start=s["start_nodes"])
+    recon = (2 * math.pi) ** (-len(mean)) * value
+    f_x = float(np.real(lifted.evaluate(X)))
+    report = InversionReport()
+    report.add_entry(X, f_x, recon, extra={node_key: info["nodes"]})
+    report.wall_time = time.perf_counter() - start
+    return report
 
 
 def invert_flat(alg, f, x, quad_settings=None):
     """Reconstruct f at x via the flat inversion formula; reports error.
 
-    Theta(r_x f)(lam) = F_z[f|_{x+z}](lam) / (c |Pf(lam)|): the integral
-    of the transform over v* is (2pi)^{dim v} times the one over z, and
-    (r_x f)(Z) = f(Z + X) for central Z.  The weight c|Pf| cancels the
-    character, so f(x) = (2pi)^{-dim z} integral of the core over z*,
-    by Gauss-Hermite matched to its envelope.  Neither c nor Pf enters,
-    so this check cannot see them (ROADMAP item 3).
+    Theta(r_x f)(lam) = F_z[f|_{x+z}](lam) / (c |Pf(lam)|), so the
+    weight c|Pf| cancels and f(x) is (2pi)^{-dim z} times the integral
+    of the core over z*: Fourier inversion on the slice x + z.  Neither
+    c nor Pf enters, so this check cannot see them (ROADMAP item 3).
     """
     if not pf_polynomial(alg):
         raise ValueError("algebra is not square integrable; "
                          "flat inversion does not apply")
-    s = _settings(quad_settings)
     start = time.perf_counter()
-    x = _as_point(alg, x)
-    X = x.float_coords()
+    X = _as_point(alg, x).float_coords()
     lifted = f.lift()
-    core = _character_core(alg, lifted, at=X)
-
-    mean, sigma = core.envelope()
-    value, info = tensor_integrate(lambda grid: core.evaluate_grid(grid.axes),
-                                   mean, sigma, rtol=s["rtol"],
-                                   max_evals=s["max_evals"],
-                                   start=s["start_nodes"])
-    recon = (2 * math.pi) ** (-len(mean)) * value
-
-    f_x = float(np.real(lifted.evaluate(X)))
-    report = InversionReport()
-    report.add_entry(X, f_x, recon, extra={"z_nodes": info["nodes"]})
-    report.wall_time = time.perf_counter() - start
-    return report
+    ghat = _character_core(alg, lifted, at=X)
+    return _invert(lifted, X, ghat, quad_settings, "z_nodes", start)
 
 
 def factor_point(alg, dec, x):
@@ -235,15 +237,14 @@ def invert_stepwise(case_tag, f, x, quad_settings=None):
     partial transform along l2, integrated over z1*) is the transform
     g^ of g(T) = f(x1 * T) on l2, one closed-form Gaussian in xi built
     once.  The outer layer integrates g^(xi) chi_xi(x2) over the dual
-    of l2 by adaptive Gauss-Hermite quadrature, which evaluates the
-    Gaussian on each level's whole grid.  A case tag's decomposition
+    of l2: Fourier inversion on the l2 slice through x1, by the same
+    routine and settings as invert_flat.  A case tag's decomposition
     is built once per process.
     """
     dec = (_decomposition(case_tag) if isinstance(case_tag, str)
            else case_tag)
     if not dec.verification or not all(dec.verification.values()):
         raise ValueError("decomposition failed verification")
-    s = _settings(quad_settings)
     start = time.perf_counter()
     alg, l2 = dec.algebra, list(dec.l2_indices)
     x = _as_point(alg, x)
@@ -251,26 +252,12 @@ def invert_stepwise(case_tag, f, x, quad_settings=None):
 
     # x1 * T = X1 + T + [X1, T]/2: the l2 columns of A_{-x1}
     M = translation_matrix(alg, [-c for c in x1.coords])[:, l2]
-    g = f.lift().pullback(M, x1.float_coords())
-    # g^ has the envelope of mean Im(g.u) and covariance g.A
-    xi_mean = np.imag(g.u)
-    xi_sigma = np.sqrt(np.diag(g.A))
+    lifted = f.lift()
+    ghat = lifted.pullback(M, x1.float_coords()).fourier()
     # chi_xi(x2) = e^{i xi.X2} joins the linear term
-    inner = g.fourier()
-    inner.u = inner.u + 1j * np.array([float(x2.coords[i]) for i in l2])
-
-    outer_rtol = max(s["rtol"], 1e-9)
-    value, outer_info = tensor_integrate(
-        lambda grid: inner.evaluate_grid(grid.axes), xi_mean, xi_sigma,
-        rtol=outer_rtol, max_evals=2 ** 14, start=s["start_nodes"])
-    recon = (2 * math.pi) ** (-len(l2)) * value
-
-    f_x = float(f.evaluate(x.float_coords()))
-    report = InversionReport()
-    report.add_entry(x.float_coords(), f_x, recon,
-                     extra={"outer_nodes": outer_info["nodes"]})
-    report.wall_time = time.perf_counter() - start
-    return report
+    ghat.u = ghat.u + 1j * np.array([float(x2.coords[i]) for i in l2])
+    return _invert(lifted, x.float_coords(), ghat, quad_settings,
+                   "outer_nodes", start)
 
 
 def flatness_identity_gap(alg, f, x):

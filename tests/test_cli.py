@@ -183,7 +183,7 @@ def test_bad_seed_env_variable_is_usage_error():
 
 
 @pytest.mark.parametrize("nodes", ["0", "-2", "2.5", "true", "abc"])
-def test_nodes_must_be_positive_and_even(nodes):
+def test_nodes_must_be_positive_integers(nodes):
     # refuses non-positive and non-integer counts only; odd ones are
     # accepted (test_odd_nodes_are_accepted)
     out = run_cli(["invert", "heisenberg:1:C", "--points", "0.1,0,0",
@@ -534,17 +534,30 @@ def test_malformed_operands_are_usage_errors(argv, message):
     assert "Traceback" not in out.stderr
 
 
+def assert_both_inversions_exhaust_the_budget(cfg, line):
+    # one flat and one stepwise inversion: both run the configured
+    # quadrature
+    cfg.write_text(line + "\n")
+    for argv in (["heisenberg:1:C", "--points", "0.1,0,0"],
+                 ["case1", "--points", "0.1,-0.2,0.15,0.3,-0.1,0.2"]):
+        out = run_cli(["--config", str(cfg), "invert"] + argv)
+        assert out.returncode == 2, argv
+        assert "quadrature budget exhausted" in out.stderr
+        assert "Traceback" not in out.stderr
+
+
 def test_nonconverging_quadrature_stops_at_the_node_cap(tmp_path):
     # a tolerance below float noise never converges; the per-axis node
     # cap turns that into the budget error instead of an eigen-solve
     # that grows without bound
-    cfg = tmp_path / "tiny.cfg"
-    cfg.write_text("quad_rtol = 1e-300\n")
-    out = run_cli(["--config", str(cfg), "invert", "heisenberg:1:C",
-                   "--points", "0.1,0,0"])
-    assert out.returncode == 2
-    assert "quadrature budget exhausted" in out.stderr
-    assert "Traceback" not in out.stderr
+    assert_both_inversions_exhaust_the_budget(tmp_path / "tiny.cfg",
+                                              "quad_rtol = 1e-300")
+
+
+def test_configured_max_evals_bounds_both_inversions(tmp_path):
+    # 8 starting nodes are over a budget of 4 on either formula
+    assert_both_inversions_exhaust_the_budget(tmp_path / "small.cfg",
+                                              "max_evals = 4")
 
 
 NUMERIC_MODULES = ("numpy", "nilharm.inversion", "nilharm.gaussians",

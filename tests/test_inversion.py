@@ -245,7 +245,8 @@ def character_core_by_full_transform(alg, f, x):
     comp = list(alg.complement_indices)
     ghat = right_translate(alg, f, x).fourier()
     core = ghat.marginalize(comp) if comp else ghat
-    return core.scaled((2 * math.pi) ** (-len(comp)))
+    return ComplexGaussian(core.A, core.u,
+                           core.v - len(comp) * math.log(2 * math.pi))
 
 
 @pytest.mark.parametrize("name", ["heisenberg:1:C", "heisenberg:2:C",
@@ -492,6 +493,60 @@ def test_invert_stepwise_transforms_only_the_l2_slice(monkeypatch):
         assert [g.dim for g in transformed] == [
             len(decompose(case).l2_indices)]
     assert marginalized == []
+
+
+def _integrations(monkeypatch):
+    """The list that each inversion.tensor_integrate call appends its
+    means, sigmas and keyword arguments to."""
+    calls = []
+
+    def recording(func, means, sigmas, **kw):
+        calls.append((means, sigmas, kw))
+        return tensor_integrate(func, means, sigmas, **kw)
+
+    monkeypatch.setattr(inversion, "tensor_integrate", recording)
+    return calls
+
+
+def test_each_inversion_runs_one_integration_with_the_callers_settings(
+        monkeypatch):
+    calls = _integrations(monkeypatch)
+    qs = {"rtol": 1e-9, "max_evals": 2 ** 18, "start_nodes": 5}
+    want = {"rtol": 1e-9, "max_evals": 2 ** 18, "start": 5}
+    for name in ("heisenberg:1:C", "heisenberg:1:H"):
+        alg = from_name(name)
+        calls.clear()
+        invert_flat(alg, GaussianTestFunction.standard(alg.dim),
+                    [0.1] * alg.dim, quad_settings=qs)
+        assert [kw for _, _, kw in calls] == [want]
+    for case, dim, x, _ in STEPWISE_POINTS:
+        calls.clear()
+        invert_stepwise(case, GaussianTestFunction.standard(dim), x,
+                        quad_settings=qs)
+        assert [kw for _, _, kw in calls] == [want]
+
+
+@pytest.mark.parametrize("case", ["case1", "case3", "case6"])
+def test_stepwise_envelope_is_the_slice_transforms(monkeypatch, case):
+    # the envelope of g^ is mean Im(g.u) and sigma sqrt(diag g.A) for
+    # the l2 slice g that invert_stepwise transforms
+    dec = decompose(case)
+    dim = dec.algebra.dim
+    rng = np.random.default_rng(62)
+    sliced, calls = _transformed(monkeypatch), _integrations(monkeypatch)
+    for _ in range(10):
+        A = rng.normal(size=(dim, dim))
+        f = GaussianTestFunction(A @ A.T / dim + np.eye(dim),
+                                 0.3 * rng.normal(size=dim))
+        sliced.clear()
+        calls.clear()
+        invert_stepwise(dec, f, list(0.3 * rng.normal(size=dim)),
+                        quad_settings={"rtol": 1e-6})
+        [g], [(mean, sigma, _)] = sliced, calls
+        assert np.abs(mean - np.imag(g.u)).max() <= 1e-14 * max(
+            1.0, np.abs(g.u).max())
+        assert np.abs(sigma - np.sqrt(np.diag(g.A))).max() <= 1e-14 * max(
+            1.0, np.sqrt(np.diag(g.A)).max())
 
 
 def test_invert_stepwise_builds_each_case_once(monkeypatch):

@@ -1,8 +1,10 @@
 """Mutation rows: a numeric check counts only if it is not circular.
 
 Each row names one fault and one acceptance criterion that must fail
-under it.  The fault is applied with monkeypatch and the criterion runs
-in-process through selftest.CRITERIA.  A row that no criterion catches
+under it: return passed False, or refuse the input with the row's
+ValueError or RuntimeError message.  The fault is applied with
+monkeypatch and the criterion runs in-process through
+selftest.CRITERIA.  A row that no criterion catches
 today is a strict xfail naming ROADMAP item 3: the flat and stepwise
 inversion checks cancel c and |Pf| (inversion module docstring), so a
 wrong constant or Pfaffian passes them.  When a character computed
@@ -29,6 +31,13 @@ def translation_bracket_sign_flipped(monkeypatch):
                         - translation(alg, x))
 
 
+def group_multiply_half_negated(monkeypatch):
+    # X + Y + [X,Y]/2 becomes X + Y - [X,Y]/2, which is Y * X
+    multiply = inversion.group_multiply
+    monkeypatch.setattr(inversion, "group_multiply",
+                        lambda alg, X, Y: multiply(alg, Y, X))
+
+
 def hermite_weights_without_exp(monkeypatch):
     def gauss_hermite(n):
         if n not in quadrature._rule_cache:
@@ -51,8 +60,10 @@ def pf_polynomial_times_3(monkeypatch):
                         lambda alg, **kw: pf(alg, **kw) * 3)
 
 
-def row(mutation, criterion, marks=()):
-    return pytest.param(mutation, criterion, marks=marks,
+def row(mutation, criterion, marks=(), raises=None):
+    """raises: the message of the ValueError or RuntimeError by which
+    the criterion refuses the mutation, if it does not return a fail."""
+    return pytest.param(mutation, criterion, raises, marks=marks,
                         id=f"{mutation.__name__}-{criterion}")
 
 
@@ -63,6 +74,8 @@ ROWS = [
     row(slice_at_minus_x, 6),
     row(slice_at_minus_x, 8),
     row(translation_bracket_sign_flipped, 7),
+    row(group_multiply_half_negated, 7,
+        raises="factorization failed to recompose"),
     row(hermite_weights_without_exp, 6),
     row(hermite_weights_without_exp, 7),
 ] + [row(mutation, criterion, ITEM_3)
@@ -70,8 +83,13 @@ ROWS = [
      for criterion in (6, 7, 8)]
 
 
-@pytest.mark.parametrize("mutation, criterion", ROWS)
-def test_mutation_fails_its_criterion(monkeypatch, mutation, criterion):
+@pytest.mark.parametrize("mutation, criterion, raises", ROWS)
+def test_mutation_fails_its_criterion(monkeypatch, mutation, criterion,
+                                      raises):
     mutation(monkeypatch)
+    if raises:
+        with pytest.raises((ValueError, RuntimeError), match=raises):
+            selftest.CRITERIA[criterion]()
+        return
     result = selftest.CRITERIA[criterion]()
     assert not result["passed"], result["detail"]
