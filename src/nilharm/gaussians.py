@@ -140,16 +140,8 @@ class ComplexGaussian:
         return shifted.marginalize(t_indices)
 
     def total_integral(self):
-        """integral over R^dim, closed form."""
-        n = self.dim
-        if n == 0:
-            return cmath.exp(self.v)
-        sign, logdet = np.linalg.slogdet(self.A)
-        if sign <= 0:
-            raise ValueError("form is not positive definite")
-        Ainv = np.linalg.inv(self.A)
-        return cmath.exp(self.v + 0.5 * self.u @ Ainv @ self.u
-                         + 0.5 * (n * math.log(2 * math.pi) - logdet))
+        """integral over R^dim, closed form: g^(0) = exp(v of g^)."""
+        return cmath.exp(self.fourier().v)
 
     def envelope(self):
         """(mean, per-axis sigma) of the |g| envelope, for quadrature."""

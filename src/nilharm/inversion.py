@@ -28,6 +28,9 @@ quadrature with the configured quad_rtol, max_evals and start_nodes.
 Measure convention used throughout: the Fourier kernel e^{-i<xi,Y>}
 integrates against plain Lebesgue dY, and every k-dimensional dual
 integration carries (2pi)^{-k} * Lebesgue.
+
+Points are plain coordinate sequences in exponential coordinates; a
+sequence of the wrong length is refused with ValueError where it enters.
 """
 
 import functools
@@ -44,41 +47,26 @@ from .stepwise import decompose
 
 
 class GroupPoint:
-    """A group element in exponential coordinates."""
+    """group_multiply's result: the product's exponential coordinates."""
 
-    __slots__ = ("algebra", "coords")
+    __slots__ = ("coords",)
 
-    def __init__(self, algebra, coords):
-        coords = tuple(coords)
-        if len(coords) != algebra.dim:
-            raise ValueError("coordinate length mismatch")
-        self.algebra = algebra
-        self.coords = coords
-
-    def float_coords(self):
-        return np.array([float(c) for c in self.coords])
-
-    def __eq__(self, other):
-        return (isinstance(other, GroupPoint)
-                and self.algebra is other.algebra
-                and all(a == b for a, b in zip(self.coords, other.coords)))
-
-    def __repr__(self):
-        return f"GroupPoint({self.coords})"
+    def __init__(self, coords):
+        self.coords = tuple(coords)
 
 
-def _as_point(alg, x):
-    """x itself if it is a GroupPoint, else a GroupPoint of alg at x."""
-    return x if isinstance(x, GroupPoint) else GroupPoint(alg, x)
+def _float_coords(alg, x):
+    """x as a float array; refused unless it has alg.dim coordinates."""
+    xs = np.array(x, dtype=float)
+    if xs.shape != (alg.dim,):
+        raise ValueError("coordinate length mismatch")
+    return xs
 
 
 def group_multiply(alg, X, Y):
     """BCH product X + Y + [X,Y]/2; exact on rational coordinates."""
-    xs = _as_point(alg, X).coords
-    ys = _as_point(alg, Y).coords
-    br = bracket(alg, list(xs), list(ys))
-    zs = [x + y + b / 2 for x, y, b in zip(xs, ys, br)]
-    return GroupPoint(alg, zs)
+    br = bracket(alg, list(X), list(Y))
+    return GroupPoint(x + y + b / 2 for x, y, b in zip(X, Y, br))
 
 
 def translation_matrix(alg, x):
@@ -87,7 +75,7 @@ def translation_matrix(alg, x):
     Column j is e_j + [e_j, X]/2, read off the sparse bracket rows of
     b_j in float coordinates.
     """
-    xs = _as_point(alg, x).float_coords()
+    xs = _float_coords(alg, x)
     B = np.zeros((alg.dim, alg.dim))
     for j, row_j in enumerate(alg._rows):
         for i, row in row_j.items():
@@ -98,9 +86,7 @@ def translation_matrix(alg, x):
 
 def right_translate(alg, f, x):
     """(r_x f)(y) = f(y x) as a closed-form Gaussian with phase."""
-    x = _as_point(alg, x)
-    M = translation_matrix(alg, x)
-    return f.lift().pullback(M, x.float_coords())
+    return f.lift().pullback(translation_matrix(alg, x), x)
 
 
 def flat_constant(alg):
@@ -141,27 +127,11 @@ def orbital_character(alg, lam, g):
 
 
 class InversionReport:
-    """Per-point reconstruction records and the time they took."""
+    """One point's reconstruction record and the time it took."""
 
-    def __init__(self):
-        self.entries = []
-        self.wall_time = 0.0
-
-    def add_entry(self, x, f_x, reconstructed, extra=None):
-        abs_err = abs(reconstructed - f_x)
-        rel_err = abs_err / max(abs(f_x), 1e-300)
-        entry = {
-            "x": [float(c) for c in x],
-            "f_x": float(f_x),
-            "reconstructed_re": float(np.real(reconstructed)),
-            "reconstructed_im": float(np.imag(reconstructed)),
-            "abs_error": float(abs_err),
-            "rel_error": float(rel_err),
-        }
-        if extra:
-            entry.update(extra)
-        self.entries.append(entry)
-        return entry
+    def __init__(self, entry, wall_time):
+        self.entries = [entry]
+        self.wall_time = wall_time
 
 
 def _invert(lifted, X, ghat, overrides, node_key, start):
@@ -178,10 +148,14 @@ def _invert(lifted, X, ghat, overrides, node_key, start):
                                    start=s["start_nodes"])
     recon = (2 * math.pi) ** (-len(mean)) * value
     f_x = float(np.real(lifted.evaluate(X)))
-    report = InversionReport()
-    report.add_entry(X, f_x, recon, extra={node_key: info["nodes"]})
-    report.wall_time = time.perf_counter() - start
-    return report
+    abs_err = abs(recon - f_x)
+    entry = {"x": [float(c) for c in X], "f_x": f_x,
+             "reconstructed_re": float(np.real(recon)),
+             "reconstructed_im": float(np.imag(recon)),
+             "abs_error": float(abs_err),
+             "rel_error": float(abs_err / max(abs(f_x), 1e-300)),
+             node_key: info["nodes"]}
+    return InversionReport(entry, time.perf_counter() - start)
 
 
 def invert_flat(alg, f, x, quad_settings=None):
@@ -196,7 +170,7 @@ def invert_flat(alg, f, x, quad_settings=None):
         raise ValueError("algebra is not square integrable; "
                          "flat inversion does not apply")
     start = time.perf_counter()
-    X = _as_point(alg, x).float_coords()
+    X = _float_coords(alg, x)
     lifted = f.lift()
     ghat = _character_core(alg, lifted, at=X)
     return _invert(lifted, X, ghat, quad_settings, "z_nodes", start)
@@ -205,23 +179,18 @@ def invert_flat(alg, f, x, quad_settings=None):
 def factor_point(alg, dec, x):
     """x = x1 * x2 with x1 in L1, x2 in L2; exact on rationals.
 
-    x2 is the l2 part of x and x1 = (x - x2) - [x - x2, x2]/2, both
-    read from the sparse bracket kernel in x's arithmetic.
+    x2 is the l2 part of x and x1 = (x - x2) - [x - x2, x2]/2, two
+    coordinate tuples read from the sparse bracket kernel in x's
+    arithmetic.
     """
-    x = _as_point(alg, x)
     l2 = set(dec.l2_indices)
-    xs = x.coords
-    x2 = [c if i in l2 else 0 for i, c in enumerate(xs)]
-    xl1 = [0 if i in l2 else c for i, c in enumerate(xs)]
-    br = bracket(alg, xl1, x2)
-    x1 = [a - b / 2 for a, b in zip(xl1, br)]
-    p1 = GroupPoint(alg, x1)
-    p2 = GroupPoint(alg, x2)
-    recomposed = group_multiply(alg, p1, p2)
-    if not all(abs(float(a - b)) < 1e-12
-               for a, b in zip(recomposed.coords, xs)):
+    x2 = tuple(c if i in l2 else 0 for i, c in enumerate(x))
+    xl1 = [0 if i in l2 else c for i, c in enumerate(x)]
+    x1 = tuple(a - b / 2 for a, b in zip(xl1, bracket(alg, xl1, x2)))
+    recomposed = group_multiply(alg, x1, x2).coords
+    if not all(abs(float(a - b)) < 1e-12 for a, b in zip(recomposed, x)):
         raise ValueError("factorization failed to recompose")
-    return p1, p2
+    return x1, x2
 
 
 # A case tag names a fixed algebra, so its decomposition is built on
@@ -247,16 +216,15 @@ def invert_stepwise(case_tag, f, x, quad_settings=None):
         raise ValueError("decomposition failed verification")
     start = time.perf_counter()
     alg, l2 = dec.algebra, list(dec.l2_indices)
-    x = _as_point(alg, x)
     x1, x2 = factor_point(alg, dec, x)
 
     # x1 * T = X1 + T + [X1, T]/2: the l2 columns of A_{-x1}
-    M = translation_matrix(alg, [-c for c in x1.coords])[:, l2]
+    M = translation_matrix(alg, [-c for c in x1])[:, l2]
     lifted = f.lift()
-    ghat = lifted.pullback(M, x1.float_coords()).fourier()
+    ghat = lifted.pullback(M, x1).fourier()
     # chi_xi(x2) = e^{i xi.X2} joins the linear term
-    ghat.u = ghat.u + 1j * np.array([float(x2.coords[i]) for i in l2])
-    return _invert(lifted, x.float_coords(), ghat, quad_settings,
+    ghat.u = ghat.u + 1j * np.array([float(x2[i]) for i in l2])
+    return _invert(lifted, _float_coords(alg, x), ghat, quad_settings,
                    "outer_nodes", start)
 
 
@@ -269,12 +237,11 @@ def flatness_identity_gap(alg, f, x):
     at 0, through the translation matrix and the dim n transform.
     Both reduce to total integrals of explicit Gaussians.
     """
-    x = _as_point(alg, x)
     zdim = len(alg.center_indices)
 
     # route 1: the lam-integral of the character core is itself a
     # closed-form Gaussian integral
-    core = _character_core(alg, f.lift(), at=x.float_coords())
+    core = _character_core(alg, f.lift(), at=_float_coords(alg, x))
     lhs = core.total_integral() * (2 * math.pi) ** (-zdim)
 
     # route 2: (2pi)^{-dim n} * integral of g^ over all of n*

@@ -11,6 +11,7 @@ JSON output.
 import random
 import time
 from fractions import Fraction
+from math import prod
 
 import numpy as np
 
@@ -19,8 +20,8 @@ from .algebra import derived_subalgebra, jacobi_defect, nilpotency_class
 from .catalog import (free_two_step, heisenberg, lambda_a, octonion_double)
 from .composition import TRIPLES, CompositionElement, multiply
 from .gaussians import GaussianTestFunction
-from .inversion import (GroupPoint, flatness_identity_gap, invert_flat,
-                        invert_stepwise, orbit_space_quadrature_check)
+from .inversion import (flatness_identity_gap, invert_flat, invert_stepwise,
+                        orbit_space_quadrature_check)
 from .orbits import (l1_complement_indices, orbit_representative,
                      skew_spectrum, wedge_matrix)
 from .pfaffian import (b_matrix_poly, is_square_integrable, pfaffian)
@@ -97,69 +98,50 @@ def criterion_2(seed=0):
     return _result(2, not failures, detail)
 
 
+def _units(m, parts):
+    """The unit arguments of lambda_a in m coefficients, each coefficient
+    taking the values in parts: (1,), or (1, 1j) for complex a_k."""
+    return [[w if j == k else 0 for j in range(m)]
+            for k in range(m) for w in parts]
+
+
+def _lambda_a_poly(alg, units):
+    """lambda_a at a = sum_k t_k units[k], with Poly coefficients: as
+    lambda_a is linear in a, the sum of t_k * lambda_a(alg, units[k])."""
+    n = len(units)
+    coeffs = [Poly.zero(n)] * len(alg.center_indices)
+    for k, unit in enumerate(units):
+        for i, c in enumerate(lambda_a(alg, unit)):
+            coeffs[i] = coeffs[i] + Poly.variable(n, k) * c
+    return coeffs
+
+
 def criterion_3(seed=0):
     """Restricted Pfaffian at lambda_a, exact symbolic equality."""
+    # |Pf(lambda_a)| is |a_1 ... a_m| on case 1 (m <= 3) and
+    # |a_1 ... a_m|^2 on case 6 (m <= 2, a_k complex).  On case 3 it is
+    # |a1 (a1^2 + a2^2 + a3^2)| on the normal-form split, which drops
+    # (0, e3).  G2 = Aut(O) makes every codimension-1 l1 containing z
+    # give a linear form times |lambda|^2, so a1a2a3 is out of reach of
+    # any split (README, "Case 3 normal form").
+    rows = [(f"case1 m={m}", free_two_step(2 * m + 1, "R"), _units(m, (1,)),
+             prod) for m in (1, 2, 3)]
+    rows += [(f"case6 m={m}", free_two_step(2 * m + 1, "C"),
+              _units(m, (1, 1j)),
+              lambda a: prod(a[k] * a[k] + a[k + 1] * a[k + 1]
+                             for k in range(0, len(a), 2)))
+             for m in (1, 2)]
+    rows.append(("case3", octonion_double(), _units(3, (1,)),
+                 lambda a: a[0] * sum(t * t for t in a)))
     failures = []
-
-    # case 1: |Pf(lambda_a)| = |a_1 ... a_m| for m <= 3
-    for m in (1, 2, 3):
-        alg = free_two_step(2 * m + 1, "R")
-        pairs = [tuple(pq) for pq in alg.meta["wedge_pairs"]]
-        pair_index = {pq: t for t, pq in enumerate(pairs)}
-        zdim = len(alg.center_indices)
-        coeffs = [Poly.zero(m)] * zdim
-        for k in range(m):
-            coeffs[pair_index[(2 * k, 2 * k + 1)]] = Poly.variable(m, k)
-        pf = pfaffian(b_matrix_poly(
-            alg, coeffs, v_indices=l1_complement_indices(alg)))
-        expected = Poly.constant(m, 1)
-        for k in range(m):
-            expected = expected * Poly.variable(m, k)
+    for label, alg, units, expect in rows:
+        pf = pfaffian(b_matrix_poly(alg, _lambda_a_poly(alg, units),
+                                    v_indices=l1_complement_indices(alg)))
+        expected = expect([Poly.variable(len(units), k)
+                           for k in range(len(units))])
         if not (pf == expected or pf == -expected):
-            failures.append(
-                f"case1 m={m}: Pf(lambda_a) = {pf.format()}, "
-                f"expected +-{expected.format()}")
-
-    # case 6: |Pf(lambda_a)| = |a_1 ... a_m|^2 for m <= 2, a_k complex
-    for m in (1, 2):
-        alg = free_two_step(2 * m + 1, "C")
-        pairs = [tuple(pq) for pq in alg.meta["wedge_pairs"]]
-        pair_index = {pq: t for t, pq in enumerate(pairs)}
-        zdim = len(alg.center_indices)
-        coeffs = [Poly.zero(2 * m)] * zdim
-        for k in range(m):
-            t = pair_index[(2 * k, 2 * k + 1)]
-            coeffs[2 * t] = Poly.variable(2 * m, 2 * k)        # Re a_k
-            coeffs[2 * t + 1] = Poly.variable(2 * m, 2 * k + 1)  # Im a_k
-        pf = pfaffian(b_matrix_poly(
-            alg, coeffs, v_indices=l1_complement_indices(alg)))
-        expected = Poly.constant(2 * m, 1)
-        for k in range(m):
-            al = Poly.variable(2 * m, 2 * k)
-            be = Poly.variable(2 * m, 2 * k + 1)
-            expected = expected * (al * al + be * be)
-        if not (pf == expected or pf == -expected):
-            failures.append(
-                f"case6 m={m}: Pf(lambda_a) = {pf.format()}, "
-                f"expected +-{expected.format()}")
-
-    # case 3: |Pf(lambda_a)| = |a1 (a1^2 + a2^2 + a3^2)| on the
-    # normal-form split, which drops (0, e3).  G2 = Aut(O) makes every
-    # codimension-1 l1 containing z give a linear form times |lambda|^2,
-    # so a1a2a3 is out of reach of any split (README, "Case 3 normal form").
-    alg = octonion_double()
-    coeffs = [Poly.zero(3)] * len(alg.center_indices)
-    for k, unit in enumerate((3, 6, 2)):
-        coeffs[unit - 1] = Poly.variable(3, k)
-    pf = pfaffian(b_matrix_poly(alg, coeffs,
-                                v_indices=l1_complement_indices(alg)))
-    a1 = Poly.variable(3, 0)
-    expected = a1 * (a1 * a1 + Poly.variable(3, 1) * Poly.variable(3, 1)
-                     + Poly.variable(3, 2) * Poly.variable(3, 2))
-    if not (pf == expected or pf == -expected):
-        failures.append(
-            f"case3: Pf(lambda_a) = {pf.format(names=('a1', 'a2', 'a3'))!r},"
-            f" expected +-a1*(a1^2+a2^2+a3^2)")
+            failures.append(f"{label}: Pf(lambda_a) = {pf.format()}, "
+                            f"expected +-{expected.format()}")
 
     detail = "case1 m<=3, case6 m<=2, case3 all match" \
         if not failures else "; ".join(failures)
@@ -249,7 +231,7 @@ def criterion_6(seed=0):
     failures = []
     worst = 0.0
     for pt in points:
-        rep = invert_flat(alg, f, GroupPoint(alg, list(pt)))
+        rep = invert_flat(alg, f, pt)
         entry = rep.entries[0]
         worst = max(worst, entry["rel_error"])
         if entry["rel_error"] >= 1e-6:
@@ -304,15 +286,14 @@ def criterion_8(seed=0):
     alg = heisenberg(1, "C")
     f = GaussianTestFunction(np.diag([1.0, 0.7, 1.3]),
                              np.array([0.1, -0.2, 0.3]), amp=2.0)
-    gap, _, _ = flatness_identity_gap(alg, f, GroupPoint(alg, [0.4, -0.3, 0.8]))
+    gap, _, _ = flatness_identity_gap(alg, f, [0.4, -0.3, 0.8])
     if gap >= 1e-10:
         failures.append(f"h1C gap {gap:.2e}")
 
     algq = heisenberg(1, "H")
     fq = GaussianTestFunction(np.diag([0.6, 0.8, 1.0, 1.2, 1.4, 0.9, 1.1]),
                               np.full(7, 0.2))
-    gapq, _, _ = flatness_identity_gap(algq, fq,
-                                       GroupPoint(algq, [0.1] * 7))
+    gapq, _, _ = flatness_identity_gap(algq, fq, [0.1] * 7)
     if gapq >= 1e-10:
         failures.append(f"h1H gap {gapq:.2e}")
 

@@ -103,9 +103,9 @@ def test_group_multiply_is_associative_and_inverts():
         x = rand_coords(rng, alg.dim)
         y = rand_coords(rng, alg.dim)
         z = rand_coords(rng, alg.dim)
-        lhs = group_multiply(alg, group_multiply(alg, x, y), z)
-        rhs = group_multiply(alg, x, group_multiply(alg, y, z))
-        assert lhs == rhs
+        lhs = group_multiply(alg, group_multiply(alg, x, y).coords, z)
+        rhs = group_multiply(alg, x, group_multiply(alg, y, z).coords)
+        assert lhs.coords == rhs.coords
         neg = [-c for c in x]
         assert group_multiply(alg, x, neg).coords == zero
 
@@ -315,8 +315,8 @@ def test_factor_point_recomposes():
         x1, x2 = factor_point(alg, dec, x)
         back = group_multiply(alg, x1, x2)
         assert back.coords == tuple(x)
-        assert all(x1.coords[k] == 0 for k in dec.l2_indices)
-        assert all(x2.coords[k] == 0 for k in dec.l1_indices)
+        assert all(x1[k] == 0 for k in dec.l2_indices)
+        assert all(x2[k] == 0 for k in dec.l1_indices)
 
 
 @pytest.mark.parametrize("case", ["case1", "case3", "case6"])
@@ -329,19 +329,51 @@ def test_factor_point_on_floats_matches_the_exact_route(case):
         got = factor_point(alg, dec, x)
         want = factor_point(alg, dec, [Fraction(c) for c in x])
         for p, q in zip(got, want):
-            assert all(type(c) is float for c in p.coords if c)
-            assert np.abs(p.float_coords() - q.float_coords()).max() <= 1e-14
+            assert all(type(c) is float for c in p if c)
+            assert np.abs(np.array(p, dtype=float)
+                          - np.array(q, dtype=float)).max() <= 1e-14
 
 
 def test_factor_point_refuses_a_wrong_recomposition(monkeypatch):
     dec = decompose("case1")
     alg = dec.algebra
     x = [Fraction(k, 3) for k in range(1, alg.dim + 1)]
-    wrong = GroupPoint(alg, [c + 1 for c in x])
+    wrong = GroupPoint([c + 1 for c in x])
     monkeypatch.setattr(inversion, "group_multiply",
                         lambda alg, p1, p2: wrong)
     with pytest.raises(ValueError, match="recompose"):
         factor_point(alg, dec, x)
+
+
+# every entry point that takes coordinates, with the algebra or case it
+# is called on
+COORDINATE_ENTRY_POINTS = {
+    "group_multiply_left": ("heisenberg:1:C", lambda alg, f, x:
+                            group_multiply(alg, x, [0.2] * alg.dim)),
+    "group_multiply_right": ("heisenberg:1:C", lambda alg, f, x:
+                             group_multiply(alg, [0.2] * alg.dim, x)),
+    "translation_matrix": ("heisenberg:1:C", lambda alg, f, x:
+                           translation_matrix(alg, x)),
+    "right_translate": ("heisenberg:1:C", right_translate),
+    "invert_flat": ("heisenberg:1:C", invert_flat),
+    "flatness_identity_gap": ("heisenberg:1:C", flatness_identity_gap),
+    "factor_point": ("case1", lambda alg, f, x:
+                     factor_point(alg, decompose("case1"), x)),
+    "invert_stepwise": ("case1", lambda alg, f, x:
+                        invert_stepwise("case1", f, x)),
+}
+
+
+@pytest.mark.parametrize("extra", [-1, 1], ids=["dim-1", "dim+1"])
+@pytest.mark.parametrize("entry", sorted(COORDINATE_ENTRY_POINTS))
+def test_wrong_length_coordinates_are_refused(entry, extra):
+    target, call = COORDINATE_ENTRY_POINTS[entry]
+    alg = (decompose(target).algebra if target.startswith("case")
+           else from_name(target))
+    f = GaussianTestFunction.standard(alg.dim)
+    call(alg, f, [0.1] * alg.dim)
+    with pytest.raises(ValueError, match="(dimension|length) mismatch"):
+        call(alg, f, [0.1] * (alg.dim + extra))
 
 
 def test_invert_stepwise_case1_origin_and_general():
@@ -406,11 +438,11 @@ def joint_gaussian_by_exact_brackets(dec, f, x):
     M[z1_global, range(z1)] = 1.0
     for k, gt in enumerate(l2):
         unit = [Fraction(int(i == gt)) for i in range(alg.dim)]
-        col = bracket(alg, list(x1.coords), unit)
+        col = bracket(alg, list(x1), unit)
         M[:, z1 + k] = [float(c) * 0.5 for c in col]
         M[gt, z1 + k] += 1.0
-    X2 = np.array([float(x2.coords[i]) for i in l2])
-    return f.lift().pullback(M, x1.float_coords()), z1, X2
+    X2 = np.array([float(x2[i]) for i in l2])
+    return f.lift().pullback(M, np.array(x1, dtype=float)), z1, X2
 
 
 STEPWISE_POINTS = [

@@ -11,10 +11,14 @@ wrong constant or Pfaffian passes them.  When a character computed
 without c and Pf lands, those rows pass and their markers go.
 """
 
+import math
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from nilharm import inversion, quadrature, selftest
+from nilharm.algebra import LieAlgebraData
 
 
 def slice_at_minus_x(monkeypatch):
@@ -60,6 +64,30 @@ def pf_polynomial_times_3(monkeypatch):
                         lambda alg, **kw: pf(alg, **kw) * 3)
 
 
+def h1H_first_constant_negated(monkeypatch):
+    # the Pf of h(1;H) becomes -t1^2 + t2^2 + t3^2, which is not radial
+    heisenberg = selftest.heisenberg
+
+    def negated(n, F):
+        alg = heisenberg(n, F)
+        if (n, F) != (1, "H"):
+            return alg
+        entries = [(i, j, k, c) for (i, j), pairs in alg.brackets().items()
+                   for k, c in pairs]
+        i, j, k, c = entries[0]
+        entries[0] = (i, j, k, -c)
+        return LieAlgebraData(alg.dim, alg.basis_labels, entries,
+                              alg.center_indices, alg.complement_indices,
+                              name=alg.name, meta=alg.meta)
+
+    monkeypatch.setattr(selftest, "heisenberg", negated)
+
+
+def radial_jacobian_2_pi_r2(monkeypatch):
+    # the radial factor 4 pi r^2 of the orbit-space check becomes 2 pi r^2
+    monkeypatch.setattr(inversion, "math", SimpleNamespace(pi=math.pi / 2))
+
+
 def row(mutation, criterion, marks=(), raises=None):
     """raises: the message of the ValueError or RuntimeError by which
     the criterion refuses the mutation, if it does not return a fail."""
@@ -78,6 +106,9 @@ ROWS = [
         raises="factorization failed to recompose"),
     row(hermite_weights_without_exp, 6),
     row(hermite_weights_without_exp, 7),
+    row(h1H_first_constant_negated, 9,
+        raises="integrand is not rotation-invariant; refusing"),
+    row(radial_jacobian_2_pi_r2, 9),
 ] + [row(mutation, criterion, ITEM_3)
      for mutation in (flat_constant_7, pf_polynomial_times_3)
      for criterion in (6, 7, 8)]
