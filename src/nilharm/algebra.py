@@ -4,11 +4,12 @@ A LieAlgebraData holds a basis, a designated center/complement split
 and one bracket table: sparse rows, [b_i, b_j] as its nonzero (k, c)
 pairs.  A coefficient is an int when it is integral and a Fraction
 otherwise, so every catalog algebra holds ints only.  Every bracket
-computed here runs on these rows, and the structural queries feed
-integer rows to the fraction-free elimination of linalg, so a zero
-really is a zero.  Algebras are immutable: invariants, and the dense
-`structure` table for readers that want one, are computed on first use
-and cached on the instance.
+computed here runs on these rows.  The structural queries visit only
+the nonzero brackets (on a 2-step algebra, no double bracket at all)
+and feed integer rows to the fraction-free elimination of linalg, so
+a zero really is a zero.  Algebras are immutable: invariants, and the
+dense `structure` table for readers that want one, are computed on
+first use and cached on the instance.
 """
 
 from collections import defaultdict
@@ -133,24 +134,15 @@ def bracket(alg, x, y):
                        [Fraction(0)] * alg.dim)
 
 
-def ad_matrix(alg, i):
-    """Matrix of ad(b_i) acting on coefficient columns."""
-    mat = [[0] * alg.dim for _ in range(alg.dim)]
-    for j, row in alg._rows[i].items():
-        for k, c in row:
-            mat[k][j] = c
-    return mat
-
-
 def jacobi_defect(alg):
     """Max |coefficient| of the Jacobi cyclic sum over all basis triples.
 
-    [[b_i, b_j], b_k] is the kernel on the row of [b_i, b_j] and b_k.
-    The sum vanishes on a triple none of whose pairs has a nonzero
-    bracket, so only triples through a nonzero bracket are visited.
+    The sum vanishes unless some [[b_p, b_q], b_r] does, that is unless
+    b_r brackets a b_m in [b_p, b_q]; only such triples are visited.
     """
-    triples = {tuple(sorted((i, j, k))) for i, j in alg.brackets()
-               for k in range(alg.dim) if k != i and k != j}
+    triples = {tuple(sorted((p, q, r)))
+               for (p, q), row in alg.brackets().items()
+               for m, _ in row for r in alg._rows[m] if r != p and r != q}
     worst = 0
     for i, j, k in triples:
         out = defaultdict(int)
@@ -172,10 +164,14 @@ def center(alg):
 
 
 def _center(alg):
-    # ker of every ad(b_i) at once
-    stacked = [row for i in range(alg.dim) for row in ad_matrix(alg, i)
-               if any(row)]
-    return linalg.kernel(stacked) if stacked else linalg.identity(alg.dim)
+    # x is central iff sum_i x_i [b_i, b_j]_k = 0 for every nonzero (j, k)
+    eqs = defaultdict(lambda: [0] * alg.dim)
+    for i, row_i in enumerate(alg._rows):
+        for j, row in row_i.items():
+            for k, c in row:
+                eqs[j, k][i] = c
+    return (linalg.kernel(list(eqs.values())) if eqs
+            else linalg.identity(alg.dim))
 
 
 def nilpotency_class(alg):
@@ -186,20 +182,19 @@ def nilpotency_class(alg):
 def _nilpotency_class(alg):
     # C^1 = n and C^(k+1) = [n, C^k] lies inside C^k, so the series
     # either loses dimension at every step or has stalled for good.
-    # Each C^k is kept as primitive integer rows spanning it.
-    current = [_dense(alg.dim, ((i, 1),)) for i in range(alg.dim)]
-    step = 0
+    # C^2 is spanned by the bracket rows, and [n, w] by the [b_i, w]
+    # with b_i bracketing some b_k in w's support.  Each C^k is kept as
+    # primitive integer rows spanning it.
+    size, step = alg.dim, 1
+    current = linalg.row_basis([_dense(alg.dim, row)
+                                for row in alg.brackets().values()])
     while current:
-        rows = []
-        for v in current:
-            vs = [(k, c) for k, c in enumerate(v) if c]
-            for i in range(alg.dim):
-                w = _accumulate(alg, ((i, 1),), vs, [0] * alg.dim)
-                if any(w):
-                    rows.append(w)
-        nxt = linalg.row_basis(rows)
-        if nxt and len(nxt) == len(current):
+        if len(current) == size:
             raise ValueError("algebra is not nilpotent")
-        current, step = nxt, step + 1
+        rows = []
+        for w in current:
+            ws = _support(w)
+            for i in {i for k, _ in ws for i in alg._rows[k]}:
+                rows.append(_accumulate(alg, ((i, 1),), ws, [0] * alg.dim))
+        size, current, step = len(current), linalg.row_basis(rows), step + 1
     return step
-

@@ -63,8 +63,9 @@ def _echelon(rows):
     """{pivot column: primitive sparse integer row}, fully reduced.
 
     Rows enter one at a time.  Each is reduced against the pivot rows
-    found so far (every pivot row is zero on every other pivot column,
-    so the order of those reductions does not matter); a nonzero
+    at the pivot columns in its support (every pivot row is zero on
+    every other pivot column, so one reduction neither clears nor adds
+    another pivot entry, and their order does not matter); a nonzero
     remainder leads at a column no pivot holds, becomes a pivot row,
     and is cleared from the earlier pivot rows.  A pivot row leads at
     its pivot column throughout.
@@ -72,9 +73,8 @@ def _echelon(rows):
     basis = {}
     for row in rows:
         vec = {c: x for c, x in enumerate(_scaled(row)[0]) if x}
-        for c, piv in basis.items():
-            if c in vec:
-                vec = _eliminate(vec, piv, c)
+        for c in [c for c in vec if c in basis]:
+            vec = _eliminate(vec, basis[c], c)
         if not vec:
             continue
         vec = _primitive(vec)
@@ -122,20 +122,19 @@ def rank(rows):
 
 
 def kernel(rows):
-    """Basis of the right null space, reduced-echelon style.
-
-    One basis vector per free column, with a 1 in the free coordinate.
-    """
+    """Basis of the right null space, reduced-echelon style: one vector
+    per free column, 1 there, read off the integer echelon."""
     if not rows:
         return []
     ncols = len(rows[0])
-    ech, pivots = rref(rows)
+    ech = _echelon(rows)
     basis = []
-    for fc in sorted(set(range(ncols)) - set(pivots)):
+    for fc in sorted(set(range(ncols)) - set(ech)):
         vec = [Fraction(0)] * ncols
         vec[fc] = Fraction(1)
-        for row, pc in zip(ech, pivots):
-            vec[pc] = -row[fc]
+        for pc, piv in ech.items():
+            if fc in piv:
+                vec[pc] = Fraction(-piv[fc], piv[pc])
         basis.append(vec)
     return basis
 

@@ -8,11 +8,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nilharm.algebra import (LieAlgebraData, ad_matrix, bracket, center,
+from nilharm import linalg
+from nilharm.algebra import (LieAlgebraData, bracket, center,
                              derived_subalgebra, jacobi_defect,
                              nilpotency_class)
 from nilharm.catalog import abelian, free_two_step, from_name, heisenberg, \
-    octonion_double
+    list_entries, octonion_double
 
 
 def rand_vec(rng, n):
@@ -100,22 +101,71 @@ def jacobi_defect_all_triples(alg):
     return worst
 
 
+def table(n, entries):
+    return LieAlgebraData(n, [f"b{t}" for t in range(n)], entries,
+                          center_indices=(), complement_indices=range(n))
+
+
+def random_tables():
+    """Sparse random integer tables on six vectors, most of them
+    neither Lie nor nilpotent: ten with one component per bracket and
+    ten with up to three."""
+    tables = []
+    for seed in range(20):
+        rng = random.Random(seed)
+        n = 6
+        tables.append(table(n, [(i, j, rng.randrange(n),
+                                 rng.choice((-2, -1, 1, 2)))
+                                for i in range(n) for j in range(i + 1, n)
+                                if rng.random() < 0.3
+                                for _ in range(1 if seed < 10 else 3)]))
+    return tables
+
+
+def filiform(steps, seed, closed=False):
+    """A seeded filiform table of class steps on b0..b_steps:
+    [b0, b_i] = c_i b_(i+1), plus random [b_i, b_j] into b_k with
+    k >= i + j, which keeps b_k in the k-th term of the series.  closed
+    adds [b0, b_steps] = b1, after which the series stalls.  The table
+    is returned in a seeded unimodular basis, so that its brackets and
+    the terms of its series are not coordinate."""
+    rng = random.Random(seed)
+    nonzero = (-3, -2, -1, 1, 2, 3)
+    entries = [(0, i, i + 1, rng.choice(nonzero)) for i in range(1, steps)]
+    entries += [(i, j, k, rng.choice(nonzero))
+                for i in range(1, steps) for j in range(i + 1, steps)
+                for k in range(i + j, steps + 1) if rng.random() < 0.5]
+    if closed:
+        entries.append((0, steps, 1, 1))
+    n = steps + 1
+    alg = table(n, entries)
+    # new basis vector q is column q of P: unit upper triangular, and
+    # sparse, so that the brackets stay sparse too
+    P = [[int(i == j) if i >= j else rng.choice((-1, 0, 0, 1))
+          for j in range(n)] for i in range(n)]
+    cols = [[P[i][q] for i in range(n)] for q in range(n)]
+    changed = []
+    for p in range(n):
+        for q in range(p + 1, n):
+            v = bracket(alg, cols[p], cols[q])
+            y = [0] * n          # P y = v, by back substitution
+            for i in reversed(range(n)):
+                y[i] = v[i] - sum(P[i][j] * y[j] for j in range(i + 1, n))
+            changed += [(p, q, k, c) for k, c in enumerate(y) if c]
+    return table(n, changed)
+
+
+SEEDED_TABLES = random_tables() + [
+    filiform(steps, seed, closed)
+    for steps in (3, 4) for seed in range(3) for closed in (False, True)]
+
+
 def test_jacobi_defect_matches_the_all_triples_loop():
     broken = LieAlgebraData(3, ["x", "y", "z"], [(0, 1, 2, 1), (0, 2, 0, 1)],
                             center_indices=(), complement_indices=(0, 1, 2))
-    tables = [broken]
     # the defect is a maximum, so a triple left out shows on some
-    # tables only: ten sparse random integer tables
-    for seed in range(10):
-        rng = random.Random(seed)
-        n = 6
-        entries = [(i, j, rng.randrange(n), rng.choice((-2, -1, 1, 2)))
-                   for i in range(n) for j in range(i + 1, n)
-                   if rng.random() < 0.3]
-        tables.append(LieAlgebraData(n, [f"b{t}" for t in range(n)],
-                                     entries, center_indices=(),
-                                     complement_indices=range(n)))
-    for alg in tables:
+    # tables only: the seeded sparse tables
+    for alg in [broken] + SEEDED_TABLES:
         assert jacobi_defect(alg) == jacobi_defect_all_triples(alg)
 
 
@@ -152,6 +202,15 @@ def test_abelian_center_is_everything():
     assert derived_subalgebra(alg) == []
 
 
+def ad_matrix(alg, i):
+    """Matrix of ad(b_i) acting on coefficient columns."""
+    mat = [[0] * alg.dim for _ in range(alg.dim)]
+    for j in range(alg.dim):
+        for k, c in alg.bracket_row(i, j):
+            mat[k][j] = c
+    return mat
+
+
 def test_ad_matrix_columns_are_brackets():
     alg = heisenberg(1, "H")
     for i in range(alg.dim):
@@ -159,6 +218,51 @@ def test_ad_matrix_columns_are_brackets():
         for j in range(alg.dim):
             col = [M[r][j] for r in range(alg.dim)]
             assert col == bracket_basis(alg, i, j)
+
+
+def center_dense(alg):
+    """The center as the kernel of the stacked dense ad matrices: the
+    oracle of the equations read from the nonzero brackets only."""
+    stacked = [row for i in range(alg.dim) for row in ad_matrix(alg, i)
+               if any(row)]
+    return linalg.kernel(stacked) if stacked else linalg.identity(alg.dim)
+
+
+def nilpotency_class_dense(alg):
+    """The lower central series bracketing every basis vector with every
+    spanning row: the oracle of the visit of nonzero brackets only."""
+    current = [[int(t == i) for t in range(alg.dim)] for i in range(alg.dim)]
+    step = 0
+    while current:
+        rows = [bracket(alg, [int(t == i) for t in range(alg.dim)], v)
+                for v in current for i in range(alg.dim)]
+        nxt = linalg.row_basis([row for row in rows if any(row)])
+        if nxt and len(nxt) == len(current):
+            raise ValueError("algebra is not nilpotent")
+        current, step = nxt, step + 1
+    return step
+
+
+def class_or_refusal(nilpotency, alg):
+    try:
+        return nilpotency(alg)
+    except ValueError as exc:
+        return str(exc)
+
+
+CATALOG_ROWS = [entry.build() for entry in list_entries(constructible=True)]
+
+
+def test_center_and_class_match_the_dense_oracles():
+    classes = []
+    for alg in CATALOG_ROWS + SEEDED_TABLES:
+        assert center(alg) == center_dense(alg), alg
+        got = class_or_refusal(nilpotency_class, alg)
+        assert got == class_or_refusal(nilpotency_class_dense, alg), alg
+        classes.append(got)
+    # every kind of table took part: catalog rows of class 2, filiform
+    # tables of class 3 and 4, and stalled series
+    assert {2, 3, 4, "algebra is not nilpotent"} <= set(classes)
 
 
 def test_integral_coefficients_are_ints_and_rational_ones_fractions():
@@ -278,6 +382,28 @@ def count_calls(monkeypatch, module, name):
 
     monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def test_two_step_invariants_make_no_bracket_calls(monkeypatch):
+    # a count, not a timing: on a 2-step algebra no double bracket is
+    # nonzero and C^2 brackets nothing, so neither query calls the kernel
+    calls = count_calls(monkeypatch, algebra, "_accumulate")
+    rows = [entry.build() for entry in list_entries(constructible=True)]
+    assert max(alg.dim for alg in rows) == 46     # table:2.2:23
+    for alg in rows:
+        assert (jacobi_defect(alg), nilpotency_class(alg)) == (0, 2)
+    assert calls == []
+    # [x1, x2] = z, [x3, x1] = y, [z, x3] = u, [y, x2] = -u: 3-step,
+    # with the nonzero double bracket [[x1, x2], x3] = u
+    three_step = LieAlgebraData(
+        6, ["x1", "x2", "x3", "z", "y", "u"],
+        [(0, 1, 3, 1), (0, 2, 4, -1), (2, 3, 5, -1), (1, 4, 5, 1)],
+        center_indices=(5,), complement_indices=range(5))
+    assert jacobi_defect(three_step) == 0
+    assert len(calls) > 0
+    del calls[:]
+    assert nilpotency_class(three_step) == 3
+    assert len(calls) > 0
 
 
 def test_invariants_are_computed_once_per_algebra(monkeypatch):

@@ -17,7 +17,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from nilharm import inversion, quadrature, selftest
+from nilharm import composition, inversion, quadrature, selftest
 from nilharm.algebra import LieAlgebraData
 
 
@@ -64,23 +64,51 @@ def pf_polynomial_times_3(monkeypatch):
                         lambda alg, **kw: pf(alg, **kw) * 3)
 
 
-def h1H_first_constant_negated(monkeypatch):
-    # the Pf of h(1;H) becomes -t1^2 + t2^2 + t3^2, which is not radial
+def heisenberg_edited(monkeypatch, n, F, edit):
+    """selftest builds heisenberg:n:F from edit(its bracket entries)."""
     heisenberg = selftest.heisenberg
 
-    def negated(n, F):
-        alg = heisenberg(n, F)
-        if (n, F) != (1, "H"):
+    def edited(m, G):
+        alg = heisenberg(m, G)
+        if (m, G) != (n, F):
             return alg
         entries = [(i, j, k, c) for (i, j), pairs in alg.brackets().items()
                    for k, c in pairs]
-        i, j, k, c = entries[0]
-        entries[0] = (i, j, k, -c)
-        return LieAlgebraData(alg.dim, alg.basis_labels, entries,
+        return LieAlgebraData(alg.dim, alg.basis_labels, edit(entries),
                               alg.center_indices, alg.complement_indices,
                               name=alg.name, meta=alg.meta)
 
-    monkeypatch.setattr(selftest, "heisenberg", negated)
+    monkeypatch.setattr(selftest, "heisenberg", edited)
+
+
+def h1H_first_constant_negated(monkeypatch):
+    # the Pf of h(1;H) becomes -t1^2 + t2^2 + t3^2, which is not radial
+    def negate_first(entries):
+        i, j, k, c = entries[0]
+        return [(i, j, k, -c)] + entries[1:]
+
+    heisenberg_edited(monkeypatch, 1, "H", negate_first)
+
+
+# heisenberg:2:C has the basis z1, u1e0, u1e1, u2e0, u2e1
+
+def h2C_three_step(monkeypatch):
+    # [u1e0, u2e0] += u2e1: C^3 = span(z1)
+    heisenberg_edited(monkeypatch, 2, "C", lambda e: e + [(1, 3, 4, 1)])
+
+
+def h2C_not_nilpotent(monkeypatch):
+    # [z1, u1e0] += u1e1: C^2 = C^3 = span(z1, u1e1)
+    heisenberg_edited(monkeypatch, 2, "C", lambda e: e + [(0, 1, 2, 1)])
+
+
+def octonion_sign_1_2_flipped(monkeypatch):
+    # e1 e2 = -e3 in the table that every product reads
+    table = [list(r) for r in composition.TABLE]
+    sign, k = table[1][2]
+    table[1][2] = (-sign, k)
+    monkeypatch.setattr(composition, "TABLE",
+                        tuple(tuple(r) for r in table))
 
 
 def radial_jacobian_2_pi_r2(monkeypatch):
@@ -99,6 +127,9 @@ ITEM_3 = pytest.mark.xfail(strict=True, reason="item 3",
                            raises=AssertionError)
 
 ROWS = [
+    row(octonion_sign_1_2_flipped, 1),
+    row(h2C_three_step, 2),
+    row(h2C_not_nilpotent, 2),
     row(slice_at_minus_x, 6),
     row(slice_at_minus_x, 8),
     row(translation_bracket_sign_flipped, 7),
