@@ -6,10 +6,11 @@ pairs.  A coefficient is an int when it is integral and a Fraction
 otherwise, so every catalog algebra holds ints only.  Every bracket
 computed here runs on these rows.  The structural queries visit only
 the nonzero brackets (on a 2-step algebra, no double bracket at all)
-and feed integer rows to the fraction-free elimination of linalg, so
-a zero really is a zero.  Algebras are immutable: invariants, and the
-dense `structure` table for readers that want one, are computed on
-first use and cached on the instance.
+and hand rows of the same sparse form, with no dense copy, to the
+fraction-free elimination of linalg, so a zero really is a zero.
+Algebras are immutable: invariants, and the dense `structure` table
+for readers that want one, are computed on first use and cached on
+the instance.
 """
 
 from collections import defaultdict
@@ -154,8 +155,17 @@ def jacobi_defect(alg):
 
 def derived_subalgebra(alg):
     """Reduced-echelon basis of [n, n]."""
-    return linalg.rref([_dense(alg.dim, row)
-                        for row in alg.brackets().values()])[0]
+    return linalg.rref(alg.brackets().values(), alg.dim)[0]
+
+
+def derived_inside_center(alg):
+    """Whether [n, n] lies in the span of the center basis vectors.
+
+    [n, n] is spanned by the bracket rows, so it does exactly when the
+    support of every bracket row does.
+    """
+    zset = set(alg.center_indices)
+    return all(k in zset for row in alg.brackets().values() for k, _ in row)
 
 
 def center(alg):
@@ -165,13 +175,12 @@ def center(alg):
 
 def _center(alg):
     # x is central iff sum_i x_i [b_i, b_j]_k = 0 for every nonzero (j, k)
-    eqs = defaultdict(lambda: [0] * alg.dim)
+    eqs = defaultdict(list)
     for i, row_i in enumerate(alg._rows):
         for j, row in row_i.items():
             for k, c in row:
-                eqs[j, k][i] = c
-    return (linalg.kernel(list(eqs.values())) if eqs
-            else linalg.identity(alg.dim))
+                eqs[j, k].append((i, c))
+    return linalg.kernel(eqs.values(), alg.dim)
 
 
 def nilpotency_class(alg):
@@ -184,17 +193,15 @@ def _nilpotency_class(alg):
     # either loses dimension at every step or has stalled for good.
     # C^2 is spanned by the bracket rows, and [n, w] by the [b_i, w]
     # with b_i bracketing some b_k in w's support.  Each C^k is kept as
-    # primitive integer rows spanning it.
+    # the pivot rows of its integer echelon.
     size, step = alg.dim, 1
-    current = linalg.row_basis([_dense(alg.dim, row)
-                                for row in alg.brackets().values()])
+    current = linalg.echelon(alg.brackets().values())
     while current:
         if len(current) == size:
             raise ValueError("algebra is not nilpotent")
-        rows = []
-        for w in current:
-            ws = _support(w)
-            for i in {i for k, _ in ws for i in alg._rows[k]}:
-                rows.append(_accumulate(alg, ((i, 1),), ws, [0] * alg.dim))
-        size, current, step = len(current), linalg.row_basis(rows), step + 1
+        rows = (_accumulate(alg, ((i, 1),), w.items(),
+                            defaultdict(int)).items()
+                for w in current.values()
+                for i in {i for k in w for i in alg._rows[k]})
+        size, current, step = len(current), linalg.echelon(rows), step + 1
     return step

@@ -209,6 +209,10 @@ def direct_sum(*blocks, name=""):
     )
 
 
+# center coordinates of (e3,0)*, (e6,0)*, (e2,0)*: octdouble's lambda_a
+OCTDOUBLE_LAMBDA_SUPPORT = (2, 5, 1)
+
+
 def lambda_a(alg, a):
     """The special functionals lambda_a, as coefficients on the center basis.
 
@@ -238,8 +242,8 @@ def lambda_a(alg, a):
     if family == "octdouble":
         if len(a) != 3:
             raise CatalogError("octdouble lambda_a takes exactly 3 coefficients")
-        for val, unit in zip(a, (3, 6, 2)):
-            coeffs[unit - 1] = Fraction(val)
+        for val, k in zip(a, OCTDOUBLE_LAMBDA_SUPPORT):
+            coeffs[k] = Fraction(val)
         return coeffs
     raise CatalogError(
         f"lambda_a is not defined for family {shown(family)}")

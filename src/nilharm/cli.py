@@ -13,7 +13,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .algebra import derived_subalgebra, jacobi_defect, nilpotency_class
+from .algebra import derived_inside_center, jacobi_defect, nilpotency_class
 from .catalog import CatalogError, from_name, list_entries
 from .composition import CompositionElement, format_element, multiply, \
     parse_unit
@@ -166,10 +166,7 @@ def _cmd_check(args, cfg):
     alg = from_name(args.algebra)
     defect = jacobi_defect(alg)
     nclass = nilpotency_class(alg)
-    center_set = set(alg.center_indices)
-    derived_ok = all(
-        all(row[k] == 0 for k in range(alg.dim) if k not in center_set)
-        for row in derived_subalgebra(alg))
+    derived_ok = derived_inside_center(alg)
     ok = defect == 0 and nclass == 2 and derived_ok
     payload = {
         "algebra": alg.name, "dim": alg.dim,

@@ -280,7 +280,8 @@ def orbit_space_quadrature_check(alg, seed=0):
     def cart(grid):
         r = np.sqrt(sum(x * x for x in np.meshgrid(*grid.axes, indexing="ij",
                                                    sparse=True)))
-        return h(r) * np.abs(pf.evaluate_grid(grid.axes))
+        return h(r) * np.abs(pf.evaluate_float(grid.points())).reshape(
+            grid.shape)
 
     value_cart, cart_info = tensor_integrate(cart, np.zeros(3), np.ones(3))
 

@@ -1,25 +1,20 @@
 """Exact linear algebra over the rationals, eliminated in integers.
 
-Small dense matrices only (the largest catalog algebra has dim 46).
-A matrix is a list of rows whose entries are ints, Fractions or anything
-Fraction() accepts; every result is exact.  Elimination never divides:
-each row is first scaled to coprime integers, which leaves its span
-unchanged.  rref then eliminates on sparse integer rows, kept primitive,
-and divides by the pivots only at the end; det runs Bareiss's
-fraction-free elimination (Math. Comp. 22, 1968).
+Elimination (echelon, rref, kernel) takes sparse rows: a row is an
+iterable of (column, value) pairs on distinct columns, the values ints
+or Fractions, zeros skipped.  That is the form of
+LieAlgebraData.bracket_row, so bracket rows enter as they are.
+Elimination never divides: each row is first scaled to coprime
+integers, which leaves its span unchanged, then eliminated as a sparse
+integer row kept primitive; rref divides by the pivots only at the end,
+and rref and kernel return dense Fraction rows.  det, mat_mul and
+transpose take dense matrices, lists of rows; det runs Bareiss's
+fraction-free elimination (Math. Comp. 22, 1968).  Every result is
+exact.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
-
-
-def frac_matrix(rows):
-    """Copy a matrix, coercing every entry to Fraction."""
-    return [[Fraction(x) for x in row] for row in rows]
-
-
-def identity(n):
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
 
 
 def mat_mul(a, b):
@@ -31,11 +26,11 @@ def transpose(mat):
     return [list(col) for col in zip(*mat)]
 
 
-def _scaled(row):
-    """(ints, den): row times den, den the lcm of its denominators."""
-    if all(type(x) is int for x in row):
-        return list(row), 1
-    vals = [Fraction(x) for x in row]
+def _scaled(values):
+    """(ints, den): values times den, den the lcm of their denominators."""
+    if all(type(x) is int for x in values):
+        return list(values), 1
+    vals = [Fraction(x) for x in values]
     den = lcm(*(x.denominator for x in vals))
     return [x.numerator * (den // x.denominator) for x in vals], den
 
@@ -59,20 +54,23 @@ def _eliminate(vec, piv, c):
     return _primitive(out)
 
 
-def _echelon(rows):
+def echelon(rows):
     """{pivot column: primitive sparse integer row}, fully reduced.
 
-    Rows enter one at a time.  Each is reduced against the pivot rows
-    at the pivot columns in its support (every pivot row is zero on
-    every other pivot column, so one reduction neither clears nor adds
-    another pivot entry, and their order does not matter); a nonzero
-    remainder leads at a column no pivot holds, becomes a pivot row,
-    and is cleared from the earlier pivot rows.  A pivot row leads at
-    its pivot column throughout.
+    Rows enter one at a time, their nonzero values scaled to integers.
+    Each is reduced against the pivot rows at the pivot columns in its
+    support (every pivot row is zero on every other pivot column, so
+    one reduction neither clears nor adds another pivot entry, and
+    their order does not matter); a nonzero remainder leads at a column
+    no pivot holds, becomes a pivot row, and is cleared from the
+    earlier pivot rows.  A pivot row leads at its pivot column
+    throughout.
     """
     basis = {}
     for row in rows:
-        vec = {c: x for c, x in enumerate(_scaled(row)[0]) if x}
+        vec = {c: x for c, x in row if x}
+        if not all(type(x) is int for x in vec.values()):
+            vec = dict(zip(vec, _scaled(vec.values())[0]))
         for c in [c for c in vec if c in basis]:
             vec = _eliminate(vec, basis[c], c)
         if not vec:
@@ -86,50 +84,33 @@ def _echelon(rows):
     return basis
 
 
-def rref(rows):
-    """Reduced row echelon form.
+def rref(rows, ncols):
+    """Reduced row echelon form of sparse rows with ncols columns.
 
-    Returns (echelon_rows, pivot_columns), the rows as Fractions.  Zero
-    rows are dropped.  The reduced echelon form of a row space is
+    Returns (echelon_rows, pivot_columns), the rows dense and their
+    entries Fractions.  The reduced echelon form of a row space is
     unique, so the result does not depend on the order of the rows.
     """
-    basis = _echelon(rows)
+    basis = echelon(rows)
     pivots = sorted(basis)
-    echelon = []
+    out = []
     for c in pivots:
-        row = [Fraction(0)] * len(rows[0])
+        row = [Fraction(0)] * ncols
         for k, x in basis[c].items():
             row[k] = Fraction(x, basis[c][c])
-        echelon.append(row)
-    return echelon, pivots
-
-
-def row_basis(rows):
-    """Primitive integer rows spanning the row space of rows: rref's
-    elimination before the pivots divide, for a caller that needs a
-    span and its dimension but no normal form."""
-    out = []
-    for vec in _echelon(rows).values():
-        row = [0] * len(rows[0])
-        for k, x in vec.items():
-            row[k] = x
         out.append(row)
-    return out
+    return out, pivots
 
 
-def rank(rows):
-    return len(_echelon(rows))
-
-
-def kernel(rows):
-    """Basis of the right null space, reduced-echelon style: one vector
-    per free column, 1 there, read off the integer echelon."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    ech = _echelon(rows)
+def kernel(rows, ncols):
+    """Basis of the right null space of sparse rows with ncols columns,
+    reduced-echelon style: one dense Fraction vector per free column,
+    1 there, read off the integer echelon.  No rows give the identity."""
+    ech = echelon(rows)
     basis = []
-    for fc in sorted(set(range(ncols)) - set(ech)):
+    for fc in range(ncols):
+        if fc in ech:
+            continue
         vec = [Fraction(0)] * ncols
         vec[fc] = Fraction(1)
         for pc, piv in ech.items():
@@ -140,7 +121,8 @@ def kernel(rows):
 
 
 def det(rows):
-    """Exact determinant, a Fraction, by Bareiss elimination.
+    """Exact determinant of a dense square matrix, a Fraction, by
+    Bareiss elimination.
 
     Each row is scaled to integers first; the determinant of the scaled
     matrix is divided by the product of the scales at the end.

@@ -15,7 +15,7 @@ import cmath
 import math
 from fractions import Fraction
 
-from .linalg import frac_matrix, rank
+from .catalog import OCTDOUBLE_LAMBDA_SUPPORT
 from .pfaffian import (LinearFunctional, _pfaffian_expansion, b_matrix,
                        pf_at, pf_polynomial)
 
@@ -68,7 +68,7 @@ def darboux_basis(M):
     G[p][q] + (G[p][b] G[q][a] - G[p][a] G[q][b]) / s instead of being
     re-evaluated, so the cost is O(n^3), not O(n^5).
     """
-    M = frac_matrix(M)
+    M = [[Fraction(x) for x in row] for row in M]
     n = len(M)
     for i in range(n):
         if M[i][i] != 0 or any(M[i][j] != -M[j][i] for j in range(n)):
@@ -141,11 +141,15 @@ def wedge_matrix(alg, coeffs):
 def orbit_representative(alg, coeffs):
     """Canonical orbit invariants of a concrete functional.
 
-    Dispatches on the algebra family.  Case 6's phase is computed in a
-    fixed eigenbasis gauge (eigenvectors of M M^H, first nonzero
-    component made real positive); it is authoritative on the
-    normal-form family lambda_a and reproducible across runs.
+    Refuses coeffs whose length is not dim z, then dispatches on the
+    algebra family.  Case 6's phase is computed in a fixed eigenbasis
+    gauge (eigenvectors of M M^H, first nonzero component made real
+    positive); it is authoritative on the normal-form family lambda_a
+    and reproducible across runs.
     """
+    zdim = len(alg.center_indices)
+    if len(coeffs) != zdim:
+        raise ValueError(f"need {zdim} coefficients, got {len(coeffs)}")
     family = alg.meta.get("family")
     if family == "free2step" and alg.meta["F"] == "R":
         M = wedge_matrix(alg, coeffs)
@@ -188,20 +192,17 @@ def _case6_representative(alg, coeffs):
     return OrbitRepresentative("case6", invariants, kernel_dim)
 
 
-_CASE3_SUPPORT = (2, 5, 1)   # center coords of (e3,0)*, (e6,0)*, (e2,0)*
-
-
 def _case3_representative(alg, coeffs):
     coeffs = [Fraction(c) for c in coeffs]
     support = {k for k, c in enumerate(coeffs) if c != 0}
-    if not support <= set(_CASE3_SUPPORT):
+    if not support <= set(OCTDOUBLE_LAMBDA_SUPPORT):
         raise ValueError(
             "functional is not in implemented normal-form reach: case 3 "
             "representatives are computed only on the (e3, e6, e2)* span")
-    invariants = [float(coeffs[k]) for k in _CASE3_SUPPORT]
+    invariants = [float(coeffs[k]) for k in OCTDOUBLE_LAMBDA_SUPPORT]
     form = b_matrix(alg, LinearFunctional(alg, coeffs),
                     v_indices=l1_complement_indices(alg))
-    kernel_dim = len(form.matrix) - rank(form.matrix)
+    kernel_dim = darboux_basis(form.matrix).radical_dim
     return OrbitRepresentative("case3", invariants, kernel_dim)
 
 

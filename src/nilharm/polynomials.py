@@ -149,29 +149,6 @@ class Poly:
             out += term
         return out
 
-    def evaluate_grid(self, axes):
-        """Float values on the tensor grid of the node arrays in axes.
-
-        Returns an array of shape (len(axes[0]), ..., len(axes[-1])), C
-        order.  Each monomial is the outer product of per-axis powers;
-        products and sums run in evaluate_float's order, so the values
-        are bit-identical to evaluate_float on the grid's points.
-        """
-        import numpy as np
-
-        if len(axes) != self.nvars:
-            raise ValueError("axis count mismatch")
-        xs = np.meshgrid(*(np.asarray(x, dtype=float) for x in axes),
-                         indexing="ij", sparse=True)
-        out = np.zeros(tuple(len(x) for x in axes))
-        for mono, coeff in self.terms.items():
-            term = float(coeff)
-            for x, e in zip(xs, mono):
-                if e:
-                    term = term * x ** e
-            out += term
-        return out
-
     def __str__(self):
         return self.format()
 

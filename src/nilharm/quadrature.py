@@ -17,9 +17,9 @@ Integrand contract: func is called once per level with a TensorGrid,
 the per-axis node arrays of that level's n^dim tensor grid, and returns
 the n^dim values in C order (axis 0 slowest, the last axis fastest),
 either flat or shaped (n,) * dim.  An integrand with tensor structure
-evaluates from the axes by broadcasting (ComplexGaussian.evaluate_grid,
-Poly.evaluate_grid) and never forms the points; one that needs
-scattered points calls grid.points() for the (n^dim, dim) array.
+evaluates from the axes by broadcasting (ComplexGaussian.evaluate_grid)
+and never forms the points; one that needs scattered points calls
+grid.points() for the (n^dim, dim) array.
 len(grid) is the node count n^dim, so a wrapper that counts len() of
 the integrand's argument counts evaluated nodes.  The weights are
 contracted against the values one axis at a time, last axis first, so

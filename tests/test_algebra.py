@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from nilharm import linalg
 from nilharm.algebra import (LieAlgebraData, bracket, center,
-                             derived_subalgebra, jacobi_defect,
-                             nilpotency_class)
+                             derived_inside_center, derived_subalgebra,
+                             jacobi_defect, nilpotency_class)
 from nilharm.catalog import abelian, free_two_step, from_name, heisenberg, \
     list_entries, octonion_double
 
@@ -223,9 +223,9 @@ def test_ad_matrix_columns_are_brackets():
 def center_dense(alg):
     """The center as the kernel of the stacked dense ad matrices: the
     oracle of the equations read from the nonzero brackets only."""
-    stacked = [row for i in range(alg.dim) for row in ad_matrix(alg, i)
-               if any(row)]
-    return linalg.kernel(stacked) if stacked else linalg.identity(alg.dim)
+    stacked = [list(enumerate(row)) for i in range(alg.dim)
+               for row in ad_matrix(alg, i) if any(row)]
+    return linalg.kernel(stacked, alg.dim)
 
 
 def nilpotency_class_dense(alg):
@@ -236,7 +236,8 @@ def nilpotency_class_dense(alg):
     while current:
         rows = [bracket(alg, [int(t == i) for t in range(alg.dim)], v)
                 for v in current for i in range(alg.dim)]
-        nxt = linalg.row_basis([row for row in rows if any(row)])
+        nxt = linalg.rref([list(enumerate(row)) for row in rows],
+                          alg.dim)[0]
         if nxt and len(nxt) == len(current):
             raise ValueError("algebra is not nilpotent")
         current, step = nxt, step + 1
@@ -263,6 +264,44 @@ def test_center_and_class_match_the_dense_oracles():
     # every kind of table took part: catalog rows of class 2, filiform
     # tables of class 3 and 4, and stalled series
     assert {2, 3, 4, "algebra is not nilpotent"} <= set(classes)
+
+
+def test_derived_inside_center_matches_the_derived_rows():
+    # the support of the bracket rows against the reduced-echelon rows
+    # of [n, n]; the seeded tables declare an empty center
+    results = []
+    for alg in CATALOG_ROWS + SEEDED_TABLES + [abelian(3)]:
+        zset = set(alg.center_indices)
+        want = all(row[k] == 0 for row in derived_subalgebra(alg)
+                   for k in range(alg.dim) if k not in zset)
+        assert derived_inside_center(alg) == want, alg
+        results.append(want)
+    assert {True, False} <= set(results)
+
+
+def test_elimination_reads_each_nonzero_structure_constant(monkeypatch):
+    # a count of the pairs linalg eliminates, not a timing: [n, n] and
+    # C^2 read every nonzero bracket row once, the center's equations
+    # read each constant twice, as [b_i, b_j] and as [b_j, b_i]; a
+    # dense row would add its zeros
+    seen = []
+    original = linalg.echelon
+
+    def recording(rows):
+        rows = [list(row) for row in rows]
+        seen.extend(c for row in rows for _, c in row)
+        return original(rows)
+
+    monkeypatch.setattr(linalg, "echelon", recording)
+    for entry in list_entries(constructible=True):
+        alg = entry.build()
+        del seen[:]
+        derived_subalgebra(alg)
+        center(alg)
+        nilpotency_class(alg)
+        nnz = sum(len(row) for row in alg.brackets().values())
+        assert len(seen) == 4 * nnz, alg
+        assert 0 not in seen, alg
 
 
 def test_integral_coefficients_are_ints_and_rational_ones_fractions():

@@ -223,6 +223,17 @@ def test_orbit_subcommand():
     assert "case1" in res.human_text
 
 
+@pytest.mark.parametrize("algebra, coeffs, zdim", [
+    ("free2step:3:R", "1,2,3,4", 3), ("free2step:3:C", "1,2,3,4,5,6,7,8", 6),
+    ("free2step:3:R", "1,2", 3), ("octdouble", "0,1,1", 7)])
+def test_orbit_refuses_a_functional_of_the_wrong_length(algebra, coeffs,
+                                                        zdim):
+    res = invoke(["orbit", algebra, "--coeffs", coeffs])
+    assert res.exit_code == 2
+    assert res.human_text == (f"error: need {zdim} coefficients, "
+                              f"got {coeffs.count(',') + 1}")
+
+
 def test_decompose_subcommand():
     res = invoke(["decompose", "case3"])
     assert res.exit_code == 0
@@ -621,7 +632,8 @@ def test_malformed_points_are_refused_before_numpy_loads():
 
 
 def test_exact_orbit_routes_do_not_load_numpy():
-    # a refused algebra, and case 3, which is exact (b_matrix and rank)
+    # a refused algebra, and case 3, which is exact (b_matrix and
+    # darboux_basis)
     runs = [["orbit", "heisenberg:1:C", "--coeffs", "1", "--json"],
             ["orbit", "heisenberg:1:C", "--coeffs", "1"],
             ["orbit", "octdouble", "--coeffs", "0,3,1,0,0,2,0", "--json"]]

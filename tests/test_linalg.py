@@ -1,10 +1,12 @@
-"""The fraction-free rref, kernel, rank and det against Fraction oracles."""
+"""The fraction-free echelon, rref, kernel and det against Fraction
+oracles; echelon, rref and kernel read sparse (column, value) rows."""
 
+import math
 from fractions import Fraction
 
 from hypothesis import example, given, settings, strategies as st
 
-from nilharm.linalg import det, kernel, rank, rref
+from nilharm.linalg import det, echelon, kernel, rref
 
 
 # Gauss-Jordan (rref, kernel) and Gaussian (det) elimination in Fraction
@@ -35,8 +37,7 @@ def oracle_rref(rows):
     return mat[:r], pivots
 
 
-def oracle_kernel(rows):
-    ncols = len(rows[0])
+def oracle_kernel(rows, ncols):
     ech, pivots = oracle_rref(rows)
     basis = []
     for fc in (c for c in range(ncols) if c not in pivots):
@@ -94,16 +95,38 @@ def matrices(draw, square=False):
     return rows
 
 
+@st.composite
+def sparse_rows(draw, rows):
+    """The dense rows as (column, value) pairs in a drawn column order,
+    each zero value kept or left out, so a zero row may come out empty."""
+    out = []
+    for row in rows:
+        pairs = [(c, x) for c, x in enumerate(row) if x or draw(st.booleans())]
+        out.append(draw(st.permutations(pairs)))
+    return out
+
+
 @settings(max_examples=150, deadline=None)
-@given(matrices())
-@example([[0, 0, 0]])
-@example([[Fraction(1, 2), Fraction(1, 3)], [3, 2], [0, 0], [6, 4]])
-def test_rref_kernel_and_rank_match_the_fraction_oracle(rows):
-    ech, pivots = rref(rows)
+@given(st.data(), matrices())
+@example(None, [[0, 0, 0]])
+@example(None, [[Fraction(1, 2), Fraction(1, 3)], [3, 2], [0, 0], [6, 4]])
+def test_rref_kernel_and_rank_match_the_fraction_oracle(data, rows):
+    ncols = len(rows[0])
+    # the explicit examples keep every pair, zeros included, in order
+    sparse = ([list(enumerate(row)) for row in rows] if data is None
+              else data.draw(sparse_rows(rows)))
+    ech, pivots = rref(sparse, ncols)
     assert (ech, pivots) == oracle_rref(rows)
     assert all(type(x) is Fraction for row in ech for x in row)
-    assert kernel(rows) == oracle_kernel(rows)
-    assert rank(rows) == len(pivots)
+    assert kernel(sparse, ncols) == oracle_kernel(rows, ncols)
+    basis = echelon(iter(row) for row in sparse)
+    assert sorted(basis) == pivots
+    for c, vec in basis.items():
+        # primitive integer rows, zero on every other pivot column
+        assert all(type(x) is int and x for x in vec.values())
+        assert math.gcd(*vec.values()) == 1 and min(vec) == c
+        assert [Fraction(vec.get(k, 0), vec[c]) for k in range(ncols)] \
+            == ech[pivots.index(c)]
 
 
 @settings(max_examples=150, deadline=None)
@@ -116,11 +139,17 @@ def test_det_matches_the_fraction_oracle(rows):
 
 def test_rref_does_not_depend_on_row_order():
     rows = [[0, 2, 4, 1], [1, Fraction(1, 3), 0, 0], [1, 3, 4, 1]]
-    assert rref(rows) == rref(rows[::-1]) == oracle_rref(rows)
+    sparse = [list(enumerate(row)) for row in rows]
+    assert (rref(sparse, 4) == rref(sparse[::-1], 4)
+            == rref([row[::-1] for row in sparse], 4) == oracle_rref(rows))
 
 
 def test_empty_input():
-    assert rref([]) == ([], [])
-    assert kernel([]) == []
-    assert rank([]) == 0
+    # no equations: every vector is in the kernel
+    assert rref([], 3) == ([], [])
+    assert kernel([], 3) == [[Fraction(int(i == j)) for j in range(3)]
+                             for i in range(3)]
+    assert kernel([[], [(1, 0)]], 2) == kernel([], 2)
+    assert kernel([], 0) == []
+    assert echelon([]) == {}
     assert det([]) == 1

@@ -19,7 +19,6 @@ from nilharm.pfaffian import (LinearFunctional, _pfaffian_expansion,
                               is_square_integrable, pf_at, pf_polynomial,
                               pfaffian)
 from nilharm.polynomials import Poly
-from nilharm.quadrature import TensorGrid
 from nilharm.stepwise import find_codim_split
 
 
@@ -260,26 +259,6 @@ def test_evaluate_float_is_bit_identical_to_the_term_loop():
             want = evaluate_float_reference(poly, arg)
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
-
-
-def test_evaluate_grid_is_bit_identical_to_evaluate_float():
-    rng = np.random.default_rng(13)
-    octdouble = octonion_double()
-    polys = [pf_polynomial(heisenberg(1, "O")),
-             pf_polynomial(heisenberg(2, "H")),
-             pf_polynomial(octdouble,
-                           v_indices=l1_complement_indices(octdouble)),
-             Poly.constant(3, Fraction(-7, 3)), Poly.zero(3)]
-    for poly in polys:
-        # unequal axis lengths, so a transposed layout cannot pass
-        grid = TensorGrid(rng.normal(size=2 + k % 3) * 2
-                          for k in range(poly.nvars))
-        got = poly.evaluate_grid(grid.axes)
-        assert got.shape == grid.shape
-        want = poly.evaluate_float(grid.points())
-        assert got.reshape(-1).tobytes() == want.tobytes()
-    with pytest.raises(ValueError, match="axis count"):
-        polys[0].evaluate_grid(grid.axes)
 
 
 def test_restricted_pfaffian_via_v_indices():

@@ -139,8 +139,8 @@ def l1_center(alg, l1):
     for i in l1:
         cols = [table.get((i, j), zero) if i < j
                 else [-c for c in table.get((j, i), zero)] for j in l1]
-        rows.extend(row for row in zip(*cols) if any(row))
-    return linalg.kernel(rows) if rows else linalg.identity(len(l1))
+        rows.extend(list(enumerate(row)) for row in zip(*cols) if any(row))
+    return linalg.kernel(rows, len(l1))
 
 
 SPLIT_FAMILIES = ([f"free2step:{n}:{F}" for n in (3, 5, 7) for F in "RC"]
