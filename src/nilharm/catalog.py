@@ -17,8 +17,6 @@ from . import composition
 from .algebra import LieAlgebraData
 from .config import read_number, shown
 
-HERMITIAN_CONVENTION = "<u,v> = sum_i u_i * conj(v_i)"
-
 # the largest constructible table row has dimension 46; the exact core
 # is quadratic to cubic in the dimension, so far larger sizes only hang
 MAX_DIM = 64
@@ -74,8 +72,7 @@ def heisenberg(n, F):
         center_indices=range(zdim),
         complement_indices=range(zdim, dim),
         name=f"heisenberg:{n}:{F}",
-        meta={"family": "heisenberg", "n": n, "F": F,
-              "hermitian_convention": HERMITIAN_CONVENTION},
+        meta={"family": "heisenberg", "n": n, "F": F},
     )
 
 

@@ -15,12 +15,11 @@ from fractions import Fraction
 
 from .algebra import derived_inside_center, jacobi_defect, nilpotency_class
 from .catalog import CatalogError, from_name, list_entries
-from .composition import CompositionElement, format_element, multiply, \
-    parse_unit
+from .composition import TABLE, format_element, multiply, parse_unit
 from .config import is_node_count, is_positive, load_config, \
     quad_settings, read_number, shown
 from .pfaffian import is_square_integrable, pf_at, pf_polynomial
-from .stepwise import decompose, find_codim_split, verify
+from .stepwise import case_number, decompose, find_codim_split, verify
 
 # numpy and the numeric layers (gaussians, inversion, orbits, selftest)
 # are imported inside the handlers that use them, so the exact
@@ -250,7 +249,7 @@ def _cmd_invert(args, cfg):
     qs = quad_settings(cfg)
     if args.nodes is not None:
         qs["start_nodes"] = args.nodes
-    stepwise = target.replace("_", "").lower() in ("case1", "case6", "case3")
+    stepwise = case_number(target) is not None
     if stepwise:
         dec = decompose(target)
         alg = dec.algebra
@@ -298,21 +297,12 @@ def _cmd_octonion(args, cfg):
                             else "no operands")
                          + f", got {len(args.operands)}")
     if args.operation == "mul":
-        a, b = (parse_unit(op) for op in args.operands)
-        text = format_element(multiply(a, b))
+        text = format_element(multiply(*map(parse_unit, args.operands)))
         return CommandResult("ok", {"product": text, "config": cfg}, text)
-    lines = []
-    rows = []
-    for i in range(8):
-        row = []
-        for j in range(8):
-            p = multiply(CompositionElement.basis("O", i),
-                         CompositionElement.basis("O", j))
-            row.append(format_element(p))
-        rows.append(row)
-        lines.append(" ".join(f"{s:>4s}" for s in row))
+    rows = [[format_element(p) for p in row] for row in TABLE]
     return CommandResult("ok", {"table": rows, "config": cfg},
-                         "\n".join(lines))
+                         "\n".join(" ".join(f"{s:>4s}" for s in row)
+                                   for row in rows))
 
 
 def _cmd_selftest(args, cfg):

@@ -1,23 +1,21 @@
-"""Exact arithmetic in the composition algebras C, H, O.
+"""The octonion multiplication table and its signed basis units.
 
 The octonion product is generated from seven oriented triples plus the
 rules e0*x = x, ej^2 = -e0, and anticommutation of distinct imaginary
 units.  C and H sit inside O as the subalgebras spanned by {e0,e1} and
 {e0,e1,e2,e3}; the triple (1,2,3) makes the quaternion block close.
 
-The expanded 8x8 table is built once at import and cross-checked
-against the generating rules; everything downstream reads it only.
+The expanded 8x8 table is built once at import and checked against the
+generating rules by table_failures, the same check as criterion 1.
+Every value here is a signed unit (sign, index), meaning sign * e_index;
+general C/H/O elements live only in the test suite's oracle.
 """
-
-from fractions import Fraction
 
 from .config import read_number, shown
 
 # positively oriented: each (a,b,c) means ea*eb = ec, cyclically
 TRIPLES = ((1, 2, 3), (3, 5, 6), (6, 7, 1), (1, 4, 5),
            (3, 4, 7), (6, 4, 2), (2, 5, 7))
-
-_TAG_DIM = {"C": 2, "H": 4, "O": 8}
 
 
 def _build_table():
@@ -41,135 +39,45 @@ def _build_table():
     return tuple(tuple(row) for row in table)
 
 
-def _check_table(table):
-    # identity and squares
-    for j in range(8):
-        if table[0][j] != (1, j) or table[j][0] != (1, j):
-            raise RuntimeError(f"e0 is not the unit at e{j}")
-    for j in range(1, 8):
-        if table[j][j] != (-1, 0):
-            raise RuntimeError(f"e{j}*e{j} is not -1")
-    # anticommutation off the diagonal
+def table_failures(table):
+    """The generating rules a table breaks, in a fixed order: the
+    triples, the squares, the identity, anticommutation of distinct
+    imaginary units to a third one.  Empty for the octonion table."""
+    failures = []
+    for i, j, k in TRIPLES:
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            if table[a][b] != (1, c):
+                failures.append(f"e{a}e{b} != e{c}")
+    failures += [f"e{j}^2 != -e0" for j in range(1, 8)
+                 if table[j][j] != (-1, 0)]
+    failures += [f"identity fails at e{j}" for j in range(8)
+                 if table[0][j] != (1, j) or table[j][0] != (1, j)]
     for i in range(1, 8):
         for j in range(1, 8):
             if i == j:
                 continue
-            si, ki = table[i][j]
-            sj, kj = table[j][i]
-            if not (ki == kj and si == -sj and ki not in (0, i, j)):
-                raise RuntimeError(f"e{i} and e{j} do not anticommute "
-                                   "to a third imaginary unit")
+            (si, ki), (sj, kj) = table[i][j], table[j][i]
+            if (si, ki) != (-sj, kj):
+                failures.append(f"e{i}e{j} != -e{j}e{i}")
+            if ki in (0, i, j):
+                failures.append(f"e{i}e{j} is not a third imaginary unit")
+    return failures
 
 
 TABLE = _build_table()
-_check_table(TABLE)
-
-
-class CompositionElement:
-    """Element of C, H, or O with exact rational coefficients.
-
-    coefficients are indexed by e0..e{d-1} where d = 2, 4, 8.
-    """
-
-    __slots__ = ("tag", "coeffs")
-
-    def __init__(self, tag, coeffs):
-        if tag not in _TAG_DIM:
-            raise ValueError(f"unknown algebra tag {shown(tag)}")
-        dim = _TAG_DIM[tag]
-        coeffs = tuple(Fraction(c) for c in coeffs)
-        if len(coeffs) != dim:
-            raise ValueError(f"{tag} element needs {dim} coefficients, got {len(coeffs)}")
-        self.tag = tag
-        self.coeffs = coeffs
-
-    @classmethod
-    def zero(cls, tag):
-        return cls(tag, [0] * _TAG_DIM[tag])
-
-    @classmethod
-    def basis(cls, tag, j):
-        dim = _TAG_DIM[tag]
-        if not 0 <= j < dim:
-            raise ValueError(f"{shown(f'e{j}')} not in {tag}")
-        coeffs = [0] * dim
-        coeffs[j] = 1
-        return cls(tag, coeffs)
-
-    def __eq__(self, other):
-        if isinstance(other, CompositionElement):
-            return self.tag == other.tag and self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.tag, self.coeffs))
-
-    def __add__(self, other):
-        self._same_tag(other)
-        return CompositionElement(self.tag, [a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __sub__(self, other):
-        self._same_tag(other)
-        return CompositionElement(self.tag, [a - b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __neg__(self):
-        return CompositionElement(self.tag, [-a for a in self.coeffs])
-
-    def scale(self, c):
-        c = Fraction(c)
-        return CompositionElement(self.tag, [c * a for a in self.coeffs])
-
-    def _same_tag(self, other):
-        if not isinstance(other, CompositionElement):
-            raise TypeError("expected a CompositionElement")
-        if self.tag != other.tag:
-            raise ValueError(f"mixed algebra tags {self.tag} and {other.tag}")
-
-    def __repr__(self):
-        parts = [f"{c}*e{j}" for j, c in enumerate(self.coeffs) if c != 0]
-        return f"<{self.tag}: {' + '.join(parts) if parts else '0'}>"
+if _failures := table_failures(TABLE):
+    raise RuntimeError("; ".join(_failures))
 
 
 def multiply(a, b):
-    """Bilinear extension of the basis table."""
-    a._same_tag(b)
-    dim = _TAG_DIM[a.tag]
-    out = [Fraction(0)] * dim
-    for i, ca in enumerate(a.coeffs):
-        if ca == 0:
-            continue
-        for j, cb in enumerate(b.coeffs):
-            if cb == 0:
-                continue
-            sign, k = TABLE[i][j]
-            # C and H are closed under the table: k < dim always holds here
-            out[k] += sign * ca * cb
-    return CompositionElement(a.tag, out)
+    """Product of two signed units, read from the table."""
+    (sa, ia), (sb, ib) = a, b
+    s, k = TABLE[ia][ib]
+    return sa * sb * s, k
 
 
-def conj(a):
-    """Conjugation: negate the imaginary part."""
-    return CompositionElement(a.tag, [a.coeffs[0]] + [-c for c in a.coeffs[1:]])
-
-
-def re(a):
-    out = [Fraction(0)] * _TAG_DIM[a.tag]
-    out[0] = a.coeffs[0]
-    return CompositionElement(a.tag, out)
-
-
-def im(a):
-    """Zero the e0 component."""
-    return CompositionElement(a.tag, [Fraction(0)] + list(a.coeffs[1:]))
-
-
-def norm(a):
-    """Squared norm: sum of squared coefficients (exact)."""
-    return sum((c * c for c in a.coeffs), Fraction(0))
-
-
-def parse_unit(text, tag="O"):
-    """Parse 'e3' or '-e3' into a basis element, for the CLI."""
+def parse_unit(text):
+    """Parse 'e3' or '-e3' into a signed unit, for the CLI."""
     text = text.strip()
     sign = 1
     if text.startswith("-"):
@@ -177,23 +85,12 @@ def parse_unit(text, tag="O"):
         text = text[1:]
     if not text.startswith("e") or not text[1:].isdigit():
         raise ValueError(f"cannot parse basis unit {shown(text)}")
-    el = CompositionElement.basis(tag, read_number(text[1:], int))
-    return el if sign == 1 else -el
+    j = read_number(text[1:], int)
+    if not 0 <= j < 8:
+        raise ValueError(f"{shown(f'e{j}')} not in O")
+    return sign, j
 
 
 def format_element(a):
-    """Human-readable signed combination, e0..e7 order."""
-    parts = []
-    for j, c in enumerate(a.coeffs):
-        if c == 0:
-            continue
-        if c == 1:
-            parts.append(f"e{j}" if not parts else f"+ e{j}")
-        elif c == -1:
-            parts.append(f"-e{j}" if not parts else f"- e{j}")
-        else:
-            sign = "-" if c < 0 else ("+" if parts else "")
-            mag = abs(c)
-            lead = f"{sign} " if parts else sign
-            parts.append(f"{lead}{mag}*e{j}")
-    return " ".join(parts) if parts else "0"
+    sign, k = a
+    return f"e{k}" if sign > 0 else f"-e{k}"

@@ -137,8 +137,6 @@ def pfaffian(form):
         zero, one = Fraction(0), Fraction(1)
     else:
         zero, one = Poly.zero(poly.nvars), Poly.constant(poly.nvars, 1)
-    if n % 2:
-        return zero     # the expansion would take 2^n steps to find it
     return _pfaffian_expansion(matrix, zero, one)
 
 
@@ -152,6 +150,8 @@ def _pfaffian_expansion(matrix, zero, one):
     which a float form may carry as rounding noise), and the empty
     tuple's Pfaffian is one.  No skew check is made.
     """
+    if len(matrix) % 2:
+        return zero     # the expansion would take 2^n steps to find it
     memo = {}
 
     def pf(indices):
@@ -191,8 +191,6 @@ def _pf_polynomial(alg, v_indices):
     coeffs = [Poly.variable(zdim, t) for t in range(zdim)]
     zero = Poly.zero(zdim)
     matrix = _skew_form(alg, coeffs, zero, v_indices).matrix
-    if len(matrix) % 2:
-        return zero
     return _pfaffian_expansion(matrix, zero, Poly.constant(zdim, 1))
 
 
@@ -203,9 +201,8 @@ def pf_at(alg, coeffs, v_indices=None):
     scale = math.lcm(*(c.denominator for c in lam))
     ints = [c.numerator * (scale // c.denominator) for c in lam]
     matrix = _skew_form(alg, ints, 0, v_indices).matrix
-    n = len(matrix)
-    pf = 0 if n % 2 else _pfaffian_expansion(matrix, 0, 1)
-    return Fraction(pf, scale ** (n // 2))
+    return Fraction(_pfaffian_expansion(matrix, 0, 1),
+                    scale ** (len(matrix) // 2))
 
 
 class SquareIntegrability:

@@ -60,9 +60,6 @@ class Poly:
             return self.nvars == other.nvars and self.terms == other.terms
         return NotImplemented
 
-    def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
-
     def __add__(self, other):
         return self._combine(other, add)
 

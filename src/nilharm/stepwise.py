@@ -78,6 +78,13 @@ def verify(dec):
     return flags
 
 
+def case_number(tag):
+    """The case a tag names, 1, 6 or 3, or None: case1 and 1 name
+    case 1, in any letter case and with any underscores."""
+    digit = tag.lower().replace("_", "").removeprefix("case")
+    return int(digit) if digit in ("1", "6", "3") else None
+
+
 def decompose(case_tag, n=None):
     """The documented split for one of the three exceptional families.
 
@@ -89,20 +96,20 @@ def decompose(case_tag, n=None):
            form uses the G2-conjugate line through e3 instead
            (orbits.l1_complement_indices).
     """
-    tag = case_tag.lower().replace("_", "")
-    if tag in ("case1", "1"):
+    case = case_number(case_tag)
+    if case == 1:
         n = 3 if n is None else int(n)
         if n % 2 == 0 or n < 3:
             raise ValueError("case1 requires odd n >= 3")
         alg = free_two_step(n, "R")
         dropped = alg.complement_indices[-1:]
-    elif tag in ("case6", "6"):
+    elif case == 6:
         n = 3 if n is None else int(n)
         if n % 2 == 0 or n < 3:
             raise ValueError("case6 requires odd n >= 3")
         alg = free_two_step(n, "C")
         dropped = alg.complement_indices[-2:]
-    elif tag in ("case3", "3"):
+    elif case == 3:
         if n is not None:
             raise ValueError("case3 takes no size parameter")
         alg = octonion_double()

@@ -13,6 +13,7 @@ import pytest
 import nilharm
 from nilharm import selftest
 from nilharm.cli import _canon_json, build_parser, run
+from nilharm.composition import TABLE
 from nilharm.config import DEFAULTS, MAX_DECIMAL_EXPONENT, shown
 
 
@@ -33,6 +34,10 @@ def test_classify_stepwise_line():
     assert res.exit_code == 0
 
 
+def signed_unit(sign, k):
+    return f"e{k}" if sign > 0 else f"-e{k}"
+
+
 def test_octonion_mul_line():
     res = invoke(["octonion", "mul", "e6", "e7"])
     assert res.human_text == "e1"
@@ -41,6 +46,34 @@ def test_octonion_mul_line():
     # leading dash needs the usual -- separator
     res = invoke(["octonion", "mul", "--", "-e3", "e3"])
     assert res.human_text == "e0"
+    # every signed pair, against the table
+    for sa in (1, -1):
+        for sb in (1, -1):
+            for i in range(8):
+                for j in range(8):
+                    sign, k = TABLE[i][j]
+                    res = invoke(["--json", "octonion", "mul", "--",
+                                  signed_unit(sa, i), signed_unit(sb, j)])
+                    assert res.exit_code == 0
+                    assert json.loads(res.human_text)["product"] == \
+                        signed_unit(sa * sb * sign, k)
+
+
+def test_octonion_table_rows_are_the_table():
+    rows = [[signed_unit(*p) for p in row] for row in TABLE]
+    res = invoke(["octonion", "table", "--json"])
+    assert json.loads(res.human_text)["table"] == rows
+    res = invoke(["octonion", "table"])
+    assert [line.split() for line in res.human_text.splitlines()] == rows
+    assert res.human_text.splitlines()[1] == (
+        "  e1  -e0   e3  -e2   e5  -e4   e7  -e6")
+
+
+@pytest.mark.parametrize("tag", ["1", "3", "CASE_3"])
+def test_invert_reads_case_tags_as_decompose_does(tag):
+    res = invoke(["invert", tag, "--points", "random:1", "--json"])
+    assert res.exit_code == 0
+    assert json.loads(res.human_text)["formula"] == f"stepwise:{tag}"
 
 
 def test_unknown_algebra_is_exit_2():

@@ -155,3 +155,9 @@ def test_mutation_fails_its_criterion(monkeypatch, mutation, criterion,
         return
     result = selftest.CRITERIA[criterion]()
     assert not result["passed"], result["detail"]
+
+
+def test_criterion_1_names_the_products_the_flip_breaks(monkeypatch):
+    octonion_sign_1_2_flipped(monkeypatch)
+    assert selftest.CRITERIA[1]()["detail"] == (
+        "e1e2 != e3; e1e2 != -e2e1; e2e1 != -e1e2")

@@ -13,8 +13,8 @@ from nilharm.catalog import (abelian, direct_sum, free_two_step, from_name,
 from nilharm.gaussians import GaussianTestFunction
 from nilharm.inversion import invert_stepwise
 from nilharm.pfaffian import is_square_integrable
-from nilharm.stepwise import (StepwiseDecomposition, decompose,
-                              find_codim_split, verify)
+from nilharm.stepwise import (StepwiseDecomposition, case_number,
+                              decompose, find_codim_split, verify)
 
 pfaffian = importlib.import_module("nilharm.pfaffian")
 REFERENCE = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
@@ -49,6 +49,13 @@ def test_case3_split_is_codimension_one():
     assert all(dec.verification.values())
     with pytest.raises(ValueError):
         decompose("case3", n=5)
+
+
+def test_case_number_reads_tags_with_or_without_the_prefix():
+    assert [case_number(t) for t in ("case1", "1", "Case_6", "6", "CASE3",
+                                     "3_")] == [1, 1, 6, 6, 3, 3]
+    assert [case_number(t) for t in ("case2", "case", "", "casecase1",
+                                     "octdouble", "13")] == [None] * 6
 
 
 def test_decompose_input_validation():
