@@ -12,6 +12,7 @@ construct one raises CatalogError("bracket not specified in source").
 """
 
 from fractions import Fraction
+from itertools import combinations
 
 from . import composition
 from .algebra import LieAlgebraData
@@ -40,6 +41,18 @@ def _check_dim(dim, *name):
                            f"dimension {MAX_DIM}")
 
 
+def _unit_brackets(units, offset):
+    """The entries [e_k, e_l] = -Im(e_k e_l) for k < l in units, read
+    from the octonion table: e_k e_l = sign * e_m gives -sign at center
+    coordinate m - 1, and e_k at basis index offset + k.  On Im F + F^n
+    this is Im(e_k conj(e_l)), as conj(e_l) = -e_l for l >= 1."""
+    entries = []
+    for k, l in combinations(units, 2):
+        sign, m = composition.TABLE[k][l]
+        entries.append((offset + k, offset + l, m - 1, -sign))
+    return entries
+
+
 def heisenberg(n, F):
     """Heisenberg algebra Im F + F^n with [(z,u),(w,v)] = (Im<u,v>, 0)."""
     if n <= 0:
@@ -56,15 +69,9 @@ def heisenberg(n, F):
     labels = [f"z{k}" for k in range(1, d)]
     for p in range(1, n + 1):
         labels.extend(f"u{p}e{k}" for k in range(d))
-    entries = []
-    for p in range(n):
-        base = zdim + p * d
-        for k in range(d):
-            for l in range(k + 1, d):
-                # [u_p e_k, u_p e_l] = Im(e_k * conj(e_l)) = -sign * e_m
-                # for e_k * e_l = sign * e_m; C and H close under the table
-                sign, m = composition.TABLE[k][l]
-                entries.append((base + k, base + l, m - 1, -sign))
+    # C and H close under the table's first 2 and 4 units
+    entries = [e for p in range(n)
+               for e in _unit_brackets(range(d), zdim + p * d)]
     return LieAlgebraData(
         dim=dim,
         basis_labels=labels,
@@ -129,7 +136,7 @@ def free_two_step(n, F):
         complement_indices=range(zdim, dim),
         name=f"free2step:{n}:{F}",
         meta={"family": "free2step", "n": n, "F": F,
-              "wedge_pairs": [list(pq) for pq in pairs]},
+              "wedge_pairs": tuple(pairs)},
     )
 
 
@@ -138,17 +145,11 @@ def octonion_double():
 
     Basis: z1..z7 = (e_k, 0) then v1..v7 = (0, e_k).
     """
-    dim = 14
-    labels = [f"z{k}" for k in range(1, 8)] + [f"v{k}" for k in range(1, 8)]
-    entries = []
-    for i in range(1, 8):
-        for j in range(i + 1, 8):
-            sign, m = composition.TABLE[i][j]     # e_i * e_j = sign * e_m
-            entries.append((6 + i, 6 + j, m - 1, -sign))
     return LieAlgebraData(
-        dim=dim,
-        basis_labels=labels,
-        entries=entries,
+        dim=14,
+        basis_labels=[f"z{k}" for k in range(1, 8)]
+        + [f"v{k}" for k in range(1, 8)],
+        entries=_unit_brackets(range(1, 8), 6),
         center_indices=range(7),
         complement_indices=range(7, 14),
         name="octdouble",
@@ -172,7 +173,7 @@ def abelian(n):
     )
 
 
-def direct_sum(*blocks, name=""):
+def direct_sum(*blocks):
     """Lie algebra direct sum with block-diagonal bracket.
 
     Center/complement designations concatenate.  Labels get a block
@@ -183,7 +184,8 @@ def direct_sum(*blocks, name=""):
     if len(blocks) == 1:
         return blocks[0]
     dim = sum(b.dim for b in blocks)
-    _check_dim(dim, name or "+".join(b.name for b in blocks))
+    name = "+".join(b.name for b in blocks)
+    _check_dim(dim, name)
     labels, center, complement = [], [], []
     entries = []
     offset = 0
@@ -201,7 +203,7 @@ def direct_sum(*blocks, name=""):
         entries=entries,
         center_indices=center,
         complement_indices=complement,
-        name=name or "+".join(b.name for b in blocks),
+        name=name,
         meta={"family": "direct_sum", "blocks": [b.name for b in blocks]},
     )
 
@@ -222,13 +224,11 @@ def lambda_a(alg, a):
     zdim = len(alg.center_indices)
     coeffs = [Fraction(0)] * zdim
     if family == "free2step":
-        pairs = [tuple(pq) for pq in alg.meta["wedge_pairs"]]
-        pair_index = {pq: t for t, pq in enumerate(pairs)}
         n = alg.meta["n"]
         if 2 * len(a) > n:
             raise CatalogError(f"lambda_a needs 2*{len(a)} <= n = {n}")
         for k, val in enumerate(a):
-            t = pair_index[(2 * k, 2 * k + 1)]
+            t = alg.meta["wedge_pairs"].index((2 * k, 2 * k + 1))
             if alg.meta["F"] == "R":
                 coeffs[t] = Fraction(val)
             else:

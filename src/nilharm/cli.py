@@ -3,7 +3,9 @@
 Exit codes: 0 ok, 1 check failed, 2 usage or runtime error.  With
 --json the payload prints as canonical JSON (sorted keys, indented),
 so identical invocations produce byte-identical output; the effective
-configuration is echoed into every payload.
+configuration is echoed into every payload.  Each subparser names its
+handler, and argparse counts the operands, so a malformed command line
+is refused with its usage message before any handler runs.
 """
 
 import argparse
@@ -14,12 +16,12 @@ import sys
 from fractions import Fraction
 
 from .algebra import derived_inside_center, jacobi_defect, nilpotency_class
-from .catalog import CatalogError, from_name, list_entries
+from .catalog import from_name, list_entries
 from .composition import TABLE, format_element, multiply, parse_unit
 from .config import is_node_count, is_positive, load_config, \
     quad_settings, read_number, shown
 from .pfaffian import is_square_integrable, pf_at, pf_polynomial
-from .stepwise import case_number, decompose, find_codim_split, verify
+from .stepwise import case_number, decompose, find_codim_split
 
 # numpy and the numeric layers (gaussians, inversion, orbits, selftest)
 # are imported inside the handlers that use them, so the exact
@@ -41,24 +43,20 @@ class CommandResult:
         return {"ok": 0, "check_failed": 1, "error": 2}[self.status]
 
 
+def _plain(obj):
+    """json's hook for what it cannot encode: a Fraction as "p/q", and
+    numpy scalars, which register with numbers, as int or float."""
+    if isinstance(obj, Fraction):
+        return str(obj)
+    if isinstance(obj, numbers.Integral):
+        return int(obj)
+    if isinstance(obj, numbers.Real):
+        return float(obj)
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
 def _canon_json(payload):
-    def conv(obj):
-        if isinstance(obj, dict):
-            return {k: conv(v) for k, v in obj.items()}
-        if isinstance(obj, (list, tuple)):
-            return [conv(v) for v in obj]
-        if isinstance(obj, Fraction):
-            return str(obj)
-        if isinstance(obj, bool):   # an Integral, but JSON true/false
-            return obj
-        # numpy registers its scalar types with numbers
-        if isinstance(obj, numbers.Integral):
-            return int(obj)
-        if isinstance(obj, numbers.Real):
-            # 17 significant digits round-trips any double exactly
-            return float(format(float(obj), ".17g"))
-        return obj
-    return json.dumps(conv(payload), sort_keys=True, indent=2)
+    return json.dumps(payload, sort_keys=True, indent=2, default=_plain)
 
 
 def _exact_str(value):
@@ -233,8 +231,6 @@ def _cmd_orbit(args, cfg):
 
 def _cmd_decompose(args, cfg):
     dec = decompose(args.case, n=args.n)
-    if args.verify:
-        verify(dec)
     payload = dec.as_dict()
     payload["config"] = cfg
     flags = dec.verification
@@ -289,16 +285,12 @@ def _cmd_invert(args, cfg):
     return CommandResult(status, payload, "\n".join(lines))
 
 
-def _cmd_octonion(args, cfg):
-    wanted = {"mul": 2, "table": 0}[args.operation]
-    if len(args.operands) != wanted:
-        raise ValueError(f"octonion {args.operation} takes "
-                         + (f"exactly {wanted} operands" if wanted
-                            else "no operands")
-                         + f", got {len(args.operands)}")
-    if args.operation == "mul":
-        text = format_element(multiply(*map(parse_unit, args.operands)))
-        return CommandResult("ok", {"product": text, "config": cfg}, text)
+def _cmd_octonion_mul(args, cfg):
+    text = format_element(multiply(parse_unit(args.A), parse_unit(args.B)))
+    return CommandResult("ok", {"product": text, "config": cfg}, text)
+
+
+def _cmd_octonion_table(args, cfg):
     rows = [[format_element(p) for p in row] for row in TABLE]
     return CommandResult("ok", {"table": rows, "config": cfg},
                          "\n".join(" ".join(f"{s:>4s}" for s in row)
@@ -348,38 +340,41 @@ def build_parser():
                "table:2.1:row or table:2.2:row with optional k=v params.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_parser(name, **kw):
-        return sub.add_parser(name, parents=[common], **kw)
+    def add_parser(name, handler, about, subparsers=sub):
+        p = subparsers.add_parser(name, parents=[common], help=about)
+        p.set_defaults(handler=handler)
+        return p
 
-    p = add_parser("catalog", help="list the classified families")
+    p = add_parser("catalog", _cmd_catalog, "list the classified families")
     p.add_argument("--table", choices=["2.1", "2.2"])
     p.add_argument("--constructible", action="store_true",
                    help="only rows with explicit structure constants")
 
-    p = add_parser("check", help="structural checks for one algebra")
+    p = add_parser("check", _cmd_check, "structural checks for one algebra")
     p.add_argument("algebra")
 
-    p = add_parser("pfaffian", help="symbolic Pfaffian over z*")
+    p = add_parser("pfaffian", _cmd_pfaffian, "symbolic Pfaffian over z*")
     p.add_argument("algebra")
     p.add_argument("--at", help="comma-separated rational lambda")
 
-    p = add_parser("classify", help="square integrability and splits")
+    p = add_parser("classify", _cmd_classify,
+                   "square integrability and splits")
     p.add_argument("algebra")
 
-    p = add_parser("orbit", help="coadjoint orbit representative")
+    p = add_parser("orbit", _cmd_orbit, "coadjoint orbit representative")
     p.add_argument("algebra")
     p.add_argument("--coeffs", required=True,
                    help="comma-separated center coefficients")
 
-    p = add_parser("decompose", help="stepwise split for a case")
+    p = add_parser("decompose", _cmd_decompose, "stepwise split for a case")
     p.add_argument("case", help="case1, case6, or case3")
     p.add_argument("--n", type=_checked_type(int, lambda n: True,
                                              "an integer"),
                    help="generator count for case1/case6")
     p.add_argument("--verify", action="store_true",
-                   help="re-run the exact verification flags")
+                   help="accepted; decompose always verifies its split")
 
-    p = add_parser("invert", help="run an inversion formula check")
+    p = add_parser("invert", _cmd_invert, "run an inversion formula check")
     p.add_argument("target", help="algebra name or case tag")
     p.add_argument("--function", default="gaussian",
                    help="gaussian or gaussian:diag:q1,...,qn")
@@ -392,11 +387,14 @@ def build_parser():
                                                  "a positive integer"),
                    help="starting per-axis quadrature node count")
 
-    p = add_parser("octonion", help="exact octonion arithmetic")
-    p.add_argument("operation", choices=["mul", "table"])
-    p.add_argument("operands", nargs="*")
+    ops = add_parser("octonion", None, "exact octonion arithmetic"
+                     ).add_subparsers(dest="operation", required=True)
+    p = add_parser("mul", _cmd_octonion_mul, "product of units", ops)
+    p.add_argument("A", help="a signed unit: e0..e7 or -e0..-e7")
+    p.add_argument("B")
+    add_parser("table", _cmd_octonion_table, "the product table", ops)
 
-    p = add_parser("selftest", help="run the acceptance criteria")
+    p = add_parser("selftest", _cmd_selftest, "run the acceptance criteria")
     p.add_argument("--only", help="comma-separated criterion numbers")
 
     return parser
@@ -410,17 +408,9 @@ def run(argv):
     except (OSError, ValueError) as exc:
         return CommandResult("error", {"error": str(exc)},
                              f"config error: {exc}")
-    handlers = {
-        "catalog": _cmd_catalog, "check": _cmd_check,
-        "pfaffian": _cmd_pfaffian, "classify": _cmd_classify,
-        "orbit": _cmd_orbit, "decompose": _cmd_decompose,
-        "invert": _cmd_invert, "octonion": _cmd_octonion,
-        "selftest": _cmd_selftest,
-    }
     try:
-        result = handlers[args.command](args, cfg)
-    except (CatalogError, ValueError, RuntimeError, IndexError,
-            OverflowError) as exc:
+        result = args.handler(args, cfg)
+    except (ValueError, RuntimeError, IndexError, OverflowError) as exc:
         return CommandResult("error", {"error": str(exc)}, f"error: {exc}")
     if getattr(args, "json", False):
         result = CommandResult(result.status, result.payload,

@@ -123,7 +123,7 @@ def wedge_matrix(alg, coeffs):
     if family != "free2step":
         raise ValueError("wedge_matrix needs a free 2-step algebra")
     n = alg.meta["n"]
-    pairs = [tuple(pq) for pq in alg.meta["wedge_pairs"]]
+    pairs = alg.meta["wedge_pairs"]
     if alg.meta["F"] == "R":
         M = np.zeros((n, n))
         for t, (p, q) in enumerate(pairs):

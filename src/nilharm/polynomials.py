@@ -149,12 +149,11 @@ class Poly:
     def __str__(self):
         return self.format()
 
-    def format(self, names=None):
+    def format(self):
         # graded lexicographic, highest first, for stable CLI output
         if not self.terms:
             return "0"
-        if names is None:
-            names = [f"t{i + 1}" for i in range(self.nvars)]
+        names = [f"t{i + 1}" for i in range(self.nvars)]
 
         def key(mono):
             return (sum(mono), mono)

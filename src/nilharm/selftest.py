@@ -30,17 +30,18 @@ from .polynomials import Poly
 from .stepwise import find_codim_split
 
 
-def _result(criterion, passed, detail):
-    return {"criterion": criterion, "passed": bool(passed),
-            "detail": detail}
+def _result(criterion, failures, detail):
+    """A criterion's result: passed, with detail, when failures is
+    empty, and otherwise failed, with the first five failures."""
+    return {"criterion": criterion, "passed": not failures,
+            "detail": "; ".join(failures[:5]) if failures else detail}
 
 
 def criterion_1(seed=0):
     """Octonion table: triples, squares, identity, anticommutation."""
     failures = composition.table_failures(composition.TABLE)
-    detail = "all 21 triple products, 7 squares, identity, anticommutation" \
-        if not failures else "; ".join(failures[:5])
-    return _result(1, not failures, detail)
+    return _result(1, failures, "all 21 triple products, 7 squares, "
+                   "identity, anticommutation")
 
 
 def _constructible():
@@ -71,9 +72,7 @@ def criterion_2(seed=0):
             failures.append(f"{alg.name}: not nilpotent")
         if not derived_inside_center(alg):
             failures.append(f"{alg.name}: derived not inside center")
-    detail = f"{len(algs)} algebras checked" \
-        if not failures else "; ".join(failures[:5])
-    return _result(2, not failures, detail)
+    return _result(2, failures, f"{len(algs)} algebras checked")
 
 
 def _units(m, parts):
@@ -121,9 +120,7 @@ def criterion_3(seed=0):
             failures.append(f"{label}: Pf(lambda_a) = {pf.format()}, "
                             f"expected +-{expected.format()}")
 
-    detail = "case1 m<=3, case6 m<=2, case3 all match" \
-        if not failures else "; ".join(failures)
-    return _result(3, not failures, detail)
+    return _result(3, failures, "case1 m<=3, case6 m<=2, case3 all match")
 
 
 def criterion_4(seed=0):
@@ -156,9 +153,8 @@ def criterion_4(seed=0):
         elif not all(dec.verification.values()):
             failures.append(f"{alg.name}: split flags {dec.verification}")
 
-    detail = (f"{len(sq_true)} square integrable, {len(sq_false)} stepwise "
-              "splits verified") if not failures else "; ".join(failures[:5])
-    return _result(4, not failures, detail)
+    return _result(4, failures, f"{len(sq_true)} square integrable, "
+                   f"{len(sq_false)} stepwise splits verified")
 
 
 def criterion_5(seed=0):
@@ -193,9 +189,8 @@ def criterion_5(seed=0):
             failures.append(f"congruence covariance fails at trial {trial}")
             break
 
-    detail = "200 determinant checks, 20 congruence checks, exact" \
-        if not failures else "; ".join(failures[:5])
-    return _result(5, not failures, detail)
+    return _result(5, failures, "200 determinant checks, 20 congruence "
+                   "checks, exact")
 
 
 def criterion_6(seed=0):
@@ -219,9 +214,7 @@ def criterion_6(seed=0):
     elapsed = time.perf_counter() - start
     if elapsed >= 60.0:
         failures.append(f"wall time {elapsed:.1f}s exceeds 60s")
-    detail = f"5 points, max rel error {worst:.2e}" \
-        if not failures else "; ".join(failures[:5])
-    return _result(6, not failures, detail)
+    return _result(6, failures, f"5 points, max rel error {worst:.2e}")
 
 
 def criterion_7(seed=0):
@@ -252,9 +245,8 @@ def criterion_7(seed=0):
         failures.append(f"case3 origin rel error {err3:.2e}")
 
     # timing stays out of detail so results are reproducible verbatim
-    detail = (f"case1 max rel {worst:.2e}; case3 origin rel {err3:.2e}") \
-        if not failures else "; ".join(failures[:5])
-    return _result(7, not failures, detail)
+    return _result(7, failures, f"case1 max rel {worst:.2e}; case3 origin "
+                   f"rel {err3:.2e}")
 
 
 def criterion_8(seed=0):
@@ -275,9 +267,7 @@ def criterion_8(seed=0):
     if gapq >= 1e-10:
         failures.append(f"h1H gap {gapq:.2e}")
 
-    detail = f"gaps {gap:.1e} (h1C), {gapq:.1e} (h1H)" \
-        if not failures else "; ".join(failures)
-    return _result(8, not failures, detail)
+    return _result(8, failures, f"gaps {gap:.1e} (h1C), {gapq:.1e} (h1H)")
 
 
 def criterion_9(seed=0):
@@ -311,8 +301,7 @@ def criterion_9(seed=0):
         M = wedge_matrix(alg, coeffs)
         q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
         Mr = q @ M @ q.T
-        pairs = [tuple(pq) for pq in alg.meta["wedge_pairs"]]
-        rot_coeffs = [Mr[p, qq] for p, qq in pairs]
+        rot_coeffs = [Mr[pq] for pq in alg.meta["wedge_pairs"]]
         rep_rot = orbit_representative(alg, rot_coeffs)
         if max((abs(x - y)
                 for x, y in zip(rep.invariants, rep_rot.invariants)),
@@ -324,10 +313,8 @@ def criterion_9(seed=0):
     if chk["rel_diff"] >= 1e-6:
         failures.append(f"radial identity rel diff {chk['rel_diff']:.2e}")
 
-    detail = (f"spectra invariant; case1 normal form stable; radial "
-              f"identity rel diff {chk['rel_diff']:.1e}") \
-        if not failures else "; ".join(failures[:5])
-    return _result(9, not failures, detail)
+    return _result(9, failures, "spectra invariant; case1 normal form "
+                   f"stable; radial identity rel diff {chk['rel_diff']:.1e}")
 
 
 CRITERIA = {

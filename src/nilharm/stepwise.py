@@ -5,8 +5,12 @@ coordinate split where l1 = (center + v1) is an ideal that contains the
 center Z of n and is square integrable modulo Z: Pf of b_lambda on
 v1 = l1 ∩ v, for lambda in z*, is not identically zero (Moore & Wolf).
 l2 is a small abelian complement.  The split is verified by exact
-arithmetic on the parent algebra, never assumed.
+arithmetic on the parent algebra, never assumed.  decompose and
+find_codim_split read the same search, so a case's split is stated
+once: as the first coordinate complement that verifies.
 """
+
+from itertools import combinations
 
 from .catalog import free_two_step, octonion_double
 from .config import shown
@@ -18,7 +22,7 @@ class StepwiseDecomposition:
 
     __slots__ = ("algebra", "l1_indices", "l2_indices", "verification")
 
-    def __init__(self, algebra, l1_indices, l2_indices, verification=None):
+    def __init__(self, algebra, l1_indices, l2_indices):
         l1 = tuple(sorted(l1_indices))
         l2 = tuple(sorted(l2_indices))
         if set(l1) & set(l2):
@@ -28,7 +32,7 @@ class StepwiseDecomposition:
         self.algebra = algebra
         self.l1_indices = l1
         self.l2_indices = l2
-        self.verification = dict(verification) if verification else None
+        self.verification = None
 
     def as_dict(self):
         return {
@@ -86,67 +90,55 @@ def case_number(tag):
 
 
 def decompose(case_tag, n=None):
-    """The documented split for one of the three exceptional families.
+    """The split that the search finds for one of the three exceptional
+    families: free_two_step(n, R) for case1 and free_two_step(n, C) for
+    case6, n odd, and octonion_double for case3.
 
-    case1: free_two_step(n, R), n odd; drop the last generator.
-    case6: free_two_step(n, C), n odd; drop both real coordinates of
-           the last complex generator.
-    case3: octonion_double; l2 is the line through the seventh
-           imaginary unit on the second summand.  The orbit normal
-           form uses the G2-conjugate line through e3 instead
-           (orbits.l1_complement_indices).
+    The search drops the last generator of case1, both real coordinates
+    of the last complex generator of case6, and (0, e7) of case3.  The
+    orbit normal form uses the G2-conjugate line through e3 instead
+    (orbits.l1_complement_indices).  The odd-n check already excludes
+    the square-integrable sizes, so find_codim_split's refusal is not
+    re-run.
     """
     case = case_number(case_tag)
-    if case == 1:
+    if case in (1, 6):
         n = 3 if n is None else int(n)
         if n % 2 == 0 or n < 3:
-            raise ValueError("case1 requires odd n >= 3")
-        alg = free_two_step(n, "R")
-        dropped = alg.complement_indices[-1:]
-    elif case == 6:
-        n = 3 if n is None else int(n)
-        if n % 2 == 0 or n < 3:
-            raise ValueError("case6 requires odd n >= 3")
-        alg = free_two_step(n, "C")
-        dropped = alg.complement_indices[-2:]
+            raise ValueError(f"case{case} requires odd n >= 3")
+        alg = free_two_step(n, "R" if case == 1 else "C")
     elif case == 3:
         if n is not None:
             raise ValueError("case3 takes no size parameter")
         alg = octonion_double()
-        dropped = alg.complement_indices[-1:]
     else:
         raise ValueError(f"unsupported case tag {shown(case_tag)}; "
                          "expected case1, case6, or case3")
-    l2 = set(dropped)
-    l1 = [i for i in range(alg.dim) if i not in l2]
-    dec = StepwiseDecomposition(alg, l1, sorted(l2))
-    verify(dec)
-    return dec
+    return _first_split(alg)
 
 
 def find_codim_split(alg):
     """Search coordinate-aligned complements for a verified split.
 
-    Candidates drop one complement coordinate, then two; within each
-    codimension the last coordinates are tried first (the documented
-    splits drop trailing generators).  Returns None when no candidate
-    passes; refuses when no split is needed.
+    Returns None when no candidate passes; refuses when no split is
+    needed.
     """
     if is_square_integrable(alg):
         raise ValueError("not applicable: algebra is already square "
                          "integrable without a split")
-    comp = list(alg.complement_indices)
-    candidates = [(i,) for i in reversed(comp)]
-    pairs = []
-    for a in range(len(comp)):
-        for b in range(a + 1, len(comp)):
-            pairs.append((comp[a], comp[b]))
-    candidates.extend(reversed(pairs))
+    return _first_split(alg)
 
+
+def _first_split(alg):
+    """The first verified split that drops one complement coordinate,
+    then two; within each codimension the trailing coordinates are
+    tried first.  None when no candidate passes."""
+    comp = alg.complement_indices
+    candidates = [(i,) for i in reversed(comp)]
+    candidates.extend(reversed(list(combinations(comp, 2))))
     for dropped in candidates:
-        l2 = set(dropped)
-        l1 = [i for i in range(alg.dim) if i not in l2]
-        dec = StepwiseDecomposition(alg, l1, sorted(l2))
+        dec = StepwiseDecomposition(
+            alg, [i for i in range(alg.dim) if i not in dropped], dropped)
         try:
             flags = verify(dec)
         except ValueError:

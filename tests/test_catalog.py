@@ -130,7 +130,7 @@ def test_rows_derive_the_constructor_table_and_hold_ints(monkeypatch):
 
 def test_lambda_a_free_real_layout():
     alg = free_two_step(5, "R")
-    pairs = [tuple(pq) for pq in alg.meta["wedge_pairs"]]
+    pairs = alg.meta["wedge_pairs"]
     coeffs = lambda_a(alg, [Fraction(2), Fraction(-3)])
     assert coeffs[pairs.index((0, 1))] == 2
     assert coeffs[pairs.index((2, 3))] == -3

@@ -1,5 +1,6 @@
 """CLI surface: exit codes, pinned text lines, canonical JSON."""
 
+import argparse
 import json
 import os
 import resource
@@ -57,6 +58,38 @@ def test_octonion_mul_line():
                     assert res.exit_code == 0
                     assert json.loads(res.human_text)["product"] == \
                         signed_unit(sa * sb * sign, k)
+
+
+@pytest.mark.parametrize("argv, sa, i, j", [
+    (["octonion", "mul", "--json", "e1", "e2"], 1, 1, 2),
+    (["octonion", "mul", "--json", "--", "-e3", "e3"], -1, 3, 3),
+    (["octonion", "--json", "mul", "e6", "e7"], 1, 6, 7),
+])
+def test_octonion_json_flag_may_precede_the_operands(argv, sa, i, j):
+    # argparse counts the two operands, so --json may come before them
+    out = run_cli(argv)
+    assert out.returncode == 0, out.stderr
+    sign, k = TABLE[i][j]
+    assert json.loads(out.stdout)["product"] == signed_unit(sa * sign, k)
+
+
+def leaf_parsers(parser, path=()):
+    """(subcommand words, parser) for every parser without subcommands."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from leaf_parsers(sub, path + (name,))
+            return
+    yield " ".join(path), parser
+
+
+def test_every_subcommand_resolves_to_a_handler():
+    leaves = dict(leaf_parsers(build_parser()))
+    assert set(leaves) == {"catalog", "check", "pfaffian", "classify",
+                           "orbit", "decompose", "invert", "octonion mul",
+                           "octonion table", "selftest"}
+    for name, parser in leaves.items():
+        assert callable(parser.get_default("handler")), name
 
 
 def test_octonion_table_rows_are_the_table():
@@ -556,10 +589,10 @@ MALFORMED_OPERANDS = [
     (["invert", "heisenberg:1:C", "--points=0,0,0", "--tol=inf"],
      "argument --tol: 'inf' is not a positive finite number"),
     (["octonion", "mul", "e1"],
-     "octonion mul takes exactly 2 operands, got 1"),
+     "octonion mul: error: the following arguments are required: B"),
     (["octonion", "mul", "e1", "e2", "e3"],
-     "octonion mul takes exactly 2 operands, got 3"),
-    (["octonion", "table", "e1"], "octonion table takes no operands, got 1"),
+     "error: unrecognized arguments: e3"),
+    (["octonion", "table", "e1"], "error: unrecognized arguments: e1"),
     (["invert", "heisenberg:1:C", "--points", "1e400,0,0"],
      "'1e400' is too large for a float"),
     (["invert", "heisenberg:1:C", "--function", "gaussian:diag:1e400,1,1"],
@@ -638,6 +671,8 @@ def test_exact_subcommands_do_not_load_numpy():
         (["octonion", "mul", "e6", "e7", "--json"], 0),
         (["octonion", "table"], 0),
         (["octonion", "mul", "e1"], 2),
+        (["octonion", "mul", "e1", "e2", "e3"], 2),
+        (["octonion", "table", "e1"], 2),
         (["decompose"], 2),
         (["frobnicate"], 2),
     ]

@@ -65,8 +65,10 @@ COMMAND = st.one_of(
                           ["case3"], ["case2"], ["abelian:x"]]),
          _opt("--points", POINTS), _opt("--function", FUNCTION),
          _opt("--tol", NUMBER), _opt("--nodes", st.integers(-2, 6))),
+    # --json may also come between the operation and its operands
     _cat(st.just(["octonion"]),
          st.sampled_from([["mul"], ["table"], ["div"]]),
+         st.sampled_from([[], ["--json"]]),
          st.lists(st.sampled_from(["e0", "e3", "-e7", "e8", "x"]),
                   max_size=3)),
     # with no --only, selftest runs every criterion: seconds per example

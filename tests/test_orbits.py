@@ -213,7 +213,7 @@ def test_pfaffian_matches_the_darboux_product(name, on_l1, generic):
 
 def test_wedge_matrix_real_layout():
     alg = free_two_step(3, "R")
-    pairs = [tuple(pq) for pq in alg.meta["wedge_pairs"]]
+    pairs = alg.meta["wedge_pairs"]
     coeffs = [Fraction(0)] * 3
     coeffs[pairs.index((0, 1))] = Fraction(4)
     M = wedge_matrix(alg, coeffs)
@@ -231,7 +231,7 @@ def test_case1_representative_reads_off_lambda_a():
 
 def test_case1_rotation_invariance():
     alg = free_two_step(4, "R")
-    pairs = [tuple(pq) for pq in alg.meta["wedge_pairs"]]
+    pairs = alg.meta["wedge_pairs"]
     rng = np.random.default_rng(14)
     coeffs = [Fraction(int(c)) for c in rng.integers(-5, 6, size=len(pairs))]
     M = wedge_matrix(alg, coeffs)

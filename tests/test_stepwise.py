@@ -51,6 +51,16 @@ def test_case3_split_is_codimension_one():
         decompose("case3", n=5)
 
 
+@pytest.mark.parametrize("case, n", [("case1", n) for n in (3, 5, 7, 9)]
+                         + [("case6", 3), ("case6", 5), ("case3", None)])
+def test_decompose_reads_the_split_search(case, n):
+    dec = decompose(case, n=n)
+    found = find_codim_split(dec.algebra)
+    assert (dec.l1_indices, dec.l2_indices, dec.verification) == \
+        (found.l1_indices, found.l2_indices, found.verification)
+    assert all(dec.verification.values())
+
+
 def test_case_number_reads_tags_with_or_without_the_prefix():
     assert [case_number(t) for t in ("case1", "1", "Case_6", "6", "CASE3",
                                      "3_")] == [1, 1, 6, 6, 3, 3]
