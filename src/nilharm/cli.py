@@ -342,7 +342,7 @@ def build_parser():
 
     def add_parser(name, handler, about, subparsers=sub):
         p = subparsers.add_parser(name, parents=[common], help=about)
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=handler, parser=p)
         return p
 
     p = add_parser("catalog", _cmd_catalog, "list the classified families")
@@ -402,7 +402,10 @@ def build_parser():
 
 def run(argv):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    # leftover tokens are refused under the parsed subcommand's usage
+    args, extra = parser.parse_known_args(argv)
+    if extra:
+        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         cfg = load_config(getattr(args, "config", None))
     except (OSError, ValueError) as exc:

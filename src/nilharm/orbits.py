@@ -7,7 +7,8 @@ invariants are the paired singular values with the residual
 determinant phase folded into the last entry.  Case 3 (octonion
 double): only functionals supported on the (e3, e6, e2) coordinates
 are in implemented normal-form reach; their l1 split drops (0, e3),
-on which Pf(lambda_a) = +-a1*(a1^2 + a2^2 + a3^2).  Only the float
+on which Pf(lambda_a) = +-a1*(a1^2 + a2^2 + a3^2).  pf_nonsingular
+reads pf_at, on the full form or on that split.  Only the float
 routes (skew_spectrum, wedge_matrix and case 6) import numpy.
 """
 
@@ -17,7 +18,7 @@ from fractions import Fraction
 
 from .catalog import OCTDOUBLE_LAMBDA_SUPPORT
 from .pfaffian import (LinearFunctional, _pfaffian_expansion, b_matrix,
-                       pf_at, pf_polynomial)
+                       is_square_integrable, pf_at)
 
 SKEW_INPUT_TOL = 1e-12
 RANK_TOL = 1e-10
@@ -209,17 +210,15 @@ def _case3_representative(alg, coeffs):
 def pf_nonsingular(alg, coeffs):
     """Pf(lambda) != 0, on the relevant Pfaffian for the algebra.
 
-    Square integrable algebras use the full Pfaffian on n/z; the three
-    exceptional families use the restriction to their l1 split.
+    pf_at on n/z when is_square_integrable; on the l1 split's v1 for
+    the three exceptional families, and False for any other algebra.
     """
-    full = pf_polynomial(alg)
-    if full:
-        return full.evaluate(coeffs) != 0
-    v_indices = l1_complement_indices(alg)
-    if v_indices is None:
-        return False
-    value = pf_at(alg, coeffs, v_indices=v_indices)
-    return value != 0
+    v_indices = None
+    if not is_square_integrable(alg):
+        v_indices = l1_complement_indices(alg)
+        if v_indices is None:
+            return False
+    return pf_at(alg, coeffs, v_indices=v_indices) != 0
 
 
 def l1_complement_indices(alg):

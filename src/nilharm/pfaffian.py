@@ -15,6 +15,11 @@ algebra) and on complex floats (the case-6 phase in orbits).  Its
 cost is the number of index tuples it reaches: linear in n on the
 catalog's block-sparse forms, up to 2^n on a dense n x n.  Sign
 convention: Pf([[0, a], [-a, 0]]) = a, so Pf(M)^2 = det(M).
+
+pf_at is the one exact evaluator at a point, and decides square
+integrability (Pf not identically 0 on z*, Moore & Wolf): one nonzero
+value proves it, so the symbolic Pfaffian is expanded only to print
+it or to prove it zero.
 """
 
 import math
@@ -208,12 +213,17 @@ def pf_at(alg, coeffs, v_indices=None):
 class SquareIntegrability:
     """Outcome of the Pf != 0 test, with a witness point when true."""
 
-    __slots__ = ("square_integrable", "witness", "pf")
+    __slots__ = ("square_integrable", "witness", "_alg", "_v_indices")
 
-    def __init__(self, square_integrable, witness, pf):
+    def __init__(self, square_integrable, witness, alg, v_indices):
         self.square_integrable = square_integrable
         self.witness = witness
-        self.pf = pf
+        self._alg, self._v_indices = alg, v_indices
+
+    @property
+    def pf(self):
+        """The symbolic Pfaffian, expanded (and cached) when read."""
+        return pf_polynomial(self._alg, v_indices=self._v_indices)
 
     def __bool__(self):
         return self.square_integrable
@@ -222,17 +232,17 @@ class SquareIntegrability:
 def is_square_integrable(alg, v_indices=None):
     """Pf != 0 as a polynomial, plus a rational witness when nonzero.
 
-    Witness search is deterministic: all-ones first, then a fixed-seed
-    stream of small integer points, stopping at the first nonzero value.
-    A nonzero polynomial of this size cannot dodge 500 such samples; if
-    that ever trips, it is a bug.
+    The witness is the first point of a deterministic stream (all-ones,
+    then 500 fixed-seed small integer points) where pf_at is nonzero.
+    A zero value proves nothing, so it reads the cached symbolic Pf,
+    and zero means False.  A nonzero Pf of this size cannot dodge 500
+    such samples; if that ever trips, it is a bug.
     """
-    pf = pf_polynomial(alg, v_indices=v_indices)
-    if not pf:
-        return SquareIntegrability(False, None, pf)
     for point in _witness_candidates(len(alg.center_indices)):
-        if pf.evaluate(point) != 0:
-            return SquareIntegrability(True, point, pf)
+        if pf_at(alg, point, v_indices=v_indices) != 0:
+            return SquareIntegrability(True, point, alg, v_indices)
+        if not pf_polynomial(alg, v_indices=v_indices):
+            return SquareIntegrability(False, None, alg, v_indices)
     raise RuntimeError("nonzero Pfaffian but witness search failed")
 
 

@@ -7,7 +7,6 @@ int when it is integral and a Fraction otherwise (algebra._exact), so
 the Pfaffians of the catalog's integer brackets expand in ints.
 """
 
-from fractions import Fraction
 from operator import add, sub
 
 from .algebra import _exact
@@ -113,20 +112,6 @@ class Poly:
         if not self.terms:
             return -1
         return max(sum(m) for m in self.terms)
-
-    def evaluate(self, point):
-        """Exact evaluation at a sequence of Fractions (or ints)."""
-        point = [Fraction(x) for x in point]
-        if len(point) != self.nvars:
-            raise ValueError("point length mismatch")
-        total = Fraction(0)
-        for mono, coeff in self.terms.items():
-            term = coeff
-            for x, e in zip(point, mono):
-                if e:
-                    term *= x ** e
-            total += term
-        return total
 
     def evaluate_float(self, points):
         """Vectorized float evaluation; points is an (npts, nvars) array."""

@@ -7,7 +7,9 @@ v1 = l1 ∩ v, for lambda in z*, is not identically zero (Moore & Wolf).
 l2 is a small abelian complement.  The split is verified by exact
 arithmetic on the parent algebra, never assumed.  decompose and
 find_codim_split read the same search, so a case's split is stated
-once: as the first coordinate complement that verifies.
+once: as the first coordinate complement that verifies.  The search
+drops one coordinate of an odd v and two of an even one, since only an
+even v1 can have a nonzero Pfaffian.
 """
 
 from itertools import combinations
@@ -130,13 +132,12 @@ def find_codim_split(alg):
 
 
 def _first_split(alg):
-    """The first verified split that drops one complement coordinate,
-    then two; within each codimension the trailing coordinates are
-    tried first.  None when no candidate passes."""
+    """The first verified split that drops complement coordinates: one
+    when v is odd, two when it is even, so that v1 is even (an odd v1
+    has Pf identically 0 and cannot verify); the trailing coordinates
+    are tried first.  None when no candidate passes."""
     comp = alg.complement_indices
-    candidates = [(i,) for i in reversed(comp)]
-    candidates.extend(reversed(list(combinations(comp, 2))))
-    for dropped in candidates:
+    for dropped in reversed(list(combinations(comp, 2 - len(comp) % 2))):
         dec = StepwiseDecomposition(
             alg, [i for i in range(alg.dim) if i not in dropped], dropped)
         try:

@@ -125,6 +125,21 @@ def test_unknown_subcommand_is_systemexit_2():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv, prog", [
+    (["octonion", "mul", "e1", "e2", "e3"], "nilharm octonion mul"),
+    (["catalog", "extra"], "nilharm catalog"),
+])
+def test_extra_operands_are_refused_under_the_subcommand_usage(capsys,
+                                                               argv, prog):
+    with pytest.raises(SystemExit) as exc:
+        invoke(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: {prog} [-h]")
+    assert err.endswith(f"{prog}: error: unrecognized arguments: "
+                        f"{argv[-1]}\n")
+
+
 def test_check_subcommand_ok():
     res = invoke(["check", "heisenberg:2:H"])
     assert res.exit_code == 0

@@ -64,6 +64,18 @@ def pf_polynomial_times_3(monkeypatch):
                         lambda alg, **kw: pf(alg, **kw) * 3)
 
 
+def pfaffian_times_3(monkeypatch):
+    pf = selftest.pfaffian
+    monkeypatch.setattr(selftest, "pfaffian", lambda form: pf(form) * 3)
+
+
+def free2step_3_R_square_integrable(monkeypatch):
+    decide = selftest.is_square_integrable
+    monkeypatch.setattr(selftest, "is_square_integrable",
+                        lambda alg, **kw: alg.name == "free2step:3:R"
+                        or decide(alg, **kw))
+
+
 def heisenberg_edited(monkeypatch, n, F, edit):
     """selftest builds heisenberg:n:F from edit(its bracket entries)."""
     heisenberg = selftest.heisenberg
@@ -130,6 +142,9 @@ ROWS = [
     row(octonion_sign_1_2_flipped, 1),
     row(h2C_three_step, 2),
     row(h2C_not_nilpotent, 2),
+    row(pfaffian_times_3, 3),
+    row(free2step_3_R_square_integrable, 4),
+    row(pfaffian_times_3, 5),
     row(slice_at_minus_x, 6),
     row(slice_at_minus_x, 8),
     row(translation_bracket_sign_flipped, 7),

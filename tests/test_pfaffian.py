@@ -3,6 +3,7 @@
 import importlib
 import json
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,6 +21,21 @@ from nilharm.pfaffian import (LinearFunctional, _pfaffian_expansion,
                               pfaffian)
 from nilharm.polynomials import Poly
 from nilharm.stepwise import find_codim_split
+
+
+def evaluate(poly, point):
+    """Exact value of a Poly at a point of Fractions (or ints), term by
+    term: the oracle that pf_at is checked against."""
+    point = [Fraction(x) for x in point]
+    assert len(point) == poly.nvars
+    total = Fraction(0)
+    for mono, coeff in poly.terms.items():
+        term = coeff
+        for x, e in zip(point, mono):
+            if e:
+                term *= x ** e
+        total += term
+    return total
 
 
 def rand_skew(rng, n, lo=-9, hi=9):
@@ -93,7 +109,7 @@ def test_pf_at_matches_the_symbolic_pfaffian():
         for _ in range(3):
             lam = [Fraction(rng.randint(-9, 9), rng.randint(1, 4))
                    for _ in alg.center_indices]
-            assert pf_at(alg, lam, v_indices=v) == pf.evaluate(lam)
+            assert pf_at(alg, lam, v_indices=v) == evaluate(pf, lam)
 
 
 def test_pfaffian_odd_dimension_is_zero():
@@ -203,19 +219,76 @@ def test_square_integrability_decisions():
     assert is_square_integrable(abelian(2))
 
 
+def candidate_points(zdim):
+    """The witness stream, rebuilt: all-ones, then 500 fixed-seed small
+    integer points."""
+    rng = random.Random(0)
+    return [[Fraction(1)] * zdim] + [
+        [Fraction(rng.randint(-9, 9)) for _ in range(zdim)]
+        for _ in range(500)]
+
+
 def test_witness_search_matches_the_full_candidate_list(monkeypatch):
     # t1 - t2 vanishes at all-ones, so the witness comes from the stream
     alg = heisenberg(1, "H")
     pf = Poly.variable(3, 0) - Poly.variable(3, 1)
-    rng = random.Random(0)
-    candidates = [[Fraction(1)] * 3] + [
-        [Fraction(rng.randint(-9, 9)) for _ in range(3)] for _ in range(500)]
-    want = next(p for p in candidates if pf.evaluate(p) != 0)
+    want = next(p for p in candidate_points(3) if evaluate(pf, p) != 0)
     module = importlib.import_module("nilharm.pfaffian")
-    monkeypatch.setattr(module, "pf_polynomial",
-                        lambda alg, v_indices=None: pf)
+    monkeypatch.setattr(module, "pf_at", lambda alg, coeffs, v_indices=None:
+                        evaluate(pf, coeffs))
     res = is_square_integrable(alg)
     assert res and res.witness == want
+
+
+# the families at n <= 6 (free2step:7:C alone would take ~1 s to expand)
+FAMILY_ALGEBRAS = ([f"heisenberg:{n}:{F}" for F in "CH" for n in range(1, 7)]
+                   + ["heisenberg:1:O", "octdouble"]
+                   + [f"free2step:{n}:{F}" for F in "RC" for n in range(2, 7)])
+
+
+def constructible_and_family_algebras():
+    return ([f"table:{e.table_id}:{e.row}"
+             for e in list_entries(constructible=True)] + FAMILY_ALGEBRAS)
+
+
+def test_square_integrable_side_expands_no_pfaffian(monkeypatch):
+    module = importlib.import_module("nilharm.pfaffian")
+    expand = module.pf_polynomial
+    calls = []
+
+    def counting(alg, v_indices=None):
+        calls.append(alg.name)
+        return expand(alg, v_indices=v_indices)
+
+    monkeypatch.setattr(module, "pf_polynomial", counting)
+    square_integrable = 0   # the next test checks each decision
+    for name in constructible_and_family_algebras():
+        calls.clear()
+        if is_square_integrable(from_name(name)):
+            square_integrable += 1
+            assert calls == [], name
+    assert square_integrable == 42
+
+
+def test_witness_is_the_first_candidate_where_the_oracle_is_nonzero():
+    # on the full form of each algebra, and on the v1 of each split
+    forms = []
+    for name in constructible_and_family_algebras():
+        alg = from_name(name)
+        forms.append((name, alg, None))
+        if not is_square_integrable(alg):
+            dec = find_codim_split(alg)
+            forms.append((name, alg, [i for i in alg.complement_indices
+                                      if i in dec.l1_indices]))
+    assert sum(v is not None for _, _, v in forms) == 8
+    for name, alg, v in forms:
+        pf = pf_polynomial(alg, v_indices=v)
+        res = is_square_integrable(alg, v_indices=v)
+        want = next((p for p in candidate_points(len(alg.center_indices))
+                     if evaluate(pf, p) != 0), None)
+        assert bool(res) == bool(pf), (name, v)
+        assert res.witness == want, (name, v)
+        assert res.pf is pf
 
 
 def test_witness_search_stops_at_all_ones(monkeypatch):
@@ -291,7 +364,7 @@ def test_b_matrix_poly_substitutes_center_polynomials():
     pf = pfaffian(b_matrix_poly(alg, coeff_polys, v_indices=v))
     for val in (Fraction(2), Fraction(-3)):
         direct = pf_at(alg, [val * c for c in coeffs], v_indices=v)
-        assert pf.evaluate([val]) == direct
+        assert evaluate(pf, [val]) == direct
 
 
 def test_skew_forms_refuse_brackets_outside_the_designated_center():
@@ -378,7 +451,7 @@ def test_pf_at_in_integers_matches_the_polynomial_and_the_determinant(name):
                 lam = [Fraction(c.numerator) for c in lam]
             got = pf_at(alg, lam, v_indices=v)
             assert type(got) is Fraction
-            assert got == pf.evaluate(lam)
+            assert got == evaluate(pf, lam)
             form = b_matrix(alg, LinearFunctional(alg, lam), v_indices=v)
             assert got ** 2 == linalg.det(form.matrix)
 
@@ -427,6 +500,19 @@ def test_catalog_pfaffians_have_int_coefficients():
 def test_pfaffian_strings_match_the_benchmark_reference():
     for name, want in REFERENCE["algebras"].items():
         assert pf_polynomial(from_name(name)).format() == want["pfaffian"]
+
+
+def test_benchmark_algebra_entries_match_the_reference(monkeypatch):
+    # the benchmark's recorder, run as it is: each exact output it pins
+    # (SquareIntegrability.pf, the split and its flags, pf_v1) is intact
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(bench))
+    record_reference = importlib.import_module("record_reference")
+    mods = record_reference.workloads.load_modules()
+    assert len(REFERENCE["algebras"]) == 26
+    for name, want in REFERENCE["algebras"].items():
+        assert record_reference.algebra_entry(name, mods) == want, name
 
 
 def test_non_integral_brackets_keep_fraction_coefficients():

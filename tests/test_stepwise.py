@@ -2,6 +2,7 @@
 
 import importlib
 import json
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -191,6 +192,57 @@ def test_square_integrable_l1_has_center_z(monkeypatch, name):
         assert list(dec.l1_indices) == split["l1"]
         assert list(dec.l2_indices) == split["l2"]
         assert dec.verification == split["flags"]
+
+
+def first_split_over_both_codimensions(alg):
+    """The split search before it kept only even v1: every single drop,
+    then every pair, trailing coordinates first within each."""
+    comp = alg.complement_indices
+    candidates = [(i,) for i in reversed(comp)]
+    candidates.extend(reversed(list(combinations(comp, 2))))
+    for dropped in candidates:
+        dec = StepwiseDecomposition(
+            alg, [i for i in range(alg.dim) if i not in dropped], dropped)
+        try:
+            flags = verify(dec)
+        except ValueError:
+            continue
+        if all(flags.values()):
+            return dec
+    return None
+
+
+@pytest.mark.parametrize("name", SPLIT_FAMILIES + ["two_center"])
+def test_split_search_tries_even_v1_only_and_finds_the_same_split(
+        monkeypatch, name):
+    alg = two_center_algebra() if name == "two_center" else from_name(name)
+    want = first_split_over_both_codimensions(alg)
+    tried = []
+    check = stepwise.verify
+
+    def recording(dec):
+        tried.append(dec)
+        return check(dec)
+
+    monkeypatch.setattr(stepwise, "verify", recording)
+    got = stepwise._first_split(alg)
+    assert (got.l1_indices, got.l2_indices, got.verification) == \
+        (want.l1_indices, want.l2_indices, want.verification)
+    assert all((len(alg.complement_indices) - len(dec.l2_indices)) % 2 == 0
+               for dec in tried)
+
+
+def test_case6_goes_straight_to_the_pair_it_returns(monkeypatch):
+    tried = []
+    check = stepwise.verify
+
+    def recording(dec):
+        tried.append(dec.l2_indices)
+        return check(dec)
+
+    monkeypatch.setattr(stepwise, "verify", recording)
+    dec = decompose("case6", n=7)
+    assert tried == [dec.l2_indices] and len(dec.l2_indices) == 2
 
 
 def test_bad_split_fails_verification():
