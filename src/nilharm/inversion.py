@@ -41,7 +41,7 @@ import numpy as np
 
 from .algebra import bracket
 from .config import DEFAULTS, quad_settings
-from .pfaffian import pf_polynomial
+from .pfaffian import is_square_integrable, pf_polynomial
 from .quadrature import tensor_integrate
 from .stepwise import decompose
 
@@ -166,7 +166,7 @@ def invert_flat(alg, f, x, quad_settings=None):
     of the core over z*: Fourier inversion on the slice x + z.  Neither
     c nor Pf enters, so this check cannot see them (ROADMAP item 3).
     """
-    if not pf_polynomial(alg):
+    if not is_square_integrable(alg):
         raise ValueError("algebra is not square integrable; "
                          "flat inversion does not apply")
     start = time.perf_counter()

@@ -7,9 +7,9 @@ invariants are the paired singular values with the residual
 determinant phase folded into the last entry.  Case 3 (octonion
 double): only functionals supported on the (e3, e6, e2) coordinates
 are in implemented normal-form reach; their l1 split drops (0, e3),
-on which Pf(lambda_a) = +-a1*(a1^2 + a2^2 + a3^2).  pf_nonsingular
-reads pf_at, on the full form or on that split.  Only the float
-routes (skew_spectrum, wedge_matrix and case 6) import numpy.
+on which Pf(lambda_a) = +-a1*(a1^2 + a2^2 + a3^2).  Every other split
+is the one find_codim_split finds.  Only the float routes
+(skew_spectrum, wedge_matrix and case 6) import numpy.
 """
 
 import cmath
@@ -19,6 +19,7 @@ from fractions import Fraction
 from .catalog import OCTDOUBLE_LAMBDA_SUPPORT
 from .pfaffian import (LinearFunctional, _pfaffian_expansion, b_matrix,
                        is_square_integrable, pf_at)
+from .stepwise import find_codim_split
 
 SKEW_INPUT_TOL = 1e-12
 RANK_TOL = 1e-10
@@ -208,31 +209,28 @@ def _case3_representative(alg, coeffs):
 
 
 def pf_nonsingular(alg, coeffs):
-    """Pf(lambda) != 0, on the relevant Pfaffian for the algebra.
-
-    pf_at on n/z when is_square_integrable; on the l1 split's v1 for
-    the three exceptional families, and False for any other algebra.
-    """
-    v_indices = None
-    if not is_square_integrable(alg):
-        v_indices = l1_complement_indices(alg)
-        if v_indices is None:
-            return False
-    return pf_at(alg, coeffs, v_indices=v_indices) != 0
+    """Pf(lambda) != 0 on l1_complement_indices(alg), or on n/z when
+    that is None (with no split, Pf = 0 there).  Read on the split the
+    search finds: [u1, u2] = z1, [u1, u3] = z2 gives v1 = (u1, u2)."""
+    return pf_at(alg, coeffs, v_indices=l1_complement_indices(alg)) != 0
 
 
 def l1_complement_indices(alg):
-    """The v_1 part of the normal form's l1 split, when the family has one."""
-    family = alg.meta.get("family")
-    comp = list(alg.complement_indices)
-    if family == "free2step":
-        if alg.meta["n"] % 2 == 0:
-            return None
-        drop = 1 if alg.meta["F"] == "R" else 2  # one u, or its re/im pair
-        return comp[:-drop]
-    if family == "octdouble":
-        # drop (0, e3), the unit of a1 in lambda_a.  Dropping (0, e_k)
-        # gives Pf = +-t_k*|t|^2, so decompose("case3")'s (0, e7) would
-        # vanish on the whole (e3, e6, e2)* family, where t7 = 0.
-        return comp[:2] + comp[3:]
-    return None
+    """v1 = l1 ∩ v of find_codim_split's split, decided once per
+    algebra; None when it is square integrable or has no split.  The
+    octonion double's normal form drops (0, e3) instead, complement
+    position OCTDOUBLE_LAMBDA_SUPPORT[0], the unit of a1 in lambda_a:
+    (0, e_k) gives Pf = +-t_k*|t|^2, so the search's (0, e7) vanishes
+    on the whole (e3, e6, e2)* family, where t7 = 0."""
+    v1 = alg.cached("l1_complement", _l1_complement)
+    return None if v1 is None else list(v1)
+
+
+def _l1_complement(alg):
+    if is_square_integrable(alg):
+        return None
+    comp, a1 = alg.complement_indices, OCTDOUBLE_LAMBDA_SUPPORT[0]
+    if alg.meta.get("family") == "octdouble":
+        return comp[:a1] + comp[a1 + 1:]
+    dec = find_codim_split(alg)
+    return None if dec is None else tuple(i for i in comp if i in dec.l1_indices)

@@ -177,7 +177,9 @@ def _pfaffian_expansion(matrix, zero, one):
         memo[indices] = total
         return total
 
-    return pf(tuple(range(len(matrix))))
+    total = pf(tuple(range(len(matrix))))
+    del pf      # pf refers to itself: free memo and matrix now, not at gc
+    return total
 
 
 def pf_polynomial(alg, v_indices=None):
@@ -215,9 +217,9 @@ class SquareIntegrability:
 
     __slots__ = ("square_integrable", "witness", "_alg", "_v_indices")
 
-    def __init__(self, square_integrable, witness, alg, v_indices):
-        self.square_integrable = square_integrable
-        self.witness = witness
+    def __init__(self, witness, alg, v_indices):
+        self.square_integrable = witness is not None
+        self.witness = None if witness is None else list(witness)
         self._alg, self._v_indices = alg, v_indices
 
     @property
@@ -236,13 +238,20 @@ def is_square_integrable(alg, v_indices=None):
     then 500 fixed-seed small integer points) where pf_at is nonzero.
     A zero value proves nothing, so it reads the cached symbolic Pf,
     and zero means False.  A nonzero Pf of this size cannot dodge 500
-    such samples; if that ever trips, it is a bug.
+    such samples; if that ever trips, it is a bug.  The witness (or
+    None) is cached per algebra and v_indices ordering.
     """
+    key = None if v_indices is None else tuple(v_indices)
+    witness = alg.cached(("witness", key), lambda a: _witness(a, key))
+    return SquareIntegrability(witness, alg, v_indices)
+
+
+def _witness(alg, v_indices):
     for point in _witness_candidates(len(alg.center_indices)):
         if pf_at(alg, point, v_indices=v_indices) != 0:
-            return SquareIntegrability(True, point, alg, v_indices)
+            return tuple(point)
         if not pf_polynomial(alg, v_indices=v_indices):
-            return SquareIntegrability(False, None, alg, v_indices)
+            return None
     raise RuntimeError("nonzero Pfaffian but witness search failed")
 
 

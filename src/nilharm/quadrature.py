@@ -92,8 +92,8 @@ def tensor_integrate(func, means, sigmas, rtol=DEFAULTS["quad_rtol"],
     Each axis gets Gauss-Hermite matched to the envelope of mean and
     sigma.  func maps a TensorGrid to its n^dim values (see the module
     docstring).  Returns (value, info); info records node counts and
-    the last relative change.  Raises if the budget is exhausted before
-    convergence.
+    the last relative change.  Raises if a level's value is not finite
+    or the budget is exhausted before convergence.
     """
     means = np.asarray(means, dtype=float)
     sigmas = np.asarray(sigmas, dtype=float)
@@ -114,6 +114,8 @@ def tensor_integrate(func, means, sigmas, rtol=DEFAULTS["quad_rtol"],
         value = np.reshape(func(TensorGrid(x for x, _ in level)), (n,) * dim)
         for _, w in reversed(level):
             value = value @ w
+        if not np.isfinite(value):
+            raise RuntimeError(f"integrand is not finite ({n} nodes/axis)")
         if prev is not None:
             scale = max(abs(value), abs(prev), 1e-300)
             change = abs(value - prev) / scale

@@ -5,11 +5,11 @@ coordinate split where l1 = (center + v1) is an ideal that contains the
 center Z of n and is square integrable modulo Z: Pf of b_lambda on
 v1 = l1 ∩ v, for lambda in z*, is not identically zero (Moore & Wolf).
 l2 is a small abelian complement.  The split is verified by exact
-arithmetic on the parent algebra, never assumed.  decompose and
-find_codim_split read the same search, so a case's split is stated
-once: as the first coordinate complement that verifies.  The search
-drops one coordinate of an odd v and two of an even one, since only an
-even v1 can have a nonzero Pfaffian.
+arithmetic on the parent algebra, never assumed.  decompose,
+find_codim_split and orbits.l1_complement_indices read the same search,
+so a case's split is stated once: as the first coordinate complement
+that verifies.  The search drops one coordinate of an odd v and two of
+an even one, since only an even v1 can have a nonzero Pfaffian.
 """
 
 from itertools import combinations
@@ -97,11 +97,10 @@ def decompose(case_tag, n=None):
     case6, n odd, and octonion_double for case3.
 
     The search drops the last generator of case1, both real coordinates
-    of the last complex generator of case6, and (0, e7) of case3.  The
-    orbit normal form uses the G2-conjugate line through e3 instead
-    (orbits.l1_complement_indices).  The odd-n check already excludes
-    the square-integrable sizes, so find_codim_split's refusal is not
-    re-run.
+    of the last complex generator of case6, and (0, e7) of case3, where
+    orbits.l1_complement_indices alone drops (0, e3).  The odd-n check
+    excludes the square-integrable sizes, so find_codim_split's refusal
+    is not re-run.
     """
     case = case_number(case_tag)
     if case in (1, 6):
@@ -120,11 +119,8 @@ def decompose(case_tag, n=None):
 
 
 def find_codim_split(alg):
-    """Search coordinate-aligned complements for a verified split.
-
-    Returns None when no candidate passes; refuses when no split is
-    needed.
-    """
+    """The first verified coordinate split, or None; refuses when no
+    split is needed."""
     if is_square_integrable(alg):
         raise ValueError("not applicable: algebra is already square "
                          "integrable without a split")

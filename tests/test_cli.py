@@ -397,6 +397,17 @@ def test_closed_stdout_exits_1_without_traceback(argv):
 
 
 @pytest.mark.parametrize("argv", [
+    ["--points", "1e300,0,0"],
+    ["--function", "gaussian:diag:1e308,1e308,1e308"],
+])
+def test_an_overflowing_inversion_is_one_error_line(argv):
+    # refused at the first quadrature level, with no numpy warning
+    out = run_cli(["invert", "heisenberg:1:C"] + argv)
+    assert out.returncode == 2
+    assert out.stderr == "error: integrand is not finite (8 nodes/axis)\n"
+
+
+@pytest.mark.parametrize("argv", [
     ["pfaffian", "heisenberg:1:C", "--at", "1/0"],
     ["invert", "heisenberg:1:C", "--points", "1/0,0,0"],
     ["invert", "heisenberg:1:C", "--function", "gaussian:diag:1,1/0,1",

@@ -76,6 +76,20 @@ def free2step_3_R_square_integrable(monkeypatch):
                         or decide(alg, **kw))
 
 
+def octdouble_l1_from_the_split_search(monkeypatch):
+    # the normal form on the search's split, which drops (0, e7): its
+    # Pf is +-t7*|t|^2, zero on the whole (e3, e6, e2)* family
+    l1_complement = selftest.l1_complement_indices
+
+    def searched(alg):
+        if alg.meta.get("family") != "octdouble":
+            return l1_complement(alg)
+        l1 = selftest.find_codim_split(alg).l1_indices
+        return [i for i in alg.complement_indices if i in l1]
+
+    monkeypatch.setattr(selftest, "l1_complement_indices", searched)
+
+
 def heisenberg_edited(monkeypatch, n, F, edit):
     """selftest builds heisenberg:n:F from edit(its bracket entries)."""
     heisenberg = selftest.heisenberg
@@ -143,6 +157,7 @@ ROWS = [
     row(h2C_three_step, 2),
     row(h2C_not_nilpotent, 2),
     row(pfaffian_times_3, 3),
+    row(octdouble_l1_from_the_split_search, 3),
     row(free2step_3_R_square_integrable, 4),
     row(pfaffian_times_3, 5),
     row(slice_at_minus_x, 6),

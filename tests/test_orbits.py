@@ -1,5 +1,6 @@
 """Skew spectra, Darboux bases, and orbit normal forms."""
 
+import importlib
 import json
 import random
 import subprocess
@@ -10,13 +11,16 @@ from math import prod
 import numpy as np
 import pytest
 
-from nilharm.catalog import free_two_step, from_name, lambda_a, octonion_double
+from nilharm import stepwise
+from nilharm.catalog import (OCTDOUBLE_LAMBDA_SUPPORT, free_two_step, from_name,
+                             lambda_a, list_entries, octonion_double)
 from nilharm.linalg import det
 from nilharm.orbits import (darboux_basis, l1_complement_indices,
                             orbit_representative, pf_nonsingular,
                             skew_spectrum, wedge_matrix)
-from nilharm.pfaffian import LinearFunctional, b_matrix, pf_at
-from nilharm.stepwise import StepwiseDecomposition, verify
+from nilharm.pfaffian import (LinearFunctional, b_matrix,
+                              is_square_integrable, pf_at)
+from nilharm.stepwise import StepwiseDecomposition, find_codim_split, verify
 
 
 def rand_skew_float(rng, n):
@@ -306,11 +310,66 @@ def test_pf_nonsingular_uses_the_right_pfaffian():
     assert not pf_nonsingular(h, [0, 0, 0])
 
 
+# every constructible row, free2step:n:R/C for n <= 7, and octdouble
+L1_ALGEBRAS = ([f"table:{e.table_id}:{e.row}"
+                for e in list_entries(constructible=True)]
+               + [f"free2step:{n}:{F}" for n in range(2, 8) for F in "RC"]
+               + ["octdouble"])
+
+
 def test_l1_complement_indices_families():
     assert l1_complement_indices(free_two_step(3, "R")) is not None
     assert l1_complement_indices(free_two_step(4, "R")) is None
     oct_v1 = l1_complement_indices(octonion_double())
     assert len(oct_v1) == 6
+    # the v1 of the split search, and None on a square-integrable algebra
+    for name in L1_ALGEBRAS:
+        alg = from_name(name)
+        comp = list(alg.complement_indices)
+        got = l1_complement_indices(alg)
+        if is_square_integrable(alg):
+            assert got is None, name
+            continue
+        dec = find_codim_split(alg)
+        if alg.meta["family"] != "octdouble":
+            assert got == (None if dec is None else
+                           [i for i in comp if i in dec.l1_indices]), name
+            continue
+        # the one declared exception: v3 = (0, e3), not the search's
+        # (0, e7)
+        drop = comp.pop(OCTDOUBLE_LAMBDA_SUPPORT[0])
+        assert alg.basis_labels[drop] == "v3"
+        assert dec.l2_indices != (drop,)
+        assert got == comp, name
+
+
+@pytest.mark.parametrize("name", ["free2step:3:R", "octdouble",
+                                  "free2step:5:C", "heisenberg:2:H",
+                                  "table:2.2:23"])
+def test_pf_nonsingular_decides_once_per_algebra(monkeypatch, name):
+    module = importlib.import_module("nilharm.pfaffian")
+    witness, first_split = module._witness, stepwise._first_split
+    searches, splits = [], []
+
+    def searching(alg, v_indices):
+        searches.append(v_indices)
+        return witness(alg, v_indices)
+
+    def splitting(alg):
+        splits.append(alg)
+        return first_split(alg)
+
+    monkeypatch.setattr(module, "_witness", searching)
+    monkeypatch.setattr(stepwise, "_first_split", splitting)
+    alg = from_name(name)
+    rng = random.Random(50)
+    for _ in range(20):
+        pf_nonsingular(alg, [Fraction(rng.randint(-3, 3))
+                             for _ in alg.center_indices])
+    # one search on n/z, and one per v1 the split search tried
+    assert searches.count(None) == 1
+    assert len(searches) == len(set(searches))
+    assert len(splits) <= 1
 
 
 def test_orbits_imported_after_the_package_reads_the_pfaffian_layer():

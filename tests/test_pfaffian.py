@@ -1,5 +1,6 @@
 """Symbolic Pfaffians, square integrability, and the exact recursion."""
 
+import gc
 import importlib
 import json
 import random
@@ -11,10 +12,10 @@ import numpy as np
 import pytest
 
 from nilharm import linalg
-from nilharm.algebra import LieAlgebraData
+from nilharm.algebra import LieAlgebraData, center, nilpotency_class
 from nilharm.catalog import (abelian, free_two_step, from_name, heisenberg,
                              lambda_a, list_entries, octonion_double)
-from nilharm.orbits import l1_complement_indices
+from nilharm.orbits import l1_complement_indices, pf_nonsingular
 from nilharm.pfaffian import (LinearFunctional, _pfaffian_expansion,
                               b_matrix, b_matrix_poly,
                               is_square_integrable, pf_at, pf_polynomial,
@@ -289,6 +290,27 @@ def test_witness_is_the_first_candidate_where_the_oracle_is_nonzero():
         assert bool(res) == bool(pf), (name, v)
         assert res.witness == want, (name, v)
         assert res.pf is pf
+
+
+def test_dropped_algebras_leave_no_cycles_for_the_collector():
+    # every cached invariant is plain data (no object pointing back at
+    # the algebra), and no Pfaffian expansion outlives its call
+    gc.collect()
+    gc.disable()
+    try:
+        for name in ("heisenberg:2:H", "table:2.2:23", "free2step:3:R",
+                     "free2step:5:C", "octdouble"):
+            alg = from_name(name)
+            center(alg)
+            nilpotency_class(alg)
+            pf_polynomial(alg)
+            if not is_square_integrable(alg):
+                find_codim_split(alg)
+            pf_nonsingular(alg, [1] * len(alg.center_indices))
+            del alg
+            assert gc.collect() == 0, name
+    finally:
+        gc.enable()
 
 
 def test_witness_search_stops_at_all_ones(monkeypatch):

@@ -13,6 +13,7 @@ from nilharm.catalog import (abelian, direct_sum, free_two_step, from_name,
                              heisenberg, octonion_double)
 from nilharm.gaussians import GaussianTestFunction
 from nilharm.inversion import invert_stepwise
+from nilharm.orbits import l1_complement_indices, pf_nonsingular
 from nilharm.pfaffian import is_square_integrable
 from nilharm.stepwise import (StepwiseDecomposition, case_number,
                               decompose, find_codim_split, verify)
@@ -126,6 +127,14 @@ def test_l1_must_be_square_integrable_modulo_the_center_of_n():
     assert not flags["l1_square_integrable"]
     dec = find_codim_split(alg)
     assert dec.l2_indices == (4,) and all(dec.verification.values())
+
+
+def test_pf_nonsingular_reads_the_split_of_a_non_catalog_algebra():
+    # the search drops u3, so Pf on v1 = (u1, u2) is t1
+    alg = two_center_algebra()
+    assert l1_complement_indices(alg) == [2, 3]
+    assert pf_nonsingular(alg, [1, 0]) and pf_nonsingular(alg, [-2, 5])
+    assert not pf_nonsingular(alg, [0, 1])
 
 
 def test_pair_splits_of_free2step_3_leave_no_square_integrable_l1():
