@@ -2,10 +2,11 @@
 
 Exit codes: 0 ok, 1 check failed, 2 usage or runtime error.  With
 --json the payload prints as canonical JSON (sorted keys, indented),
-so identical invocations produce byte-identical output; the effective
-configuration is echoed into every payload.  Each subparser names its
-handler, and argparse counts the operands, so a malformed command line
-is refused with its usage message before any handler runs.
+so identical invocations produce byte-identical output; run echoes the
+effective configuration into every payload but an error's.  Each
+subparser names its handler, and argparse counts the operands, so a
+malformed command line is refused with its usage message before any
+handler runs.
 """
 
 import argparse
@@ -155,8 +156,7 @@ def _cmd_catalog(args, cfg):
         mark = "+" if r["constructible"] else " "
         lines.append(f"[{mark}] table {r['table']} row {r['row']:2d}: "
                      f"K = {r['K']}, v = {r['v']}, z = {r['z']}")
-    return CommandResult("ok", {"entries": rows, "config": cfg},
-                         "\n".join(lines))
+    return CommandResult("ok", {"entries": rows}, "\n".join(lines))
 
 
 def _cmd_check(args, cfg):
@@ -169,7 +169,7 @@ def _cmd_check(args, cfg):
         "algebra": alg.name, "dim": alg.dim,
         "center_dim": len(alg.center_indices),
         "jacobi_defect": str(defect), "nilpotency_class": nclass,
-        "derived_inside_center": derived_ok, "config": cfg,
+        "derived_inside_center": derived_ok,
     }
     text = (f"{alg.name}: dim {alg.dim}, center dim "
             f"{len(alg.center_indices)}, jacobi defect {defect}, "
@@ -182,7 +182,7 @@ def _cmd_pfaffian(args, cfg):
     alg = from_name(args.algebra)
     pf = pf_polynomial(alg)
     payload = {"algebra": alg.name, "pfaffian": pf.format(),
-               "degree": pf.degree(), "config": cfg}
+               "degree": pf.degree()}
     text = f"Pf = {pf.format()}"
     if args.at:
         coeffs = _parse_numbers(args.at)
@@ -196,8 +196,7 @@ def _cmd_pfaffian(args, cfg):
 def _cmd_classify(args, cfg):
     alg = from_name(args.algebra)
     sq = is_square_integrable(alg)
-    payload = {"algebra": alg.name, "square_integrable": bool(sq),
-               "config": cfg}
+    payload = {"algebra": alg.name, "square_integrable": bool(sq)}
     if sq:
         text = "square integrable: true"
         payload["witness"] = [str(c) for c in sq.witness]
@@ -221,8 +220,7 @@ def _cmd_orbit(args, cfg):
     invariants = [list(v) if isinstance(v, tuple) else v
                   for v in rep.invariants]
     payload = {"algebra": alg.name, "case": rep.case_tag,
-               "invariants": invariants, "kernel_dim": rep.kernel_dim,
-               "config": cfg}
+               "invariants": invariants, "kernel_dim": rep.kernel_dim}
     text = (f"{rep.case_tag}: invariants {invariants}, "
             f"kernel dim {rep.kernel_dim}")
     return CommandResult("ok", payload, text)
@@ -231,7 +229,6 @@ def _cmd_orbit(args, cfg):
 def _cmd_decompose(args, cfg):
     dec = decompose(args.case, n=args.n)
     payload = dec.as_dict()
-    payload["config"] = cfg
     flags = dec.verification
     text = (f"l1 = {list(dec.l1_indices)}\nl2 = {list(dec.l2_indices)}\n"
             + "\n".join(f"{k}: {str(v).lower()}" for k, v in flags.items()))
@@ -271,7 +268,7 @@ def _cmd_invert(args, cfg):
     # byte-identical across identical invocations
     payload = {"formula": formula, "entries": entries,
                "max_rel_error": worst, "tolerance": tol,
-               "settings": qs, "config": cfg}
+               "settings": qs}
     lines = [f"{formula}: {len(entries)} point(s), max rel error "
              f"{worst:.3e} (tolerance {tol:g}), {wall:.2f}s"]
     for e in entries:
@@ -283,12 +280,12 @@ def _cmd_invert(args, cfg):
 
 def _cmd_octonion_mul(args, cfg):
     text = format_element(multiply(parse_unit(args.A), parse_unit(args.B)))
-    return CommandResult("ok", {"product": text, "config": cfg}, text)
+    return CommandResult("ok", {"product": text}, text)
 
 
 def _cmd_octonion_table(args, cfg):
     rows = [[format_element(p) for p in row] for row in TABLE]
-    return CommandResult("ok", {"table": rows, "config": cfg},
+    return CommandResult("ok", {"table": rows},
                          "\n".join(" ".join(f"{s:>4s}" for s in row)
                                    for row in rows))
 
@@ -312,7 +309,7 @@ def _cmd_selftest(args, cfg):
              for r in results]
     lines.append("selftest: " + ("all criteria passed" if all_passed
                                  else "FAILURES PRESENT"))
-    payload = {"results": results, "all_passed": all_passed, "config": cfg}
+    payload = {"results": results, "all_passed": all_passed}
     return CommandResult("ok" if all_passed else "check_failed",
                          payload, "\n".join(lines))
 
@@ -411,6 +408,7 @@ def run(argv):
         result = args.handler(args, cfg)
     except (ValueError, RuntimeError, IndexError, OverflowError) as exc:
         return CommandResult("error", {"error": str(exc)}, f"error: {exc}")
+    result.payload["config"] = cfg
     if getattr(args, "json", False):
         result = CommandResult(result.status, result.payload,
                                _canon_json(result.payload))

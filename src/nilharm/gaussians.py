@@ -151,13 +151,12 @@ class ComplexGaussian:
         return mean, sigma
 
 
-class GaussianTestFunction:
-    """f1(Y) = amp * exp(-1/2 (Y-b)^T Q (Y-b)), the Schwartz test data.
+class GaussianTestFunction(ComplexGaussian):
+    """f1(Y) = amp * exp(-1/2 (Y-b)^T Q (Y-b)), the Schwartz test data:
+    A = Q, u = Q b and v = log amp - 1/2 b^T Q b.  Q must pass a
+    Cholesky factorization, and amp must be positive."""
 
-    Q must pass a Cholesky factorization; amp > 0 is stored as a log.
-    """
-
-    __slots__ = ("Q", "b", "log_amp")
+    __slots__ = ()
 
     def __init__(self, Q, b, amp=1.0):
         Q = np.asarray(Q, dtype=float)
@@ -167,19 +166,9 @@ class GaussianTestFunction:
         np.linalg.cholesky(Q)   # raises unless positive definite
         if amp <= 0:
             raise ValueError("amplitude must be positive")
-        self.Q = (Q + Q.T) / 2.0
-        self.b = b
-        self.log_amp = math.log(amp)
+        Q = (Q + Q.T) / 2.0
+        super().__init__(Q, Q @ b, math.log(amp) - 0.5 * b @ Q @ b)
 
     @classmethod
     def standard(cls, dim):
         return cls(np.eye(dim), np.zeros(dim))
-
-    def lift(self):
-        A = self.Q
-        u = self.Q @ self.b
-        v = self.log_amp - 0.5 * self.b @ self.Q @ self.b
-        return ComplexGaussian(A, u.astype(complex), v)
-
-    def evaluate(self, points):
-        return np.real(self.lift().evaluate(points))

@@ -40,7 +40,6 @@ import time
 import numpy as np
 
 from .algebra import bracket
-from .config import DEFAULTS, quad_settings
 from .pfaffian import is_square_integrable, pf_polynomial
 from .quadrature import tensor_integrate
 from .stepwise import decompose
@@ -86,7 +85,7 @@ def translation_matrix(alg, x):
 
 def right_translate(alg, f, x):
     """(r_x f)(y) = f(y x) as a closed-form Gaussian with phase."""
-    return f.lift().pullback(translation_matrix(alg, x), x)
+    return f.pullback(translation_matrix(alg, x), x)
 
 
 def flat_constant(alg):
@@ -134,20 +133,17 @@ class InversionReport:
         self.wall_time = wall_time
 
 
-def _invert(lifted, X, ghat, overrides, node_key, start):
+def _invert(f, X, ghat, overrides, node_key, start):
     """f(X) = (2pi)^{-k} times the integral of ghat, the transform of f
     on a k-dim slice (times chi_xi(x2) on the stepwise one), by
-    Gauss-Hermite matched to its envelope with the configured settings;
-    f(X) itself is read from lifted.
+    Gauss-Hermite matched to its envelope; overrides name
+    tensor_integrate's settings, whose defaults are config's.
     """
-    s = {**quad_settings(DEFAULTS), **(overrides or {})}
     mean, sigma = ghat.envelope()
     value, info = tensor_integrate(lambda grid: ghat.evaluate_grid(grid.axes),
-                                   mean, sigma, rtol=s["rtol"],
-                                   max_evals=s["max_evals"],
-                                   start=s["start_nodes"])
+                                   mean, sigma, **(overrides or {}))
     recon = (2 * math.pi) ** (-len(mean)) * value
-    f_x = float(np.real(lifted.evaluate(X)))
+    f_x = float(np.real(f.evaluate(X)))
     abs_err = abs(recon - f_x)
     entry = {"x": [float(c) for c in X], "f_x": f_x,
              "reconstructed_re": float(np.real(recon)),
@@ -171,9 +167,8 @@ def invert_flat(alg, f, x, quad_settings=None):
                          "flat inversion does not apply")
     start = time.perf_counter()
     X = _float_coords(alg, x)
-    lifted = f.lift()
-    ghat = _character_core(alg, lifted, at=X)
-    return _invert(lifted, X, ghat, quad_settings, "z_nodes", start)
+    ghat = _character_core(alg, f, at=X)
+    return _invert(f, X, ghat, quad_settings, "z_nodes", start)
 
 
 def factor_point(alg, dec, x):
@@ -220,11 +215,10 @@ def invert_stepwise(case_tag, f, x, quad_settings=None):
 
     # x1 * T = X1 + T + [X1, T]/2: the l2 columns of A_{-x1}
     M = translation_matrix(alg, [-c for c in x1])[:, l2]
-    lifted = f.lift()
-    ghat = lifted.pullback(M, x1).fourier()
+    ghat = f.pullback(M, x1).fourier()
     # chi_xi(x2) = e^{i xi.X2} joins the linear term
     ghat.u = ghat.u + 1j * np.array([float(x2[i]) for i in l2])
-    return _invert(lifted, _float_coords(alg, x), ghat, quad_settings,
+    return _invert(f, _float_coords(alg, x), ghat, quad_settings,
                    "outer_nodes", start)
 
 
@@ -241,7 +235,7 @@ def flatness_identity_gap(alg, f, x):
 
     # route 1: the lam-integral of the character core is itself a
     # closed-form Gaussian integral
-    core = _character_core(alg, f.lift(), at=_float_coords(alg, x))
+    core = _character_core(alg, f, at=_float_coords(alg, x))
     lhs = core.total_integral() * (2 * math.pi) ** (-zdim)
 
     # route 2: (2pi)^{-dim n} * integral of g^ over all of n*

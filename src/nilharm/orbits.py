@@ -1,15 +1,19 @@
 """Coadjoint orbit representatives via skew normal forms.
 
+Every case reads b_lambda(x, y) = lambda([x, y]) on v from the bracket
+table, through the cached skew pattern that every Pfaffian reads.
 Case 1 (free 2-step over R): a functional on Lambda^2 R^n is a real
 skew matrix; its K = SO(n) orbit is classified by the skew spectrum.
 Case 6 (over C): complex skew matrix under unitary congruence; the
 invariants are the paired singular values with the residual
-determinant phase folded into the last entry.  Case 3 (octonion
-double): only functionals supported on the (e3, e6, e2) coordinates
-are in implemented normal-form reach; their l1 split drops (0, e3),
-on which Pf(lambda_a) = +-a1*(a1^2 + a2^2 + a3^2).  Every other split
-is the one find_codim_split finds.  Only the float routes
-(skew_spectrum, wedge_matrix and case 6) import numpy.
+determinant phase folded into the last entry.  Both rank floors are
+relative to the largest entry, so t * lambda has lambda's orbit type
+for every t > 0.  Case 3 (octonion double): only functionals
+supported on the (e3, e6, e2) coordinates are in implemented
+normal-form reach; their l1 split drops (0, e3), on which
+Pf(lambda_a) = +-a1*(a1^2 + a2^2 + a3^2).  Every other split is the
+one find_codim_split finds.  Only the float routes (skew_spectrum,
+cases 1 and 6) import numpy.
 """
 
 import cmath
@@ -17,8 +21,8 @@ import math
 from fractions import Fraction
 
 from .catalog import OCTDOUBLE_LAMBDA_SUPPORT
-from .pfaffian import (LinearFunctional, _pfaffian_expansion, b_matrix,
-                       is_square_integrable, pf_at)
+from .pfaffian import (LinearFunctional, _pfaffian_expansion, _skew_form,
+                       b_matrix, is_square_integrable, pf_at)
 from .stepwise import find_codim_split
 
 SKEW_INPUT_TOL = 1e-12
@@ -35,7 +39,7 @@ def skew_spectrum(M):
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("skew_spectrum needs a square matrix")
-    scale = max(1.0, np.abs(M).max())
+    scale = np.abs(M).max()
     if np.abs(M + M.T).max() > SKEW_INPUT_TOL * scale:
         raise ValueError("matrix is not antisymmetric within 1e-12")
     eigs = np.linalg.eigvalsh(1j * M)
@@ -118,65 +122,55 @@ class OrbitRepresentative:
                 f"kernel={self.kernel_dim})")
 
 
-def wedge_matrix(alg, coeffs):
-    """Functional on Lambda^2 F^n as an n x n skew matrix over R or C."""
-    import numpy as np
-    family = alg.meta.get("family")
-    if family != "free2step":
-        raise ValueError("wedge_matrix needs a free 2-step algebra")
-    n = alg.meta["n"]
-    pairs = alg.meta["wedge_pairs"]
-    if alg.meta["F"] == "R":
-        M = np.zeros((n, n))
-        for t, (p, q) in enumerate(pairs):
-            M[p, q] = float(coeffs[t])
-            M[q, p] = -float(coeffs[t])
-    else:
-        M = np.zeros((n, n), dtype=complex)
-        for t, (p, q) in enumerate(pairs):
-            val = float(coeffs[2 * t]) + 1j * float(coeffs[2 * t + 1])
-            M[p, q] = val
-            M[q, p] = -val
-    return M
-
-
 def orbit_representative(alg, coeffs):
     """Canonical orbit invariants of a concrete functional.
 
     Refuses coeffs whose length is not dim z, then dispatches on the
-    algebra family.  Case 6's phase is computed in a fixed eigenbasis
-    gauge (eigenvectors of M M^H, first nonzero component made real
-    positive); it is authoritative on the normal-form family lambda_a
-    and reproducible across runs.
+    algebra family.  Cases 1 and 6 read b_lambda as the float form B
+    that pf_at fills with ints; over C, v = C^n in (u_p, iu_p)
+    coordinates, so the complex form is B[::2, ::2] + i B[::2, 1::2].
+    Case 6's phase is computed in a fixed eigenbasis gauge (eigenvectors
+    of M M^H, first nonzero component made real positive); it is
+    authoritative on the normal-form family lambda_a and reproducible
+    across runs.
     """
     zdim = len(alg.center_indices)
     if len(coeffs) != zdim:
         raise ValueError(f"need {zdim} coefficients, got {len(coeffs)}")
     family = alg.meta.get("family")
-    if family == "free2step" and alg.meta["F"] == "R":
-        M = wedge_matrix(alg, coeffs)
-        positive, kernel_dim = skew_spectrum(M)
-        return OrbitRepresentative("case1", positive, kernel_dim)
-    if family == "free2step" and alg.meta["F"] == "C":
-        return _case6_representative(alg, coeffs)
     if family == "octdouble":
         return _case3_representative(alg, coeffs)
-    raise ValueError(f"no orbit normal form implemented for {alg.name}")
-
-
-def _case6_representative(alg, coeffs):
+    if family != "free2step":
+        raise ValueError(f"no orbit normal form implemented for {alg.name}")
     import numpy as np
-    M = wedge_matrix(alg, coeffs)
+    B = np.array(_skew_form(alg, [float(c) for c in coeffs], 0.0,
+                            None).matrix)
+    if alg.meta["F"] == "R":
+        positive, kernel_dim = skew_spectrum(B)
+        return OrbitRepresentative("case1", positive, kernel_dim)
+    M = np.empty((len(B) // 2,) * 2, dtype=complex)
+    M.real, M.imag = B[::2, ::2], B[::2, 1::2]
+    return _case6_representative(M)
+
+
+def _case6_representative(M):
+    """Case 6 on M scaled by 2^-e, e the binary exponent of its largest
+    part.  A power of two is exact, so M M^H cannot overflow, and the
+    answer is bit for bit the unscaled one wherever that does not."""
+    import numpy as np
     n = M.shape[0]
-    H = M @ M.conj().T
-    scale = max(1.0, np.abs(M).max() ** 2)
-    eigvals, eigvecs = np.linalg.eigh(H)
-    support = [k for k in range(n) if eigvals[k] > RANK_TOL * scale]
+    parts = M.view(float)       # real and imaginary parts, interleaved
+    e = math.frexp(np.abs(parts).max())[1]
+    M = np.ldexp(parts, -e).view(complex)
+    eigvals, eigvecs = np.linalg.eigh(M @ M.conj().T)
+    floor = RANK_TOL * np.abs(M).max() ** 2
+    support = [k for k in range(n) if eigvals[k] > floor]
     kernel_dim = n - len(support)
     if not support:
         return OrbitRepresentative("case6", [], n)
     # paired singular values: sqrt of the doubled eigenvalues of M M^H
-    sigmas_all = sorted(math.sqrt(float(eigvals[k])) for k in support)
+    sigmas_all = sorted(math.ldexp(math.sqrt(float(eigvals[k])), e)
+                        for k in support)
     if len(sigmas_all) % 2:
         raise ValueError("odd support for a skew form; input is not skew")
     sigmas = sigmas_all[::2]

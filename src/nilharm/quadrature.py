@@ -6,7 +6,7 @@ weights sqrt(2) sigma w_i e^{t_i^2}, from the n-point rule (t_i, w_i)
 for the weight e^{-t^2}.  A Gaussian integrand near its envelope is
 then a slowly varying function times the rule's weight, so a few nodes
 per axis reach float precision.  The per-axis count doubles from
-`start` until two successive levels agree to rtol, up to max_evals
+`start_nodes` until two successive levels agree to rtol, up to max_evals
 nodes and MAX_HERMITE_NODES per axis.
 Any positive starting count works: no integrand divides by a
 Pfaffian, so an odd rule's node on the envelope centre is harmless.
@@ -86,7 +86,7 @@ class TensorGrid:
 
 def tensor_integrate(func, means, sigmas, rtol=DEFAULTS["quad_rtol"],
                      max_evals=DEFAULTS["max_evals"],
-                     start=DEFAULTS["start_nodes"]):
+                     start_nodes=DEFAULTS["start_nodes"]):
     """integral of func over the whole space, with per-axis doubling.
 
     Each axis gets Gauss-Hermite matched to the envelope of mean and
@@ -102,7 +102,7 @@ def tensor_integrate(func, means, sigmas, rtol=DEFAULTS["quad_rtol"],
         value = np.ravel(func(TensorGrid(())))[0]
         return value, {"nodes": 0, "converged": True, "last_change": 0.0}
 
-    n = start
+    n = start_nodes
     prev = None
     while True:
         total = n ** dim

@@ -23,9 +23,9 @@ from .catalog import (free_two_step, heisenberg, lambda_a, octonion_double)
 from .gaussians import GaussianTestFunction
 from .inversion import (flatness_identity_gap, invert_flat, invert_stepwise,
                         orbit_space_quadrature_check)
-from .orbits import (l1_complement_indices, orbit_representative,
-                     skew_spectrum, wedge_matrix)
-from .pfaffian import (b_matrix_poly, is_square_integrable, pfaffian)
+from .orbits import l1_complement_indices, orbit_representative, skew_spectrum
+from .pfaffian import (LinearFunctional, b_matrix, b_matrix_poly,
+                       is_square_integrable, pfaffian)
 from .polynomials import Poly
 from .stepwise import find_codim_split
 
@@ -298,7 +298,8 @@ def criterion_9(seed=0):
                default=0) >= 1e-9:
             failures.append("case1 representative not idempotent")
             break
-        M = wedge_matrix(alg, coeffs)
+        M = np.array(b_matrix(alg, LinearFunctional(alg, coeffs)).matrix,
+                     dtype=float)
         q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
         Mr = q @ M @ q.T
         rot_coeffs = [Mr[pq] for pq in alg.meta["wedge_pairs"]]

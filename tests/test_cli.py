@@ -304,6 +304,20 @@ def test_orbit_subcommand():
     assert "case1" in res.human_text
 
 
+@pytest.mark.parametrize("coeffs, sigma", [("1e200,1,1,1,1,1", 1e200),
+                                           ("1e300,1e300,1,1,1,1",
+                                            2 ** 0.5 * 1e300)])
+def test_case6_orbit_of_a_huge_functional(coeffs, sigma):
+    # unscaled, M M^H overflows: the zero orbit with numpy warnings,
+    # or "Eigenvalues did not converge"
+    out = run_cli(["orbit", "free2step:3:C", "--coeffs", coeffs, "--json"])
+    assert out.returncode == 0
+    assert out.stderr == ""
+    doc = json.loads(out.stdout)
+    assert doc["kernel_dim"] == 1
+    assert doc["invariants"][0][0] == pytest.approx(sigma, rel=1e-12)
+
+
 @pytest.mark.parametrize("algebra, coeffs, zdim", [
     ("free2step:3:R", "1,2,3,4", 3), ("free2step:3:C", "1,2,3,4,5,6,7,8", 6),
     ("free2step:3:R", "1,2", 3), ("octdouble", "0,1,1", 7)])

@@ -31,8 +31,6 @@ from nilharm.stepwise import StepwiseDecomposition, decompose, verify
 def fourier_quadrature(g, xi, rtol=DEFAULTS["quad_rtol"],
                        max_evals=DEFAULTS["max_evals"]):
     """Direct quadrature of the transform at one frequency (oracle)."""
-    if isinstance(g, GaussianTestFunction):
-        g = g.lift()
     xi = np.asarray(xi, dtype=float)
     mean, sigma = g.envelope()
 
@@ -158,7 +156,7 @@ def test_right_translate_pointwise():
 
 def test_fourier_against_quadrature():
     f = GaussianTestFunction(np.diag([1.0, 2.0]), np.array([0.3, -0.1]))
-    ghat = f.lift().fourier()
+    ghat = f.fourier()
     for xi in ([0.0, 0.0], [1.0, -0.5], [0.4, 2.0]):
         oracle = fourier_quadrature(f, np.array(xi), rtol=1e-11)
         closed = ghat.evaluate(np.array([xi]))[0]
@@ -177,16 +175,15 @@ def test_orbital_character_matches_quadrature():
     alg = heisenberg(1, "C")
     f = GaussianTestFunction(np.diag([1.0, 0.8, 1.1]),
                              np.array([0.1, 0.0, -0.2]))
-    g = f.lift()
     for lam in ([1.0], [-0.7], [2.3]):
-        closed = orbital_character(alg, lam, g)
-        oracle = orbital_character_quadrature(alg, lam, g, rtol=1e-10)
+        closed = orbital_character(alg, lam, f)
+        oracle = orbital_character_quadrature(alg, lam, f, rtol=1e-10)
         assert abs(closed - oracle) < 1e-7 * max(1.0, abs(oracle))
 
 
 def test_orbital_character_rejects_singular_lambda():
     alg = heisenberg(1, "C")
-    g = GaussianTestFunction.standard(3).lift()
+    g = GaussianTestFunction.standard(3)
     with pytest.raises(ValueError):
         orbital_character(alg, [0.0], g)
 
@@ -260,7 +257,7 @@ def test_slice_core_matches_the_full_transform_marginal(name):
         f = GaussianTestFunction(A @ A.T + alg.dim * np.eye(alg.dim),
                                  rng.normal(size=alg.dim))
         x = rng.normal(size=alg.dim)
-        got = inversion._character_core(alg, f.lift(), at=x)
+        got = inversion._character_core(alg, f, at=x)
         want = character_core_by_full_transform(alg, f, list(x))
         assert np.abs(got.A - want.A).max() <= 1e-12 * np.abs(want.A).max()
         assert np.abs(got.u - want.u).max() <= 1e-12 * np.abs(want.u).max()
@@ -442,7 +439,7 @@ def joint_gaussian_by_exact_brackets(dec, f, x):
         M[:, z1 + k] = [float(c) * 0.5 for c in col]
         M[gt, z1 + k] += 1.0
     X2 = np.array([float(x2[i]) for i in l2])
-    return f.lift().pullback(M, np.array(x1, dtype=float)), z1, X2
+    return f.pullback(M, np.array(x1, dtype=float)), z1, X2
 
 
 STEPWISE_POINTS = [
@@ -544,7 +541,7 @@ def test_each_inversion_runs_one_integration_with_the_callers_settings(
         monkeypatch):
     calls = _integrations(monkeypatch)
     qs = {"rtol": 1e-9, "max_evals": 2 ** 18, "start_nodes": 5}
-    want = {"rtol": 1e-9, "max_evals": 2 ** 18, "start": 5}
+    want = {"rtol": 1e-9, "max_evals": 2 ** 18, "start_nodes": 5}
     for name in ("heisenberg:1:C", "heisenberg:1:H"):
         alg = from_name(name)
         calls.clear()
@@ -556,6 +553,19 @@ def test_each_inversion_runs_one_integration_with_the_callers_settings(
         invert_stepwise(case, GaussianTestFunction.standard(dim), x,
                         quad_settings=qs)
         assert [kw for _, _, kw in calls] == [want]
+
+
+def test_inversion_refuses_a_setting_the_quadrature_does_not_take():
+    # quad_rtol is a config key, not a quadrature setting: refused,
+    # not dropped with the default rtol left in force
+    alg = from_name("heisenberg:1:C")
+    f = GaussianTestFunction.standard(alg.dim)
+    with pytest.raises(TypeError, match="quad_rtol"):
+        invert_flat(alg, f, [0.1] * alg.dim,
+                    quad_settings={"quad_rtol": 1e-14})
+    with pytest.raises(TypeError, match="quad_rtol"):
+        invert_stepwise("case1", GaussianTestFunction.standard(6), [0.0] * 6,
+                        quad_settings={"quad_rtol": 1e-14})
 
 
 @pytest.mark.parametrize("case", ["case1", "case3", "case6"])

@@ -2,6 +2,7 @@
 
 import importlib
 import json
+import math
 import random
 import subprocess
 import sys
@@ -12,12 +13,13 @@ import numpy as np
 import pytest
 
 from nilharm import stepwise
+from nilharm.algebra import LieAlgebraData
 from nilharm.catalog import (OCTDOUBLE_LAMBDA_SUPPORT, free_two_step, from_name,
                              lambda_a, list_entries, octonion_double)
 from nilharm.linalg import det
 from nilharm.orbits import (darboux_basis, l1_complement_indices,
                             orbit_representative, pf_nonsingular,
-                            skew_spectrum, wedge_matrix)
+                            skew_spectrum)
 from nilharm.pfaffian import (LinearFunctional, b_matrix,
                               is_square_integrable, pf_at)
 from nilharm.stepwise import StepwiseDecomposition, find_codim_split, verify
@@ -215,14 +217,93 @@ def test_pfaffian_matches_the_darboux_product(name, on_l1, generic):
     assert any(values) if generic else not any(values)
 
 
-def test_wedge_matrix_real_layout():
+def float_form(alg, coeffs):
+    """b_lambda on v as a float matrix: the form case 1 reads."""
+    return np.array(b_matrix(alg, LinearFunctional(alg, coeffs)).matrix,
+                    dtype=float)
+
+
+def test_case1_form_real_layout():
     alg = free_two_step(3, "R")
     pairs = alg.meta["wedge_pairs"]
     coeffs = [Fraction(0)] * 3
     coeffs[pairs.index((0, 1))] = Fraction(4)
-    M = wedge_matrix(alg, coeffs)
+    M = float_form(alg, coeffs)
     assert M[0, 1] == 4 and M[1, 0] == -4
     assert np.count_nonzero(M) == 2
+    rep = orbit_representative(alg, coeffs)
+    assert (rep.invariants, rep.kernel_dim) == ([4.0], 1)
+
+
+def doubled_first_bracket(name):
+    """A copy of free2step:n:F whose [u1, u2] is doubled, with only the
+    meta keys the orbit layer may read."""
+    alg = from_name(name)
+    u1, u2 = alg.complement_indices[:2]
+    F = alg.meta["F"]
+    first = {(u1, u2)} if F == "R" else {(i, j) for i in (u1, u1 + 1)
+                                         for j in (u2, u2 + 1)}
+    entries = [(i, j, k, 2 * c if (i, j) in first else c)
+               for (i, j), row in alg.brackets().items() for k, c in row]
+    return LieAlgebraData(alg.dim, alg.basis_labels, entries,
+                          center_indices=alg.center_indices,
+                          complement_indices=alg.complement_indices,
+                          meta={"family": "free2step", "F": F})
+
+
+@pytest.mark.parametrize("name", ["free2step:3:R", "free2step:3:C"])
+def test_orbits_read_the_brackets_of_the_algebra_given(name):
+    # the orbit of lambda = c (u1 ^ u2)* is read from b_lambda, so a
+    # doubled bracket doubles the invariant: 2|c|, not |c|
+    alg = doubled_first_bracket(name)
+    for c, want in ((1, 2.0), (Fraction(-3, 2), 3.0)):
+        coeffs = [0] * len(alg.center_indices)
+        coeffs[0] = c
+        rep = orbit_representative(alg, coeffs)
+        sigma = rep.invariants[-1]
+        assert (sigma if rep.case_tag == "case1" else sigma[0]) == want
+        assert rep.kernel_dim == 1
+
+
+def orbit_shape(rep):
+    """(case, kernel dim, sigmas, phases) of an orbit representative."""
+    sigmas = [v[0] if isinstance(v, tuple) else v for v in rep.invariants]
+    phases = [v[1] for v in rep.invariants if isinstance(v, tuple)]
+    return rep.case_tag, rep.kernel_dim, sigmas, phases
+
+
+def assert_scales(alg, lam, t, phases=True):
+    """t * lambda has lambda's orbit type, t times its sigmas and, when
+    phases is set, its phases."""
+    want = orbit_shape(orbit_representative(alg, lam))
+    got = orbit_shape(orbit_representative(alg, [t * float(c) for c in lam]))
+    assert got[:2] == want[:2]
+    assert len(got[2]) == len(want[2])
+    for a, b in zip(got[2], want[2]):
+        assert abs(a - t * b) <= 1e-9 * t * b
+    for a, b in zip(got[3], want[3]) if phases else ():
+        assert abs(math.remainder(a - b, 2 * math.pi)) <= 1e-9
+
+
+@pytest.mark.parametrize("t", [1e-300, 1e-12, 1e-6, 1e6, 1e150, 1e300])
+def test_orbit_type_is_invariant_under_scaling(t):
+    # the rank floors are relative, so no functional is too small or
+    # too large for its orbit, from 1e-300 to 1e300
+    rng = random.Random(50)
+    for n in range(2, 7):
+        for F in "RC":
+            alg = free_two_step(n, F)
+            for _ in range(3):
+                lam = [Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                       for _ in alg.center_indices]
+                # case 6's phase is fixed by the eigenbasis gauge, which
+                # the paired sigmas of a generic lambda leave free past
+                # n = 2: it is compared on lambda_a, where it is
+                # authoritative
+                assert_scales(alg, lam, t, phases=n == 2)
+                if F == "C":
+                    a = [(lam[2 * k], lam[2 * k + 1]) for k in range(n // 2)]
+                    assert_scales(alg, lambda_a(alg, a), t)
 
 
 def test_case1_representative_reads_off_lambda_a():
@@ -238,7 +319,7 @@ def test_case1_rotation_invariance():
     pairs = alg.meta["wedge_pairs"]
     rng = np.random.default_rng(14)
     coeffs = [Fraction(int(c)) for c in rng.integers(-5, 6, size=len(pairs))]
-    M = wedge_matrix(alg, coeffs)
+    M = float_form(alg, coeffs)
     rep0 = orbit_representative(alg, coeffs)
     Q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
     rotated = Q.T @ M @ Q
