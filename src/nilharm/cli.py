@@ -217,11 +217,9 @@ def _cmd_orbit(args, cfg):
     coeffs = _parse_numbers(args.coeffs)
     from .orbits import orbit_representative
     rep = orbit_representative(alg, coeffs)
-    invariants = [list(v) if isinstance(v, tuple) else v
-                  for v in rep.invariants]
     payload = {"algebra": alg.name, "case": rep.case_tag,
-               "invariants": invariants, "kernel_dim": rep.kernel_dim}
-    text = (f"{rep.case_tag}: invariants {invariants}, "
+               "invariants": rep.invariants, "kernel_dim": rep.kernel_dim}
+    text = (f"{rep.case_tag}: invariants {rep.invariants}, "
             f"kernel dim {rep.kernel_dim}")
     return CommandResult("ok", payload, text)
 

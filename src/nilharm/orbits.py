@@ -2,27 +2,26 @@
 
 Every case reads b_lambda(x, y) = lambda([x, y]) on v from the bracket
 table, through the cached skew pattern that every Pfaffian reads.
-Case 1 (free 2-step over R): a functional on Lambda^2 R^n is a real
-skew matrix; its K = SO(n) orbit is classified by the skew spectrum.
-Case 6 (over C): complex skew matrix under unitary congruence; the
-invariants are the paired singular values with the residual
-determinant phase folded into the last entry.  Both rank floors are
-relative to the largest entry, so t * lambda has lambda's orbit type
-for every t > 0.  Case 3 (octonion double): only functionals
-supported on the (e3, e6, e2) coordinates are in implemented
-normal-form reach; their l1 split drops (0, e3), on which
-Pf(lambda_a) = +-a1*(a1^2 + a2^2 + a3^2).  Every other split is the
-one find_codim_split finds.  Only the float routes (skew_spectrum,
-cases 1 and 6) import numpy.
+Case 1 (free 2-step over R): real skew M under K = SO(n) congruence,
+classified by its skew spectrum.  Case 6 (over C, n odd): complex skew
+M under K = SU(n).  A unit u in ker M gives D = I + (c - 1) conj(u)
+u^T, unitary with D M D^T = M and det D = c for |c| = 1, so the SU(n)
+orbits are the U(n) orbits, classified by the paired singular values
+of M (Youla 1961).  Even n gives the O(n) or U(n) invariants, not the
+sign or phase of Pf.  The rank floor is relative, so t * lambda has
+lambda's orbit type for every t > 0.  Case 3 (octonion double): only
+functionals on the (e3, e6, e2) coordinates are in normal-form reach;
+their l1 split drops (0, e3), on which Pf(lambda_a) = +-a1*(a1^2 +
+a2^2 + a3^2); every other split is find_codim_split's.  Only
+skew_spectrum and cases 1 and 6 import numpy.
 """
 
-import cmath
 import math
 from fractions import Fraction
 
 from .catalog import OCTDOUBLE_LAMBDA_SUPPORT
-from .pfaffian import (LinearFunctional, _pfaffian_expansion, _skew_form,
-                       b_matrix, is_square_integrable, pf_at)
+from .pfaffian import (LinearFunctional, _skew_form, b_matrix,
+                       is_square_integrable, pf_at)
 from .stepwise import find_codim_split
 
 SKEW_INPUT_TOL = 1e-12
@@ -39,8 +38,10 @@ def skew_spectrum(M):
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("skew_spectrum needs a square matrix")
-    scale = np.abs(M).max()
-    if np.abs(M + M.T).max() > SKEW_INPUT_TOL * scale:
+    scale = np.abs(M).max(initial=0.0)      # initial: M may be 0 x 0
+    if not math.isfinite(scale):            # a NaN entry gives NaN
+        raise ValueError("skew_spectrum needs finite entries")
+    if np.abs(M + M.T).max(initial=0.0) > SKEW_INPUT_TOL * scale:
         raise ValueError("matrix is not antisymmetric within 1e-12")
     eigs = np.linalg.eigvalsh(1j * M)
     positive = sorted(float(e) for e in eigs if e > RANK_TOL * scale)
@@ -108,7 +109,8 @@ def darboux_basis(M):
 
 
 class OrbitRepresentative:
-    """Orbit invariants for one of the three exceptional cases."""
+    """K-orbit invariants as plain floats, the sigmas ascending (cases 1
+    and 6) or (a1, a2, a3) (case 3); kernel_dim is complex on case 6."""
 
     __slots__ = ("case_tag", "invariants", "kernel_dim")
 
@@ -123,69 +125,35 @@ class OrbitRepresentative:
 
 
 def orbit_representative(alg, coeffs):
-    """Canonical orbit invariants of a concrete functional.
+    """K-orbit invariants of a concrete functional (module docstring).
 
-    Refuses coeffs whose length is not dim z, then dispatches on the
-    algebra family.  Cases 1 and 6 read b_lambda as the float form B
-    that pf_at fills with ints; over C, v = C^n in (u_p, iu_p)
-    coordinates, so the complex form is B[::2, ::2] + i B[::2, 1::2].
-    Case 6's phase is computed in a fixed eigenbasis gauge (eigenvectors
-    of M M^H, first nonzero component made real positive); it is
-    authoritative on the normal-form family lambda_a and reproducible
-    across runs.
+    Refuses coeffs of the wrong length or past the float range.  Cases
+    1 and 6 take skew_spectrum of the float form B that pf_at fills
+    with ints; over C, B realifies M in (u_p, iu_p) coordinates, so each
+    sigma of M appears twice in its spectrum, and each complex kernel
+    direction counts twice.
     """
     zdim = len(alg.center_indices)
     if len(coeffs) != zdim:
         raise ValueError(f"need {zdim} coefficients, got {len(coeffs)}")
     family = alg.meta.get("family")
+    if family not in ("free2step", "octdouble"):
+        raise ValueError(f"no orbit normal form implemented for {alg.name}")
+    try:
+        floats = [float(c) for c in coeffs]
+    except OverflowError:       # an int or Fraction past 1.8e308
+        floats = [math.inf]
+    if any(math.isinf(f) or f == 0 != c for f, c in zip(floats, coeffs)):
+        raise ValueError("a coefficient is too small or too large for a "
+                         "float, whose range is 5e-324 to 1.8e308")
     if family == "octdouble":
         return _case3_representative(alg, coeffs)
-    if family != "free2step":
-        raise ValueError(f"no orbit normal form implemented for {alg.name}")
     import numpy as np
-    B = np.array(_skew_form(alg, [float(c) for c in coeffs], 0.0,
-                            None).matrix)
+    B = np.array(_skew_form(alg, floats, 0.0, None).matrix)
+    positive, kernel_dim = skew_spectrum(B)
     if alg.meta["F"] == "R":
-        positive, kernel_dim = skew_spectrum(B)
         return OrbitRepresentative("case1", positive, kernel_dim)
-    M = np.empty((len(B) // 2,) * 2, dtype=complex)
-    M.real, M.imag = B[::2, ::2], B[::2, 1::2]
-    return _case6_representative(M)
-
-
-def _case6_representative(M):
-    """Case 6 on M scaled by 2^-e, e the binary exponent of its largest
-    part.  A power of two is exact, so M M^H cannot overflow, and the
-    answer is bit for bit the unscaled one wherever that does not."""
-    import numpy as np
-    n = M.shape[0]
-    parts = M.view(float)       # real and imaginary parts, interleaved
-    e = math.frexp(np.abs(parts).max())[1]
-    M = np.ldexp(parts, -e).view(complex)
-    eigvals, eigvecs = np.linalg.eigh(M @ M.conj().T)
-    floor = RANK_TOL * np.abs(M).max() ** 2
-    support = [k for k in range(n) if eigvals[k] > floor]
-    kernel_dim = n - len(support)
-    if not support:
-        return OrbitRepresentative("case6", [], n)
-    # paired singular values: sqrt of the doubled eigenvalues of M M^H
-    sigmas_all = sorted(math.ldexp(math.sqrt(float(eigvals[k])), e)
-                        for k in support)
-    if len(sigmas_all) % 2:
-        raise ValueError("odd support for a skew form; input is not skew")
-    sigmas = sigmas_all[::2]
-    W = eigvecs[:, support]
-    for col in range(W.shape[1]):
-        vec = W[:, col]
-        idx = int(np.argmax(np.abs(vec) > 1e-8))
-        phase = vec[idx] / abs(vec[idx])
-        W[:, col] = vec / phase
-    # the float congruence leaves rounding noise on the diagonal, which
-    # the expansion never reads; no exact skew check applies here
-    pf_val = _pfaffian_expansion(W.T @ M @ W, 0.0 + 0j, 1.0 + 0j)
-    phase = cmath.phase(pf_val)
-    invariants = list(sigmas[:-1]) + [(sigmas[-1], phase)]
-    return OrbitRepresentative("case6", invariants, kernel_dim)
+    return OrbitRepresentative("case6", positive[::2], kernel_dim // 2)
 
 
 def _case3_representative(alg, coeffs):

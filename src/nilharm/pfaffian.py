@@ -8,13 +8,12 @@ denominators) in integers and makes one division, by L^(n/2).  One
 Pfaffian serves every ring: cofactor expansion along the first index,
 memoized on index tuples, reading only the strict upper triangle.
 Entries need only *, +, - and truth as a nonzero test, so the same
-expansion runs on ints or Fractions (a concrete lambda), on Poly
+expansion runs on ints or Fractions (a concrete lambda) and on Poly
 entries (the symbolic matrix over the center coordinates, with int
 coefficients when the brackets are integral, as in every catalog
-algebra) and on complex floats (the case-6 phase in orbits).  Its
-cost is the number of index tuples it reaches: linear in n on the
-catalog's block-sparse forms, up to 2^n on a dense n x n.  Sign
-convention: Pf([[0, a], [-a, 0]]) = a, so Pf(M)^2 = det(M).
+algebra).  Its cost is the number of index tuples it reaches: linear
+in n on the catalog's block-sparse forms, up to 2^n on a dense n x n.
+Sign convention: Pf([[0, a], [-a, 0]]) = a, so Pf(M)^2 = det(M).
 
 pf_at is the one exact evaluator at a point, and decides square
 integrability (Pf not identically 0 on z*, Moore & Wolf): one nonzero
@@ -151,9 +150,8 @@ def _pfaffian_expansion(matrix, zero, one):
     Pf(i0, rest) = sum over t of (-1)^t m[i0][rest[t]] Pf(rest minus
     rest[t]), memoized on index tuples; only the strict upper triangle
     is read and zero entries are skipped.  zero and one are the ring's
-    identities: each sum starts from zero (not from a diagonal entry,
-    which a float form may carry as rounding noise), and the empty
-    tuple's Pfaffian is one.  No skew check is made.
+    identities: each sum starts from zero, not from a diagonal entry,
+    and the empty tuple's Pfaffian is one.  No skew check is made.
     """
     if len(matrix) % 2:
         return zero     # the expansion would take 2^n steps to find it

@@ -308,14 +308,28 @@ def test_orbit_subcommand():
                                            ("1e300,1e300,1,1,1,1",
                                             2 ** 0.5 * 1e300)])
 def test_case6_orbit_of_a_huge_functional(coeffs, sigma):
-    # unscaled, M M^H overflows: the zero orbit with numpy warnings,
-    # or "Eigenvalues did not converge"
+    # past ~1e154 a squared entry overflows: sigma must come from a
+    # route that squares none
     out = run_cli(["orbit", "free2step:3:C", "--coeffs", coeffs, "--json"])
     assert out.returncode == 0
     assert out.stderr == ""
     doc = json.loads(out.stdout)
     assert doc["kernel_dim"] == 1
-    assert doc["invariants"][0][0] == pytest.approx(sigma, rel=1e-12)
+    assert doc["invariants"][0] == pytest.approx(sigma, rel=1e-12)
+
+
+@pytest.mark.parametrize("algebra, coeffs", [
+    ("free2step:3:R", "1e-400,0,0"),
+    ("free2step:3:C", "1e-400,1e-400,0,0,0,0"),
+    ("octdouble", "0,1e-400,1e-400,0,0,0,0"),
+    ("free2step:3:R", "1e400,0,0")])
+def test_orbit_refuses_a_coefficient_outside_the_float_range(algebra, coeffs):
+    # 1e-400 would become 0.0 and answer the zero orbit (all three
+    # cases); 1e400 would overflow in float()
+    out = run_cli(["orbit", algebra, "--coeffs=" + coeffs])
+    assert out.returncode == 2
+    assert out.stderr == ("error: a coefficient is too small or too large "
+                          "for a float, whose range is 5e-324 to 1.8e308\n")
 
 
 @pytest.mark.parametrize("algebra, coeffs, zdim", [

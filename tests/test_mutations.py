@@ -9,6 +9,11 @@ today is a strict xfail naming ROADMAP item 3: the flat and stepwise
 inversion checks cancel c and |Pf| (inversion module docstring), so a
 wrong constant or Pfaffian passes them.  When a character computed
 without c and Pf lands, those rows pass and their markers go.
+
+Orbit cases 1 and 6 both read orbits.skew_spectrum, and criterion 9
+catches its sigmas doubled.  Criterion 9 reads no kernel_dim, so a
+wrong orbit kernel dimension fails no criterion; no planned item
+closes that, so it has no row.
 """
 
 import math
@@ -17,7 +22,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from nilharm import composition, inversion, quadrature, selftest
+from nilharm import composition, inversion, orbits, quadrature, selftest
 from nilharm.algebra import LieAlgebraData
 
 
@@ -142,6 +147,17 @@ def radial_jacobian_2_pi_r2(monkeypatch):
     monkeypatch.setattr(inversion, "math", SimpleNamespace(pi=math.pi / 2))
 
 
+def skew_spectrum_doubled(monkeypatch):
+    # every orbit sigma of cases 1 and 6 doubled, the kernel dim kept
+    spectrum = orbits.skew_spectrum
+
+    def doubled(M):
+        positive, kernel_dim = spectrum(M)
+        return [2 * a for a in positive], kernel_dim
+
+    monkeypatch.setattr(orbits, "skew_spectrum", doubled)
+
+
 def row(mutation, criterion, marks=(), raises=None):
     """raises: the message of the ValueError or RuntimeError by which
     the criterion refuses the mutation, if it does not return a fail."""
@@ -170,6 +186,7 @@ ROWS = [
     row(h1H_first_constant_negated, 9,
         raises="integrand is not rotation-invariant; refusing"),
     row(radial_jacobian_2_pi_r2, 9),
+    row(skew_spectrum_doubled, 9),
 ] + [row(mutation, criterion, ITEM_3)
      for mutation in (flat_constant_7, pf_polynomial_times_3)
      for criterion in (6, 7, 8)]

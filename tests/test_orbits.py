@@ -6,6 +6,7 @@ import math
 import random
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from math import prod
 
@@ -56,6 +57,35 @@ def test_skew_spectrum_orthogonal_invariance():
 def test_skew_spectrum_rejects_nonskew():
     with pytest.raises(ValueError):
         skew_spectrum(np.eye(3))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_skew_spectrum_refuses_a_non_finite_entry(bad):
+    # refused before numpy runs: no RuntimeWarning, and not "Eigenvalues
+    # did not converge"
+    M = np.array([[0.0, bad, 0.0], [-bad, 0.0, 1.0], [0.0, -1.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError,
+                           match="^skew_spectrum needs finite entries$"):
+            skew_spectrum(M)
+
+
+def test_skew_spectrum_of_the_empty_matrix():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert skew_spectrum(np.zeros((0, 0))) == ([], 0)
+
+
+def test_orbit_representative_refuses_a_non_finite_coefficient():
+    alg = free_two_step(3, "C")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError,
+                           match="^skew_spectrum needs finite entries$"):
+            orbit_representative(alg, [math.nan, 1, 0, 0, 0, 0])
+        with pytest.raises(ValueError, match="too large for a float"):
+            orbit_representative(alg, [1, math.inf, 0, 0, 0, 0])
 
 
 def test_darboux_basis_block_diagonalizes():
@@ -239,10 +269,12 @@ def doubled_first_bracket(name):
     """A copy of free2step:n:F whose [u1, u2] is doubled, with only the
     meta keys the orbit layer may read."""
     alg = from_name(name)
-    u1, u2 = alg.complement_indices[:2]
     F = alg.meta["F"]
-    first = {(u1, u2)} if F == "R" else {(i, j) for i in (u1, u1 + 1)
-                                         for j in (u2, u2 + 1)}
+    if F == "R":
+        first = {tuple(alg.complement_indices[:2])}
+    else:   # the real and imaginary coordinates of u1 and of u2
+        u1, u2 = alg.complement_indices[0:4:2]
+        first = {(i, j) for i in (u1, u1 + 1) for j in (u2, u2 + 1)}
     entries = [(i, j, k, 2 * c if (i, j) in first else c)
                for (i, j), row in alg.brackets().items() for k, c in row]
     return LieAlgebraData(alg.dim, alg.basis_labels, entries,
@@ -260,29 +292,18 @@ def test_orbits_read_the_brackets_of_the_algebra_given(name):
         coeffs = [0] * len(alg.center_indices)
         coeffs[0] = c
         rep = orbit_representative(alg, coeffs)
-        sigma = rep.invariants[-1]
-        assert (sigma if rep.case_tag == "case1" else sigma[0]) == want
+        assert rep.invariants[-1] == want
         assert rep.kernel_dim == 1
 
 
-def orbit_shape(rep):
-    """(case, kernel dim, sigmas, phases) of an orbit representative."""
-    sigmas = [v[0] if isinstance(v, tuple) else v for v in rep.invariants]
-    phases = [v[1] for v in rep.invariants if isinstance(v, tuple)]
-    return rep.case_tag, rep.kernel_dim, sigmas, phases
-
-
-def assert_scales(alg, lam, t, phases=True):
-    """t * lambda has lambda's orbit type, t times its sigmas and, when
-    phases is set, its phases."""
-    want = orbit_shape(orbit_representative(alg, lam))
-    got = orbit_shape(orbit_representative(alg, [t * float(c) for c in lam]))
-    assert got[:2] == want[:2]
-    assert len(got[2]) == len(want[2])
-    for a, b in zip(got[2], want[2]):
+def assert_scales(alg, lam, t):
+    """t * lambda has lambda's orbit type and t times its sigmas."""
+    want = orbit_representative(alg, lam)
+    got = orbit_representative(alg, [t * float(c) for c in lam])
+    assert (got.case_tag, got.kernel_dim) == (want.case_tag, want.kernel_dim)
+    assert len(got.invariants) == len(want.invariants)
+    for a, b in zip(got.invariants, want.invariants):
         assert abs(a - t * b) <= 1e-9 * t * b
-    for a, b in zip(got[3], want[3]) if phases else ():
-        assert abs(math.remainder(a - b, 2 * math.pi)) <= 1e-9
 
 
 @pytest.mark.parametrize("t", [1e-300, 1e-12, 1e-6, 1e6, 1e150, 1e300])
@@ -296,11 +317,7 @@ def test_orbit_type_is_invariant_under_scaling(t):
             for _ in range(3):
                 lam = [Fraction(rng.randint(-9, 9), rng.randint(1, 5))
                        for _ in alg.center_indices]
-                # case 6's phase is fixed by the eigenbasis gauge, which
-                # the paired sigmas of a generic lambda leave free past
-                # n = 2: it is compared on lambda_a, where it is
-                # authoritative
-                assert_scales(alg, lam, t, phases=n == 2)
+                assert_scales(alg, lam, t)
                 if F == "C":
                     a = [(lam[2 * k], lam[2 * k + 1]) for k in range(n // 2)]
                     assert_scales(alg, lambda_a(alg, a), t)
@@ -331,26 +348,102 @@ def test_case1_rotation_invariance():
     assert np.allclose(rep0.invariants, rep1.invariants, atol=1e-6)
 
 
-def test_case6_representative_sigma_and_phase():
+def test_case6_representative_sigma():
     alg = free_two_step(3, "C")
     rep = orbit_representative(alg, lambda_a(alg, [(3, 4)]))
     assert rep.case_tag == "case6"
     assert rep.kernel_dim == 1
-    # pinned bits: a conjugated or negated form moves the phase
-    assert rep.invariants == [(5.0, -2.214297435588181)]
+    # pinned bits of |3 + 4i| read off the realified 6 x 6 form
+    assert rep.invariants == [4.999999999999999]
 
 
-def test_case6_phase_is_pinned_on_seeded_functionals():
+def test_case6_sigmas_are_pinned_on_seeded_functionals():
     alg = free_two_step(5, "C")
     rng = random.Random(48)
-    want = [[3.757542381536963, (13.874648653243566, 2.9335227995329047)],
-            [4.6489905552859545, (9.87234904699742, 2.8660177357747)]]
+    want = [[3.7575423815369673, 13.874648653243565],
+            [4.6489905552859545, 9.872349046997419]]
     for invariants in want:
         coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 4))
                   for _ in alg.center_indices]
         rep = orbit_representative(alg, coeffs)
         assert rep.invariants == invariants
         assert rep.kernel_dim == 1
+
+
+def wedge_form(alg, coeffs):
+    """The n x n skew M of a free 2-step functional, built from the
+    wedge pairs: M[p, q] is the coefficient of u_p ^ u_q, complex over
+    C (its re/im pair)."""
+    n, pairs = alg.meta["n"], alg.meta["wedge_pairs"]
+    c = [float(x) for x in coeffs]
+    if alg.meta["F"] == "C":
+        c = [complex(c[2 * t], c[2 * t + 1]) for t in range(len(pairs))]
+    M = np.zeros((n, n), dtype=type(c[0]))
+    for t, (p, q) in enumerate(pairs):
+        M[p, q], M[q, p] = c[t], -c[t]
+    return M
+
+
+def wedge_coeffs(alg, M):
+    """The functional whose wedge_form is M."""
+    pairs = alg.meta["wedge_pairs"]
+    if alg.meta["F"] == "R":
+        return [float(M[p, q]) for p, q in pairs]
+    return [float(x) for p, q in pairs for x in (M[p, q].real, M[p, q].imag)]
+
+
+def random_special(rng, n, F):
+    """A random element of SO(n) (F = R) or SU(n) (F = C)."""
+    Z = rng.normal(size=(n, n))
+    if F == "C":
+        Z = Z + 1j * rng.normal(size=(n, n))
+    Q, _ = np.linalg.qr(Z)
+    if F == "R":
+        Q[:, 0] *= np.linalg.det(Q)
+        return Q
+    return Q / np.linalg.det(Q) ** (1 / n)
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+@pytest.mark.parametrize("F", ["R", "C"])
+def test_orbit_invariants_are_K_invariant(n, F):
+    # K = SO(n) on case 1 and SU(n) on case 6, acting by M -> U M U^T;
+    # for odd n a kernel vector of M absorbs the determinant phase, so
+    # the SU(n) orbit is the U(n) orbit and has no phase invariant
+    alg = free_two_step(n, F)
+    rng = np.random.default_rng(60 + n)
+    for _ in range(5):
+        lam = [int(c) for c in rng.integers(-9, 10, len(alg.center_indices))]
+        U = random_special(rng, n, F)
+        assert abs(np.linalg.det(U) - 1) <= 1e-12
+        M = wedge_form(alg, lam)
+        rep = orbit_representative(alg, lam)
+        moved = orbit_representative(alg, wedge_coeffs(alg, U @ M @ U.T))
+        assert moved.kernel_dim == rep.kernel_dim == 1
+        assert len(moved.invariants) == len(rep.invariants)
+        for a, b in zip(moved.invariants, rep.invariants):
+            assert abs(a - b) <= 1e-9 * b
+
+
+def test_case6_sigmas_are_the_singular_values_of_M():
+    # the oracle: numpy's SVD of the complex M, whose singular values
+    # come in equal pairs, plus a 0 for odd n
+    rng = random.Random(61)
+    for n in range(2, 8):
+        alg = free_two_step(n, "C")
+        for m in range(n // 2 + 1):
+            a = [(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(m)]
+            generic = [Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                       for _ in alg.center_indices]
+            for lam in (lambda_a(alg, a), generic):
+                rep = orbit_representative(alg, lam)
+                s = sorted(np.linalg.svd(wedge_form(alg, lam),
+                                         compute_uv=False))
+                want = [x for x in s[n % 2::2] if x > 1e-10 * s[-1]]
+                assert rep.kernel_dim == n - 2 * len(want)
+                assert len(rep.invariants) == len(want)
+                for got, x in zip(rep.invariants, want):
+                    assert abs(got - x) <= 1e-12 * s[-1]
 
 
 def test_case3_representative_support_rule():
