@@ -62,7 +62,7 @@ def heisenberg(n, F):
             f"heisenberg is defined over C, H, O, not {shown(F)}")
     if F == "O" and n != 1:
         raise CatalogError("octonionic Heisenberg appears only with n = 1")
-    d = {"C": 2, "H": 4, "O": 8}[F]
+    d = composition.DIM[F]
     zdim = d - 1
     dim = zdim + n * d
     _check_dim(dim, "heisenberg", n, F)
@@ -86,48 +86,33 @@ def heisenberg(n, F):
 def free_two_step(n, F):
     """Free 2-step algebra Lambda^2 F^n + F^n as a real Lie algebra.
 
-    For F = C this is the underlying real algebra of the complex one:
-    v gets real coordinates u_p, iu_p and the center gets re/im parts
-    of each wedge, with the bracket extended complex-bilinearly.
+    F = R or C, d = DIM[F]: v has the real coordinates u_p e_a, the
+    center those of each wedge, (e_m)(u_p ^ u_q) at index d*t + m for
+    the t-th pair, and [u_p e_a, u_q e_b] = (e_a e_b)(u_p ^ u_q) with
+    e_a e_b read from the octonion table: for C, the complex-bilinear
+    bracket of the underlying real algebra.
     """
     if n < 2:
         raise CatalogError("free 2-step needs n >= 2")
     if F not in ("R", "C"):
         raise CatalogError(
             f"free 2-step is defined over R and C, not {shown(F)}")
-    _check_dim((n * (n - 1) // 2 + n) * (1 if F == "R" else 2),
-               "free2step", n, F)
+    d = composition.DIM[F]
+    _check_dim((n * (n - 1) // 2 + n) * d, "free2step", n, F)
     pairs = [(p, q) for p in range(n) for q in range(p + 1, n)]
-    npairs = len(pairs)
-    pair_index = {pq: t for t, pq in enumerate(pairs)}
-    if F == "R":
-        zdim, vdim = npairs, n
-        labels = [f"u{p + 1}∧u{q + 1}" for p, q in pairs]
-        labels += [f"u{p + 1}" for p in range(n)]
-        entries = []
-        for (p, q), t in pair_index.items():
-            entries.append((zdim + p, zdim + q, t, 1))
-    else:
-        zdim, vdim = 2 * npairs, 2 * n
-        labels = []
-        for p, q in pairs:
-            labels.append(f"u{p + 1}∧u{q + 1}")
-            labels.append(f"i(u{p + 1}∧u{q + 1})")
-        for p in range(n):
-            labels.append(f"u{p + 1}")
-            labels.append(f"iu{p + 1}")
-        entries = []
-        for (p, q), t in pair_index.items():
-            re_z, im_z = 2 * t, 2 * t + 1
-            pr, pi = zdim + 2 * p, zdim + 2 * p + 1
-            qr, qi = zdim + 2 * q, zdim + 2 * q + 1
-            entries.extend([
-                (pr, qr, re_z, 1),    # [u_p, u_q] = u_p ^ u_q
-                (pr, qi, im_z, 1),    # [u_p, iu_q] = i(u_p ^ u_q)
-                (pi, qr, im_z, 1),
-                (pi, qi, re_z, -1),   # [iu_p, iu_q] = -(u_p ^ u_q)
-            ])
-    dim = zdim + vdim
+    zdim = d * len(pairs)
+    units = ("", "i")[:d]
+    labels = [f"{e}({w})" if e else w for w in
+              (f"u{p + 1}∧u{q + 1}" for p, q in pairs) for e in units]
+    labels += [f"{e}u{p + 1}" for p in range(n) for e in units]
+    entries = []
+    for t, (p, q) in enumerate(pairs):
+        for a in range(d):
+            for b in range(d):
+                sign, m = composition.TABLE[a][b]
+                entries.append((zdim + d * p + a, zdim + d * q + b,
+                                d * t + m, sign))
+    dim = zdim + d * n
     return LieAlgebraData(
         dim=dim,
         basis_labels=labels,
@@ -145,13 +130,13 @@ def octonion_double():
 
     Basis: z1..z7 = (e_k, 0) then v1..v7 = (0, e_k).
     """
+    m = composition.DIM["O"] - 1
     return LieAlgebraData(
-        dim=14,
-        basis_labels=[f"z{k}" for k in range(1, 8)]
-        + [f"v{k}" for k in range(1, 8)],
-        entries=_unit_brackets(range(1, 8), 6),
-        center_indices=range(7),
-        complement_indices=range(7, 14),
+        dim=2 * m,
+        basis_labels=[f"{x}{k}" for x in "zv" for k in range(1, m + 1)],
+        entries=_unit_brackets(range(1, m + 1), m - 1),
+        center_indices=range(m),
+        complement_indices=range(m, 2 * m),
         name="octdouble",
         meta={"family": "octdouble"},
     )
@@ -215,26 +200,24 @@ OCTDOUBLE_LAMBDA_SUPPORT = (2, 5, 1)
 def lambda_a(alg, a):
     """The special functionals lambda_a, as coefficients on the center basis.
 
-    free2step over R: sum a_k (u_{2k-1} ^ u_{2k})*.
-    free2step over C: same wedges, complex a_k given as (re, im) pairs
-    (a bare number means real); coefficients land on the re/im pair.
+    free2step: sum a_k (u_{2k-1} ^ u_{2k})*, a_k on the d = DIM[F]
+    coordinates of its wedge; over C a complex a_k is a (re, im) pair
+    or a complex (a bare number means real), over R it must be real.
     octdouble: a = (a1, a2, a3) on (e3,0)*, (e6,0)*, (e2,0)*.
     """
     family = alg.meta.get("family")
     zdim = len(alg.center_indices)
     coeffs = [Fraction(0)] * zdim
     if family == "free2step":
-        n = alg.meta["n"]
+        n, d = alg.meta["n"], composition.DIM[alg.meta["F"]]
         if 2 * len(a) > n:
             raise CatalogError(f"lambda_a needs 2*{len(a)} <= n = {n}")
         for k, val in enumerate(a):
             t = alg.meta["wedge_pairs"].index((2 * k, 2 * k + 1))
-            if alg.meta["F"] == "R":
-                coeffs[t] = Fraction(val)
-            else:
-                re_part, im_part = _split_complex(val)
-                coeffs[2 * t] = re_part
-                coeffs[2 * t + 1] = im_part
+            parts = _split_complex(val)
+            if any(parts[d:]):
+                raise CatalogError("free2step over R takes real a_k")
+            coeffs[d * t:d * t + d] = parts[:d]
         return coeffs
     if family == "octdouble":
         if len(a) != 3:
@@ -308,15 +291,10 @@ class CatalogEntry:
 
 
 def _hsum(*blocks):
-    # blocks: ("h", n, F) or ("ab", dim); builds the direct sum
-    built = []
-    for blk in blocks:
-        if blk[0] == "h":
-            built.append(heisenberg(blk[1], blk[2]))
-        else:
-            if blk[1] > 0:
-                built.append(abelian(blk[1]))
-    return direct_sum(*built)
+    # blocks: ("h", n, F) or ("ab", dim); an ("ab", dim <= 0) is left out
+    return direct_sum(*(heisenberg(*blk[1:]) if blk[0] == "h"
+                        else abelian(blk[1])
+                        for blk in blocks if blk[0] == "h" or blk[1] > 0))
 
 
 _TABLE_21 = [

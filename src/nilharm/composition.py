@@ -2,8 +2,9 @@
 
 The octonion product is generated from seven oriented triples plus the
 rules e0*x = x, ej^2 = -e0, and anticommutation of distinct imaginary
-units.  C and H sit inside O as the subalgebras spanned by {e0,e1} and
-{e0,e1,e2,e3}; the triple (1,2,3) makes the quaternion block close.
+units.  Each of R, C, H sits inside O as the subalgebra spanned by its
+first DIM[F] units: {e0}, {e0,e1}, {e0,e1,e2,e3}; the triple (1,2,3)
+makes the quaternion block close.
 
 The expanded 8x8 table is built once at import and checked against the
 generating rules by table_failures, the same check as criterion 1.
@@ -12,6 +13,9 @@ general C/H/O elements live only in the test suite's oracle.
 """
 
 from .config import read_number, shown
+
+# the composition algebras, each spanned by the table's first DIM[F] units
+DIM = {"R": 1, "C": 2, "H": 4, "O": 8}
 
 # positively oriented: each (a,b,c) means ea*eb = ec, cyclically
 TRIPLES = ((1, 2, 3), (3, 5, 6), (6, 7, 1), (1, 4, 5),

@@ -20,12 +20,14 @@ import math
 from fractions import Fraction
 
 from .catalog import OCTDOUBLE_LAMBDA_SUPPORT
+from .composition import DIM
 from .pfaffian import (LinearFunctional, _skew_form, b_matrix,
                        is_square_integrable, pf_at)
 from .stepwise import find_codim_split
 
 SKEW_INPUT_TOL = 1e-12
 RANK_TOL = 1e-10
+PAIR_TOL = 1e-9
 
 
 def skew_spectrum(M):
@@ -129,9 +131,11 @@ def orbit_representative(alg, coeffs):
 
     Refuses coeffs of the wrong length or past the float range.  Cases
     1 and 6 take skew_spectrum of the float form B that pf_at fills
-    with ints; over C, B realifies M in (u_p, iu_p) coordinates, so each
-    sigma of M appears twice in its spectrum, and each complex kernel
-    direction counts twice.
+    with ints; over F with d = DIM[F], B realifies M in (u_p e_a)
+    coordinates, so each sigma of M appears d times in its spectrum,
+    and each kernel direction of M counts d times.  A spectrum that does
+    not come in d equal values (within PAIR_TOL of the largest) is
+    refused: the bracket is then not F-bilinear.
     """
     zdim = len(alg.center_indices)
     if len(coeffs) != zdim:
@@ -151,9 +155,16 @@ def orbit_representative(alg, coeffs):
     import numpy as np
     B = np.array(_skew_form(alg, floats, 0.0, None).matrix)
     positive, kernel_dim = skew_spectrum(B)
-    if alg.meta["F"] == "R":
-        return OrbitRepresentative("case1", positive, kernel_dim)
-    return OrbitRepresentative("case6", positive[::2], kernel_dim // 2)
+    d = DIM[alg.meta["F"]]
+    top = max(positive, default=0.0)
+    # positive ascends, so a run of d values is equal when its ends are
+    if len(positive) % d or any(b - a > PAIR_TOL * top for a, b in
+                                zip(positive[::d], positive[d - 1::d])):
+        raise ValueError(f"the real skew spectrum {positive} does not come "
+                         "in equal pairs, so the bracket is not "
+                         "complex-bilinear")
+    return OrbitRepresentative("case1" if d == 1 else "case6",
+                               positive[::d], kernel_dim // d)
 
 
 def _case3_representative(alg, coeffs):

@@ -2,10 +2,11 @@
 
 b_lambda(x, y) = lambda([x, y]) on the complement v of the designated
 center.  Every form is filled from its pattern, the nonzero brackets
-[v_a, v_b] in center coordinates, checked and cached once per algebra
-and v ordering; pf_at fills the form of L * lambda (L the lcm of the
-denominators) in integers and makes one division, by L^(n/2).  One
-Pfaffian serves every ring: cofactor expansion along the first index,
+[v_a, v_b] in center coordinates, cached once per algebra and v
+ordering once _two_step_guard, run once per algebra, has found b_lambda
+a form modulo the center.  pf_at fills the form of L * lambda (L the
+lcm of the denominators) in integers and divides once, by L^(n/2).
+One Pfaffian serves every ring: cofactor expansion along the first index,
 memoized on index tuples, reading only the strict upper triangle.
 Entries need only *, +, - and truth as a nonzero test, so the same
 expansion runs on ints or Fractions (a concrete lambda) and on Poly
@@ -25,7 +26,7 @@ import math
 import random
 from fractions import Fraction
 
-from .algebra import center, nilpotency_class
+from .algebra import center, derived_inside_center
 from .polynomials import Poly
 
 
@@ -84,7 +85,8 @@ def _skew_form(alg, coeffs, zero, v_indices):
     # then does not depend on how the sparse rows are laid out
     key = None if v_indices is None else tuple(v_indices)
     v = alg.complement_indices if key is None else key
-    pattern = alg.cached(("skew_pattern", key), lambda a: _skew_pattern(a, v))
+    pattern = alg.cached(("skew_pattern", key), lambda a: a.cached(
+        "two_step", _two_step_guard) and _skew_pattern(a, v))
     n = len(v)
     matrix = [[zero] * n for _ in range(n)]
     for a, b, terms in pattern:
@@ -95,34 +97,35 @@ def _skew_form(alg, coeffs, zero, v_indices):
     return SkewForm(matrix)
 
 
+def _two_step_guard(alg):
+    """True when b_lambda is a form modulo the center, cached per
+    algebra.  Refuses, in this order, a designated center vector with a
+    nonzero bracket, a bracket outside the designated center, and a
+    computed center of another dimension; passing the first two means
+    class <= 2, and the third that the designated center is the center.
+    """
+    refusal = "the designated center is not the computed center"
+    if any(alg._rows[z] for z in alg.center_indices):
+        raise ValueError(f"{refusal} of the algebra")
+    if not derived_inside_center(alg):
+        zset = set(alg.center_indices)
+        i, j = next(ij for ij, row in alg.brackets().items()
+                    if any(k not in zset for k, _ in row))
+        raise ValueError(f"[{alg.basis_labels[i]},{alg.basis_labels[j]}] "
+                         "has a component outside the designated center")
+    if len(center(alg)) != len(alg.center_indices):
+        raise ValueError(f"{refusal} of the algebra")
+    return True
+
+
 def _skew_pattern(alg, v_indices):
     """((a, b, ((t, c), ...)), ...): the nonzero brackets [v_a, v_b],
-    a < b, as center coordinates t in increasing order.
-
-    Refuses an algebra whose designated center vectors do not span its
-    computed center: b_lambda is then not a form modulo the center.
-    """
-    if nilpotency_class(alg) > 2:
-        raise ValueError("b_matrix needs a 2-step (or abelian) algebra")
+    a < b, as center coordinates t in increasing order."""
     pos = {idx: t for t, idx in enumerate(alg.center_indices)}
     n = len(v_indices)
-    pattern = []
-    for a in range(n):
-        for b in range(a + 1, n):
-            row = alg.bracket_row(v_indices[a], v_indices[b])
-            if any(k not in pos for k, _ in row):
-                raise ValueError(
-                    f"[{alg.basis_labels[v_indices[a]]},"
-                    f"{alg.basis_labels[v_indices[b]]}] has a component "
-                    "outside the designated center")
-            if row:
-                pattern.append((a, b, tuple(sorted((pos[k], c)
-                                                   for k, c in row))))
-    if (len(center(alg)) != len(alg.center_indices)
-            or any(alg._rows[z] for z in alg.center_indices)):
-        raise ValueError("the designated center is not the computed "
-                         "center of the algebra")
-    return tuple(pattern)
+    return tuple((a, b, tuple(sorted((pos[k], c) for k, c in row)))
+                 for a in range(n) for b in range(a + 1, n)
+                 if (row := alg.bracket_row(v_indices[a], v_indices[b])))
 
 
 def pfaffian(form):

@@ -45,17 +45,10 @@ def criterion_1(seed=0):
 
 
 def _constructible():
-    algs = []
-    for n in range(1, 5):
-        algs.append(heisenberg(n, "C"))
-    for n in range(1, 4):
-        algs.append(heisenberg(n, "H"))
-    algs.append(heisenberg(1, "O"))
-    for n in range(2, 6):
-        algs.append(free_two_step(n, "R"))
-        algs.append(free_two_step(n, "C"))
-    algs.append(octonion_double())
-    return algs
+    return ([heisenberg(n, "C") for n in range(1, 5)]
+            + [heisenberg(n, "H") for n in range(1, 4)] + [heisenberg(1, "O")]
+            + [free_two_step(n, F) for n in range(2, 6) for F in "RC"]
+            + [octonion_double()])
 
 
 def criterion_2(seed=0):

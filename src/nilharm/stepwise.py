@@ -14,7 +14,7 @@ an even one, since only an even v1 can have a nonzero Pfaffian.
 
 from itertools import combinations
 
-from .catalog import free_two_step, octonion_double
+from .catalog import get_entry
 from .config import shown
 from .pfaffian import is_square_integrable
 
@@ -92,30 +92,21 @@ def case_number(tag):
 
 
 def decompose(case_tag, n=None):
-    """The split that the search finds for one of the three exceptional
-    families: free_two_step(n, R) for case1 and free_two_step(n, C) for
-    case6, n odd, and octonion_double for case3.
-
-    The search drops the last generator of case1, both real coordinates
-    of the last complex generator of case6, and (0, e7) of case3, where
-    orbits.l1_complement_indices alone drops (0, e3).  The odd-n check
-    excludes the square-integrable sizes, so find_codim_split's refusal
-    is not re-run.
-    """
+    """The split that the search finds for case k, built as Table 2.1
+    row k: free2step over R (1) or C (6), n odd and 3 by default, and
+    the octonion double (3), which takes no n.  The search drops the
+    last generator of case1, both real coordinates of the last one of
+    case6, and (0, e7) of case3, where orbits.l1_complement_indices
+    alone drops (0, e3).  The odd-n check excludes the square-integrable
+    sizes, so find_codim_split's refusal is not re-run."""
     case = case_number(case_tag)
-    if case in (1, 6):
-        n = 3 if n is None else int(n)
-        if n % 2 == 0 or n < 3:
-            raise ValueError(f"case{case} requires odd n >= 3")
-        alg = free_two_step(n, "R" if case == 1 else "C")
-    elif case == 3:
-        if n is not None:
-            raise ValueError("case3 takes no size parameter")
-        alg = octonion_double()
-    else:
+    if case is None:
         raise ValueError(f"unsupported case tag {shown(case_tag)}; "
                          "expected case1, case6, or case3")
-    return _first_split(alg)
+    entry = get_entry("2.1", case)
+    if n is not None and "n" in entry.params and n % 2 == 0:
+        raise ValueError(f"case{case} requires odd n >= 3")
+    return _first_split(entry.build(**({} if n is None else {"n": n})))
 
 
 def find_codim_split(alg):
@@ -136,10 +127,6 @@ def _first_split(alg):
     for dropped in reversed(list(combinations(comp, 2 - len(comp) % 2))):
         dec = StepwiseDecomposition(
             alg, [i for i in range(alg.dim) if i not in dropped], dropped)
-        try:
-            flags = verify(dec)
-        except ValueError:
-            continue
-        if all(flags.values()):
+        if all(verify(dec).values()):
             return dec
     return None

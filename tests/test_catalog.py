@@ -32,6 +32,49 @@ def test_free_two_step_dimensions():
     assert len(algc.center_indices) == 6
 
 
+def free_two_step_by_hand(n, F):
+    """Lambda^2 F^n + F^n with the R and C realifications written out:
+    the oracle for the one loop over the octonion table."""
+    pairs = [(p, q) for p in range(n) for q in range(p + 1, n)]
+    if F == "R":
+        zdim, vdim = len(pairs), n
+        labels = [f"u{p + 1}∧u{q + 1}" for p, q in pairs]
+        labels += [f"u{p + 1}" for p in range(n)]
+        entries = [(zdim + p, zdim + q, t, 1)
+                   for t, (p, q) in enumerate(pairs)]
+    else:
+        zdim, vdim = 2 * len(pairs), 2 * n
+        labels = []
+        for p, q in pairs:
+            labels += [f"u{p + 1}∧u{q + 1}", f"i(u{p + 1}∧u{q + 1})"]
+        for p in range(n):
+            labels += [f"u{p + 1}", f"iu{p + 1}"]
+        entries = []
+        for t, (p, q) in enumerate(pairs):
+            pr, qr = zdim + 2 * p, zdim + 2 * q
+            entries += [(pr, qr, 2 * t, 1),            # [u_p, u_q]
+                        (pr, qr + 1, 2 * t + 1, 1),    # [u_p, iu_q]
+                        (pr + 1, qr, 2 * t + 1, 1),    # [iu_p, u_q]
+                        (pr + 1, qr + 1, 2 * t, -1)]   # [iu_p, iu_q]
+    dim = zdim + vdim
+    return LieAlgebraData(dim, labels, entries, range(zdim),
+                          range(zdim, dim), name=f"free2step:{n}:{F}",
+                          meta={"family": "free2step", "n": n, "F": F,
+                                "wedge_pairs": tuple(pairs)})
+
+
+@pytest.mark.parametrize("F", ["R", "C"])
+@pytest.mark.parametrize("n", range(2, 8))
+def test_free_two_step_matches_the_written_out_realification(n, F):
+    got, want = free_two_step(n, F), free_two_step_by_hand(n, F)
+    for attr in ("dim", "basis_labels", "center_indices",
+                 "complement_indices", "name", "meta"):
+        assert getattr(got, attr) == getattr(want, attr), attr
+    # the rows, in insertion order too
+    assert [list(row.items()) for row in got._rows] == \
+        [list(row.items()) for row in want._rows]
+
+
 def test_octonion_double_shape():
     alg = octonion_double()
     assert alg.dim == 14
@@ -137,6 +180,10 @@ def test_lambda_a_free_real_layout():
     assert sum(1 for c in coeffs if c != 0) == 2
     with pytest.raises(CatalogError):
         lambda_a(alg, [1, 1, 1])
+    # a complex coefficient is refused over R, a real one accepted
+    with pytest.raises(CatalogError, match="over R takes real a_k"):
+        lambda_a(alg, [(1, 2)])
+    assert lambda_a(alg, [(2, 0), complex(-3, 0)]) == coeffs
 
 
 def test_lambda_a_complex_split():

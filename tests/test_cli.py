@@ -593,6 +593,21 @@ def test_checked_types_keep_their_messages_on_short_tokens():
     assert invoke(["decompose", "case1", "--n", "5"]).exit_code == 0
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["decompose", "case3", "--n", "3"],
+     "error: unknown parameter 'n' for table 2.1 row 3"),
+    (["decompose", "case3", "--n", "4"],
+     "error: unknown parameter 'n' for table 2.1 row 3"),
+    (["decompose", "case1", "--n", "1"], "error: free 2-step needs n >= 2"),
+    (["decompose", "case6", "--n", "-1"], "error: free 2-step needs n >= 2"),
+    (["decompose", "case1", "--n", "4"], "error: case1 requires odd n >= 3"),
+])
+def test_decompose_sizes_are_refused_as_table_2_1_builds_them(argv, message):
+    res = invoke(argv)
+    assert res.exit_code == 2
+    assert res.human_text == message
+
+
 def test_parts_within_the_digit_limit_still_parse():
     # Fraction reads the integer and fractional parts with one int()
     # each, so two 3000-digit parts are within the limit

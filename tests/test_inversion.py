@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from nilharm import inversion, stepwise
+from nilharm import catalog, inversion
 from nilharm.algebra import bracket
 from nilharm.catalog import free_two_step, from_name, heisenberg
 from nilharm.config import DEFAULTS
@@ -593,8 +593,8 @@ def test_stepwise_envelope_is_the_slice_transforms(monkeypatch, case):
 
 def test_invert_stepwise_builds_each_case_once(monkeypatch):
     built = []
-    octonion_double = stepwise.octonion_double
-    monkeypatch.setattr(stepwise, "octonion_double",
+    octonion_double = catalog.octonion_double
+    monkeypatch.setattr(catalog, "octonion_double",
                         lambda: built.append(1) or octonion_double())
     inversion._decomposition.cache_clear()
     f = GaussianTestFunction.standard(14)

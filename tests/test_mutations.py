@@ -10,6 +10,10 @@ inversion checks cancel c and |Pf| (inversion module docstring), so a
 wrong constant or Pfaffian passes them.  When a character computed
 without c and Pf lands, those rows pass and their markers go.
 
+Criterion 10 is the byte-identity of two `selftest --json` outputs, a
+check with no entry in selftest.CRITERIA: its row puts a clock reading
+into criterion 1's detail and runs `cli.run` twice in-process.
+
 Orbit cases 1 and 6 both read orbits.skew_spectrum, and criterion 9
 catches its sigmas doubled.  Criterion 9 reads no kernel_dim, so a
 wrong orbit kernel dimension fails no criterion; no planned item
@@ -17,12 +21,13 @@ closes that, so it has no row.
 """
 
 import math
+import time
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from nilharm import composition, inversion, orbits, quadrature, selftest
+from nilharm import cli, composition, inversion, orbits, quadrature, selftest
 from nilharm.algebra import LieAlgebraData
 
 
@@ -208,3 +213,12 @@ def test_criterion_1_names_the_products_the_flip_breaks(monkeypatch):
     octonion_sign_1_2_flipped(monkeypatch)
     assert selftest.CRITERIA[1]()["detail"] == (
         "e1e2 != e3; e1e2 != -e2e1; e2e1 != -e1e2")
+
+
+def test_a_clock_reading_in_a_detail_fails_criterion_10(monkeypatch):
+    argv = ["selftest", "--only", "1", "--json"]
+    assert cli.run(argv).human_text == cli.run(argv).human_text
+    criterion_1 = selftest.CRITERIA[1]
+    monkeypatch.setitem(selftest.CRITERIA, 1, lambda seed=0: dict(
+        criterion_1(seed), detail=f"{time.perf_counter_ns()} ns"))
+    assert cli.run(argv).human_text != cli.run(argv).human_text

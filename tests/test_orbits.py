@@ -296,6 +296,23 @@ def test_orbits_read_the_brackets_of_the_algebra_given(name):
         assert rep.kernel_dim == 1
 
 
+def test_case6_refuses_a_bracket_that_is_not_complex_bilinear():
+    # only [u1, u2] and [iu1, u2] doubled, not [u1, iu2] and [iu1, iu2]:
+    # the real spectrum at (u1 ^ u2)* is [1, 2], which pairs no sigma
+    alg = from_name("free2step:3:C")
+    u1, u2 = alg.complement_indices[0:4:2]
+    half = {(u1, u2), (u1 + 1, u2)}
+    entries = [(i, j, k, 2 * c if (i, j) in half else c)
+               for (i, j), row in alg.brackets().items() for k, c in row]
+    copy = LieAlgebraData(alg.dim, alg.basis_labels, entries,
+                          center_indices=alg.center_indices,
+                          complement_indices=alg.complement_indices,
+                          meta={"family": "free2step", "F": "C"})
+    with pytest.raises(ValueError, match=r"spectrum \[1\.0, 2\.0\] does "
+                       "not come in equal pairs"):
+        orbit_representative(copy, [1, 0, 0, 0, 0, 0])
+
+
 def assert_scales(alg, lam, t):
     """t * lambda has lambda's orbit type and t times its sigmas."""
     want = orbit_representative(alg, lam)

@@ -11,11 +11,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nilharm import linalg
+from nilharm import algebra, linalg
 from nilharm.algebra import LieAlgebraData, center, nilpotency_class
 from nilharm.catalog import (abelian, free_two_step, from_name, heisenberg,
                              lambda_a, list_entries, octonion_double)
-from nilharm.orbits import l1_complement_indices, pf_nonsingular
+from nilharm.orbits import (l1_complement_indices, orbit_representative,
+                            pf_nonsingular)
 from nilharm.pfaffian import (LinearFunctional, _pfaffian_expansion,
                               b_matrix, b_matrix_poly,
                               is_square_integrable, pf_at, pf_polynomial,
@@ -84,18 +85,16 @@ def test_pfaffian_return_type_follows_the_ring():
                    + mixed[0][3] * mixed[1][2])
 
 
-def test_complex_expansion_squares_to_the_determinant():
-    rng = np.random.default_rng(46)
+def test_expansion_reads_only_the_strict_upper_triangle():
+    # junk on the diagonal and below it changes no value
+    rng = random.Random(46)
     for n in (2, 4, 6):
-        A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        M = A - A.T
-        pf = _pfaffian_expansion(M, 0j, 1 + 0j)
-        det = np.linalg.det(M)
-        assert abs(pf * pf - det) <= 1e-12 * max(1.0, abs(det))
-        # only the strict upper triangle is read: noise on the diagonal,
-        # as a float congruence leaves it, changes no bit
-        noisy = M + np.diag(rng.normal(size=n) * 1e-9)
-        assert _pfaffian_expansion(noisy, 0j, 1 + 0j) == pf
+        M = [[int(60 * x) for x in row] for row in rand_skew(rng, n)]
+        pf = _pfaffian_expansion(M, 0, 1)
+        assert type(pf) is int and pf ** 2 == linalg.det(M)
+        junk = [[M[i][j] if i < j else rng.randint(-9, 9)
+                 for j in range(n)] for i in range(n)]
+        assert _pfaffian_expansion(junk, 0, 1) == pf
 
 
 def test_pf_at_matches_the_symbolic_pfaffian():
@@ -439,6 +438,52 @@ def test_a_designated_center_vector_with_a_bracket_is_refused():
                          center_indices=(0,), complement_indices=(1, 2))
     with pytest.raises(ValueError, match="designated center is not"):
         b_matrix(alg, LinearFunctional(alg, coeffs=[1]))
+
+
+def test_a_three_step_algebra_is_refused_by_the_guard_order():
+    # [x1, x2] = z, [x1, z] = w: class 3.  With z and w designated
+    # central, z has a bracket; with w alone, [x1, x2] leaves the
+    # designated center
+    alg = LieAlgebraData(4, ["x1", "x2", "z", "w"],
+                         [(0, 1, 2, 1), (0, 2, 3, 1)],
+                         center_indices=(2, 3), complement_indices=(0, 1))
+    assert nilpotency_class(alg) == 3
+    with pytest.raises(ValueError, match="designated center is not"):
+        pf_at(alg, [1, 1])
+    alg = LieAlgebraData(4, ["x1", "x2", "z", "w"],
+                         [(0, 1, 2, 1), (0, 2, 3, 1)],
+                         center_indices=(3,), complement_indices=(0, 1, 2))
+    with pytest.raises(ValueError, match=r"^\[x1,x2\] has a component "
+                       "outside the designated center$"):
+        pf_at(alg, [1])
+
+
+def test_the_two_step_guard_runs_once_per_algebra(monkeypatch):
+    module = importlib.import_module("nilharm.pfaffian")
+    guard, calls = module._two_step_guard, []
+    monkeypatch.setattr(module, "_two_step_guard",
+                        lambda alg: calls.append(alg.name) or guard(alg))
+    alg = from_name("free2step:5:C")
+    assert find_codim_split(alg) is not None
+    pf_at(alg, [1] * len(alg.center_indices))
+    assert calls == ["free2step:5:C"]
+
+
+def test_skew_forms_read_no_nilpotency_class(monkeypatch):
+    # the guard's first two checks give class <= 2 on their own
+    def refuse(alg):
+        raise AssertionError("the nilpotency class was computed")
+
+    monkeypatch.setattr(algebra, "_nilpotency_class", refuse)
+    for entry in list_entries(constructible=True):
+        alg = entry.build()
+        pf_at(alg, [1] * len(alg.center_indices))
+        if not is_square_integrable(alg):
+            assert find_codim_split(alg) is not None
+        family = alg.meta.get("family")
+        if family in ("free2step", "octdouble"):
+            a = [1, 2, 3] if family == "octdouble" else [1]
+            orbit_representative(alg, lambda_a(alg, a))
 
 
 def rational_two_step():
