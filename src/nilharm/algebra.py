@@ -154,8 +154,14 @@ def jacobi_defect(alg):
 
 
 def derived_subalgebra(alg):
-    """Reduced-echelon basis of [n, n]."""
-    return linalg.rref(alg.brackets().values(), alg.dim)[0]
+    """Reduced-echelon basis of [n, n], rref of its cached echelon."""
+    rows = _derived_echelon(alg).values()
+    return linalg.rref((row.items() for row in rows), alg.dim)[0]
+
+
+def _derived_echelon(alg):
+    # [n, n] = C^2 as {pivot: primitive integer row}, once per algebra
+    return alg.cached("C2", lambda a: linalg.echelon(a.brackets().values()))
 
 
 def derived_inside_center(alg):
@@ -193,9 +199,9 @@ def _nilpotency_class(alg):
     # either loses dimension at every step or has stalled for good.
     # C^2 is spanned by the bracket rows, and [n, w] by the [b_i, w]
     # with b_i bracketing some b_k in w's support.  Each C^k is kept as
-    # the pivot rows of its integer echelon.
+    # the pivot rows of its integer echelon, C^2 the cached one.
     size, step = alg.dim, 1
-    current = linalg.echelon(alg.brackets().values())
+    current = _derived_echelon(alg)
     while current:
         if len(current) == size:
             raise ValueError("algebra is not nilpotent")

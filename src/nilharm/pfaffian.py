@@ -6,14 +6,13 @@ center.  Every form is filled from its pattern, the nonzero brackets
 ordering once _two_step_guard, run once per algebra, has found b_lambda
 a form modulo the center.  pf_at fills the form of L * lambda (L the
 lcm of the denominators) in integers and divides once, by L^(n/2).
-One Pfaffian serves every ring: cofactor expansion along the first index,
-memoized on index tuples, reading only the strict upper triangle.
-Entries need only *, +, - and truth as a nonzero test, so the same
-expansion runs on ints or Fractions (a concrete lambda) and on Poly
-entries (the symbolic matrix over the center coordinates, with int
-coefficients when the brackets are integral, as in every catalog
-algebra).  Its cost is the number of index tuples it reaches: linear
-in n on the catalog's block-sparse forms, up to 2^n on a dense n x n.
+Pfaffians expand along the first index, memoized on index tuples,
+reading only the strict upper triangle: one numeric expansion, on ints
+(pf_at) or Fractions, and one symbolic kernel, on Poly entries or
+straight off the pattern (pf_polynomial), whose monomials are packed
+into ints, so a product of monomials is one int addition.  The cost is
+the number of index tuples reached: linear in n on the catalog's
+block-sparse forms, up to 2^n on a dense n x n.
 Sign convention: Pf([[0, a], [-a, 0]]) = a, so Pf(M)^2 = det(M).
 
 pf_at is the one exact evaluator at a point, and decides square
@@ -27,7 +26,8 @@ import random
 from fractions import Fraction
 
 from .algebra import center, derived_inside_center
-from .polynomials import Poly
+from .config import shown
+from .polynomials import Poly, _add_terms
 
 
 class LinearFunctional:
@@ -83,11 +83,7 @@ def _skew_form(alg, coeffs, zero, v_indices):
     # entry (a, b) = sum over t of coeffs[t] * [b_a, b_b]_t, summed in
     # increasing t: a Poly's term order, which evaluate_float sums in,
     # then does not depend on how the sparse rows are laid out
-    key = None if v_indices is None else tuple(v_indices)
-    v = alg.complement_indices if key is None else key
-    pattern = alg.cached(("skew_pattern", key), lambda a: a.cached(
-        "two_step", _two_step_guard) and _skew_pattern(a, v))
-    n = len(v)
+    n, pattern = _cached_pattern(alg, v_indices)
     matrix = [[zero] * n for _ in range(n)]
     for a, b, terms in pattern:
         val = zero
@@ -118,14 +114,25 @@ def _two_step_guard(alg):
     return True
 
 
+def _cached_pattern(alg, v_indices):
+    key = None if v_indices is None else tuple(v_indices)
+    v = alg.complement_indices if key is None else key
+    return alg.cached(("skew_pattern", key), lambda a: a.cached(
+        "two_step", _two_step_guard) and _skew_pattern(a, v))
+
+
 def _skew_pattern(alg, v_indices):
-    """((a, b, ((t, c), ...)), ...): the nonzero brackets [v_a, v_b],
-    a < b, as center coordinates t in increasing order."""
-    pos = {idx: t for t, idx in enumerate(alg.center_indices)}
+    """(n, ((a, b, ((t, c), ...)), ...)): n distinct complement indices
+    and their nonzero brackets, center coordinates t increasing."""
     n = len(v_indices)
-    return tuple((a, b, tuple(sorted((pos[k], c) for k, c in row)))
-                 for a in range(n) for b in range(a + 1, n)
-                 if (row := alg.bracket_row(v_indices[a], v_indices[b])))
+    if len({i for i in v_indices if isinstance(i, int)
+            and i in alg.complement_indices}) < n:
+        raise ValueError(f"v_indices {shown(list(v_indices))} are not "
+                         "distinct indices of the complement basis")
+    pos = {idx: t for t, idx in enumerate(alg.center_indices)}
+    return n, tuple((a, b, tuple(sorted((pos[k], c) for k, c in row)))
+                    for a in range(n) for b in range(a + 1, n)
+                    if (row := alg.bracket_row(v_indices[a], v_indices[b])))
 
 
 def pfaffian(form):
@@ -138,17 +145,23 @@ def pfaffian(form):
     n = len(matrix)
     if any(matrix[i][j] + matrix[j][i] for i in range(n) for j in range(i, n)):
         raise ValueError("matrix is not antisymmetric")
-    poly = next((x for row in matrix for x in row if isinstance(x, Poly)),
-                None)
-    if poly is None:
-        zero, one = Fraction(0), Fraction(1)
-    else:
-        zero, one = Poly.zero(poly.nvars), Poly.constant(poly.nvars, 1)
-    return _pfaffian_expansion(matrix, zero, one)
+    polys = [x for row in matrix for x in row if isinstance(x, Poly)]
+    if not polys:
+        return _pfaffian_expansion(matrix, Fraction(0), Fraction(1))
+    if len({p.nvars for p in polys}) > 1:
+        raise ValueError("variable count mismatch")
+    # no exponent of Pf passes n/2 times the largest exponent of an entry
+    width = (n // 2 * max((e for p in polys for mono in p.terms
+                           for e in mono), default=0)).bit_length()
+    return _symbolic_pfaffian(n, polys[0].nvars, width, (
+        (i, j, [(sum(e << width * k for k, e in enumerate(mono)), c)
+                for mono, c in x.terms.items()]
+         if isinstance(x, Poly) else [(0, x)])
+        for i in range(n) for j in range(i + 1, n) if (x := matrix[i][j])))
 
 
 def _pfaffian_expansion(matrix, zero, one):
-    """Pf of a skew matrix by expansion along its first index.
+    """Pf of a skew matrix of numbers by expansion along its first index.
 
     Pf(i0, rest) = sum over t of (-1)^t m[i0][rest[t]] Pf(rest minus
     rest[t]), memoized on index tuples; only the strict upper triangle
@@ -158,14 +171,11 @@ def _pfaffian_expansion(matrix, zero, one):
     """
     if len(matrix) % 2:
         return zero     # the expansion would take 2^n steps to find it
-    memo = {}
+    memo = {(): one}
 
     def pf(indices):
-        if not indices:
-            return one
-        cached = memo.get(indices)
-        if cached is not None:
-            return cached
+        if indices in memo:
+            return memo[indices]
         row = matrix[indices[0]]
         rest = indices[1:]
         total = zero
@@ -194,12 +204,45 @@ def pf_polynomial(alg, v_indices=None):
 
 
 def _pf_polynomial(alg, v_indices):
-    # the form is skew by construction, so the expansion runs unchecked
-    zdim = len(alg.center_indices)
-    coeffs = [Poly.variable(zdim, t) for t in range(zdim)]
-    zero = Poly.zero(zdim)
-    matrix = _skew_form(alg, coeffs, zero, v_indices).matrix
-    return _pfaffian_expansion(matrix, zero, Poly.constant(zdim, 1))
+    # entry (a, b) is sum over t of c * t_t: an exponent of Pf is <= n/2
+    n, pattern = _cached_pattern(alg, v_indices)
+    width = (n // 2).bit_length()
+    return _symbolic_pfaffian(n, len(alg.center_indices), width, (
+        (a, b, [(1 << width * t, c) for t, c in terms])
+        for a, b, terms in pattern))
+
+
+def _symbolic_pfaffian(n, nvars, width, entries):
+    """Pf in nvars variables, from the nonzero (i, j, [(monomial, c), ...])
+    with i < j, t_k^e packed as e << width * k: _pfaffian_expansion in
+    Poly arithmetic's term order, each term built in full, then merged."""
+    if n % 2:
+        return Poly.zero(nvars)
+    rows = [{} for _ in range(n)]
+    for i, j, terms in entries:
+        rows[i][j] = terms
+    memo = {(): {0: 1}}
+
+    def pf(indices):
+        if indices in memo:
+            return memo[indices]
+        row, rest, total = rows[indices[0]], indices[1:], {}
+        for t, j in enumerate(rest):
+            if j not in row:
+                continue
+            sub = pf(rest[:t] + rest[t + 1:]).items()
+            term = _add_terms({}, ((m1 + m2, c1 * c2)
+                                   for m1, c1 in row[j] for m2, c2 in sub))
+            _add_terms(total, ((m, -c) for m, c in term.items())
+                       if t % 2 else term.items())
+        memo[indices] = total
+        return total
+
+    total = pf(tuple(range(n)))
+    del pf      # pf refers to itself: free memo and rows now, not at gc
+    mask = (1 << width) - 1
+    return Poly._of(nvars, {tuple(m >> width * k & mask for k in range(nvars)):
+                            c for m, c in total.items()})
 
 
 def pf_at(alg, coeffs, v_indices=None):

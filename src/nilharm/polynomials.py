@@ -1,15 +1,26 @@
 """Sparse multivariate polynomials with int or Fraction coefficients.
 
-Just enough ring arithmetic for symbolic Pfaffians of the catalog
-algebras (at most 7 variables, degree <= 7).  Monomials are exponent
-tuples; the zero polynomial is the empty dict.  A coefficient is an
-int when it is integral and a Fraction otherwise (algebra._exact), so
-the Pfaffians of the catalog's integer brackets expand in ints.
+Symbolic Pfaffians come out as Polys, one variable per center
+coordinate (42 on free2step:7:C).  Monomials are exponent tuples; the
+zero polynomial is the empty dict.  A coefficient is an int when it is
+integral and a Fraction otherwise (algebra._exact), so the Pfaffians of
+the catalog's integer brackets expand in ints.
 """
 
-from operator import add, sub
+from operator import add
 
 from .algebra import _exact
+
+
+def _add_terms(out, pairs):
+    # one pair at a time, a zero sum deleted: every Poly's term order
+    for mono, c in pairs:
+        s = out.get(mono, 0) + c
+        if s:
+            out[mono] = s
+        else:
+            del out[mono]
+    return out
 
 
 class Poly:
@@ -60,42 +71,24 @@ class Poly:
         return NotImplemented
 
     def __add__(self, other):
-        return self._combine(other, add)
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        return self._combine(other, sub)
+        return self._combine(other, -1)
 
-    def _combine(self, other, op):
+    def _combine(self, other, sign):
         # other's new monomials go last, so a sum keeps self's term order
-        other = self._coerce(other)
-        out = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            s = op(out.get(mono, 0), coeff)
-            if s:
-                out[mono] = s
-            else:
-                del out[mono]
-        return Poly._of(self.nvars, out)
+        pairs = ((m, sign * c) for m, c in self._coerce(other).terms.items())
+        return Poly._of(self.nvars, _add_terms(dict(self.terms), pairs))
 
     def __neg__(self):
         return Poly._of(self.nvars, {m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other):
-        if not isinstance(other, Poly):
-            c = _exact(other)
-            return Poly._of(self.nvars, {m: k * c for m, k
-                                         in self.terms.items()} if c else {})
-        other = self._coerce(other)
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = tuple(map(add, m1, m2))
-                s = out.get(mono, 0) + c1 * c2
-                if s:
-                    out[mono] = s
-                else:
-                    del out[mono]
-        return Poly._of(self.nvars, out)
+        theirs = self._coerce(other).terms.items()
+        return Poly._of(self.nvars, _add_terms({}, (
+            (tuple(map(add, m1, m2)), c1 * c2)
+            for m1, c1 in self.terms.items() for m2, c2 in theirs)))
 
     __radd__ = __add__
     __rmul__ = __mul__
@@ -121,7 +114,7 @@ class Poly:
         if points.ndim == 1:
             points = points[None, :]
         # each term is coeff * x_j^e_j * ... in increasing j, summed in
-        # the dict's term order: pfaffian._skew_form relies on that order
+        # the dict's term order: pfaffian keeps a Poly expansion's order
         out = np.zeros(points.shape[0])
         for mono, coeff in self.terms.items():
             term = float(coeff)

@@ -280,8 +280,9 @@ def test_derived_inside_center_matches_the_derived_rows():
 
 
 def test_elimination_reads_each_nonzero_structure_constant(monkeypatch):
-    # a count of the pairs linalg eliminates, not a timing: [n, n] and
-    # C^2 read every nonzero bracket row once, the center's equations
+    # a count of the pairs linalg eliminates, not a timing: C^2 reads
+    # every nonzero bracket row once and caches its echelon, [n, n]
+    # reads only that echelon's pivot rows, and the center's equations
     # read each constant twice, as [b_i, b_j] and as [b_j, b_i]; a
     # dense row would add its zeros
     seen = []
@@ -296,12 +297,38 @@ def test_elimination_reads_each_nonzero_structure_constant(monkeypatch):
     for entry in list_entries(constructible=True):
         alg = entry.build()
         del seen[:]
-        derived_subalgebra(alg)
+        derived = derived_subalgebra(alg)
         center(alg)
         nilpotency_class(alg)
         nnz = sum(len(row) for row in alg.brackets().values())
-        assert len(seen) == 4 * nnz, alg
+        pivots = sum(1 for row in derived for x in row if x)
+        assert len(seen) == 3 * nnz + pivots, alg
         assert 0 not in seen, alg
+
+
+def test_the_bracket_rows_are_eliminated_once_per_algebra(monkeypatch):
+    # nilpotency_class reads C^2 from the echelon that derived_subalgebra
+    # hands to rref, in either order and however often they are called
+    calls = []
+    original = linalg.echelon
+
+    def recording(rows):
+        rows = [tuple(row) for row in rows]
+        calls.append(rows)
+        return original(rows)
+
+    monkeypatch.setattr(linalg, "echelon", recording)
+    for alg in (heisenberg(2, "H"), free_two_step(4, "C"),
+                three_step_algebra()):
+        for order in ((nilpotency_class, derived_subalgebra),
+                      (derived_subalgebra, nilpotency_class)):
+            fresh = from_json(to_json(alg))     # no cached invariant
+            raw = list(fresh.brackets().values())
+            del calls[:]
+            for _ in range(3):
+                for query in order:
+                    query(fresh)
+            assert sum(rows == raw for rows in calls) == 1, (alg, order)
 
 
 def test_integral_coefficients_are_ints_and_rational_ones_fractions():
@@ -423,6 +450,15 @@ def count_calls(monkeypatch, module, name):
     return calls
 
 
+def three_step_algebra():
+    """[x1, x2] = z, [x3, x1] = y, [z, x3] = u, [y, x2] = -u: 3-step,
+    with the nonzero double bracket [[x1, x2], x3] = u."""
+    return LieAlgebraData(
+        6, ["x1", "x2", "x3", "z", "y", "u"],
+        [(0, 1, 3, 1), (0, 2, 4, -1), (2, 3, 5, -1), (1, 4, 5, 1)],
+        center_indices=(5,), complement_indices=range(5))
+
+
 def test_two_step_invariants_make_no_bracket_calls(monkeypatch):
     # a count, not a timing: on a 2-step algebra no double bracket is
     # nonzero and C^2 brackets nothing, so neither query calls the kernel
@@ -432,12 +468,7 @@ def test_two_step_invariants_make_no_bracket_calls(monkeypatch):
     for alg in rows:
         assert (jacobi_defect(alg), nilpotency_class(alg)) == (0, 2)
     assert calls == []
-    # [x1, x2] = z, [x3, x1] = y, [z, x3] = u, [y, x2] = -u: 3-step,
-    # with the nonzero double bracket [[x1, x2], x3] = u
-    three_step = LieAlgebraData(
-        6, ["x1", "x2", "x3", "z", "y", "u"],
-        [(0, 1, 3, 1), (0, 2, 4, -1), (2, 3, 5, -1), (1, 4, 5, 1)],
-        center_indices=(5,), complement_indices=range(5))
+    three_step = three_step_algebra()
     assert jacobi_defect(three_step) == 0
     assert len(calls) > 0
     del calls[:]

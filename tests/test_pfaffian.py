@@ -4,6 +4,7 @@ import gc
 import importlib
 import json
 import random
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -15,6 +16,7 @@ from nilharm import algebra, linalg
 from nilharm.algebra import LieAlgebraData, center, nilpotency_class
 from nilharm.catalog import (abelian, free_two_step, from_name, heisenberg,
                              lambda_a, list_entries, octonion_double)
+from nilharm.config import shown
 from nilharm.orbits import (l1_complement_indices, orbit_representative,
                             pf_nonsingular)
 from nilharm.pfaffian import (LinearFunctional, _pfaffian_expansion,
@@ -47,6 +49,47 @@ def rand_skew(rng, n, lo=-9, hi=9):
             M[i][j] = Fraction(rng.randint(lo, hi), rng.randint(1, 5))
             M[j][i] = -M[i][j]
     return M
+
+
+def poly_expansion(matrix, nvars):
+    """Pf by the Poly-matrix route that the packed kernel replaced, the
+    oracle of its term order and coefficient types: expansion along the
+    first index in Poly arithmetic, memoized on index tuples, each term
+    entry * sub added to or subtracted from a new total Poly."""
+    zero = Poly.zero(nvars)
+    if len(matrix) % 2:
+        return zero
+    memo = {(): Poly.constant(nvars, 1)}
+
+    def pf(indices):
+        if indices not in memo:
+            row, rest, total = matrix[indices[0]], indices[1:], zero
+            for t, j in enumerate(rest):
+                if row[j]:
+                    term = row[j] * pf(rest[:t] + rest[t + 1:])
+                    total = total - term if t % 2 else total + term
+            memo[indices] = total
+        return memo[indices]
+
+    return pf(tuple(range(len(matrix))))
+
+
+def poly_route(alg, v_indices=None):
+    """pf_polynomial by the Poly-matrix route: the form filled with the
+    center coordinates as Poly variables, then expanded in Polys."""
+    zdim = len(alg.center_indices)
+    form = b_matrix_poly(alg, [Poly.variable(zdim, t) for t in range(zdim)],
+                         v_indices=v_indices)
+    return poly_expansion(form.matrix, zdim)
+
+
+def assert_same_terms(got, want):
+    # the same terms in the same order (evaluate_float sums in it), and
+    # the same coefficient types: 1 == Fraction(1) would hide a change
+    assert got.nvars == want.nvars
+    assert list(got.terms.items()) == list(want.terms.items())
+    assert list(map(type, got.terms.values())) == \
+        list(map(type, want.terms.values()))
 
 
 def test_pfaffian_base_cases():
@@ -240,15 +283,115 @@ def test_witness_search_matches_the_full_candidate_list(monkeypatch):
     assert res and res.witness == want
 
 
-# the families at n <= 6 (free2step:7:C alone would take ~1 s to expand)
+# the families up to free2step:7:C, whose zero Pfaffian on 14 complement
+# vectors and 42 center coordinates is the largest symbolic expansion
 FAMILY_ALGEBRAS = ([f"heisenberg:{n}:{F}" for F in "CH" for n in range(1, 7)]
                    + ["heisenberg:1:O", "octdouble"]
-                   + [f"free2step:{n}:{F}" for F in "RC" for n in range(2, 7)])
+                   + [f"free2step:{n}:{F}" for F in "RC" for n in range(2, 8)])
 
 
 def constructible_and_family_algebras():
     return ([f"table:{e.table_id}:{e.row}"
              for e in list_entries(constructible=True)] + FAMILY_ALGEBRAS)
+
+
+def test_pf_polynomial_matches_the_poly_matrix_expansion():
+    # every constructible row, every family algebra and a rational one,
+    # on the complement and on its l1 split, if it has one
+    names = constructible_and_family_algebras()
+    for alg in [from_name(name) for name in names] + [rational_two_step()]:
+        v1 = l1_complement_indices(alg)
+        for v in [None] + ([v1] if v1 is not None else []):
+            assert_same_terms(pf_polynomial(alg, v_indices=v),
+                              poly_route(alg, v))
+
+
+def random_two_step(rng, n):
+    """A 2-step algebra on a complement of n vectors with seeded sparse
+    integer brackets into a center of 1 to 3 coordinates (2 or 3 for
+    odd n, where one form has a kernel), drawn until the center is
+    exactly the designated one, as the two-step guard requires."""
+    for _ in range(100):
+        zdim = rng.randint(2 - n % 2, 3)
+        entries = [(zdim + a, zdim + b, t, rng.choice((-3, -2, -1, 1, 2, 3)))
+                   for a in range(n) for b in range(a + 1, n)
+                   for t in range(zdim) if rng.random() < 0.3]
+        alg = LieAlgebraData(zdim + n, [f"b{i}" for i in range(zdim + n)],
+                             entries, center_indices=range(zdim),
+                             complement_indices=range(zdim, zdim + n))
+        if len(center(alg)) == zdim:
+            return alg
+    raise AssertionError(f"no draw at n = {n} has the designated center")
+
+
+def test_symbolic_pfaffian_matches_the_poly_matrix_expansion_on_random_forms():
+    # entries with several terms cancel inside a term, and each form is
+    # also expanded in a shuffled ordering of its complement
+    rng = random.Random(54)
+    for n in [k for k in range(2, 13) for _ in range(3)]:
+        alg = random_two_step(rng, n)
+        shuffled = rng.sample(alg.complement_indices, n)
+        for v in (None, shuffled):
+            assert_same_terms(pf_polynomial(alg, v_indices=v),
+                              poly_route(alg, v))
+
+
+def random_entry(rng, nvars):
+    """A Poly with exponents 0 or 40 to 60 (60 %), a number (20 %) or
+    the zero Poly."""
+    kind = rng.random()
+    if kind < 0.2:
+        return rng.choice((3, Fraction(-1, 2)))
+    if kind < 0.4:
+        return Poly.zero(nvars)
+    return Poly(nvars, {tuple(rng.choice((0, rng.randint(40, 60)))
+                              for _ in range(nvars)):
+                        rng.choice((-2, 1, Fraction(1, 3)))
+                        for _ in range(rng.randint(1, 3))})
+
+
+def test_pfaffian_of_poly_entries_matches_the_poly_matrix_expansion():
+    # exponents of 40 and more: Pf's exponents reach n/2 times that, so
+    # a field width read off the entries alone would carry
+    rng = random.Random(55)
+    for n in [k for k in range(1, 7) for _ in range(4)]:
+        nvars = rng.randint(1, 3)
+        matrix = [[Poly.zero(nvars)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                x = random_entry(rng, nvars)
+                matrix[i][j], matrix[j][i] = x, -x
+        assert_same_terms(pfaffian(matrix), poly_expansion(matrix, nvars))
+
+
+def test_pfaffian_refuses_entries_in_different_variable_counts():
+    matrix = [[Poly.zero(2)] * 4 for _ in range(4)]
+    matrix[0][1], matrix[1][0] = Poly.variable(2, 0), -Poly.variable(2, 0)
+    matrix[2][3], matrix[3][2] = Poly.variable(3, 0), -Poly.variable(3, 0)
+    with pytest.raises(ValueError, match="variable count mismatch"):
+        pfaffian(matrix)
+
+
+# orderings that used to be read anyway on heisenberg:1:H (z = 0..2,
+# v = 3..6): the first three gave Pf = 0, and -1 was read as index 6
+BAD_V_INDICES = {"repeated": [3, 3, 4, 5], "central": [0, 3, 4, 5],
+                 "out_of_range": [3, 4, 5, 99], "negative": [-1, 3, 4, 5]}
+
+
+@pytest.mark.parametrize("v", BAD_V_INDICES.values(), ids=BAD_V_INDICES)
+def test_v_indices_must_be_distinct_complement_indices(v):
+    alg = from_name("heisenberg:1:H")
+    lam = LinearFunctional(alg, [1, 2, 3])
+    queries = (lambda: pf_polynomial(alg, v_indices=v),
+               lambda: pf_at(alg, [1, 2, 3], v_indices=v),
+               lambda: b_matrix(alg, lam, v_indices=v),
+               lambda: is_square_integrable(alg, v_indices=v))
+    for query in queries:
+        with pytest.raises(ValueError, match=re.escape(
+                f"v_indices {shown(v)} are not distinct indices of the "
+                "complement basis")):
+            query()
+    assert ("skew_pattern", tuple(v)) not in alg._cache
 
 
 def test_square_integrable_side_expands_no_pfaffian(monkeypatch):
@@ -280,7 +423,7 @@ def test_witness_is_the_first_candidate_where_the_oracle_is_nonzero():
             dec = find_codim_split(alg)
             forms.append((name, alg, [i for i in alg.complement_indices
                                       if i in dec.l1_indices]))
-    assert sum(v is not None for _, _, v in forms) == 8
+    assert sum(v is not None for _, _, v in forms) == 10
     for name, alg, v in forms:
         pf = pf_polynomial(alg, v_indices=v)
         res = is_square_integrable(alg, v_indices=v)
