@@ -4,10 +4,11 @@ A LieAlgebraData holds a basis, a designated center/complement split
 and one bracket table: sparse rows, [b_i, b_j] as its nonzero (k, c)
 pairs.  A coefficient is an int when it is integral and a Fraction
 otherwise, so every catalog algebra holds ints only.  Every bracket
-computed here runs on these rows.  The structural queries visit only
-the nonzero brackets (on a 2-step algebra, no double bracket at all)
-and hand rows of the same sparse form, with no dense copy, to the
-fraction-free elimination of linalg, so a zero really is a zero.
+computed here runs on these rows, on exact vectors in integers over
+one denominator.  The structural queries visit only the nonzero
+brackets (on a 2-step algebra, no double bracket at all) and hand rows
+of the same sparse form, with no dense copy, to the fraction-free
+elimination of linalg, so a zero really is a zero.
 Algebras are immutable: invariants, and the dense `structure` table
 for readers that want one, are computed on first use and cached on
 the instance.
@@ -128,11 +129,26 @@ def _accumulate(alg, xs, ys, out):
 
 
 def bracket(alg, x, y):
-    """Bilinear extension of the structure constants; exact on exact input."""
+    """Bilinear extension of the structure constants: exact input (ints
+    and Fractions) runs in integers over dx * dy, any other as it is."""
+    exact = _scaled_bracket(alg, x, y)
+    if exact is None:
+        return _accumulate(alg, _support(x), _support(y),
+                           [Fraction(0)] * alg.dim)
+    (_, dx), (_, dy), out = exact
+    return linalg._unscaled(out, dx * dy)
+
+
+def _scaled_bracket(alg, x, y):
+    """((xs, dx), (ys, dy), [xs, ys]) with x = xs / dx and y = ys / dy in
+    integers; None unless every entry is an int or a Fraction."""
     if len(x) != alg.dim or len(y) != alg.dim:
         raise ValueError("vector dimension mismatch")
-    return _accumulate(alg, _support(x), _support(y),
-                       [Fraction(0)] * alg.dim)
+    if not all(type(c) in linalg._EXACT for vec in (x, y) for c in vec):
+        return None
+    sx, sy = linalg._scaled(x), linalg._scaled(y)
+    return sx, sy, _accumulate(alg, _support(sx[0]), _support(sy[0]),
+                               [0] * alg.dim)
 
 
 def jacobi_defect(alg):

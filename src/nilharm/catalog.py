@@ -292,9 +292,9 @@ class CatalogEntry:
 
 def _hsum(*blocks):
     # blocks: ("h", n, F) or ("ab", dim); an ("ab", dim <= 0) is left out
-    return direct_sum(*(heisenberg(*blk[1:]) if blk[0] == "h"
+    return direct_sum(*[heisenberg(*blk[1:]) if blk[0] == "h"
                         else abelian(blk[1])
-                        for blk in blocks if blk[0] == "h" or blk[1] > 0))
+                        for blk in blocks if blk[0] == "h" or blk[1] > 0])
 
 
 _TABLE_21 = [

@@ -39,7 +39,8 @@ import time
 
 import numpy as np
 
-from .algebra import bracket
+from . import linalg
+from .algebra import _scaled_bracket, bracket
 from .pfaffian import is_square_integrable, pf_polynomial
 from .quadrature import tensor_integrate
 from .stepwise import decompose
@@ -63,9 +64,16 @@ def _float_coords(alg, x):
 
 
 def group_multiply(alg, X, Y):
-    """BCH product X + Y + [X,Y]/2; exact on rational coordinates."""
-    br = bracket(alg, list(X), list(Y))
-    return GroupPoint(x + y + b / 2 for x, y, b in zip(X, Y, br))
+    """BCH product X + Y + [X,Y]/2.  Exact coordinates give Fractions:
+    with X = xs / dx and Y = ys / dy, one integer vector over 2 dx dy."""
+    X, Y = list(X), list(Y)
+    exact = _scaled_bracket(alg, X, Y)
+    if exact is None:
+        br = bracket(alg, X, Y)
+        return GroupPoint(x + y + b / 2 for x, y, b in zip(X, Y, br))
+    (xs, dx), (ys, dy), br = exact
+    return GroupPoint(linalg._unscaled([2 * (dy * x + dx * y) + b for x, y, b
+                                       in zip(xs, ys, br)], 2 * dx * dy))
 
 
 def translation_matrix(alg, x):

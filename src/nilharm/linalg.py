@@ -10,11 +10,15 @@ integer row kept primitive; rref divides by the pivots only at the end,
 and rref and kernel return dense Fraction rows.  det, mat_mul and
 transpose take dense matrices, lists of rows; det runs Bareiss's
 fraction-free elimination (Math. Comp. 22, 1968).  Every result is
-exact.
+exact.  _scaled and _unscaled take values to integers over one common
+denominator and back: the package's exact kernels run in between.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
+
+_EXACT = (int, Fraction)    # the types exact kernels take as they are
+_ZERO = Fraction(0)
 
 
 def mat_mul(a, b):
@@ -27,12 +31,20 @@ def transpose(mat):
 
 
 def _scaled(values):
-    """(ints, den): values times den, den the lcm of their denominators."""
-    if all(type(x) is int for x in values):
-        return list(values), 1
-    vals = [Fraction(x) for x in values]
-    den = lcm(*(x.denominator for x in vals))
-    return [x.numerator * (den // x.denominator) for x in vals], den
+    """(ints, den): values, read as Fractions, times den, the lcm of their
+    denominators, taken in a loop (a starred generator raises the peak)."""
+    ratios = [(x if type(x) in _EXACT else Fraction(x))
+              .as_integer_ratio() for x in values]
+    den = 1
+    for _, q in ratios:
+        if den % q:
+            den = lcm(den, q)
+    return [p * (den // q) for p, q in ratios], den
+
+
+def _unscaled(ints, den):
+    """[Fraction(c, den) for c in ints], one built per nonzero c."""
+    return [Fraction(c, den) if c else _ZERO for c in ints]
 
 
 def _primitive(vec):
@@ -124,17 +136,14 @@ def det(rows):
     """Exact determinant of a dense square matrix, a Fraction, by
     Bareiss elimination.
 
-    Each row is scaled to integers first; the determinant of the scaled
-    matrix is divided by the product of the scales at the end.
+    The matrix is scaled to integers first; the determinant of the
+    scaled matrix is divided by scale^n at the end.
     """
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("determinant needs a square matrix")
-    mat, scale = [], 1
-    for row in rows:
-        ints, den = _scaled(row)
-        mat.append(ints)
-        scale *= den
+    ints, scale = _scaled([x for row in rows for x in row])
+    mat = [ints[i * n:(i + 1) * n] for i in range(n)]
     sign, prev = 1, 1
     for c in range(n):
         pivot_row = next((i for i in range(c, n) if mat[i][c]), None)
@@ -150,4 +159,4 @@ def det(rows):
             mat[i] = [0] * (c + 1) + [(piv * row[j] - f * top[j]) // prev
                                       for j in range(c + 1, n)]
         prev = piv
-    return Fraction(sign * prev, scale)
+    return Fraction(sign * prev, scale ** n)

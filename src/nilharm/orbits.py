@@ -13,12 +13,14 @@ lambda's orbit type for every t > 0.  Case 3 (octonion double): only
 functionals on the (e3, e6, e2) coordinates are in normal-form reach;
 their l1 split drops (0, e3), on which Pf(lambda_a) = +-a1*(a1^2 +
 a2^2 + a3^2); every other split is find_codim_split's.  Only
-skew_spectrum and cases 1 and 6 import numpy.
+skew_spectrum and cases 1 and 6 import numpy.  darboux_basis keeps its
+vectors as W / d, integers over one denominator, after Bareiss.
 """
 
 import math
 from fractions import Fraction
 
+from . import linalg
 from .catalog import OCTDOUBLE_LAMBDA_SUPPORT
 from .composition import DIM
 from .pfaffian import (LinearFunctional, _skew_form, b_matrix,
@@ -68,46 +70,43 @@ class DarbouxBasis:
 
 
 def darboux_basis(M):
-    """Symplectic Gram-Schmidt over Q for an exact skew matrix.
-
-    The first pair (a, b) of remaining vectors with s = G[a][b] != 0
-    leaves the basis as (u, v); every other w becomes
-    w - G[w][b]/s * u + G[w][a]/s * v.  G, the Gram matrix of the
-    remaining vectors under M, takes the matching rank-2 update
-    G[p][q] + (G[p][b] G[q][a] - G[p][a] G[q][b]) / s instead of being
-    re-evaluated, so the cost is O(n^3), not O(n^5).
+    """Symplectic Gram-Schmidt over Q for an exact skew matrix M, run in
+    integers on L M, L the lcm of its denominators: the remaining vectors
+    are W / d and G = W^T (L M) W.  The first pair (a, b) with s = G[a][b]
+    != 0 leaves as (W_a, W_b) / d, value s / (d^2 L); every other W_k
+    becomes s W_k - G_kb W_a + G_ka W_b, d becomes d s, and G takes the
+    rank-2 update s (s G_pq + G_pb G_qa - G_pa G_qb), so O(n^3) in all.
+    One gcd per step strips d's and W's common factor, its square from G.
     """
-    M = [[Fraction(x) for x in row] for row in M]
     n = len(M)
+    ints, scale = linalg._scaled([x for row in M for x in row])
+    gram = [ints[i * n:(i + 1) * n] for i in range(n)]
     for i in range(n):
-        if M[i][i] != 0 or any(M[i][j] != -M[j][i] for j in range(n)):
+        if gram[i][i] or any(gram[i][j] != -gram[j][i] for j in range(n)):
             raise ValueError("darboux_basis needs an exact skew matrix")
-    remaining = [[Fraction(1) if j == i else Fraction(0) for j in range(n)]
-                 for i in range(n)]
-    gram, pairs, values = M, [], []
+    remaining = [[int(j == i) for j in range(n)] for i in range(n)]
+    d, pairs, values = 1, [], []
     while True:
         m = len(remaining)
         found = next(((a, b) for a in range(m) for b in range(a + 1, m)
-                      if gram[a][b] != 0), None)
+                      if gram[a][b]), None)
         if found is None:
             break
         a, b = found
-        u, v = remaining[a], remaining[b]
-        s = gram[a][b]
-        pairs.extend([u, v])
-        values.append(s)
+        u, v, s = remaining[a], remaining[b], gram[a][b]
+        pairs += [linalg._unscaled(u, d), linalg._unscaled(v, d)]
+        values.append(Fraction(s, d * d * scale))
         keep = [k for k in range(m) if k not in found]
-        cu = {k: gram[k][b] / s for k in keep}
-        cv = {k: gram[k][a] / s for k in keep}
-        support = [j for j in range(n) if u[j] or v[j]]
-        for k in keep:      # in place: only u and v leave remaining
-            w = remaining[k]
-            for j in support:
-                w[j] = w[j] - cu[k] * u[j] + cv[k] * v[j]
-        remaining = [remaining[k] for k in keep]
-        gram = [[gram[p][q] + s * (cu[p] * cv[q] - cv[p] * cu[q])
+        remaining = [[s * w - gram[k][b] * x + gram[k][a] * y
+                      for w, x, y in zip(remaining[k], u, v)] for k in keep]
+        g = math.gcd(d * s, *[w for vec in remaining for w in vec])
+        d = d * s // g
+        remaining = [[w // g for w in vec] for vec in remaining]
+        gram = [[s * (s * gram[p][q] + gram[p][b] * gram[q][a]
+                      - gram[p][a] * gram[q][b]) // (g * g)
                  for q in keep] for p in keep]
-    return DarbouxBasis(pairs + remaining, values, len(remaining))
+    return DarbouxBasis(pairs + [linalg._unscaled(w, d) for w in remaining],
+                        values, len(remaining))
 
 
 class OrbitRepresentative:

@@ -5,7 +5,8 @@ center.  Every form is filled from its pattern, the nonzero brackets
 [v_a, v_b] in center coordinates, cached once per algebra and v
 ordering once _two_step_guard, run once per algebra, has found b_lambda
 a form modulo the center.  pf_at fills the form of L * lambda (L the
-lcm of the denominators) in integers and divides once, by L^(n/2).
+lcm of the denominators) in integers and divides once, by L^(n/2);
+b_matrix fills the same integer form and divides each entry by L.
 Pfaffians expand along the first index, memoized on index tuples,
 reading only the strict upper triangle: one numeric expansion, on ints
 (pf_at) or Fractions, and one symbolic kernel, on Poly entries or
@@ -21,10 +22,10 @@ value proves it, so the symbolic Pfaffian is expanded only to print
 it or to prove it zero.
 """
 
-import math
 import random
 from fractions import Fraction
 
+from . import linalg
 from .algebra import center, derived_inside_center
 from .config import shown
 from .polynomials import Poly, _add_terms
@@ -62,7 +63,9 @@ def b_matrix(alg, lam, v_indices=None):
     Brackets of complement vectors must land in the designated center;
     anything else means the algebra is not 2-step with that split.
     """
-    return _skew_form(alg, lam.coeffs, Fraction(0), v_indices)
+    ints, scale = linalg._scaled(lam.coeffs)
+    return SkewForm([linalg._unscaled(row, scale) for row in
+                     _skew_form(alg, ints, 0, v_indices).matrix])
 
 
 def b_matrix_poly(alg, coeff_polys, v_indices=None):
@@ -114,21 +117,28 @@ def _two_step_guard(alg):
     return True
 
 
-def _cached_pattern(alg, v_indices):
+def _v_key(alg, v_indices):
+    """tuple(v_indices), its caches' key, or None; refused before it is
+    hashed unless it holds distinct complement indices."""
     key = None if v_indices is None else tuple(v_indices)
+    if key and len({i for i in key if isinstance(i, int)
+                    and i in alg.complement_indices}) < len(key):
+        raise ValueError(f"v_indices {shown(list(v_indices))} are not "
+                         "distinct indices of the complement basis")
+    return key
+
+
+def _cached_pattern(alg, v_indices):
+    key = _v_key(alg, v_indices)
     v = alg.complement_indices if key is None else key
     return alg.cached(("skew_pattern", key), lambda a: a.cached(
         "two_step", _two_step_guard) and _skew_pattern(a, v))
 
 
 def _skew_pattern(alg, v_indices):
-    """(n, ((a, b, ((t, c), ...)), ...)): n distinct complement indices
-    and their nonzero brackets, center coordinates t increasing."""
+    """(n, ((a, b, ((t, c), ...)), ...)): the n complement indices and
+    their nonzero brackets, center coordinates t increasing."""
     n = len(v_indices)
-    if len({i for i in v_indices if isinstance(i, int)
-            and i in alg.complement_indices}) < n:
-        raise ValueError(f"v_indices {shown(list(v_indices))} are not "
-                         "distinct indices of the complement basis")
     pos = {idx: t for t, idx in enumerate(alg.center_indices)}
     return n, tuple((a, b, tuple(sorted((pos[k], c) for k, c in row)))
                     for a in range(n) for b in range(a + 1, n)
@@ -198,9 +208,9 @@ def pf_polynomial(alg, v_indices=None):
 
     Cached on the algebra per v_indices ordering.
     """
-    key = None if v_indices is None else tuple(v_indices)
+    key = _v_key(alg, v_indices)
     return alg.cached(("pf_polynomial", key),
-                      lambda a: _pf_polynomial(a, v_indices))
+                      lambda a: _pf_polynomial(a, key))
 
 
 def _pf_polynomial(alg, v_indices):
@@ -248,9 +258,7 @@ def _symbolic_pfaffian(n, nvars, width, entries):
 def pf_at(alg, coeffs, v_indices=None):
     """Exact Pfaffian value at a concrete functional, as a Fraction:
     Pf(b_{L lambda}) / L^(n/2), the expansion run in integers."""
-    lam = LinearFunctional(alg, coeffs=coeffs).coeffs
-    scale = math.lcm(*(c.denominator for c in lam))
-    ints = [c.numerator * (scale // c.denominator) for c in lam]
+    ints, scale = linalg._scaled(LinearFunctional(alg, coeffs=coeffs).coeffs)
     matrix = _skew_form(alg, ints, 0, v_indices).matrix
     return Fraction(_pfaffian_expansion(matrix, 0, 1),
                     scale ** (len(matrix) // 2))
@@ -285,7 +293,7 @@ def is_square_integrable(alg, v_indices=None):
     such samples; if that ever trips, it is a bug.  The witness (or
     None) is cached per algebra and v_indices ordering.
     """
-    key = None if v_indices is None else tuple(v_indices)
+    key = _v_key(alg, v_indices)
     witness = alg.cached(("witness", key), lambda a: _witness(a, key))
     return SquareIntegrability(witness, alg, v_indices)
 

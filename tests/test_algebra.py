@@ -5,6 +5,7 @@ import json
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,6 +15,7 @@ from nilharm.algebra import (LieAlgebraData, bracket, center,
                              jacobi_defect, nilpotency_class)
 from nilharm.catalog import abelian, free_two_step, from_name, heisenberg, \
     list_entries, octonion_double
+from nilharm.inversion import group_multiply
 
 
 def rand_vec(rng, n):
@@ -418,15 +420,55 @@ def test_sparse_bracket_matches_dense_oracle(case):
     assert bracket(alg, x, y) == dense_bracket(alg, x, y)
 
 
+PRIMES = [p for p in range(2, 250) if all(p % q for q in range(2, p))]
+
+
+def exact_inputs(rng, dim):
+    """{kind: (x, y)}: Fractions, ints, ints and Fractions mixed, and
+    Fractions whose denominators are pairwise coprime primes."""
+    x, y = rand_vec(rng, dim), rand_vec(rng, dim)
+    return {
+        "fraction": (x, y),
+        "int": ([c.numerator for c in x], [c.numerator for c in y]),
+        "mixed": ([c.numerator if k % 2 else c for k, c in enumerate(x)],
+                  [c if k % 2 else c.numerator for k, c in enumerate(y)]),
+        "coprime": ([Fraction(rng.randint(-6, 6), p) for p in PRIMES[:dim]],
+                    [Fraction(rng.randint(-6, 6), p)
+                     for p in PRIMES[::-1][:dim]]),
+    }
+
+
+def generic_bracket(alg, x, y):
+    """The bracket in its input's own arithmetic, term by term in the
+    kernel's order: the path every input but ints and Fractions takes."""
+    out = [Fraction(0)] * alg.dim
+    for i, a in enumerate(x):
+        for j, b in enumerate(y):
+            if a and b:
+                c = a * b
+                for k, v in alg.bracket_row(i, j):
+                    out[k] += c * v
+    return out
+
+
+def typed(vec):
+    return [(type(c), c) for c in vec]
+
+
 def test_bracket_keeps_the_arithmetic_of_its_input():
-    # Fractions in, Fractions out; floats in, floats out in every slot
-    # that a term reaches, and Fraction(0) in every other slot
+    # ints and Fractions in, in any mix, Fractions out in every slot;
+    # floats in, floats out in every slot that a term reaches, and
+    # Fraction(0) in every other; numpy scalars and bools keep the
+    # results and types of their own arithmetic
     rng = random.Random(9)
     for alg in ORACLE_ALGEBRAS:
-        x, y = rand_vec(rng, alg.dim), rand_vec(rng, alg.dim)
+        inputs = exact_inputs(rng, alg.dim)
+        for x, y in inputs.values():
+            exact = bracket(alg, x, y)
+            assert exact == dense_bracket(alg, x, y)
+            assert all(type(c) is Fraction for c in exact)
+        x, y = inputs["fraction"]
         exact = bracket(alg, x, y)
-        assert exact == dense_bracket(alg, x, y)
-        assert all(type(c) is Fraction for c in exact)
         reached = {k for i in range(alg.dim) for j in range(alg.dim)
                    if x[i] and y[j] for k, _ in alg.bracket_row(i, j)}
         floats = bracket(alg, [float(c) for c in x], [float(c) for c in y])
@@ -436,6 +478,32 @@ def test_bracket_keeps_the_arithmetic_of_its_input():
                 assert abs(got - float(want)) <= 1e-12 * (1 + abs(want))
             else:
                 assert type(got) is Fraction and got == 0
+        for conv in (lambda c: np.int64(c.numerator), np.float64, bool):
+            xs, ys = [conv(c) for c in x], [conv(c) for c in y]
+            assert typed(bracket(alg, xs, ys)) == typed(
+                generic_bracket(alg, xs, ys))
+
+
+def test_group_multiply_matches_the_dense_oracle():
+    # X + Y + [X, Y]/2 with the bracket read off the dense table: a
+    # Fraction in every coordinate for exact input of any mix
+    rng = random.Random(10)
+    for alg in ORACLE_ALGEBRAS:
+        for x, y in exact_inputs(rng, alg.dim).values():
+            got = group_multiply(alg, x, y).coords
+            assert list(got) == [a + b + c / 2 for a, b, c in
+                                 zip(x, y, dense_bracket(alg, x, y))]
+            assert all(type(c) is Fraction for c in got)
+
+
+def test_exact_bracket_builds_one_fraction_per_nonzero_coordinate(
+        count_fractions):
+    alg = from_name("table:2.2:23")
+    rng = random.Random(12)
+    for x, y in exact_inputs(rng, alg.dim).values():
+        out, built = count_fractions(lambda: bracket(alg, x, y))
+        assert out == dense_bracket(alg, x, y) and any(out)
+        assert built == sum(1 for c in out if c)
 
 
 def count_calls(monkeypatch, module, name):

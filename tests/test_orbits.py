@@ -182,6 +182,30 @@ def rand_rational_skew(rng, n, density, rank):
              for j in range(n)] for i in range(n)]
 
 
+def coprime_skew(n):
+    """A dense skew n x n whose upper entries have pairwise coprime
+    denominators, the first n(n-1)/2 primes: the common denominator L
+    is their product."""
+    primes = [p for p in range(2, 400) if all(p % q for q in range(2, p))]
+    M = [[Fraction(0)] * n for _ in range(n)]
+    upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for (i, j), p in zip(upper, primes):
+        M[i][j] = Fraction(1 + (i * n + j) % 5, p)
+        M[j][i] = -M[i][j]
+    return M
+
+
+def assert_matches_darboux_oracle(M):
+    got = darboux_basis(M)
+    vectors, values, radical_dim = darboux_oracle(M)
+    assert got.vectors == vectors
+    assert got.block_values == values
+    assert got.radical_dim == radical_dim
+    assert all(type(s) is Fraction for s in values)
+    assert all(type(c) is Fraction for vec in got.vectors for c in vec)
+    return radical_dim
+
+
 def test_darboux_basis_matches_the_from_scratch_oracle():
     rng = random.Random(53)
     radicals = {True: 0, False: 0}
@@ -192,17 +216,35 @@ def test_darboux_basis_matches_the_from_scratch_oracle():
             for rank in sorted({n, max(n - 3, 0), max(n - 2, 0)}):
                 for _ in range(4):
                     M = rand_rational_skew(rng, n, density, rank)
-                    got = darboux_basis(M)
-                    vectors, values, radical_dim = darboux_oracle(M)
-                    assert got.vectors == vectors
-                    assert got.block_values == values
-                    assert got.radical_dim == radical_dim
-                    assert all(type(s) is Fraction for s in values)
+                    radical_dim = assert_matches_darboux_oracle(M)
                     radicals[radical_dim > 0] += 1
                     cases += 1
     assert cases >= 200
     # nondegenerate forms come from the full-rank draws at even n only
     assert radicals[True] >= 100 and radicals[False] >= 25
+    # dense forms large enough for the integers of the fraction-free
+    # elimination to grow past a machine word, one of them with a
+    # common denominator of 66 primes
+    for n in (12, 14):
+        for rank in (n, n - 3):
+            M = rand_rational_skew(rng, n, 1.0, rank)
+            assert_matches_darboux_oracle(M)
+    assert assert_matches_darboux_oracle(coprime_skew(12)) == 0
+
+
+def test_darboux_basis_builds_a_fraction_only_for_what_it_returns(
+        count_fractions):
+    # one per nonzero vector entry and one per block value: no Fraction
+    # inside the elimination, and at most 2n^2 + n in all
+    rng = random.Random(57)
+    cases = [(rand_rational_skew(rng, n, 1.0, rank), want) for n, rank, want
+             in ((6, 6, 21), (6, 3, 15), (10, 10, 55), (14, 11, 99))]
+    for M, want in cases + [(coprime_skew(12), 78)]:
+        got, built = count_fractions(lambda: darboux_basis(M))
+        nonzero = sum(1 for vec in got.vectors for c in vec if c)
+        n = len(M)
+        assert built == nonzero + len(got.block_values) == want
+        assert built <= 2 * n * n + n
 
 
 def darboux_pfaffian(M):

@@ -373,15 +373,24 @@ def test_pfaffian_refuses_entries_in_different_variable_counts():
 
 
 # orderings that used to be read anyway on heisenberg:1:H (z = 0..2,
-# v = 3..6): the first three gave Pf = 0, and -1 was read as index 6
+# v = 3..6): the first three gave Pf = 0, and -1 was read as index 6;
+# an unhashable item escaped as a TypeError, and a float item was read
+# as the int it equals once that int ordering was cached
 BAD_V_INDICES = {"repeated": [3, 3, 4, 5], "central": [0, 3, 4, 5],
-                 "out_of_range": [3, 4, 5, 99], "negative": [-1, 3, 4, 5]}
+                 "out_of_range": [3, 4, 5, 99], "negative": [-1, 3, 4, 5],
+                 "list_item": [[3], 4, 5, 6], "set_item": [{3}, 4, 5, 6],
+                 "float_item": [3.0, 4, 5, 6]}
 
 
 @pytest.mark.parametrize("v", BAD_V_INDICES.values(), ids=BAD_V_INDICES)
 def test_v_indices_must_be_distinct_complement_indices(v):
     alg = from_name("heisenberg:1:H")
     lam = LinearFunctional(alg, [1, 2, 3])
+    for good in (None, [3, 4, 5, 6]):
+        pf_at(alg, [1, 2, 3], v_indices=good)
+        is_square_integrable(alg, v_indices=good)
+        pf_polynomial(alg, v_indices=good)
+    cached = set(alg._cache)
     queries = (lambda: pf_polynomial(alg, v_indices=v),
                lambda: pf_at(alg, [1, 2, 3], v_indices=v),
                lambda: b_matrix(alg, lam, v_indices=v),
@@ -391,7 +400,7 @@ def test_v_indices_must_be_distinct_complement_indices(v):
                 f"v_indices {shown(v)} are not distinct indices of the "
                 "complement basis")):
             query()
-    assert ("skew_pattern", tuple(v)) not in alg._cache
+    assert set(alg._cache) == cached
 
 
 def test_square_integrable_side_expands_no_pfaffian(monkeypatch):
@@ -664,6 +673,39 @@ def test_pf_at_in_integers_matches_the_polynomial_and_the_determinant(name):
             assert got == evaluate(pf, lam)
             form = b_matrix(alg, LinearFunctional(alg, lam), v_indices=v)
             assert got ** 2 == linalg.det(form.matrix)
+
+
+def fraction_form(alg, lam, v):
+    """b_lambda on the ordering v, filled in Fraction arithmetic from the
+    dense structure table: entry (a, b) = sum_t lam_t [v_a, v_b]_(z_t)."""
+    def pairing(i, j):
+        vec = alg.structure.get((min(i, j), max(i, j)), [0] * alg.dim)
+        sign = 1 if i < j else -1
+        return sum((Fraction(c) * sign * vec[k] for c, k
+                    in zip(lam, alg.center_indices)), Fraction(0))
+    return [[pairing(i, j) for j in v] for i in v]
+
+
+@pytest.mark.parametrize("name", INTEGER_PF_CASES)
+def test_b_matrix_matches_the_fraction_oracle(name):
+    # every entry a Fraction, at integral, rational and pairwise-coprime
+    # functionals, on the complement and on the l1 split
+    alg = rational_two_step() if name == "rational" else from_name(name)
+    v1 = l1_complement_indices(alg)
+    rng = random.Random(name)
+    primes = [p for p in range(2, 100) if all(p % q for q in range(2, p))]
+    zdim = len(alg.center_indices)
+    for v in [None] + ([v1] if v1 is not None else []):
+        order = list(alg.complement_indices) if v is None else v
+        for lam in ([rng.randint(-9, 9) for _ in range(zdim)],
+                    [Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                     for _ in range(zdim)],
+                    [Fraction(rng.randint(-9, 9), p)
+                     for p in primes[:zdim]]):
+            got = b_matrix(alg, LinearFunctional(alg, lam), v_indices=v)
+            assert got.matrix == fraction_form(alg, lam, order)
+            assert all(type(c) is Fraction for row in got.matrix
+                       for c in row)
 
 
 def test_pf_at_on_odd_and_empty_orderings():

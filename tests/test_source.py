@@ -63,3 +63,16 @@ def test_every_public_function_and_class_has_a_reader():
             and (module, node.name) not in read
             and node.name not in exported]
     assert dead == []
+
+
+def test_no_call_unpacks_a_generator_expression():
+    # f(*(x for x in xs)) builds the argument tuple from a generator,
+    # which grows the allocator's high-water mark where a list or a
+    # plain loop does not (math.lcm over Fraction denominators did)
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Starred)
+                  and isinstance(node.value, ast.GeneratorExp)]
+    assert found == []
