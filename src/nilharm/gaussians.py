@@ -19,9 +19,26 @@ import numpy as np
 _SYM_TOL = 1e-10
 
 
-class ComplexGaussian:
+def _blocks(A):
+    """The uncoupled blocks of the form A, a nested list: the connected
+    components of its exactly nonzero off-diagonal pattern, each a
+    tuple of increasing axes, in the order of their first axes."""
+    blocks = []
+    for k, row in enumerate(A):
+        block = {k}.union(l for l, a in enumerate(row) if a)
+        for other in [b for b in blocks if b & block]:
+            blocks.remove(other)
+            block |= other
+        blocks.append(block)
+    return sorted(tuple(sorted(b)) for b in blocks)
 
-    __slots__ = ("A", "u", "v")
+
+class ComplexGaussian:
+    """g(Y) = exp(-1/2 Y^T A Y + u^T Y + v).  A transform keeps its
+    source form as the inverse of its own, so neither its envelope nor
+    its own transform inverts again; A is never reassigned."""
+
+    __slots__ = ("A", "u", "v", "_inv")
 
     def __init__(self, A, u, v):
         A = np.asarray(A, dtype=float)
@@ -34,17 +51,27 @@ class ComplexGaussian:
         self.A = (A + A.T) / 2.0
         self.u = u
         self.v = complex(v)
+        self._inv = None
+
+    @classmethod
+    def _of(cls, A, u, v, inv=None):
+        # trusted: A symmetric, u complex, both of matching shapes, and
+        # inv A's inverse when known
+        g = object.__new__(cls)
+        g.A, g.u, g.v, g._inv = A, u, complex(v), inv
+        return g
 
     @property
     def dim(self):
         return self.A.shape[0]
 
     def evaluate(self, points):
-        """Vectorized evaluation; points is (npts, dim) or (dim,)."""
+        """Vectorized evaluation; points is (npts, dim) or (dim,).  One
+        point is one scalar exponent, and its value a complex."""
         pts = np.asarray(points, dtype=float)
-        single = pts.ndim == 1
-        if single:
-            pts = pts[None, :]
+        if pts.ndim == 1:
+            return cmath.exp(-0.5 * (pts @ self.A @ pts) + self.u @ pts
+                             + self.v)
         # real and imaginary parts of the exponent from real products,
         # so the grid is never copied to complex
         out = np.empty(len(pts), dtype=complex)
@@ -55,37 +82,67 @@ class ComplexGaussian:
         out.imag = pts @ self.u.imag
         out.imag += self.v.imag
         np.exp(out, out=out)
-        return out[0] if single else out
-
-    def evaluate_grid(self, axes):
-        """Values on the tensor grid of the 1-D node arrays in axes.
-
-        Returns an array of shape (len(axes[0]), ..., len(axes[-1])), C
-        order.  The real exponent is summed by broadcasting, one axis at
-        a time: axis k adds x_k (Re u_k - 1/2 A_kk x_k - sum_{l<k} A_lk
-        x_l) on the subgrid of axes 0..k, so only the last axis's pass
-        runs over the full grid, and one real exp follows.  As A is
-        real, the phase Im(u)^T x + Im v factors into per-axis unit
-        phases.  No term is exponentiated apart from the sum, so a cross
-        term that cancels against the others cannot overflow.
-        """
-        xs = np.meshgrid(*axes, indexing="ij", sparse=True)
-        expo = np.array(self.v.real)
-        for k, x in enumerate(xs):
-            term = (self.u[k].real - 0.5 * self.A[k, k] * x
-                    - sum(self.A[l, k] * xs[l] for l in range(k)))
-            term *= x
-            term += expo
-            expo = term
-        # the leading axes' phases multiply on their subgrid; the last
-        # axis's phase then multiplies the full grid in place
-        lead = prod((np.exp(1j * self.u[k].imag * x)
-                     for k, x in enumerate(xs[:-1])),
-                    start=cmath.exp(1j * self.v.imag))
-        out = np.exp(expo, out=expo) * lead
-        if xs:
-            out *= np.exp(1j * self.u[-1].imag * xs[-1])
         return out
+
+    def grid_integrand(self):
+        """g as a quadrature integrand: a TensorGrid to the factors of
+        g's values on it, in quadrature's integrand contract.
+
+        There is one factor per uncoupled block of A, over that block's
+        axes, then the constant factor over no axes; the blocks and
+        their coefficients are read here, once for every level.  A
+        block's real exponent is summed by broadcasting, one axis at a
+        time: axis k adds x_k (Re u_k - 1/2 A_kk x_k - sum A_lk x_l
+        over the block's earlier axes l) on the subgrid of the block's
+        axes up to k, so only its last axis's pass runs over the
+        block's full grid, and one real exp follows.  Each block
+        completes its own square: its exponent starts from minus its
+        maximum c_B = 1/2 Re u_B . m_B at the envelope mean m, so no
+        factor exceeds 1 by more than rounding, and the constant factor
+        is exp(v + sum of c_B), the peak value.  A factor thus
+        overflows only where g does.  As A is real, the phase
+        Im(u)^T x + Im v factors into per-axis unit phases.  No term is
+        exponentiated apart from its block's sum, so a cross term that
+        cancels against the others cannot overflow.
+        """
+        mean = self.envelope()[0].tolist()
+        A, ur = self.A.tolist(), self.u.real.tolist()
+        phase = (1j * self.u.imag).tolist()
+        plan, peak = [], self.v
+        for block in _blocks(A):
+            c = 0.5 * sum(ur[k] * mean[k] for k in block)
+            peak += c
+            # axis j of the block: its sparse shape, Re u_k, 1/2 A_kk,
+            # its couplings A_lk to the earlier axes and its phase
+            plan.append((block, -c, [
+                ([-1 if i == j else 1 for i in range(len(block))], ur[k],
+                 0.5 * A[k][k], [A[l][k] for l in block[:j]], phase[k])
+                for j, k in enumerate(block)]))
+        peak = cmath.exp(peak)
+
+        def integrand(grid):
+            factors = []
+            for block, expo, terms in plan:
+                xs, phases = [], []
+                for k, (shape, re_u, half_a, couplings, im_u) in zip(
+                        block, terms):
+                    x = grid.axes[k].reshape(shape)
+                    term = re_u - half_a * x
+                    for a, y in zip(couplings, xs):
+                        term = term - a * y
+                    term *= x
+                    term += expo
+                    expo = term
+                    xs.append(x)
+                    phases.append(np.exp(im_u * x))
+                # the phases multiply up from the block's first axis,
+                # on subgrids until the block's last axis joins
+                factors.append((block, np.exp(expo, out=expo)
+                                * prod(phases[1:], start=phases[0])))
+            factors.append(((), peak))
+            return factors
+
+        return integrand
 
     def pullback(self, M, m0):
         """g(M Y + m0) as a Gaussian in Y.  M may be rectangular."""
@@ -96,18 +153,31 @@ class ComplexGaussian:
         v2 = self.v + self.u @ m0 - 0.5 * m0 @ self.A @ m0
         return ComplexGaussian(A2, u2, v2)
 
-    def fourier(self):
-        """g^(xi) = integral g(Y) exp(-i<xi,Y>) dY, plain Lebesgue."""
-        n = self.dim
-        Ainv = np.linalg.inv(self.A)
+    def slice(self, indices, at):
+        """g(at + sum_k Z_k e_{indices[k]}) as a Gaussian in Z: the
+        pullback by the columns indices of the identity, read off by
+        index instead of multiplied."""
+        at = np.asarray(at, dtype=float)
+        return ComplexGaussian._of(self.A[indices][:, indices],
+                                   (self.u - self.A @ at)[indices],
+                                   self.v + self.u @ at
+                                   - 0.5 * at @ self.A @ at)
+
+    def _dual(self):
+        """(A^{-1}, v of the transform), refused unless A has a positive
+        determinant; a transform's A^{-1} is its source form."""
+        Ainv = np.linalg.inv(self.A) if self._inv is None else self._inv
         sign, logdet = np.linalg.slogdet(self.A)
         if sign <= 0:
             raise ValueError("form is not positive definite")
-        A2 = Ainv
-        u2 = -1j * (Ainv @ self.u)
-        v2 = (self.v + 0.5 * self.u @ Ainv @ self.u
-              + 0.5 * (n * math.log(2 * math.pi) - logdet))
-        return ComplexGaussian(A2, u2, v2)
+        return Ainv, (self.v + 0.5 * self.u @ Ainv @ self.u
+                      + 0.5 * (self.dim * math.log(2 * math.pi) - logdet))
+
+    def fourier(self):
+        """g^(xi) = integral g(Y) exp(-i<xi,Y>) dY, plain Lebesgue."""
+        Ainv, v2 = self._dual()
+        return ComplexGaussian._of((Ainv + Ainv.T) / 2.0,
+                                   -1j * (Ainv @ self.u), v2, inv=self.A)
 
     def marginalize(self, out_indices):
         """Integrate out the listed coordinates, plain Lebesgue."""
@@ -141,14 +211,12 @@ class ComplexGaussian:
 
     def total_integral(self):
         """integral over R^dim, closed form: g^(0) = exp(v of g^)."""
-        return cmath.exp(self.fourier().v)
+        return cmath.exp(self._dual()[1])
 
     def envelope(self):
         """(mean, per-axis sigma) of the |g| envelope, for quadrature."""
-        Ainv = np.linalg.inv(self.A)
-        mean = Ainv @ np.real(self.u)
-        sigma = np.sqrt(np.diag(Ainv))
-        return mean, sigma
+        Ainv = np.linalg.inv(self.A) if self._inv is None else self._inv
+        return Ainv @ self.u.real, np.sqrt(Ainv.diagonal())
 
 
 class GaussianTestFunction(ComplexGaussian):

@@ -79,6 +79,8 @@ def darboux_basis(M):
     One gcd per step strips d's and W's common factor, its square from G.
     """
     n = len(M)
+    if any(len(row) != n for row in M):
+        raise ValueError("darboux_basis needs a square matrix")
     ints, scale = linalg._scaled([x for row in M for x in row])
     gram = [ints[i * n:(i + 1) * n] for i in range(n)]
     for i in range(n):

@@ -113,14 +113,28 @@ class Poly:
         points = np.asarray(points, dtype=float)
         if points.ndim == 1:
             points = points[None, :]
+        return self._sum_terms(points.T, len(points))
+
+    def evaluate_grid(self, axes):
+        """The values on the tensor grid of the 1-D node arrays in axes,
+        C order, from per-axis powers by broadcasting: each value is
+        bitwise the one evaluate_float gives at that grid point."""
+        import numpy as np
+
+        return self._sum_terms(np.meshgrid(*axes, indexing="ij", sparse=True),
+                               tuple(len(x) for x in axes))
+
+    def _sum_terms(self, columns, shape):
+        import numpy as np
+
         # each term is coeff * x_j^e_j * ... in increasing j, summed in
         # the dict's term order: pfaffian keeps a Poly expansion's order
-        out = np.zeros(points.shape[0])
+        out = np.zeros(shape)
         for mono, coeff in self.terms.items():
             term = float(coeff)
-            for j, e in enumerate(mono):
+            for x, e in zip(columns, mono):
                 if e:
-                    term = term * points[:, j] ** e
+                    term = term * x ** e
             out += term
         return out
 

@@ -14,16 +14,21 @@ The default tolerance, budget and starting count are the ones in
 config.DEFAULTS.
 
 Integrand contract: func is called once per level with a TensorGrid,
-the per-axis node arrays of that level's n^dim tensor grid, and returns
-the n^dim values in C order (axis 0 slowest, the last axis fastest),
-either flat or shaped (n,) * dim.  An integrand with tensor structure
-evaluates from the axes by broadcasting (ComplexGaussian.evaluate_grid)
-and never forms the points; one that needs scattered points calls
-grid.points() for the (n^dim, dim) array.
-len(grid) is the node count n^dim, so a wrapper that counts len() of
-the integrand's argument counts evaluated nodes.  The weights are
-contracted against the values one axis at a time, last axis first, so
-no n^dim weight array is built either.
+the per-axis node arrays of that level's n^dim tensor grid.  It returns
+the integrand's values on the grid as a product of factors, a list of
+(block, values) pairs: the blocks are tuples of increasing axes, each
+axis in exactly one of them, and a factor's values lie on the tensor
+grid of its block's axes, shaped (n,) * len(block) in C order (axis 0
+slowest, the last axis fastest); a block over no axes is a constant.
+A bare array of the n^dim values, flat or shaped (n,) * dim, is the
+one factor over every axis.  Each factor is contracted against its own
+axes' weights, one axis at a time, last axis first, and the results
+multiplied, so no n^dim weight array is built, nor, for an integrand
+whose axes split into uncoupled blocks, the n^dim values: a Gaussian
+with a diagonal form costs dim n values a level, not n^dim
+(ComplexGaussian.grid_integrand).  The node count is still the rule's:
+len(grid), info["nodes"], max_evals and MAX_HERMITE_NODES count the
+n^dim nodes of the tensor rule, however few values its factors hold.
 """
 
 import math
@@ -74,14 +79,19 @@ class TensorGrid:
     def shape(self):
         return tuple(len(x) for x in self.axes)
 
-    def points(self):
-        """The (len(self), dim) array of the grid's points, C order."""
-        dim = len(self.axes)
-        pts = np.empty(self.shape + (dim,))
-        for k, x in enumerate(np.meshgrid(*self.axes, indexing="ij",
-                                          sparse=True)):
-            pts[..., k] = x
-        return pts.reshape(len(self), dim)
+
+def _contract(values, weights):
+    """The rule's sum: the integrand's factors (or bare array, see the
+    module docstring) contracted against the per-axis weights."""
+    factors = (values if isinstance(values, list) else
+               [(range(len(weights)),
+                 np.reshape(values, [len(w) for w in weights]))])
+    total = 1.0
+    for block, part in factors:
+        for k in reversed(block):
+            part = part @ weights[k]
+        total = total * part
+    return total
 
 
 def tensor_integrate(func, means, sigmas, rtol=DEFAULTS["quad_rtol"],
@@ -90,16 +100,17 @@ def tensor_integrate(func, means, sigmas, rtol=DEFAULTS["quad_rtol"],
     """integral of func over the whole space, with per-axis doubling.
 
     Each axis gets Gauss-Hermite matched to the envelope of mean and
-    sigma.  func maps a TensorGrid to its n^dim values (see the module
-    docstring).  Returns (value, info); info records node counts and
-    the last relative change.  Raises if a level's value is not finite
-    or the budget is exhausted before convergence.
+    sigma.  func maps a TensorGrid to its n^dim values or to factors
+    of them (see the module docstring).  Returns (value, info); info
+    records node counts and the last relative change.  Raises if a
+    level's value is not finite or the budget is exhausted before
+    convergence.
     """
     means = np.asarray(means, dtype=float)
     sigmas = np.asarray(sigmas, dtype=float)
     dim = means.size
     if dim == 0:
-        value = np.ravel(func(TensorGrid(())))[0]
+        value = _contract(func(TensorGrid(())), [])
         return value, {"nodes": 0, "converged": True, "last_change": 0.0}
 
     n = start_nodes
@@ -111,9 +122,8 @@ def tensor_integrate(func, means, sigmas, rtol=DEFAULTS["quad_rtol"],
                 "quadrature budget exhausted before convergence "
                 f"({n} nodes/axis, dim {dim})")
         level = [hermite_axis_rule(n, m, s) for m, s in zip(means, sigmas)]
-        value = np.reshape(func(TensorGrid(x for x, _ in level)), (n,) * dim)
-        for _, w in reversed(level):
-            value = value @ w
+        value = _contract(func(TensorGrid(x for x, _ in level)),
+                          [w for _, w in level])
         if not np.isfinite(value):
             raise RuntimeError(f"integrand is not finite ({n} nodes/axis)")
         if prev is not None:

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from itertools import product
 from math import prod
 
 import numpy as np
@@ -11,6 +12,7 @@ from nilharm.gaussians import ComplexGaussian, GaussianTestFunction
 from nilharm.quadrature import (MAX_HERMITE_NODES, TensorGrid,
                                gauss_hermite, hermite_axis_rule,
                                tensor_integrate)
+from grid_oracle import expand, points
 
 
 def rand_spd(rng, n):
@@ -28,7 +30,7 @@ def legendre_box(n, means, sigmas, width):
 def quad_oracle(g, n=64, width=10.0):
     """The integral of g over the box envelope mean +- width sigma."""
     level = legendre_box(n, *g.envelope(), width)
-    value = g.evaluate(TensorGrid(x for x, _ in level).points())
+    value = g.evaluate(points(TensorGrid(x for x, _ in level)))
     value = value.reshape((n,) * len(level))
     for _, w in reversed(level):
         value = value @ w
@@ -69,19 +71,22 @@ def test_evaluate_grid_matches_evaluate_on_the_grid_points(dim):
     g = ComplexGaussian(A, u, complex(rng.normal(), rng.normal()))
     # unequal axis lengths, so a transposed layout cannot pass
     grid = TensorGrid(rng.normal(size=3 + k) for k in range(dim))
-    got = g.evaluate_grid(grid.axes)
-    assert got.shape == grid.shape
-    want = g.evaluate(grid.points())
+    got = expand(g.grid_integrand()(grid), grid.shape)
+    want = g.evaluate(points(grid))
     assert np.all(np.abs(got.reshape(-1) - want) <= 1e-13 * np.abs(want))
 
 
 def test_evaluate_grid_is_finite_far_out_and_ill_conditioned():
     # envelope mean at +-40 and cond(A) = 1e6: exponentiating each
     # per-axis or pairwise term apart overflows on these grids, the
-    # summed exponent does not
+    # summed exponent does not.  The diagonal copies split into one
+    # factor per axis, whose exponents reach 8e5 unless each factor
+    # completes its own square
     rng = np.random.default_rng(90)
-    for dim in (2, 3, 4):
+    for dim, rotated in product((2, 3, 4), (True, False)):
         q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+        if not rotated:
+            q = np.eye(dim)
         A = q @ np.diag(np.geomspace(1e-3, 1e3, dim)) @ q.T
         mean = 40.0 * (-1.0) ** np.arange(dim)
         u = A @ mean + 3j * rng.normal(size=dim)
@@ -89,9 +94,12 @@ def test_evaluate_grid_is_finite_far_out_and_ill_conditioned():
         center, sigma = g.envelope()
         assert np.allclose(center, mean)
         grid = TensorGrid(x for x, _ in legendre_box(16, center, sigma, 8.0))
-        got = g.evaluate_grid(grid.axes).reshape(-1)
+        factors = g.grid_integrand()(grid)
+        assert len(factors) == (2 if rotated else dim + 1)
+        assert all(np.all(np.isfinite(part)) for _, part in factors)
+        got = expand(factors, grid.shape).reshape(-1)
         assert np.all(np.isfinite(got))
-        pts = grid.points()
+        pts = points(grid)
         want = g.evaluate(pts)
         # both round an exponent whose terms reach this size, so they
         # may differ by some ulps of it, and no more
@@ -100,6 +108,53 @@ def test_evaluate_grid_is_finite_far_out_and_ill_conditioned():
                  + np.abs(pts) @ np.abs(u.real))
         assert np.all(np.abs(got - want)
                       <= 1e-13 * terms * np.abs(want) + 1e-300)
+
+
+def block_gaussian(rng, blocks):
+    """A ComplexGaussian whose form couples exactly the axes within each
+    block, with complex u."""
+    dim = sum(map(len, blocks))
+    A = np.zeros((dim, dim))
+    for block in blocks:
+        B = rng.normal(size=(len(block), len(block)))
+        A[np.ix_(block, block)] = 0.3 * B @ B.T + np.eye(len(block))
+    u = rng.normal(size=dim) + 0.5j * rng.normal(size=dim)
+    return ComplexGaussian(A, u, complex(rng.normal(), rng.normal()))
+
+
+# the uncoupled blocks of forms of dim 2-4, some of them interleaved
+BLOCKS = [[(0,), (1,)], [(0, 1)], [(0,), (1,), (2,)], [(0, 2), (1,)],
+          [(0,), (1,), (2,), (3,)], [(0, 3), (1, 2)], [(1, 3), (0,), (2,)]]
+
+
+@pytest.mark.parametrize("blocks", BLOCKS, ids=str)
+def test_factor_contraction_matches_the_closed_form_and_the_full_grid(
+        blocks):
+    rng = np.random.default_rng(91)
+    for _ in range(5):
+        g = block_gaussian(rng, blocks)
+        mean, sigma = g.envelope()
+        sizes = []
+
+        def factored(grid):
+            factors = g.grid_integrand()(grid)
+            assert [b for b, _ in factors] == sorted(blocks) + [()]
+            sizes.append(sum(np.size(part) for b, part in factors if b))
+            return factors
+
+        value, info = tensor_integrate(factored, mean, sigma, rtol=1e-13)
+        full, full_info = tensor_integrate(
+            lambda grid: expand(g.grid_integrand()(grid), grid.shape),
+            mean, sigma, rtol=1e-13)
+        want = g.total_integral()
+        assert abs(value - want) <= 1e-13 * abs(want)
+        assert abs(value - full) <= 1e-14 * abs(full)
+        # the node count is the rule's, not the values the factors hold
+        n = info["nodes_per_axis"]
+        assert (full_info["nodes_per_axis"], full_info["nodes"]) == (
+            n, info["nodes"])
+        assert info["nodes"] == n ** g.dim
+        assert sizes[-1] == sum(n ** len(b) for b in blocks)
 
 
 def test_total_integral_matches_quadrature():
@@ -136,14 +191,14 @@ def test_fourier_matches_quadrature_pointwise():
         xi = rng.normal(size=n)
 
         def integrand(grid):
-            pts = grid.points()
+            pts = points(grid)
             return np.real(g.evaluate(pts) * np.exp(-1j * pts @ xi))
 
         re, _ = tensor_integrate(integrand, means, sig, rtol=1e-10,
                                  max_evals=2 ** 22)
 
         def integrand_im(grid):
-            pts = grid.points()
+            pts = points(grid)
             return np.imag(g.evaluate(pts) * np.exp(-1j * pts @ xi))
 
         im, _ = tensor_integrate(integrand_im, means, sig, rtol=1e-10,
@@ -221,7 +276,7 @@ def test_standard_test_function():
 
 def test_tensor_integrate_budget_error():
     with pytest.raises(RuntimeError):
-        tensor_integrate(lambda grid: np.exp(np.sum(np.cos(7 * grid.points()),
+        tensor_integrate(lambda grid: np.exp(np.sum(np.cos(7 * points(grid)),
                                                     axis=1)),
                          [0.0] * 4, [1.0] * 4, rtol=1e-14, max_evals=100)
 
@@ -270,12 +325,12 @@ def test_tensor_integrate_is_exact_on_moments_of_an_anisotropic_envelope():
         assert abs(value - exact) <= 1e-13 * abs(exact), powers
         assert info["nodes_per_axis"] == 16
 
-    # flat values over grid.points() count the same as values shaped
+    # flat values over points(grid) count the same as values shaped
     # like the grid
     powers, grids = (3, 8, 11), []
 
     def flat(grid):
-        pts = grid.points()
+        pts = points(grid)
         grids.append(pts)
         return prod(term(pts[:, k], p, m, s)
                     for k, (p, m, s) in enumerate(zip(powers, means, sigmas)))
@@ -297,10 +352,10 @@ def test_tensor_grid_counts_and_lays_out_its_nodes():
     axes = [np.array([1.0, 2.0]), np.array([10.0, 20.0, 30.0])]
     grid = TensorGrid(axes)
     assert len(grid) == 6 and grid.shape == (2, 3)
-    assert grid.points().tolist() == [[1, 10], [1, 20], [1, 30],
+    assert points(grid).tolist() == [[1, 10], [1, 20], [1, 30],
                                       [2, 10], [2, 20], [2, 30]]
     empty = TensorGrid(())
-    assert len(empty) == 1 and empty.points().shape == (1, 0)
+    assert len(empty) == 1 and points(empty).shape == (1, 0)
 
 
 def test_tensor_integrate_zero_dim():

@@ -23,8 +23,10 @@ from nilharm.inversion import (GroupPoint, factor_point, flat_constant,
                                orbital_character, right_translate,
                                translation_matrix)
 from nilharm.pfaffian import pf_polynomial
-from nilharm.quadrature import tensor_integrate
+from nilharm.polynomials import Poly
+from nilharm.quadrature import TensorGrid, tensor_integrate
 from nilharm.stepwise import StepwiseDecomposition, decompose, verify
+from grid_oracle import expand, points
 
 
 # Quadrature oracles for the closed forms; only the tests use them.
@@ -35,7 +37,7 @@ def fourier_quadrature(g, xi, rtol=DEFAULTS["quad_rtol"],
     mean, sigma = g.envelope()
 
     def integrand(grid):
-        pts = grid.points()
+        pts = points(grid)
         return g.evaluate(pts) * np.exp(-1j * (pts @ xi))
 
     value, _ = tensor_integrate(integrand, mean, sigma, rtol=rtol,
@@ -70,7 +72,7 @@ def orbital_character_quadrature(alg, lam, g, rtol=DEFAULTS["quad_rtol"],
     # integrate ghat over the affine slice v* + lam
     fixed = restrict(ghat, cent, lam)
     mean, sigma = fixed.envelope()
-    value, _ = tensor_integrate(lambda grid: fixed.evaluate(grid.points()),
+    value, _ = tensor_integrate(lambda grid: fixed.evaluate(points(grid)),
                                 mean, sigma, rtol=rtol, max_evals=max_evals)
     value *= (2 * math.pi) ** (-len(comp))
     c = flat_constant(alg)
@@ -205,6 +207,32 @@ def test_invert_flat_quaternionic():
     assert report.entries[0]["rel_error"] < 1e-8
     # the default rule converges on the 16^3 grid
     assert report.entries[0]["z_nodes"] == 4096
+
+
+def test_invert_flat_evaluates_one_factor_per_uncoupled_axis(monkeypatch):
+    # the z-form of the standard test function on h(1;H) is diagonal:
+    # the 8^3 and 16^3 levels count 4096 nodes but evaluate 3 (8 + 16)
+    # values, one factor per axis
+    values = []
+    grid_integrand = ComplexGaussian.grid_integrand
+
+    def counting(g):
+        integrand = grid_integrand(g)
+
+        def counted(grid):
+            factors = integrand(grid)
+            values.append(sum(np.size(part) for block, part in factors
+                              if block))
+            return factors
+        return counted
+
+    monkeypatch.setattr(ComplexGaussian, "grid_integrand", counting)
+    alg = heisenberg(1, "H")
+    report = invert_flat(alg, GaussianTestFunction.standard(alg.dim),
+                         [0.2, -0.1, 0.4, 0.3, 0.0, -0.3, 0.1])
+    assert report.entries[0]["rel_error"] < 1e-8
+    assert report.entries[0]["z_nodes"] == 4096
+    assert values == [3 * 8, 3 * 16]
 
 
 def test_invert_flat_memory_peak():
@@ -413,7 +441,7 @@ def _outer_level(monkeypatch, *args, **kwargs):
     def recording(func, *a, **kw):
         def integrand(grid):
             values = func(grid)
-            level[:] = [grid.points(), np.ravel(values)]
+            level[:] = [points(grid), expand(values, grid.shape).ravel()]
             return values
         return tensor_integrate(integrand, *a, **kw)
 
@@ -636,6 +664,50 @@ def test_orbit_space_quadrature_check_quaternionic():
     # Gauss-Hermite matched to h is exact on both: 8 and 16 nodes per
     # axis agree, so each route stops on its second level
     assert (out["cartesian_nodes"], out["radial_nodes"]) == (4096, 16)
+
+
+def per_sample_rotations(seed):
+    """The rotation check's samples drawn one at a time (oracle): per
+    sample, lam from three normals, then q from the QR of nine."""
+    rng = np.random.default_rng(seed)
+    lams, qs = [], []
+    for _ in range(10):
+        lams.append(rng.normal(size=3))
+        qs.append(np.linalg.qr(rng.normal(size=(3, 3)))[0])
+    return lams, qs
+
+
+def test_the_batched_rotation_draw_is_the_per_sample_loop():
+    for seed in (0, 1, 7, 61, 2024, 999983):
+        lam, q = inversion._rotation_samples(np.random.default_rng(seed))
+        lams, qs = per_sample_rotations(seed)
+        assert np.array_equal(lam, lams) and np.array_equal(q, qs)
+
+
+def test_orbit_space_check_refuses_a_non_radial_pfaffian(monkeypatch):
+    # t1^2 is not a function of |lam| alone
+    alg = heisenberg(1, "H")
+    monkeypatch.setattr(inversion, "pf_polynomial",
+                        lambda alg: Poly(3, {(2, 0, 0): 1}))
+    for seed in range(5):
+        with pytest.raises(ValueError, match="not rotation-invariant"):
+            orbit_space_quadrature_check(alg, seed=seed)
+
+
+@pytest.mark.parametrize("name", ["heisenberg:1:H", "heisenberg:2:H",
+                                  "table:2.2:23"])
+def test_pfaffian_on_a_grid_is_bitwise_the_pointwise_value(name):
+    pf = pf_polynomial(from_name(name))
+    rng = np.random.default_rng(63)
+    # unequal axis lengths, so a transposed layout cannot pass
+    grid = TensorGrid(rng.normal(size=2 + k % 3) for k in range(pf.nvars))
+    got = pf.evaluate_grid(grid.axes)
+    assert got.shape == grid.shape
+    assert np.array_equal(got.reshape(-1), pf.evaluate_float(points(grid)))
+    # a constant term and Fraction coefficients take the same route
+    poly = pf * Fraction(1, 3) + 5
+    assert np.array_equal(poly.evaluate_grid(grid.axes).reshape(-1),
+                          poly.evaluate_float(points(grid)))
 
 
 def test_orbit_space_check_needs_three_dim_center():

@@ -119,6 +119,14 @@ def test_darboux_radical_detected():
     assert basis.block_values == [Fraction(1)]
 
 
+@pytest.mark.parametrize("M", [[[0, 1], [-1, 0, 7]], [[0, 1], [-1]],
+                               [[0, 1, 5], [-1, 0]]],
+                         ids=["long_row", "short_row", "wide_first_row"])
+def test_darboux_basis_refuses_a_non_square_matrix(M):
+    with pytest.raises(ValueError, match="square matrix"):
+        darboux_basis(M)
+
+
 def darboux_oracle(M):
     """darboux_basis evaluating every form value from M, O(n^5)."""
     M = [[Fraction(x) for x in row] for row in M]
