@@ -130,11 +130,11 @@ def _accumulate(alg, xs, ys, out):
 
 def bracket(alg, x, y):
     """Bilinear extension of the structure constants: exact input (ints
-    and Fractions) runs in integers over dx * dy, any other as it is."""
+    and Fractions) runs in integers over dx * dy, any other as it is,
+    from an int 0 in each coordinate."""
     exact = _scaled_bracket(alg, x, y)
     if exact is None:
-        return _accumulate(alg, _support(x), _support(y),
-                           [Fraction(0)] * alg.dim)
+        return _accumulate(alg, _support(x), _support(y), [0] * alg.dim)
     (_, dx), (_, dy), out = exact
     return linalg._unscaled(out, dx * dy)
 

@@ -8,6 +8,13 @@ coordinate block) keeps it inside one family:
 
 with A real symmetric positive definite and u, v complex.  A stays
 real through the whole pipeline; phases live in u and v.
+
+The Gaussians on one A array share one private form cache, filled on
+first use: A's inverse and slogdet, the transform's form (its own
+cache starting with A as its inverse), A's nested lists and uncoupled
+blocks, the envelope's sigma, and per index tuple the slice form with
+its own cache.  So the points that slice one test function factor it
+once.  u and v never enter the cache, and A is never mutated in place.
 """
 
 import cmath
@@ -34,11 +41,11 @@ def _blocks(A):
 
 
 class ComplexGaussian:
-    """g(Y) = exp(-1/2 Y^T A Y + u^T Y + v).  A transform keeps its
-    source form as the inverse of its own, so neither its envelope nor
-    its own transform inverts again; A is never reassigned."""
+    """g(Y) = exp(-1/2 Y^T A Y + u^T Y + v), with _form the cache of
+    its A array (module docstring); A is never reassigned or written
+    to, while u and v may be."""
 
-    __slots__ = ("A", "u", "v", "_inv")
+    __slots__ = ("A", "u", "v", "_form")
 
     def __init__(self, A, u, v):
         A = np.asarray(A, dtype=float)
@@ -51,38 +58,31 @@ class ComplexGaussian:
         self.A = (A + A.T) / 2.0
         self.u = u
         self.v = complex(v)
-        self._inv = None
+        self._form = {}
 
     @classmethod
-    def _of(cls, A, u, v, inv=None):
-        # trusted: A symmetric, u complex, both of matching shapes, and
-        # inv A's inverse when known
+    def _of(cls, form, u, v):
+        # trusted: form an (A, cache) pair, u complex of A's size
         g = object.__new__(cls)
-        g.A, g.u, g.v, g._inv = A, u, complex(v), inv
+        (g.A, g._form), g.u, g.v = form, u, complex(v)
         return g
+
+    def _cached(self, key, compute):
+        """compute(A), evaluated once per key for this form."""
+        if key not in self._form:
+            self._form[key] = compute(self.A)
+        return self._form[key]
 
     @property
     def dim(self):
         return self.A.shape[0]
 
-    def evaluate(self, points):
-        """Vectorized evaluation; points is (npts, dim) or (dim,).  One
-        point is one scalar exponent, and its value a complex."""
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim == 1:
-            return cmath.exp(-0.5 * (pts @ self.A @ pts) + self.u @ pts
-                             + self.v)
-        # real and imaginary parts of the exponent from real products,
-        # so the grid is never copied to complex
-        out = np.empty(len(pts), dtype=complex)
-        out.real = np.einsum("ni,ni->n", pts @ self.A, pts)
-        out.real *= -0.5
-        out.real += pts @ self.u.real
-        out.real += self.v.real
-        out.imag = pts @ self.u.imag
-        out.imag += self.v.imag
-        np.exp(out, out=out)
-        return out
+    def evaluate(self, point):
+        """g at one point of dim coordinates, a complex."""
+        y = np.asarray(point, dtype=float)
+        if y.shape != (self.dim,):
+            raise ValueError("evaluate takes one point of dim coordinates")
+        return cmath.exp(-0.5 * (y @ self.A @ y) + self.u @ y + self.v)
 
     def grid_integrand(self):
         """g as a quadrature integrand: a TensorGrid to the factors of
@@ -106,10 +106,10 @@ class ComplexGaussian:
         cancels against the others cannot overflow.
         """
         mean = self.envelope()[0].tolist()
-        A, ur = self.A.tolist(), self.u.real.tolist()
+        A, ur = self._cached("list", np.ndarray.tolist), self.u.real.tolist()
         phase = (1j * self.u.imag).tolist()
         plan, peak = [], self.v
-        for block in _blocks(A):
+        for block in self._cached("blocks", lambda _: _blocks(A)):
             c = 0.5 * sum(ur[k] * mean[k] for k in block)
             peak += c
             # axis j of the block: its sparse shape, Re u_k, 1/2 A_kk,
@@ -156,28 +156,33 @@ class ComplexGaussian:
     def slice(self, indices, at):
         """g(at + sum_k Z_k e_{indices[k]}) as a Gaussian in Z: the
         pullback by the columns indices of the identity, read off by
-        index instead of multiplied."""
+        index instead of multiplied; the sub-form is read once per
+        index tuple."""
         at = np.asarray(at, dtype=float)
-        return ComplexGaussian._of(self.A[indices][:, indices],
-                                   (self.u - self.A @ at)[indices],
-                                   self.v + self.u @ at
-                                   - 0.5 * at @ self.A @ at)
+        idx = list(indices)
+        return ComplexGaussian._of(
+            self._cached(tuple(idx), lambda A: (A[idx][:, idx], {})),
+            (self.u - self.A @ at)[idx],
+            self.v + self.u @ at - 0.5 * at @ self.A @ at)
 
     def _dual(self):
         """(A^{-1}, v of the transform), refused unless A has a positive
-        determinant; a transform's A^{-1} is its source form."""
-        Ainv = np.linalg.inv(self.A) if self._inv is None else self._inv
-        sign, logdet = np.linalg.slogdet(self.A)
+        determinant; the cached sign is checked on every call."""
+        Ainv = self._cached("inv", np.linalg.inv)
+        sign, logdet = self._cached("slogdet", np.linalg.slogdet)
         if sign <= 0:
             raise ValueError("form is not positive definite")
         return Ainv, (self.v + 0.5 * self.u @ Ainv @ self.u
                       + 0.5 * (self.dim * math.log(2 * math.pi) - logdet))
 
     def fourier(self):
-        """g^(xi) = integral g(Y) exp(-i<xi,Y>) dY, plain Lebesgue."""
+        """g^(xi) = integral g(Y) exp(-i<xi,Y>) dY, plain Lebesgue.  The
+        transform's form is built once per form, with A as its inverse."""
         Ainv, v2 = self._dual()
-        return ComplexGaussian._of((Ainv + Ainv.T) / 2.0,
-                                   -1j * (Ainv @ self.u), v2, inv=self.A)
+        return ComplexGaussian._of(
+            self._cached("dual", lambda A: ((Ainv + Ainv.T) / 2.0,
+                                            {"inv": A})),
+            -1j * (Ainv @ self.u), v2)
 
     def marginalize(self, out_indices):
         """Integrate out the listed coordinates, plain Lebesgue."""
@@ -215,8 +220,9 @@ class ComplexGaussian:
 
     def envelope(self):
         """(mean, per-axis sigma) of the |g| envelope, for quadrature."""
-        Ainv = np.linalg.inv(self.A) if self._inv is None else self._inv
-        return Ainv @ self.u.real, np.sqrt(Ainv.diagonal())
+        Ainv = self._cached("inv", np.linalg.inv)
+        return Ainv @ self.u.real, self._cached(
+            "sigma", lambda _: np.sqrt(Ainv.diagonal()))
 
 
 class GaussianTestFunction(ComplexGaussian):

@@ -27,9 +27,10 @@ quadrature with the configured quad_rtol, max_evals and start_nodes.
 The rule is contracted per uncoupled block of the transform's form, so
 a diagonal form (the standard test function's on h(1;H)) costs dim n
 values a level instead of n^dim, while the reported node counts stay
-the rule's n^dim.  Each Gaussian is factored once: the slice is read
-off f by index, and the transform keeps the slice's form as its
-inverse, so its envelope needs no second inversion.
+the rule's n^dim.  Each form is factored once, so once per test
+function and slice across points: the slice form is read off f by
+index and kept with f, and its transform's form keeps it as its
+inverse, so neither the envelope nor the next point inverts again.
 
 Measure convention used throughout: the Fourier kernel e^{-i<xi,Y>}
 integrates against plain Lebesgue dY, and every k-dimensional dual

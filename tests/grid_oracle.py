@@ -1,6 +1,7 @@
-"""Every node of a quadrature.TensorGrid and an integrand's value at
-each: the scattered-point view of a tensor grid, which the package's
-integrands no longer form and the tests compare against."""
+"""Every node of a quadrature.TensorGrid, an integrand's value at each
+and a Gaussian's values at many points: the scattered-point view of a
+tensor grid, which the package's integrands no longer form and the
+tests compare against."""
 
 import numpy as np
 
@@ -13,6 +14,22 @@ def points(grid):
                                       sparse=True)):
         pts[..., k] = x
     return pts.reshape(len(grid), dim)
+
+
+def gaussian_values(g, pts):
+    """A ComplexGaussian's values at the rows of the (npts, dim) array
+    pts, the exponent's real and imaginary parts from real products so
+    the points are never copied to complex."""
+    pts = np.asarray(pts, dtype=float)
+    out = np.empty(len(pts), dtype=complex)
+    out.real = np.einsum("ni,ni->n", pts @ g.A, pts)
+    out.real *= -0.5
+    out.real += pts @ g.u.real
+    out.real += g.v.real
+    out.imag = pts @ g.u.imag
+    out.imag += g.v.imag
+    np.exp(out, out=out)
+    return out
 
 
 def expand(values, shape):

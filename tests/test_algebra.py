@@ -440,8 +440,9 @@ def exact_inputs(rng, dim):
 
 def generic_bracket(alg, x, y):
     """The bracket in its input's own arithmetic, term by term in the
-    kernel's order: the path every input but ints and Fractions takes."""
-    out = [Fraction(0)] * alg.dim
+    kernel's order, from an int 0 in every slot: the path every input
+    but ints and Fractions takes."""
+    out = [0] * alg.dim
     for i, a in enumerate(x):
         for j, b in enumerate(y):
             if a and b:
@@ -457,8 +458,8 @@ def typed(vec):
 
 def test_bracket_keeps_the_arithmetic_of_its_input():
     # ints and Fractions in, in any mix, Fractions out in every slot;
-    # floats in, floats out in every slot that a term reaches, and
-    # Fraction(0) in every other; numpy scalars and bools keep the
+    # floats in, floats out in every slot that a term reaches, and the
+    # int 0 in every other; numpy scalars and bools keep the
     # results and types of their own arithmetic
     rng = random.Random(9)
     for alg in ORACLE_ALGEBRAS:
@@ -477,7 +478,7 @@ def test_bracket_keeps_the_arithmetic_of_its_input():
                 assert type(got) is float
                 assert abs(got - float(want)) <= 1e-12 * (1 + abs(want))
             else:
-                assert type(got) is Fraction and got == 0
+                assert type(got) is int and got == 0
         for conv in (lambda c: np.int64(c.numerator), np.float64, bool):
             xs, ys = [conv(c) for c in x], [conv(c) for c in y]
             assert typed(bracket(alg, xs, ys)) == typed(

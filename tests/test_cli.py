@@ -1,12 +1,15 @@
 """CLI surface: exit codes, pinned text lines, canonical JSON."""
 
 import argparse
+import hashlib
+import importlib.util
 import json
 import os
 import resource
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +23,18 @@ from nilharm.config import DEFAULTS, MAX_DECIMAL_EXPONENT, shown
 
 def invoke(argv):
     return run(argv)
+
+
+def bench_module(name):
+    """perfbench/<name>.py, loaded from its file and left unedited."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+BENCH_RUN, BENCH_WORKLOADS = bench_module("run"), bench_module("workloads")
 
 
 def test_classify_square_integrable_line():
@@ -165,6 +180,20 @@ def test_json_output_is_byte_identical():
     assert a == b
     doc = json.loads(a)
     assert len(doc["entries"]) == 23
+
+
+@pytest.mark.parametrize("text", BENCH_WORKLOADS.CLI_EXACT)
+def test_exact_cli_output_matches_the_benchmark_reference(text):
+    # the benchmark's byte-identical commands, in a fresh interpreter
+    # with its environment (no NILHARM_*, PYTHONHASHSEED=0), hashed
+    # against its reference; both lists are read from perfbench/
+    want = BENCH_WORKLOADS.load_reference()["cli"][text]
+    out = subprocess.run([sys.executable, "-m", "nilharm.cli",
+                          *text.split()], cwd=BENCH_RUN.ROOT,
+                         env=BENCH_RUN.isolated_env(), capture_output=True,
+                         timeout=120)
+    assert out.returncode == 0 and out.stderr == b""
+    assert hashlib.sha256(out.stdout).hexdigest() == want
 
 
 def test_json_flag_position_is_flexible():

@@ -12,7 +12,7 @@ from nilharm.gaussians import ComplexGaussian, GaussianTestFunction
 from nilharm.quadrature import (MAX_HERMITE_NODES, TensorGrid,
                                gauss_hermite, hermite_axis_rule,
                                tensor_integrate)
-from grid_oracle import expand, points
+from grid_oracle import expand, gaussian_values, points
 
 
 def rand_spd(rng, n):
@@ -30,7 +30,7 @@ def legendre_box(n, means, sigmas, width):
 def quad_oracle(g, n=64, width=10.0):
     """The integral of g over the box envelope mean +- width sigma."""
     level = legendre_box(n, *g.envelope(), width)
-    value = g.evaluate(points(TensorGrid(x for x, _ in level)))
+    value = gaussian_values(g, points(TensorGrid(x for x, _ in level)))
     value = value.reshape((n,) * len(level))
     for _, w in reversed(level):
         value = value @ w
@@ -53,7 +53,7 @@ def test_evaluate_matches_a_per_point_reference(dim):
     v = complex(rng.normal(), rng.normal())
     g = ComplexGaussian(A, u, v)
     pts = rng.normal(size=(9, dim))
-    batch = g.evaluate(pts)
+    batch = gaussian_values(g, pts)
     assert batch.shape == (9,)
     for y, got in zip(pts, batch):
         want = reference_value(g.A, u, v, y)
@@ -72,7 +72,7 @@ def test_evaluate_grid_matches_evaluate_on_the_grid_points(dim):
     # unequal axis lengths, so a transposed layout cannot pass
     grid = TensorGrid(rng.normal(size=3 + k) for k in range(dim))
     got = expand(g.grid_integrand()(grid), grid.shape)
-    want = g.evaluate(points(grid))
+    want = gaussian_values(g, points(grid))
     assert np.all(np.abs(got.reshape(-1) - want) <= 1e-13 * np.abs(want))
 
 
@@ -100,7 +100,7 @@ def test_evaluate_grid_is_finite_far_out_and_ill_conditioned():
         got = expand(factors, grid.shape).reshape(-1)
         assert np.all(np.isfinite(got))
         pts = points(grid)
-        want = g.evaluate(pts)
+        want = gaussian_values(g, pts)
         # both round an exponent whose terms reach this size, so they
         # may differ by some ulps of it, and no more
         terms = (0.5 * np.einsum("ni,ij,nj->n", np.abs(pts), np.abs(g.A),
@@ -175,8 +175,8 @@ def test_fourier_round_trip_value():
     gg = g.fourier().fourier()
     for _ in range(5):
         x = rng.normal(size=n)
-        lhs = gg.evaluate(x[None, :])[0]
-        rhs = (2 * np.pi) ** n * g.evaluate(-x[None, :])[0]
+        lhs = gg.evaluate(x)
+        rhs = (2 * np.pi) ** n * g.evaluate(-x)
         assert abs(lhs - rhs) < 1e-10 * abs(rhs)
 
 
@@ -192,18 +192,18 @@ def test_fourier_matches_quadrature_pointwise():
 
         def integrand(grid):
             pts = points(grid)
-            return np.real(g.evaluate(pts) * np.exp(-1j * pts @ xi))
+            return np.real(gaussian_values(g, pts) * np.exp(-1j * pts @ xi))
 
         re, _ = tensor_integrate(integrand, means, sig, rtol=1e-10,
                                  max_evals=2 ** 22)
 
         def integrand_im(grid):
             pts = points(grid)
-            return np.imag(g.evaluate(pts) * np.exp(-1j * pts @ xi))
+            return np.imag(gaussian_values(g, pts) * np.exp(-1j * pts @ xi))
 
         im, _ = tensor_integrate(integrand_im, means, sig, rtol=1e-10,
                                  max_evals=2 ** 22)
-        closed = ghat.evaluate(xi[None, :])[0]
+        closed = ghat.evaluate(xi)
         assert abs(closed - (re + 1j * im)) < 1e-8 * max(1.0, abs(closed))
 
 
@@ -216,8 +216,8 @@ def test_pullback_is_composition():
     pulled = g.pullback(M, m0)
     for _ in range(5):
         y = rng.normal(size=n)
-        lhs = pulled.evaluate(y[None, :])[0]
-        rhs = g.evaluate((M @ y + m0)[None, :])[0]
+        lhs = pulled.evaluate(y)
+        rhs = g.evaluate(M @ y + m0)
         assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(rhs))
 
 
@@ -231,12 +231,12 @@ def test_marginalize_matches_axis_integral():
         def slice_integrand(grid):
             ts = grid.axes[0]
             pts = np.column_stack([np.full(len(ts), x0), ts])
-            return np.real(g.evaluate(pts))
+            return np.real(gaussian_values(g, pts))
 
         means, sig = g.envelope()
         val, _ = tensor_integrate(slice_integrand, [means[1]], [sig[1]],
                                   rtol=1e-11, max_evals=2 ** 20)
-        closed = marg.evaluate(np.array([[x0]]))[0]
+        closed = marg.evaluate([x0])
         assert abs(closed - val) < 1e-9 * max(1.0, abs(val))
 
 
@@ -247,7 +247,7 @@ def test_partial_fourier_equals_fourier_on_slice():
     g = ComplexGaussian(rand_spd(rng, n), rng.normal(size=n), 0.1)
     xi = rng.normal(size=n)
     part = g.partial_fourier(list(range(n)), xi)
-    full = g.fourier().evaluate(xi[None, :])[0]
+    full = g.fourier().evaluate(xi)
     assert part.A.shape == (0, 0)
     assert abs(part.total_integral() - full) < 1e-12 * abs(full)
 
@@ -258,6 +258,61 @@ def test_symmetry_validation():
         ComplexGaussian(A, np.zeros(2), 0.0)
 
 
+@pytest.mark.parametrize("point", [[0.1, 0.2], [[0.1, 0.2, 0.3]],
+                                   [[0.1, 0.2, 0.3]] * 2, 0.1])
+def test_evaluate_refuses_anything_but_one_point(point):
+    g = GaussianTestFunction.standard(3)
+    with pytest.raises(ValueError, match="one point"):
+        g.evaluate(point)
+
+
+@pytest.mark.parametrize("A", [np.diag([1.0, -1.0, 2.0]),
+                               np.diag([-1.0, -2.0, -3.0]),
+                               np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0],
+                                         [0.0, 0.0, 1.0]])],
+                         ids=["indefinite", "negative", "coupled"])
+def test_a_form_that_is_not_positive_definite_is_refused_on_every_call(A):
+    # the cached sign is checked again on every call, so a second call
+    # on the warm form is refused as the first was
+    g = ComplexGaussian(A, np.array([0.1, 0.2j, -0.3]), 0.0)
+    for _ in range(3):
+        with pytest.raises(ValueError, match="not positive definite"):
+            g.fourier()
+        with pytest.raises(ValueError, match="not positive definite"):
+            g.total_integral()
+    # and so is each slice that shares a warm sub-form
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not positive definite"):
+            g.slice([2, 1, 0], [0.3, 0.0, 0.1]).fourier()
+
+
+def test_each_index_tuple_gets_its_own_slice_form():
+    rng = np.random.default_rng(39)
+    A = rand_spd(rng, 4)
+    g = ComplexGaussian(A, rng.normal(size=4), 0.2)
+    for idx in ([0, 1], [2, 3], [3, 1], (0, 1)):
+        got = [g.slice(idx, rng.normal(size=4)) for _ in range(2)]
+        want = A[list(idx)][:, list(idx)]
+        assert all(np.array_equal(h.A, (want + want.T) / 2) for h in got)
+        # the points share one sub-form and its cache
+        assert got[0].A is got[1].A and got[0]._form is got[1]._form
+    assert g.slice([0, 1], np.zeros(4)).A is g.slice((0, 1), np.ones(4)).A
+    assert g.slice([0, 1], np.zeros(4)).A is not g.slice([1, 0],
+                                                        np.zeros(4)).A
+    # a slice of the warm form, its transform and their envelopes are a
+    # fresh copy's, bit for bit, at every point and for a complex u
+    g.u = g.u + 1j * rng.normal(size=4)
+    for _ in range(3):
+        at = rng.normal(size=4)
+        warm = g.slice([3, 1], at)
+        fresh = ComplexGaussian(A, g.u, g.v).slice([3, 1], at)
+        for a, b in ((warm, fresh), (warm.fourier(), fresh.fourier())):
+            assert np.array_equal(a.A, b.A) and np.array_equal(a.u, b.u)
+            assert a.v == b.v and a.total_integral() == b.total_integral()
+            for p, q in zip(a.envelope(), b.envelope()):
+                assert np.array_equal(p, q)
+
+
 def test_gaussian_test_function_lift():
     rng = np.random.default_rng(38)
     Q = rand_spd(rng, 3)
@@ -266,12 +321,12 @@ def test_gaussian_test_function_lift():
     assert isinstance(f, ComplexGaussian)
     pts = rng.normal(size=(20, 3))
     expect = [1.7 * np.exp(-0.5 * (x - b) @ Q @ (x - b)) for x in pts]
-    assert np.allclose(f.evaluate(pts), expect, rtol=1e-12, atol=0)
+    assert np.allclose(gaussian_values(f, pts), expect, rtol=1e-12, atol=0)
 
 
 def test_standard_test_function():
     f = GaussianTestFunction.standard(4)
-    assert np.isclose(f.evaluate(np.zeros((1, 4)))[0], 1.0)
+    assert np.isclose(f.evaluate(np.zeros(4)), 1.0)
 
 
 def test_tensor_integrate_budget_error():

@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from nilharm import catalog, inversion
+from nilharm import catalog, gaussians, inversion
 from nilharm.algebra import bracket
 from nilharm.catalog import free_two_step, from_name, heisenberg
 from nilharm.config import DEFAULTS
@@ -26,7 +26,7 @@ from nilharm.pfaffian import pf_polynomial
 from nilharm.polynomials import Poly
 from nilharm.quadrature import TensorGrid, tensor_integrate
 from nilharm.stepwise import StepwiseDecomposition, decompose, verify
-from grid_oracle import expand, points
+from grid_oracle import expand, gaussian_values, points
 
 
 # Quadrature oracles for the closed forms; only the tests use them.
@@ -38,7 +38,7 @@ def fourier_quadrature(g, xi, rtol=DEFAULTS["quad_rtol"],
 
     def integrand(grid):
         pts = points(grid)
-        return g.evaluate(pts) * np.exp(-1j * (pts @ xi))
+        return gaussian_values(g, pts) * np.exp(-1j * (pts @ xi))
 
     value, _ = tensor_integrate(integrand, mean, sigma, rtol=rtol,
                                 max_evals=max_evals)
@@ -72,7 +72,8 @@ def orbital_character_quadrature(alg, lam, g, rtol=DEFAULTS["quad_rtol"],
     # integrate ghat over the affine slice v* + lam
     fixed = restrict(ghat, cent, lam)
     mean, sigma = fixed.envelope()
-    value, _ = tensor_integrate(lambda grid: fixed.evaluate(points(grid)),
+    value, _ = tensor_integrate(lambda grid: gaussian_values(fixed,
+                                                             points(grid)),
                                 mean, sigma, rtol=rtol, max_evals=max_evals)
     value *= (2 * math.pi) ** (-len(comp))
     c = flat_constant(alg)
@@ -85,8 +86,8 @@ def test_restrict_fixes_coordinates():
     g = ComplexGaussian(A @ A.T + 3 * np.eye(3), rng.normal(size=3), 0.0)
     fixed = restrict(g, [0, 2], [0.5, -0.3])
     for t in (-1.0, 0.0, 2.0):
-        lhs = fixed.evaluate(np.array([[t]]))[0]
-        rhs = g.evaluate(np.array([[0.5, t, -0.3]]))[0]
+        lhs = fixed.evaluate([t])
+        rhs = g.evaluate([0.5, t, -0.3])
         assert abs(lhs - rhs) < 1e-13 * max(1.0, abs(rhs))
 
 
@@ -151,8 +152,8 @@ def test_right_translate_pointwise():
         y = rng.normal(size=3)
         prod = group_multiply(alg, [Fraction(c).limit_denominator(10 ** 12)
                                     for c in y], x).coords
-        expect = f.evaluate(np.array([[float(c) for c in prod]]))[0]
-        got = np.real(g.evaluate(y[None, :]))
+        expect = f.evaluate([float(c) for c in prod])
+        got = np.real(g.evaluate(y))
         assert np.isclose(got, expect, rtol=1e-10)
 
 
@@ -161,7 +162,7 @@ def test_fourier_against_quadrature():
     ghat = f.fourier()
     for xi in ([0.0, 0.0], [1.0, -0.5], [0.4, 2.0]):
         oracle = fourier_quadrature(f, np.array(xi), rtol=1e-11)
-        closed = ghat.evaluate(np.array([xi]))[0]
+        closed = ghat.evaluate(xi)
         assert abs(closed - oracle) < 1e-8 * max(1.0, abs(oracle))
 
 
@@ -331,6 +332,58 @@ def test_flatness_identity_gap_is_tiny():
     assert abs(lhs) > 0 and abs(rhs) > 0
 
 
+def counted_factorizations(monkeypatch):
+    """Calls of np.linalg.inv and slogdet, patched where gaussians
+    reads them, by name."""
+    calls = []
+    for name in ("inv", "slogdet"):
+        original = getattr(gaussians.np.linalg, name)
+        monkeypatch.setattr(gaussians.np.linalg, name,
+                            lambda A, name=name, original=original:
+                            calls.append(name) or original(A))
+    return calls
+
+
+def test_a_test_function_is_factored_once_for_all_its_points(monkeypatch):
+    alg = from_name("heisenberg:1:H")
+    calls = counted_factorizations(monkeypatch)
+    f = GaussianTestFunction.standard(alg.dim)
+    rng = np.random.default_rng(63)
+    invert_flat(alg, f, list(0.25 * rng.normal(size=alg.dim)))
+    assert sorted(calls) == ["inv", "slogdet"]
+    calls.clear()
+    for _ in range(10):
+        rep = invert_flat(alg, f, list(0.25 * rng.normal(size=alg.dim)))
+        assert rep.entries[0]["rel_error"] < 1e-6
+    assert calls == []
+
+
+def coupled_test_function(dim):
+    """A Gaussian test function with a coupled form, built afresh, the
+    same on every call."""
+    rng = np.random.default_rng(65)
+    B = rng.normal(size=(dim, dim))
+    return GaussianTestFunction(0.1 * B @ B.T + np.eye(dim),
+                                0.2 * rng.normal(size=dim), amp=1.5)
+
+
+@pytest.mark.parametrize("name", ["heisenberg:1:C", "heisenberg:2:C",
+                                  "heisenberg:1:H"])
+def test_a_warm_test_function_gives_what_a_fresh_one_does(name):
+    # bit for bit: the cached forms are the arrays a fresh function
+    # computes, so every entry, node counts included, is equal
+    alg = from_name(name)
+    rng = np.random.default_rng(64)
+    warm = coupled_test_function(alg.dim)
+    for _ in range(20):
+        x = list(0.25 * rng.normal(size=alg.dim))
+        assert (invert_flat(alg, warm, x).entries
+                == invert_flat(alg, coupled_test_function(alg.dim), x).entries)
+        assert (flatness_identity_gap(alg, warm, x)
+                == flatness_identity_gap(alg, coupled_test_function(alg.dim),
+                                         x))
+
+
 def test_factor_point_recomposes():
     dec = decompose("case1")
     alg = dec.algebra
@@ -357,6 +410,19 @@ def test_factor_point_on_floats_matches_the_exact_route(case):
             assert all(type(c) is float for c in p if c)
             assert np.abs(np.array(p, dtype=float)
                           - np.array(q, dtype=float)).max() <= 1e-14
+
+
+def test_factor_point_on_a_float_point_builds_no_fraction(count_fractions):
+    # no bracket row reaches some coordinates; they start as the int 0,
+    # so the float arithmetic never falls back through Fraction
+    for case, x in (("case1", CASE1_GENERIC), ("case3", [0.05 * k - 0.3
+                                                         for k in range(14)]),
+                    ("case6", CASE6_GENERIC)):
+        dec = decompose(case)
+        (x1, x2), built = count_fractions(
+            lambda: factor_point(dec.algebra, dec, x))
+        assert built == 0
+        assert all(type(c) in (int, float) for c in x1 + x2)
 
 
 def test_factor_point_refuses_a_wrong_recomposition(monkeypatch):
@@ -401,6 +467,9 @@ def test_wrong_length_coordinates_are_refused(entry, extra):
         call(alg, f, [0.1] * (alg.dim + extra))
 
 
+CASE1_GENERIC = [0.1, -0.2, 0.15, 0.05, -0.1, 0.2]
+
+
 def test_invert_stepwise_case1_origin_and_general():
     f = GaussianTestFunction.standard(6)
     rep = invert_stepwise("case1", f, [0.0] * 6)
@@ -410,6 +479,16 @@ def test_invert_stepwise_case1_origin_and_general():
                           [0.1, -0.2, 0.15, 0.3, -0.1, 0.2])
     assert rep.entries[0]["rel_error"] < 1e-9
     assert rep.entries[0]["outer_nodes"] == 16
+
+
+def test_invert_stepwise_in_a_row_gives_what_fresh_functions_do():
+    # the first call reassigns its transform's u; the second, on the
+    # same (warm) test function, still equals a fresh function's run
+    f = GaussianTestFunction.standard(6)
+    for x in ([0.0] * 6, CASE1_GENERIC, [0.2, 0.1, -0.3, 0.0, 0.1, -0.2]):
+        assert (invert_stepwise("case1", f, x).entries
+                == invert_stepwise("case1", GaussianTestFunction.standard(6),
+                                   x).entries)
 
 
 def test_invert_stepwise_case3_origin():
