@@ -10,11 +10,13 @@ with A real symmetric positive definite and u, v complex.  A stays
 real through the whole pipeline; phases live in u and v.
 
 The Gaussians on one A array share one private form cache, filled on
-first use: A's inverse and slogdet, the transform's form (its own
-cache starting with A as its inverse), A's nested lists and uncoupled
-blocks, the envelope's sigma, and per index tuple the slice form with
-its own cache.  So the points that slice one test function factor it
-once.  u and v never enter the cache, and A is never mutated in place.
+first use: A's inverse, its log-determinant from its Cholesky factor
+(which refuses a form that is not positive definite), the transform's
+form (its own cache starting with A as its inverse), A's nested lists
+and uncoupled blocks, the envelope's sigma, and per index tuple the
+slice form with its own cache.  So the points that slice one test
+function factor it once.  u and v never enter the cache, and A is
+never mutated in place.
 """
 
 import cmath
@@ -24,6 +26,15 @@ from math import prod
 import numpy as np
 
 _SYM_TOL = 1e-10
+
+
+def _logdet(A):
+    """log det A = 2 sum log diag L, L the Cholesky factor of A; a
+    ValueError unless A is positive definite."""
+    try:
+        return 2.0 * float(np.log(np.linalg.cholesky(A).diagonal()).sum())
+    except np.linalg.LinAlgError:
+        raise ValueError("form is not positive definite") from None
 
 
 def _blocks(A):
@@ -166,12 +177,11 @@ class ComplexGaussian:
             self.v + self.u @ at - 0.5 * at @ self.A @ at)
 
     def _dual(self):
-        """(A^{-1}, v of the transform), refused unless A has a positive
-        determinant; the cached sign is checked on every call."""
+        """(A^{-1}, v of the transform), refused unless A is positive
+        definite: a refused Cholesky is not cached, so every call
+        refuses."""
+        logdet = self._cached("logdet", _logdet)
         Ainv = self._cached("inv", np.linalg.inv)
-        sign, logdet = self._cached("slogdet", np.linalg.slogdet)
-        if sign <= 0:
-            raise ValueError("form is not positive definite")
         return Ainv, (self.v + 0.5 * self.u @ Ainv @ self.u
                       + 0.5 * (self.dim * math.log(2 * math.pi) - logdet))
 
@@ -191,9 +201,7 @@ class ComplexGaussian:
         A_kk = self.A[np.ix_(keep, keep)]
         A_ko = self.A[np.ix_(keep, out)]
         A_oo = self.A[np.ix_(out, out)]
-        sign, logdet = np.linalg.slogdet(A_oo)
-        if sign <= 0:
-            raise ValueError("marginalized block is not positive definite")
+        logdet = _logdet(A_oo)
         Aoo_inv = np.linalg.inv(A_oo)
         u_k = self.u[keep]
         u_o = self.u[out]

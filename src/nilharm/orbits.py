@@ -1,20 +1,20 @@
 """Coadjoint orbit representatives via skew normal forms.
 
 Every case reads b_lambda(x, y) = lambda([x, y]) on v from the bracket
-table, through the cached skew pattern that every Pfaffian reads.
-Case 1 (free 2-step over R): real skew M under K = SO(n) congruence,
-classified by its skew spectrum.  Case 6 (over C, n odd): complex skew
+table, through the cached skew pattern that every Pfaffian reads, and
+classifies it by one skew spectrum.  Case 1 (free 2-step over R): real
+skew M under K = SO(n) congruence.  Case 6 (over C, n odd): complex skew
 M under K = SU(n).  A unit u in ker M gives D = I + (c - 1) conj(u)
 u^T, unitary with D M D^T = M and det D = c for |c| = 1, so the SU(n)
 orbits are the U(n) orbits, classified by the paired singular values
 of M (Youla 1961).  Even n gives the O(n) or U(n) invariants, not the
-sign or phase of Pf.  The rank floor is relative, so t * lambda has
-lambda's orbit type for every t > 0.  Case 3 (octonion double): only
-functionals on the (e3, e6, e2) coordinates are in normal-form reach;
-their l1 split drops (0, e3), on which Pf(lambda_a) = +-a1*(a1^2 +
-a2^2 + a3^2); every other split is find_codim_split's.  Only
-skew_spectrum and cases 1 and 6 import numpy.  darboux_basis keeps its
-vectors as W / d, integers over one denominator, after Bareiss.
+sign or phase of Pf.  Case 3 (octonion double, K = G2): b_lambda is
+lambda paired with the octonion cross product, det(x - b_lambda^2) =
+x (x + |lambda|^2)^6, so the orbit of lambda != 0 is the sphere of
+radius |lambda| (G2 is transitive on S^6).  The rank floor is
+relative, so t * lambda has lambda's orbit type for every t > 0.
+Only skew_spectrum imports numpy.  darboux_basis keeps its vectors as
+W / d, integers over one denominator, after Bareiss.
 """
 
 import math
@@ -22,14 +22,19 @@ from fractions import Fraction
 
 from . import linalg
 from .catalog import OCTDOUBLE_LAMBDA_SUPPORT
-from .composition import DIM
-from .pfaffian import (LinearFunctional, _skew_form, b_matrix,
-                       is_square_integrable, pf_at)
+from .pfaffian import _skew_form, is_square_integrable, pf_at
 from .stepwise import find_codim_split
 
 SKEW_INPUT_TOL = 1e-12
 RANK_TOL = 1e-10
 PAIR_TOL = 1e-9
+
+# (family, F) -> (case tag, group, unit): each sigma of the orbit
+# appears `group` times in the real spectrum of b_lambda on v, and each
+# kernel direction of the orbit counts `unit` times in its kernel
+_CASES = {("free2step", "R"): ("case1", 1, 1),
+          ("free2step", "C"): ("case6", 2, 2),
+          ("octdouble", None): ("case3", 3, 1)}
 
 
 def skew_spectrum(M):
@@ -112,8 +117,8 @@ def darboux_basis(M):
 
 
 class OrbitRepresentative:
-    """K-orbit invariants as plain floats, the sigmas ascending (cases 1
-    and 6) or (a1, a2, a3) (case 3); kernel_dim is complex on case 6."""
+    """K-orbit invariants as plain floats, the sigmas ascending; on case
+    6 kernel_dim is complex, and case 3 has the one sigma |lambda|."""
 
     __slots__ = ("case_tag", "invariants", "kernel_dim")
 
@@ -130,19 +135,18 @@ class OrbitRepresentative:
 def orbit_representative(alg, coeffs):
     """K-orbit invariants of a concrete functional (module docstring).
 
-    Refuses coeffs of the wrong length or past the float range.  Cases
-    1 and 6 take skew_spectrum of the float form B that pf_at fills
-    with ints; over F with d = DIM[F], B realifies M in (u_p e_a)
-    coordinates, so each sigma of M appears d times in its spectrum,
-    and each kernel direction of M counts d times.  A spectrum that does
-    not come in d equal values (within PAIR_TOL of the largest) is
-    refused: the bracket is then not F-bilinear.
+    Refuses coeffs of the wrong length or past the float range.  Every
+    case reads skew_spectrum of the float form B that pf_at fills with
+    ints: over F with d = DIM[F], B realifies M in (u_p e_a)
+    coordinates, so d is the case's group and unit in _CASES; on case 3
+    |lambda| appears three times.  A spectrum that does not come in runs
+    of equal values (within PAIR_TOL of the largest) is refused.
     """
     zdim = len(alg.center_indices)
     if len(coeffs) != zdim:
         raise ValueError(f"need {zdim} coefficients, got {len(coeffs)}")
-    family = alg.meta.get("family")
-    if family not in ("free2step", "octdouble"):
+    case = _CASES.get((alg.meta.get("family"), alg.meta.get("F")))
+    if case is None:
         raise ValueError(f"no orbit normal form implemented for {alg.name}")
     try:
         floats = [float(c) for c in coeffs]
@@ -151,35 +155,18 @@ def orbit_representative(alg, coeffs):
     if any(math.isinf(f) or f == 0 != c for f, c in zip(floats, coeffs)):
         raise ValueError("a coefficient is too small or too large for a "
                          "float, whose range is 5e-324 to 1.8e308")
-    if family == "octdouble":
-        return _case3_representative(alg, coeffs)
-    import numpy as np
-    B = np.array(_skew_form(alg, floats, 0.0, None).matrix)
-    positive, kernel_dim = skew_spectrum(B)
-    d = DIM[alg.meta["F"]]
+    tag, group, unit = case
+    positive, kernel_dim = skew_spectrum(
+        _skew_form(alg, floats, 0.0, None).matrix)
     top = max(positive, default=0.0)
-    # positive ascends, so a run of d values is equal when its ends are
-    if len(positive) % d or any(b - a > PAIR_TOL * top for a, b in
-                                zip(positive[::d], positive[d - 1::d])):
+    # positive ascends, so a run of `group` values is equal when its ends are
+    if len(positive) % group or any(
+            b - a > PAIR_TOL * top
+            for a, b in zip(positive[::group], positive[group - 1::group])):
         raise ValueError(f"the real skew spectrum {positive} does not come "
-                         "in equal pairs, so the bracket is not "
-                         "complex-bilinear")
-    return OrbitRepresentative("case1" if d == 1 else "case6",
-                               positive[::d], kernel_dim // d)
-
-
-def _case3_representative(alg, coeffs):
-    coeffs = [Fraction(c) for c in coeffs]
-    support = {k for k, c in enumerate(coeffs) if c != 0}
-    if not support <= set(OCTDOUBLE_LAMBDA_SUPPORT):
-        raise ValueError(
-            "functional is not in implemented normal-form reach: case 3 "
-            "representatives are computed only on the (e3, e6, e2)* span")
-    invariants = [float(coeffs[k]) for k in OCTDOUBLE_LAMBDA_SUPPORT]
-    form = b_matrix(alg, LinearFunctional(alg, coeffs),
-                    v_indices=l1_complement_indices(alg))
-    kernel_dim = darboux_basis(form.matrix).radical_dim
-    return OrbitRepresentative("case3", invariants, kernel_dim)
+                         f"in equal {('pairs', 'triples')[group - 2]}, so "
+                         "K does not act on the bracket")
+    return OrbitRepresentative(tag, positive[::group], kernel_dim // unit)
 
 
 def pf_nonsingular(alg, coeffs):
@@ -192,10 +179,12 @@ def pf_nonsingular(alg, coeffs):
 def l1_complement_indices(alg):
     """v1 = l1 ∩ v of find_codim_split's split, decided once per
     algebra; None when it is square integrable or has no split.  The
-    octonion double's normal form drops (0, e3) instead, complement
-    position OCTDOUBLE_LAMBDA_SUPPORT[0], the unit of a1 in lambda_a:
-    (0, e_k) gives Pf = +-t_k*|t|^2, so the search's (0, e7) vanishes
-    on the whole (e3, e6, e2)* family, where t7 = 0."""
+    octonion double drops (0, e3) instead, complement position
+    OCTDOUBLE_LAMBDA_SUPPORT[0], the unit of a1 in lambda_a: (0, e_k)
+    gives Pf = +-t_k*|t|^2, so the search's (0, e7) vanishes on the
+    whole (e3, e6, e2)* family, where t7 = 0.  That exception serves
+    only criterion 3's Pfaffian pins and pf_nonsingular; no orbit
+    reads it."""
     v1 = alg.cached("l1_complement", _l1_complement)
     return None if v1 is None else list(v1)
 

@@ -798,17 +798,30 @@ def test_malformed_points_are_refused_before_numpy_loads():
 
 
 def test_exact_orbit_routes_do_not_load_numpy():
-    # a refused algebra, and case 3, which is exact (b_matrix and
-    # darboux_basis)
+    # an algebra with no orbit normal form is refused before numpy
+    # loads; every case that answers reads skew_spectrum
     runs = [["orbit", "heisenberg:1:C", "--coeffs", "1", "--json"],
-            ["orbit", "heisenberg:1:C", "--coeffs", "1"],
-            ["orbit", "octdouble", "--coeffs", "0,3,1,0,0,2,0", "--json"]]
+            ["orbit", "heisenberg:1:C", "--coeffs", "1"]]
     out = subprocess.run(
         [sys.executable, "-c", _MODULES_AFTER, json.dumps(runs),
          json.dumps(["numpy"])],
         capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
-    assert json.loads(out.stdout) == [[2, []], [2, []], [0, []]]
+    assert json.loads(out.stdout) == [[2, []], [2, []]]
+
+
+def test_case3_orbit_is_one_answer_on_the_unit_sphere():
+    # G2 is transitive on S^6, so e1*, e3* and e6* are one orbit: one
+    # payload, byte for byte
+    outs = [run_cli(["orbit", "octdouble", "--coeffs", coeffs, "--json"])
+            for coeffs in ("1,0,0,0,0,0,0", "0,0,1,0,0,0,0",
+                           "0,0,0,0,0,1,0")]
+    assert [out.returncode for out in outs] == [0, 0, 0]
+    assert outs[0].stdout == outs[1].stdout == outs[2].stdout
+    doc = json.loads(outs[0].stdout)
+    del doc["config"]
+    assert doc == {"algebra": "octdouble", "case": "case3",
+                   "invariants": [1.0], "kernel_dim": 1}
 
 
 def test_numeric_subcommands_keep_their_payloads():

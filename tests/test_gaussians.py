@@ -286,6 +286,23 @@ def test_a_form_that_is_not_positive_definite_is_refused_on_every_call(A):
             g.slice([2, 1, 0], [0.3, 0.0, 0.1]).fourier()
 
 
+def test_an_even_negative_definite_form_is_refused():
+    # det(-I) = 1 > 0: a sign check alone would pass it and integrate
+    # exp(+|Y|^2 / 2) to 2 pi
+    g = ComplexGaussian(-np.eye(2), np.zeros(2), 0.0)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not positive definite"):
+            g.total_integral()
+        with pytest.raises(ValueError, match="not positive definite"):
+            g.fourier()
+    # the block marginalized out is diag(-1, -1), of determinant 1
+    g = ComplexGaussian(np.diag([1.0, -1.0, -1.0]), np.zeros(3), 0.0)
+    with pytest.raises(ValueError, match="not positive definite"):
+        g.marginalize([1, 2])
+    with pytest.raises(ValueError, match="not positive definite"):
+        g.partial_fourier([1, 2], [0.3, -0.2])
+
+
 def test_each_index_tuple_gets_its_own_slice_form():
     rng = np.random.default_rng(39)
     A = rand_spd(rng, 4)

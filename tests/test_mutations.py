@@ -1,23 +1,26 @@
 """Mutation rows: a numeric check counts only if it is not circular.
 
-Each row names one fault and one acceptance criterion that must fail
-under it: return passed False, or refuse the input with the row's
-ValueError or RuntimeError message.  The fault is applied with
-monkeypatch and the criterion runs in-process through
-selftest.CRITERIA.  A row that no criterion catches
-today is a strict xfail naming ROADMAP item 3: the flat and stepwise
-inversion checks cancel c and |Pf| (inversion module docstring), so a
-wrong constant or Pfaffian passes them.  When a character computed
-without c and Pf lands, those rows pass and their markers go.
+Each row names one fault and one check that must fail under it: return
+passed False, or refuse the input with the row's ValueError or
+RuntimeError message.  The fault is applied with monkeypatch and the
+check runs in-process: an acceptance criterion, by its number in
+selftest.CRITERIA, or a named check, a function of no arguments in the
+tests that returns a result of the criteria's form.  A row that no
+criterion catches today is a strict xfail naming ROADMAP item 3: the
+flat and stepwise inversion checks cancel c and |Pf| (inversion module
+docstring), so a wrong constant or Pfaffian passes them.  When a
+character computed without c and Pf lands, those rows pass and their
+markers go.
 
 Criterion 10 is the byte-identity of two `selftest --json` outputs, a
 check with no entry in selftest.CRITERIA: its row puts a clock reading
 into criterion 1's detail and runs `cli.run` twice in-process.
 
-Orbit cases 1 and 6 both read orbits.skew_spectrum, and criterion 9
-catches its sigmas doubled.  Criterion 9 reads no kernel_dim, so a
-wrong orbit kernel dimension fails no criterion; no planned item
-closes that, so it has no row.
+Orbit cases 1, 3 and 6 all read orbits.skew_spectrum, and criterion 9
+catches its sigmas doubled.  Criterion 9 reads no kernel_dim; the named
+check orbit_oracle.kernel_dims_match_the_exact_radical compares each
+kernel_dim with the exact radical from darboux_basis, and catches the
+spectrum's kernel off by one.
 """
 
 import math
@@ -29,6 +32,7 @@ import pytest
 
 from nilharm import cli, composition, inversion, orbits, quadrature, selftest
 from nilharm.algebra import LieAlgebraData
+from orbit_oracle import kernel_dims_match_the_exact_radical
 
 
 def slice_at_minus_x(monkeypatch):
@@ -163,11 +167,24 @@ def skew_spectrum_doubled(monkeypatch):
     monkeypatch.setattr(orbits, "skew_spectrum", doubled)
 
 
-def row(mutation, criterion, marks=(), raises=None):
-    """raises: the message of the ValueError or RuntimeError by which
-    the criterion refuses the mutation, if it does not return a fail."""
-    return pytest.param(mutation, criterion, raises, marks=marks,
-                        id=f"{mutation.__name__}-{criterion}")
+def skew_spectrum_kernel_plus_1(monkeypatch):
+    # one more kernel direction than the spectrum leaves
+    spectrum = orbits.skew_spectrum
+
+    def off_by_one(M):
+        positive, kernel_dim = spectrum(M)
+        return positive, kernel_dim + 1
+
+    monkeypatch.setattr(orbits, "skew_spectrum", off_by_one)
+
+
+def row(mutation, check, marks=(), raises=None):
+    """check: a criterion's number or a named check.  raises: the
+    message of the ValueError or RuntimeError by which the check
+    refuses the mutation, if it does not return a fail."""
+    name = getattr(check, "__name__", check)
+    return pytest.param(mutation, check, raises, marks=marks,
+                        id=f"{mutation.__name__}-{name}")
 
 
 ITEM_3 = pytest.mark.xfail(strict=True, reason="item 3",
@@ -192,20 +209,22 @@ ROWS = [
         raises="integrand is not rotation-invariant; refusing"),
     row(radial_jacobian_2_pi_r2, 9),
     row(skew_spectrum_doubled, 9),
+    row(skew_spectrum_kernel_plus_1, kernel_dims_match_the_exact_radical),
 ] + [row(mutation, criterion, ITEM_3)
      for mutation in (flat_constant_7, pf_polynomial_times_3)
      for criterion in (6, 7, 8)]
 
 
-@pytest.mark.parametrize("mutation, criterion, raises", ROWS)
-def test_mutation_fails_its_criterion(monkeypatch, mutation, criterion,
-                                      raises):
+@pytest.mark.parametrize("mutation, check, raises", ROWS)
+def test_mutation_fails_its_criterion(monkeypatch, mutation, check, raises):
     mutation(monkeypatch)
+    if isinstance(check, int):
+        check = selftest.CRITERIA[check]
     if raises:
         with pytest.raises((ValueError, RuntimeError), match=raises):
-            selftest.CRITERIA[criterion]()
+            check()
         return
-    result = selftest.CRITERIA[criterion]()
+    result = check()
     assert not result["passed"], result["detail"]
 
 

@@ -13,7 +13,7 @@ from math import prod
 import numpy as np
 import pytest
 
-from nilharm import stepwise
+from nilharm import composition, stepwise
 from nilharm.algebra import LieAlgebraData
 from nilharm.catalog import (OCTDOUBLE_LAMBDA_SUPPORT, free_two_step, from_name,
                              lambda_a, list_entries, octonion_double)
@@ -24,6 +24,7 @@ from nilharm.orbits import (darboux_basis, l1_complement_indices,
 from nilharm.pfaffian import (LinearFunctional, b_matrix,
                               is_square_integrable, pf_at)
 from nilharm.stepwise import StepwiseDecomposition, find_codim_split, verify
+from orbit_oracle import kernel_dims_match_the_exact_radical
 
 
 def rand_skew_float(rng, n):
@@ -388,6 +389,12 @@ def test_orbit_type_is_invariant_under_scaling(t):
                 if F == "C":
                     a = [(lam[2 * k], lam[2 * k + 1]) for k in range(n // 2)]
                     assert_scales(alg, lambda_a(alg, a), t)
+    alg = octonion_double()
+    for _ in range(3):
+        lam = [Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+               for _ in alg.center_indices]
+        assert_scales(alg, lam, t)
+        assert_scales(alg, lambda_a(alg, lam[:3]), t)
 
 
 def test_case1_representative_reads_off_lambda_a():
@@ -471,21 +478,66 @@ def random_special(rng, n, F):
     return Q / np.linalg.det(Q) ** (1 / n)
 
 
-@pytest.mark.parametrize("n", [3, 5, 7])
-@pytest.mark.parametrize("F", ["R", "C"])
-def test_orbit_invariants_are_K_invariant(n, F):
+def octonion_products():
+    """T[a, b] = e_a e_b as a vector, from composition.TABLE."""
+    T = np.zeros((8, 8, 8))
+    for a, row in enumerate(composition.TABLE):
+        for b, (sign, m) in enumerate(row):
+            T[a, b, m] = sign
+    return T
+
+
+def octonion_derivations():
+    """A basis of der(O): the kernel of D(xy) = D(x)y + xD(y) on the
+    basis products, D[p, k] the e_p coordinate of D(e_k)."""
+    T = octonion_products()
+    columns = []
+    for p in range(8):
+        for k in range(8):      # the unknown D[p, k]
+            residual = np.zeros((8, 8, 8))
+            residual[:, :, p] += T[:, :, k]
+            residual[k] -= T[p]
+            residual[:, k] -= T[:, p]
+            columns.append(residual.ravel())
+    _, s, vt = np.linalg.svd(np.array(columns).T)
+    return [x.reshape(8, 8) for x in vt[np.sum(s > 1e-9):]]
+
+
+def random_g2(rng):
+    """exp(D) on Im O for a random D in der(O), checked to be an
+    automorphism of O: G2, which acts on Im O + Im O diagonally and so
+    on a functional of the center by the same rotation."""
+    basis = octonion_derivations()
+    assert len(basis) == 14
+    D = sum(c * X for c, X in zip(rng.normal(size=14), basis))
+    w, V = np.linalg.eigh(1j * D)       # D is skew, i D hermitian
+    R = (V @ np.diag(np.exp(-1j * w)) @ V.conj().T).real
+    T = octonion_products()
+    assert np.allclose(np.einsum("abm,ai,bj->ijm", T, R, R),
+                       np.einsum("ijn,mn->ijm", T, R), atol=1e-12)
+    assert np.allclose(R[0], np.eye(8)[0], atol=1e-12)
+    return R[1:, 1:]
+
+
+@pytest.mark.parametrize("F, n", [(F, n) for F in "RC" for n in (3, 5, 7)]
+                         + [("O", 7)])
+def test_orbit_invariants_are_K_invariant(F, n):
     # K = SO(n) on case 1 and SU(n) on case 6, acting by M -> U M U^T;
     # for odd n a kernel vector of M absorbs the determinant phase, so
-    # the SU(n) orbit is the U(n) orbit and has no phase invariant
-    alg = free_two_step(n, F)
+    # the SU(n) orbit is the U(n) orbit and has no phase invariant.
+    # On case 3 (F = O, n = dim Im O) K = G2 acts by exp(D)
+    alg = octonion_double() if F == "O" else free_two_step(n, F)
     rng = np.random.default_rng(60 + n)
     for _ in range(5):
         lam = [int(c) for c in rng.integers(-9, 10, len(alg.center_indices))]
-        U = random_special(rng, n, F)
-        assert abs(np.linalg.det(U) - 1) <= 1e-12
-        M = wedge_form(alg, lam)
+        if F == "O":
+            moved_lam = (random_g2(rng) @ lam).tolist()
+        else:
+            U = random_special(rng, n, F)
+            assert abs(np.linalg.det(U) - 1) <= 1e-12
+            moved_lam = wedge_coeffs(alg, U @ wedge_form(alg, lam) @ U.T)
         rep = orbit_representative(alg, lam)
-        moved = orbit_representative(alg, wedge_coeffs(alg, U @ M @ U.T))
+        moved = orbit_representative(alg, moved_lam)
         assert moved.kernel_dim == rep.kernel_dim == 1
         assert len(moved.invariants) == len(rep.invariants)
         for a, b in zip(moved.invariants, rep.invariants):
@@ -514,13 +566,25 @@ def test_case6_sigmas_are_the_singular_values_of_M():
 
 
 def test_case3_representative_support_rule():
+    # no support rule: G2 is transitive on the spheres of Im O, so every
+    # lambda != 0 answers its norm, with the one kernel line
     alg = octonion_double()
-    rep = orbit_representative(alg, lambda_a(alg, [1, 2, 3]))
-    assert rep.case_tag == "case3"
-    assert rep.invariants == [1.0, 2.0, 3.0]
-    bad = [Fraction(1)] * 7
-    with pytest.raises(ValueError):
-        orbit_representative(alg, bad)
+    for lam, norm in ((lambda_a(alg, [1, 2, 3]), math.sqrt(14)),
+                      ([Fraction(1)] * 7, math.sqrt(7)),
+                      ([0, 0, 0, Fraction(-3, 4), 0, 0, 0], 0.75)):
+        rep = orbit_representative(alg, lam)
+        assert rep.case_tag == "case3"
+        assert rep.kernel_dim == 1
+        assert len(rep.invariants) == 1
+        assert abs(rep.invariants[0] - norm) <= 1e-14 * norm
+
+
+def test_kernel_dim_is_the_exact_radical():
+    result = kernel_dims_match_the_exact_radical()
+    assert result["passed"], result["detail"]
+    # the seeded functionals reach radicals from 0 to 6, kernel 3 on
+    # case 6 included
+    assert result["detail"] == "radicals [0, 1, 2, 4, 5, 6]"
 
 
 def test_case3_normal_form_is_nonsingular():
@@ -533,9 +597,7 @@ def test_case3_normal_form_is_nonsingular():
     assert all(verify(StepwiseDecomposition(alg, l1, l2)).values())
     for a in ([1, 2, 3], [5, -1, 7], [1, 0, 0]):
         assert pf_nonsingular(alg, lambda_a(alg, a))
-        assert orbit_representative(alg, lambda_a(alg, a)).kernel_dim == 0
     assert not pf_nonsingular(alg, lambda_a(alg, [0, 2, 3]))
-    assert orbit_representative(alg, lambda_a(alg, [0, 2, 3])).kernel_dim == 2
 
 
 def test_pf_nonsingular_uses_the_right_pfaffian():
@@ -620,7 +682,7 @@ def test_orbits_imported_after_the_package_reads_the_pfaffian_layer():
         "import json, nilharm\n"
         "import nilharm.orbits as orbits\n"
         "alg = nilharm.octonion_double()\n"
-        "rep = orbits._case3_representative(\n"
+        "rep = orbits.orbit_representative(\n"
         "    alg, nilharm.lambda_a(alg, [1, 2, 3]))\n"
         "print(json.dumps([rep.kernel_dim,\n"
         "    orbits.pf_nonsingular(alg, nilharm.lambda_a(alg, [1, 2, 3])),\n"
@@ -629,4 +691,4 @@ def test_orbits_imported_after_the_package_reads_the_pfaffian_layer():
     out = subprocess.run([sys.executable, "-c", script],
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
-    assert json.loads(out.stdout) == [0, True, False, "function"]
+    assert json.loads(out.stdout) == [1, True, False, "function"]
