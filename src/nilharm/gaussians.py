@@ -25,6 +25,8 @@ from math import prod
 
 import numpy as np
 
+from . import linalg
+
 _SYM_TOL = 1e-10
 
 
@@ -35,20 +37,6 @@ def _logdet(A):
         return 2.0 * float(np.log(np.linalg.cholesky(A).diagonal()).sum())
     except np.linalg.LinAlgError:
         raise ValueError("form is not positive definite") from None
-
-
-def _blocks(A):
-    """The uncoupled blocks of the form A, a nested list: the connected
-    components of its exactly nonzero off-diagonal pattern, each a
-    tuple of increasing axes, in the order of their first axes."""
-    blocks = []
-    for k, row in enumerate(A):
-        block = {k}.union(l for l, a in enumerate(row) if a)
-        for other in [b for b in blocks if b & block]:
-            blocks.remove(other)
-            block |= other
-        blocks.append(block)
-    return sorted(tuple(sorted(b)) for b in blocks)
 
 
 class ComplexGaussian:
@@ -120,7 +108,8 @@ class ComplexGaussian:
         A, ur = self._cached("list", np.ndarray.tolist), self.u.real.tolist()
         phase = (1j * self.u.imag).tolist()
         plan, peak = [], self.v
-        for block in self._cached("blocks", lambda _: _blocks(A)):
+        for block in self._cached("blocks", lambda _: linalg._components(
+                len(A), zip(*np.nonzero(self.A)))):
             c = 0.5 * sum(ur[k] * mean[k] for k in block)
             peak += c
             # axis j of the block: its sparse shape, Re u_k, 1/2 A_kk,

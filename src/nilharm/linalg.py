@@ -9,9 +9,9 @@ integers, which leaves its span unchanged, then eliminated as a sparse
 integer row kept primitive; rref divides by the pivots only at the end,
 and rref and kernel return dense Fraction rows.  det, mat_mul and
 transpose take dense matrices, lists of rows; det runs Bareiss's
-fraction-free elimination (Math. Comp. 22, 1968).  Every result is
-exact.  _scaled and _unscaled take values to integers over one common
-denominator and back: the package's exact kernels run in between.
+fraction-free elimination (Math. Comp. 22, 1968), _pivot_pairs runs it
+on skew pivot pairs.  Every result is exact.  _scaled and _unscaled
+take values to ints over one denominator and back, for the kernels.
 """
 
 from fractions import Fraction
@@ -40,6 +40,13 @@ def _scaled(values):
         if den % q:
             den = lcm(den, q)
     return [p * (den // q) for p, q in ratios], den
+
+
+def _int_rows(rows):
+    """(int rows, den): the square matrix rows times den, as _scaled."""
+    n = len(rows)
+    ints, den = _scaled([x for row in rows for x in row])
+    return [ints[i * n:(i + 1) * n] for i in range(n)], den
 
 
 def _unscaled(ints, den):
@@ -142,8 +149,7 @@ def det(rows):
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("determinant needs a square matrix")
-    ints, scale = _scaled([x for row in rows for x in row])
-    mat = [ints[i * n:(i + 1) * n] for i in range(n)]
+    mat, scale = _int_rows(rows)
     sign, prev = 1, 1
     for c in range(n):
         pivot_row = next((i for i in range(c, n) if mat[i][c]), None)
@@ -160,3 +166,51 @@ def det(rows):
                                       for j in range(c + 1, n)]
         prev = piv
     return Fraction(sign * prev, scale ** n)
+
+
+def _pivot_pairs(gram, vectors=None):
+    """Pivot-pair elimination (Bunch, Math. Comp. 38, 1982) of an int
+    skew gram, with basis rows vectors if given, both consumed: per pair
+    it yields (a, b, s, prev), the first a < b with s = gram[a][b] != 0
+    and the pivot before (at first 1), drops rows a and b, and takes
+    each other w to (s w - G_wb v_a + G_wa v_b) / prev and G_pq to (s
+    G_pq + G_pb G_qa - G_pa G_qb) / prev, exact as in Bareiss.  So the
+    pair's value is s / prev and the rank 2 per pair; the basis change
+    has det +-1, so Pf is the last pivot, -1 per even b, when every a
+    is 0.  O(n^3)."""
+    prev = 1
+    while gram:
+        # the rows above are zero, so row is zero up to its diagonal
+        for a, row in enumerate(gram):
+            if any(row):
+                break
+        else:
+            return
+        s = next(filter(None, row))
+        b = row.index(s)
+        yield a, b, s, prev
+        del gram[b], gram[a]
+        gb, ga = [r.pop(b) for r in gram], [r.pop(a) for r in gram]
+        if vectors is not None:
+            v, u = vectors.pop(b), vectors.pop(a)
+            vectors[:] = [[(s * w - x * y + z * t) // prev
+                           for w, y, t in zip(r, u, v)]
+                          for r, x, z in zip(vectors, gb, ga)]
+        gram[:] = [[(s * y + x * zq - z * xq) // prev
+                    for y, zq, xq in zip(r, ga, gb)]
+                   for r, x, z in zip(gram, gb, ga)]
+        prev = s
+
+
+def _components(n, pairs):
+    """The uncoupled blocks of a matrix with off-diagonal pattern pairs:
+    the components of that graph on range(n), increasing tuples."""
+    block = [[k] for k in range(n)]     # block[k]: k's, led by its least
+    for a, b in pairs:
+        x, y = block[a], block[b]
+        if x is not y:
+            x, y = (x, y) if x[0] < y[0] else (y, x)
+            x += y
+            for k in y:
+                block[k] = x
+    return [tuple(sorted(b)) for k, b in enumerate(block) if b[0] == k]

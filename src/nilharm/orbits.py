@@ -1,28 +1,31 @@
 """Coadjoint orbit representatives via skew normal forms.
 
 Every case reads b_lambda(x, y) = lambda([x, y]) on v from the bracket
-table, through the cached skew pattern that every Pfaffian reads, and
-classifies it by one skew spectrum.  Case 1 (free 2-step over R): real
-skew M under K = SO(n) congruence.  Case 6 (over C, n odd): complex skew
-M under K = SU(n).  A unit u in ker M gives D = I + (c - 1) conj(u)
-u^T, unitary with D M D^T = M and det D = c for |c| = 1, so the SU(n)
-orbits are the U(n) orbits, classified by the paired singular values
-of M (Youla 1961).  Even n gives the O(n) or U(n) invariants, not the
-sign or phase of Pf.  Case 3 (octonion double, K = G2): b_lambda is
-lambda paired with the octonion cross product, det(x - b_lambda^2) =
-x (x + |lambda|^2)^6, so the orbit of lambda != 0 is the sphere of
-radius |lambda| (G2 is transitive on S^6).  The rank floor is
-relative, so t * lambda has lambda's orbit type for every t > 0.
-Only skew_spectrum imports numpy.  darboux_basis keeps its vectors as
-W / d, integers over one denominator, after Bareiss.
+table, through the cached skew pattern that every Pfaffian reads,
+filled once in integers: its exact rank from linalg._pivot_pairs, its
+sigmas from the float skew spectrum of the same form.  Case 1 (free
+2-step over R): real skew M under K = SO(n) congruence.  Case 6 (over
+C, n odd): complex skew M under K = SU(n).  A unit u in ker M gives D
+= I + (c - 1) conj(u) u^T, unitary with D M D^T = M and det D = c for
+|c| = 1, so the SU(n) orbits are the U(n) orbits, classified by the
+paired singular values of M (Youla 1961).  Even n gives the O(n) or
+U(n) invariants, not the sign or phase of Pf.  Case 3 (octonion
+double, K = G2): b_lambda is lambda paired with the octonion cross
+product, det(x - b_lambda^2) = x (x + |lambda|^2)^6, so the orbit of
+lambda != 0 is the sphere of radius |lambda| (G2 is transitive on
+S^6).  The one float floor, the spectrum's resolution, is relative,
+so t * lambda has lambda's orbit type for every t > 0.  Only
+skew_spectrum and _skew_eigenvalues import numpy.
 """
 
 import math
+import sys
 from fractions import Fraction
 
 from . import linalg
 from .catalog import OCTDOUBLE_LAMBDA_SUPPORT
-from .pfaffian import _skew_form, is_square_integrable, pf_at
+from .pfaffian import (_cached_pattern, _skew_form, is_square_integrable,
+                       pf_at)
 from .stepwise import find_codim_split
 
 SKEW_INPUT_TOL = 1e-12
@@ -38,11 +41,8 @@ _CASES = {("free2step", "R"): ("case1", 1, 1),
 
 
 def skew_spectrum(M):
-    """Invariants (a_1 <= ... <= a_m, kernel_dim) of a real skew matrix.
-
-    The eigenvalues of M are {+-i a_j} plus zeros; i*M is hermitian,
-    which is what actually gets diagonalized.
-    """
+    """Invariants (a_1 <= ... <= a_m, kernel_dim) of a real skew matrix,
+    the a_j above RANK_TOL times its largest entry."""
     import numpy as np
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -52,10 +52,15 @@ def skew_spectrum(M):
         raise ValueError("skew_spectrum needs finite entries")
     if np.abs(M + M.T).max(initial=0.0) > SKEW_INPUT_TOL * scale:
         raise ValueError("matrix is not antisymmetric within 1e-12")
-    eigs = np.linalg.eigvalsh(1j * M)
-    positive = sorted(float(e) for e in eigs if e > RANK_TOL * scale)
-    kernel_dim = M.shape[0] - 2 * len(positive)
-    return positive, kernel_dim
+    positive = [e for e in _skew_eigenvalues(M) if e > RANK_TOL * scale]
+    return positive, len(M) - 2 * len(positive)
+
+
+def _skew_eigenvalues(M):
+    """The eigenvalues of i M ascending, as floats, for a finite real
+    skew M: {+-a_j} plus zeros, from the hermitian i M."""
+    import numpy as np
+    return np.linalg.eigvalsh(1j * np.asarray(M, dtype=float)).tolist()
 
 
 class DarbouxBasis:
@@ -75,45 +80,23 @@ class DarbouxBasis:
 
 
 def darboux_basis(M):
-    """Symplectic Gram-Schmidt over Q for an exact skew matrix M, run in
-    integers on L M, L the lcm of its denominators: the remaining vectors
-    are W / d and G = W^T (L M) W.  The first pair (a, b) with s = G[a][b]
-    != 0 leaves as (W_a, W_b) / d, value s / (d^2 L); every other W_k
-    becomes s W_k - G_kb W_a + G_ka W_b, d becomes d s, and G takes the
-    rank-2 update s (s G_pq + G_pb G_qa - G_pa G_qb), so O(n^3) in all.
-    One gcd per step strips d's and W's common factor, its square from G.
-    """
+    """Symplectic Gram-Schmidt over Q for an exact skew matrix M: the
+    pairs of linalg._pivot_pairs on L M, L the lcm of its denominators,
+    each (W_a, W_b) / prev of value s / (prev L), then the radical."""
     n = len(M)
     if any(len(row) != n for row in M):
         raise ValueError("darboux_basis needs a square matrix")
-    ints, scale = linalg._scaled([x for row in M for x in row])
-    gram = [ints[i * n:(i + 1) * n] for i in range(n)]
-    for i in range(n):
-        if gram[i][i] or any(gram[i][j] != -gram[j][i] for j in range(n)):
-            raise ValueError("darboux_basis needs an exact skew matrix")
-    remaining = [[int(j == i) for j in range(n)] for i in range(n)]
-    d, pairs, values = 1, [], []
-    while True:
-        m = len(remaining)
-        found = next(((a, b) for a in range(m) for b in range(a + 1, m)
-                      if gram[a][b]), None)
-        if found is None:
-            break
-        a, b = found
-        u, v, s = remaining[a], remaining[b], gram[a][b]
-        pairs += [linalg._unscaled(u, d), linalg._unscaled(v, d)]
-        values.append(Fraction(s, d * d * scale))
-        keep = [k for k in range(m) if k not in found]
-        remaining = [[s * w - gram[k][b] * x + gram[k][a] * y
-                      for w, x, y in zip(remaining[k], u, v)] for k in keep]
-        g = math.gcd(d * s, *[w for vec in remaining for w in vec])
-        d = d * s // g
-        remaining = [[w // g for w in vec] for vec in remaining]
-        gram = [[s * (s * gram[p][q] + gram[p][b] * gram[q][a]
-                      - gram[p][a] * gram[q][b]) // (g * g)
-                 for q in keep] for p in keep]
-    return DarbouxBasis(pairs + [linalg._unscaled(w, d) for w in remaining],
-                        values, len(remaining))
+    gram, scale = linalg._int_rows(M)
+    if any(gram[i][j] != -gram[j][i] for i in range(n) for j in range(i, n)):
+        raise ValueError("darboux_basis needs an exact skew matrix")
+    vectors = [[int(j == i) for j in range(n)] for i in range(n)]
+    pairs, values, last = [], [], 1
+    for a, b, last, prev in linalg._pivot_pairs(gram, vectors):
+        pairs += [linalg._unscaled(vectors[a], prev),
+                  linalg._unscaled(vectors[b], prev)]
+        values.append(Fraction(last, prev * scale))
+    return DarbouxBasis(pairs + [linalg._unscaled(w, last) for w in vectors],
+                        values, len(vectors))
 
 
 class OrbitRepresentative:
@@ -135,12 +118,16 @@ class OrbitRepresentative:
 def orbit_representative(alg, coeffs):
     """K-orbit invariants of a concrete functional (module docstring).
 
-    Refuses coeffs of the wrong length or past the float range.  Every
-    case reads skew_spectrum of the float form B that pf_at fills with
-    ints: over F with d = DIM[F], B realifies M in (u_p e_a)
-    coordinates, so d is the case's group and unit in _CASES; on case 3
-    |lambda| appears three times.  A spectrum that does not come in runs
-    of equal values (within PAIR_TOL of the largest) is refused.
+    Refuses coeffs of the wrong length or past the float range, and an
+    invariant past it.  The rank r of b_lambda is exact, a float
+    coefficient read as the dyadic it is: kernel_dim is (n - r) / unit,
+    and the sigmas are the largest r / 2 eigenvalues of i B, B the
+    exact form rounded to floats; one at or below n eps times the
+    largest, the error bound of eigvalsh, is noise, and is refused.
+    Over F with d = DIM[F], B realifies M in (u_p e_a) coordinates, so
+    d is the case's group and unit in _CASES; on case 3 |lambda|
+    appears three times.  A spectrum that does not come in runs of
+    equal values (within PAIR_TOL of the largest) is refused.
     """
     zdim = len(alg.center_indices)
     if len(coeffs) != zdim:
@@ -155,24 +142,42 @@ def orbit_representative(alg, coeffs):
     if any(math.isinf(f) or f == 0 != c for f, c in zip(floats, coeffs)):
         raise ValueError("a coefficient is too small or too large for a "
                          "float, whose range is 5e-324 to 1.8e308")
+    if any(map(math.isnan, floats)):
+        raise ValueError("skew_spectrum needs finite entries")
     tag, group, unit = case
-    positive, kernel_dim = skew_spectrum(
-        _skew_form(alg, floats, 0.0, None).matrix)
-    top = max(positive, default=0.0)
+    ints, scale = linalg._scaled(coeffs)
+    gram, den = linalg._int_rows(_skew_form(*_cached_pattern(alg, None),
+                                            ints, 0))
+    n = len(gram)
+    try:    # an entry past 1.8e308 overflows, so does the largest sigma
+        eigs = _skew_eigenvalues([[x / (scale * den) for x in row]
+                                  for row in gram])
+        positive = eigs[n - sum(1 for _ in linalg._pivot_pairs(gram)):]
+        if not all(map(math.isfinite, positive)):
+            raise OverflowError
+    except OverflowError:
+        raise ValueError("an orbit invariant is too large for a float, "
+                         "whose range is 5e-324 to 1.8e308") from None
+    if positive and positive[0] <= n * sys.float_info.epsilon * positive[-1]:
+        raise ValueError("an orbit invariant is below the resolution of "
+                         f"the float skew spectrum, {n} * 2.2e-16 times "
+                         "the largest")
     # positive ascends, so a run of `group` values is equal when its ends are
     if len(positive) % group or any(
-            b - a > PAIR_TOL * top
+            b - a > PAIR_TOL * positive[-1]
             for a, b in zip(positive[::group], positive[group - 1::group])):
         raise ValueError(f"the real skew spectrum {positive} does not come "
                          f"in equal {('pairs', 'triples')[group - 2]}, so "
                          "K does not act on the bracket")
-    return OrbitRepresentative(tag, positive[::group], kernel_dim // unit)
+    return OrbitRepresentative(tag, positive[::group],
+                               (n - 2 * len(positive)) // unit)
 
 
 def pf_nonsingular(alg, coeffs):
     """Pf(lambda) != 0 on l1_complement_indices(alg), or on n/z when
-    that is None (with no split, Pf = 0 there).  Read on the split the
-    search finds: [u1, u2] = z1, [u1, u3] = z2 gives v1 = (u1, u2)."""
+    that is None (with no split, Pf = 0 there): the v1 of the split
+    search, [u1, u2] = z1, [u1, u3] = z2 giving v1 = (u1, u2), or on the
+    octonion double its (0, e3) drop."""
     return pf_at(alg, coeffs, v_indices=l1_complement_indices(alg)) != 0
 
 

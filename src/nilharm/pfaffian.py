@@ -4,16 +4,13 @@ b_lambda(x, y) = lambda([x, y]) on the complement v of the designated
 center.  Every form is filled from its pattern, the nonzero brackets
 [v_a, v_b] in center coordinates, cached once per algebra and v
 ordering once _two_step_guard, run once per algebra, has found b_lambda
-a form modulo the center.  pf_at fills the form of L * lambda (L the
-lcm of the denominators) in integers and divides once, by L^(n/2);
-b_matrix fills the same integer form and divides each entry by L.
-Pfaffians expand along the first index, memoized on index tuples,
-reading only the strict upper triangle: one numeric expansion, on ints
-(pf_at) or Fractions, and one symbolic kernel, on Poly entries or
-straight off the pattern (pf_polynomial), whose monomials are packed
-into ints, so a product of monomials is one int addition.  The cost is
-the number of index tuples reached: linear in n on the catalog's
-block-sparse forms, up to 2^n on a dense n x n.
+a form modulo the center.  A numeric Pfaffian is the pivot-pair
+elimination linalg._pivot_pairs in integers, O(n^3); pf_at runs it on
+each block of the pattern at L * lambda (L the lcm of the denominators)
+and divides once.  A symbolic one expands along the first index,
+memoized on index tuples, on Poly entries or straight off the pattern
+(pf_polynomial), its monomials packed into ints: linear in n on the
+catalog's block-sparse forms, up to 2^n on a dense n x n.
 Sign convention: Pf([[0, a], [-a, 0]]) = a, so Pf(M)^2 = det(M).
 
 pf_at is the one exact evaluator at a point, and decides square
@@ -24,6 +21,7 @@ it or to prove it zero.
 
 import random
 from fractions import Fraction
+from math import lcm
 
 from . import linalg
 from .algebra import center, derived_inside_center
@@ -64,8 +62,8 @@ def b_matrix(alg, lam, v_indices=None):
     anything else means the algebra is not 2-step with that split.
     """
     ints, scale = linalg._scaled(lam.coeffs)
-    return SkewForm([linalg._unscaled(row, scale) for row in
-                     _skew_form(alg, ints, 0, v_indices).matrix])
+    return SkewForm([linalg._unscaled(row, scale) for row in _skew_form(
+        *_cached_pattern(alg, v_indices), ints, 0)])
 
 
 def b_matrix_poly(alg, coeff_polys, v_indices=None):
@@ -78,22 +76,22 @@ def b_matrix_poly(alg, coeff_polys, v_indices=None):
     if len(coeff_polys) != len(alg.center_indices):
         raise ValueError(f"need {len(alg.center_indices)} coefficient "
                          "polynomials")
-    return _skew_form(alg, coeff_polys, Poly.zero(coeff_polys[0].nvars),
-                      v_indices)
+    return SkewForm(_skew_form(*_cached_pattern(alg, v_indices), coeff_polys,
+                               Poly.zero(coeff_polys[0].nvars)))
 
 
-def _skew_form(alg, coeffs, zero, v_indices):
-    # entry (a, b) = sum over t of coeffs[t] * [b_a, b_b]_t, summed in
-    # increasing t: a Poly's term order, which evaluate_float sums in,
-    # then does not depend on how the sparse rows are laid out
-    n, pattern = _cached_pattern(alg, v_indices)
+def _skew_form(n, entries, coeffs, zero):
+    # the n x n matrix with entries (a, b, ((t, c), ...)), a < b: entry
+    # (a, b) = sum over t of coeffs[t] * c, summed in increasing t: a
+    # Poly's term order, which evaluate_float sums in, then does not
+    # depend on how the sparse rows are laid out
     matrix = [[zero] * n for _ in range(n)]
-    for a, b, terms in pattern:
+    for a, b, terms in entries:
         val = zero
         for t, c in terms:
             val = val + coeffs[t] * c
         matrix[a][b], matrix[b][a] = val, -val
-    return SkewForm(matrix)
+    return matrix
 
 
 def _two_step_guard(alg):
@@ -153,11 +151,14 @@ def pfaffian(form):
     """
     matrix = form.matrix if isinstance(form, SkewForm) else form
     n = len(matrix)
+    if any(len(row) != n for row in matrix):
+        raise ValueError("pfaffian needs a square matrix")
     if any(matrix[i][j] + matrix[j][i] for i in range(n) for j in range(i, n)):
         raise ValueError("matrix is not antisymmetric")
     polys = [x for row in matrix for x in row if isinstance(x, Poly)]
     if not polys:
-        return _pfaffian_expansion(matrix, Fraction(0), Fraction(1))
+        gram, scale = linalg._int_rows(matrix)
+        return Fraction(_int_pfaffian(gram), scale ** (n // 2))
     if len({p.nvars for p in polys}) > 1:
         raise ValueError("variable count mismatch")
     # no exponent of Pf passes n/2 times the largest exponent of an entry
@@ -170,37 +171,23 @@ def pfaffian(form):
         for i in range(n) for j in range(i + 1, n) if (x := matrix[i][j])))
 
 
-def _pfaffian_expansion(matrix, zero, one):
-    """Pf of a skew matrix of numbers by expansion along its first index.
-
-    Pf(i0, rest) = sum over t of (-1)^t m[i0][rest[t]] Pf(rest minus
-    rest[t]), memoized on index tuples; only the strict upper triangle
-    is read and zero entries are skipped.  zero and one are the ring's
-    identities: each sum starts from zero, not from a diagonal entry,
-    and the empty tuple's Pfaffian is one.  No skew check is made.
-    """
-    if len(matrix) % 2:
-        return zero     # the expansion would take 2^n steps to find it
-    memo = {(): one}
-
-    def pf(indices):
-        if indices in memo:
-            return memo[indices]
-        row = matrix[indices[0]]
-        rest = indices[1:]
-        total = zero
-        for t, j in enumerate(rest):
-            entry = row[j]
-            if not entry:
-                continue
-            term = entry * pf(rest[:t] + rest[t + 1:])
-            total = total + term if t % 2 == 0 else total - term
-        memo[indices] = total
-        return total
-
-    total = pf(tuple(range(len(matrix))))
-    del pf      # pf refers to itself: free memo and matrix now, not at gc
-    return total
+def _int_pfaffian(gram):
+    """Pf of an int skew matrix by linalg._pivot_pairs, which consumes
+    it: 0 unless every pair leads at the first row left; 0 at odd n,
+    and at n = 4 its closed form."""
+    if len(gram) % 2:
+        return 0
+    if len(gram) == 4:
+        (_, a, b, c), (_, _, d, e), (*_, f) = gram[:3]
+        return a * f - b * e + c * d
+    sign = 1
+    for a, b, s, _ in linalg._pivot_pairs(gram):
+        if a:
+            return 0
+        sign = sign if b % 2 else -sign
+        if len(gram) == 2:
+            return sign * s
+    return int(not gram)
 
 
 def pf_polynomial(alg, v_indices=None):
@@ -224,8 +211,9 @@ def _pf_polynomial(alg, v_indices):
 
 def _symbolic_pfaffian(n, nvars, width, entries):
     """Pf in nvars variables, from the nonzero (i, j, [(monomial, c), ...])
-    with i < j, t_k^e packed as e << width * k: _pfaffian_expansion in
-    Poly arithmetic's term order, each term built in full, then merged."""
+    with i < j, t_k^e packed as e << width * k: expansion along the first
+    index in Poly arithmetic's term order, each term built in full, then
+    merged."""
     if n % 2:
         return Poly.zero(nvars)
     rows = [{} for _ in range(n)]
@@ -257,11 +245,35 @@ def _symbolic_pfaffian(n, nvars, width, entries):
 
 def pf_at(alg, coeffs, v_indices=None):
     """Exact Pfaffian value at a concrete functional, as a Fraction:
-    Pf(b_{L lambda}) / L^(n/2), the expansion run in integers."""
+    Pf(b_{L lambda}) / L^(n/2), in integers the sign of _pf_blocks
+    times the Pfaffians of its blocks, a 2 x 2 block's its entry."""
     ints, scale = linalg._scaled(LinearFunctional(alg, coeffs=coeffs).coeffs)
-    matrix = _skew_form(alg, ints, 0, v_indices).matrix
-    return Fraction(_pfaffian_expansion(matrix, 0, 1),
-                    scale ** (len(matrix) // 2))
+    n, pattern = _cached_pattern(alg, v_indices)
+    if n % 2:
+        return Fraction(0)
+    pf, den, blocks = alg.cached(
+        ("pf_blocks", None if v_indices is None else tuple(v_indices)),
+        lambda _: _pf_blocks(n, pattern))
+    m = _skew_form(n, pattern, [x * den for x in ints], 0)
+    for b in blocks:
+        if not pf:
+            break
+        pf *= m[b[0]][b[1]] if len(b) == 2 else _int_pfaffian(
+            [[m[i][j] for j in b] for i in b])
+    return Fraction(pf, (scale * den) ** (n // 2))
+
+
+def _pf_blocks(n, pattern):
+    """(sign, den, blocks): the blocks of a pattern, by
+    linalg._components; den is the lcm of its denominators and sign
+    that of the permutation that lists the blocks in order."""
+    blocks = linalg._components(n, ((a, b) for a, b, _ in pattern))
+    order, sign = [k for b in blocks for k in b], 1
+    for i in range(n):      # sort order by swaps, each flipping the sign
+        while (j := order[i]) != i:
+            order[i], order[j], sign = order[j], j, -sign
+    den = lcm(*{c.denominator for _, _, terms in pattern for _, c in terms})
+    return sign, den, blocks
 
 
 class SquareIntegrability:

@@ -361,6 +361,43 @@ def test_orbit_refuses_a_coefficient_outside_the_float_range(algebra, coeffs):
                           "for a float, whose range is 5e-324 to 1.8e308\n")
 
 
+@pytest.mark.parametrize("algebra, coeffs", [
+    ("free2step:3:R", "1.7e308,1.7e308,1.7e308"),
+    ("free2step:3:C", "1.7e308,1.7e308,0,0,0,0"),
+    ("octdouble", ",".join(["1e308"] * 7))])
+def test_orbit_refuses_an_invariant_outside_the_float_range(algebra, coeffs):
+    # every coefficient is a float but the sigma is not: it printed as
+    # Infinity, which is not JSON (cases 1, 6 and 3)
+    out = run_cli(["orbit", algebra, "--coeffs=" + coeffs, "--json"])
+    assert out.returncode == 2
+    assert out.stderr == ("error: an orbit invariant is too large for a "
+                          "float, whose range is 5e-324 to 1.8e308\n")
+
+
+def test_orbit_kernel_is_the_exact_radical_under_a_small_sigma():
+    # sigma 1e-11 lies under a float rank floor relative to the largest
+    # entry, 1, but b_lambda has rank 4 exactly
+    res = invoke(["orbit", "free2step:5:R", "--coeffs",
+                  "1,0,0,0,0,0,0,0,0,1e-11", "--json"])
+    assert res.exit_code == 0
+    doc = json.loads(res.human_text)
+    assert doc["kernel_dim"] == 1
+    assert doc["invariants"] == [pytest.approx(1e-11, rel=1e-6), 1.0]
+
+
+@pytest.mark.parametrize("small", ["1e-20", "1e-16"])
+def test_orbit_refuses_a_sigma_under_the_float_resolution(small):
+    # lambda = (u1^u2)* + (u2^u3)* + small (u1^u4)*: rank 4 exactly, but
+    # its sigma small / sqrt(2) is below the float spectrum's error, so
+    # the eigenvalue read for it is rounding noise (3.4e-17 at 1e-20)
+    out = run_cli(["orbit", "free2step:5:R", "--coeffs",
+                   f"1,0,{small},0,1,0,0,0,0,0", "--json"])
+    assert out.returncode == 2
+    assert out.stderr == ("error: an orbit invariant is below the "
+                          "resolution of the float skew spectrum, 5 * "
+                          "2.2e-16 times the largest\n")
+
+
 @pytest.mark.parametrize("algebra, coeffs, zdim", [
     ("free2step:3:R", "1,2,3,4", 3), ("free2step:3:C", "1,2,3,4,5,6,7,8", 6),
     ("free2step:3:R", "1,2", 3), ("octdouble", "0,1,1", 7)])

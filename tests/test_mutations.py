@@ -16,13 +16,17 @@ Criterion 10 is the byte-identity of two `selftest --json` outputs, a
 check with no entry in selftest.CRITERIA: its row puts a clock reading
 into criterion 1's detail and runs `cli.run` twice in-process.
 
-Orbit cases 1, 3 and 6 all read orbits.skew_spectrum, and criterion 9
-catches its sigmas doubled.  Criterion 9 reads no kernel_dim; the named
-check orbit_oracle.kernel_dims_match_the_exact_radical compares each
+Orbit cases 1, 3 and 6 all read their sigmas off the float spectrum of
+orbits._skew_eigenvalues, and criterion 9 catches them doubled.
+Criterion 9 reads no kernel_dim; the named check
+orbit_oracle.kernel_dims_match_the_exact_radical compares each
 kernel_dim with the exact radical from darboux_basis, and catches the
-spectrum's kernel off by one.
+orbit's kernel_dim off by one.  The named check
+pfaffian_oracle.pf_at_matches_the_expansion catches pf_at's blocks
+multiplied without the sign of their permutation.
 """
 
+import importlib
 import math
 import time
 from types import SimpleNamespace
@@ -33,6 +37,7 @@ import pytest
 from nilharm import cli, composition, inversion, orbits, quadrature, selftest
 from nilharm.algebra import LieAlgebraData
 from orbit_oracle import kernel_dims_match_the_exact_radical
+from pfaffian_oracle import pf_at_matches_the_expansion
 
 
 def slice_at_minus_x(monkeypatch):
@@ -81,6 +86,19 @@ def pf_polynomial_times_3(monkeypatch):
 def pfaffian_times_3(monkeypatch):
     pf = selftest.pfaffian
     monkeypatch.setattr(selftest, "pfaffian", lambda form: pf(form) * 3)
+
+
+def pf_blocks_unsigned(monkeypatch):
+    # pf_at multiplies its blocks' Pfaffians without the sign of the
+    # permutation that lists the blocks in order
+    module = importlib.import_module("nilharm.pfaffian")
+    blocks = module._pf_blocks
+
+    def unsigned(n, pattern):
+        sign, *rest = blocks(n, pattern)
+        return (abs(sign), *rest)
+
+    monkeypatch.setattr(module, "_pf_blocks", unsigned)
 
 
 def free2step_3_R_square_integrable(monkeypatch):
@@ -157,25 +175,21 @@ def radial_jacobian_2_pi_r2(monkeypatch):
 
 
 def skew_spectrum_doubled(monkeypatch):
-    # every orbit sigma of cases 1 and 6 doubled, the kernel dim kept
-    spectrum = orbits.skew_spectrum
+    # every eigenvalue of i b_lambda doubled: the orbit sigmas of cases
+    # 1, 3 and 6 doubled, the kernel dim kept
+    eigenvalues = orbits._skew_eigenvalues
 
     def doubled(M):
-        positive, kernel_dim = spectrum(M)
-        return [2 * a for a in positive], kernel_dim
+        return [2 * e for e in eigenvalues(M)]
 
-    monkeypatch.setattr(orbits, "skew_spectrum", doubled)
+    monkeypatch.setattr(orbits, "_skew_eigenvalues", doubled)
 
 
 def skew_spectrum_kernel_plus_1(monkeypatch):
-    # one more kernel direction than the spectrum leaves
-    spectrum = orbits.skew_spectrum
-
-    def off_by_one(M):
-        positive, kernel_dim = spectrum(M)
-        return positive, kernel_dim + 1
-
-    monkeypatch.setattr(orbits, "skew_spectrum", off_by_one)
+    # one more kernel direction than the exact rank leaves
+    rep = orbits.OrbitRepresentative
+    monkeypatch.setattr(orbits, "OrbitRepresentative",
+                        lambda tag, a, kernel_dim: rep(tag, a, kernel_dim + 1))
 
 
 def row(mutation, check, marks=(), raises=None):
@@ -210,6 +224,7 @@ ROWS = [
     row(radial_jacobian_2_pi_r2, 9),
     row(skew_spectrum_doubled, 9),
     row(skew_spectrum_kernel_plus_1, kernel_dims_match_the_exact_radical),
+    row(pf_blocks_unsigned, pf_at_matches_the_expansion),
 ] + [row(mutation, criterion, ITEM_3)
      for mutation in (flat_constant_7, pf_polynomial_times_3)
      for criterion in (6, 7, 8)]

@@ -89,6 +89,25 @@ def test_orbit_representative_refuses_a_non_finite_coefficient():
             orbit_representative(alg, [1, math.inf, 0, 0, 0, 0])
 
 
+def test_orbit_sigmas_are_refused_under_the_float_resolution():
+    # lambda = (u1^u2)* + (u2^u3)* + t (u1^u4)* has Pf = t on u1..u4 and
+    # sigma_1^2 + sigma_2^2 = 2 + t^2, so sigma_2 ~ t / sqrt(2); eigvalsh
+    # reads it with an error near 1e-16, and read 3.4e-17 at t = 1e-20
+    alg = free_two_step(5, "R")
+
+    def lam(t):
+        return [1, 0, t, 0, 1, 0, 0, 0, 0, 0]
+
+    rep = orbit_representative(alg, lam(1e-14))
+    assert rep.kernel_dim == 1
+    assert rep.invariants == [pytest.approx(1e-14 / math.sqrt(2), rel=0.25),
+                              pytest.approx(math.sqrt(2))]
+    for t in (1e-16, 1e-20, Fraction(1, 10 ** 30)):
+        with pytest.raises(ValueError, match="below the resolution of the "
+                                             "float skew spectrum"):
+            orbit_representative(alg, lam(t))
+
+
 def test_darboux_basis_block_diagonalizes():
     M = [[0, 2, 0, 1], [-2, 0, 3, 0], [0, -3, 0, 0], [-1, 0, 0, 0]]
     basis = darboux_basis(M)
@@ -317,27 +336,39 @@ def test_case1_form_real_layout():
 
 
 def doubled_first_bracket(name):
-    """A copy of free2step:n:F whose [u1, u2] is doubled, with only the
-    meta keys the orbit layer may read."""
+    """A copy of free2step:n:F whose [u1, u2] is doubled, or of octdouble
+    with every bracket doubled, with only the meta keys the orbit layer
+    may read."""
     alg = from_name(name)
-    F = alg.meta["F"]
-    if F == "R":
+    F = alg.meta.get("F")
+    if F is None:
+        first = set(alg.brackets())
+    elif F == "R":
         first = {tuple(alg.complement_indices[:2])}
     else:   # the real and imaginary coordinates of u1 and of u2
         u1, u2 = alg.complement_indices[0:4:2]
         first = {(i, j) for i in (u1, u1 + 1) for j in (u2, u2 + 1)}
-    entries = [(i, j, k, 2 * c if (i, j) in first else c)
+    return edited_copy(alg, first)
+
+
+def edited_copy(alg, doubled):
+    """A copy of alg with the brackets [e_i, e_j], (i, j) in doubled,
+    doubled, and the meta keys family and F."""
+    entries = [(i, j, k, 2 * c if (i, j) in doubled else c)
                for (i, j), row in alg.brackets().items() for k, c in row]
     return LieAlgebraData(alg.dim, alg.basis_labels, entries,
                           center_indices=alg.center_indices,
                           complement_indices=alg.complement_indices,
-                          meta={"family": "free2step", "F": F})
+                          meta={k: alg.meta[k] for k in ("family", "F")
+                                if k in alg.meta})
 
 
-@pytest.mark.parametrize("name", ["free2step:3:R", "free2step:3:C"])
+@pytest.mark.parametrize("name", ["free2step:3:R", "free2step:3:C",
+                                  "octdouble"])
 def test_orbits_read_the_brackets_of_the_algebra_given(name):
-    # the orbit of lambda = c (u1 ^ u2)* is read from b_lambda, so a
-    # doubled bracket doubles the invariant: 2|c|, not |c|
+    # the orbit of lambda = c (u1 ^ u2)* (on octdouble c z1*) is read
+    # from b_lambda, so a doubled bracket doubles the invariant: 2|c|,
+    # not |c|
     alg = doubled_first_bracket(name)
     for c, want in ((1, 2.0), (Fraction(-3, 2), 3.0)):
         coeffs = [0] * len(alg.center_indices)
@@ -352,16 +383,22 @@ def test_case6_refuses_a_bracket_that_is_not_complex_bilinear():
     # the real spectrum at (u1 ^ u2)* is [1, 2], which pairs no sigma
     alg = from_name("free2step:3:C")
     u1, u2 = alg.complement_indices[0:4:2]
-    half = {(u1, u2), (u1 + 1, u2)}
-    entries = [(i, j, k, 2 * c if (i, j) in half else c)
-               for (i, j), row in alg.brackets().items() for k, c in row]
-    copy = LieAlgebraData(alg.dim, alg.basis_labels, entries,
-                          center_indices=alg.center_indices,
-                          complement_indices=alg.complement_indices,
-                          meta={"family": "free2step", "F": "C"})
+    copy = edited_copy(alg, {(u1, u2), (u1 + 1, u2)})
     with pytest.raises(ValueError, match=r"spectrum \[1\.0, 2\.0\] does "
                        "not come in equal pairs"):
         orbit_representative(copy, [1, 0, 0, 0, 0, 0])
+
+
+def test_case3_refuses_a_bracket_that_is_not_the_cross_product():
+    # one bracket of the octonion double doubled: at a lambda that reads
+    # it, the real spectrum comes in no equal triples
+    alg = octonion_double()
+    first = next(iter(alg.brackets()))
+    copy = edited_copy(alg, {first})
+    lam = [0] * len(alg.center_indices)
+    lam[alg.center_indices.index(alg.bracket_row(*first)[0][0])] = 1
+    with pytest.raises(ValueError, match="does not come in equal triples"):
+        orbit_representative(copy, lam)
 
 
 def assert_scales(alg, lam, t):

@@ -3,9 +3,11 @@
 import gc
 import importlib
 import json
+import math
 import random
 import re
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,12 +21,13 @@ from nilharm.catalog import (abelian, free_two_step, from_name, heisenberg,
 from nilharm.config import shown
 from nilharm.orbits import (l1_complement_indices, orbit_representative,
                             pf_nonsingular)
-from nilharm.pfaffian import (LinearFunctional, _pfaffian_expansion,
-                              b_matrix, b_matrix_poly,
-                              is_square_integrable, pf_at, pf_polynomial,
-                              pfaffian)
+from nilharm.pfaffian import (LinearFunctional, _witness_candidates,
+                              b_matrix, b_matrix_poly, is_square_integrable,
+                              pf_at, pf_polynomial, pfaffian)
 from nilharm.polynomials import Poly
 from nilharm.stepwise import find_codim_split
+from pfaffian_oracle import (expansion_pfaffian, interleaved_blocks,
+                             pf_at_matches_the_expansion)
 
 
 def evaluate(poly, point):
@@ -133,11 +136,11 @@ def test_expansion_reads_only_the_strict_upper_triangle():
     rng = random.Random(46)
     for n in (2, 4, 6):
         M = [[int(60 * x) for x in row] for row in rand_skew(rng, n)]
-        pf = _pfaffian_expansion(M, 0, 1)
+        pf = expansion_pfaffian(M, 0, 1)
         assert type(pf) is int and pf ** 2 == linalg.det(M)
         junk = [[M[i][j] if i < j else rng.randint(-9, 9)
                  for j in range(n)] for i in range(n)]
-        assert _pfaffian_expansion(junk, 0, 1) == pf
+        assert expansion_pfaffian(junk, 0, 1) == pf
 
 
 def test_pf_at_matches_the_symbolic_pfaffian():
@@ -866,3 +869,111 @@ def test_pfaffian_refuses_a_matrix_that_is_not_skew():
                 [[Poly.zero(1), t], [t, Poly.zero(1)]]):
         with pytest.raises(ValueError, match="not antisymmetric"):
             pfaffian(bad)
+
+
+@pytest.mark.parametrize("poly", [False, True], ids=["numbers", "polys"])
+def test_pfaffian_refuses_a_non_square_matrix(poly):
+    # a wide first row, and a long last row: both used to answer 1
+    t = Poly.variable(1, 0) if poly else 1
+    zero = Poly.zero(1) if poly else 0
+    for bad in ([[zero, t, 2 * t], [-t, zero, 3 * t]],
+                [[zero, t], [-t, zero, 5 * t]]):
+        with pytest.raises(ValueError, match="^pfaffian needs a square "
+                           "matrix$"):
+            pfaffian(bad)
+
+
+def int_skew(rng, n, density=1.0, lo=-9, hi=9):
+    """A random skew n x n of ints, each upper entry nonzero at chance
+    density."""
+    M = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < density:
+                M[i][j] = rng.randint(lo, hi)
+                M[j][i] = -M[i][j]
+    return M
+
+
+def permuted_blocks(rng, sizes):
+    """A skew matrix that is block diagonal with random dense int blocks
+    of the given sizes, its indices then shuffled, so that the blocks
+    interleave."""
+    n = sum(sizes)
+    order = list(range(n))
+    rng.shuffle(order)
+    M, start = [[0] * n for _ in range(n)], 0
+    for size in sizes:
+        block = int_skew(rng, size)
+        idx = order[start:start + size]
+        for i in range(size):
+            for j in range(size):
+                M[idx[i]][idx[j]] = block[i][j]
+        start += size
+    return M
+
+
+def test_the_pivot_pair_pfaffian_matches_the_expansion():
+    # dense forms up to n = 20, odd n included, sparse ones whose
+    # pattern falls apart, and permuted block diagonals, whose Pf
+    # carries the sign of the permutation
+    rng = random.Random(72)
+    signs = set()
+    cases = [int_skew(rng, n) for n in range(21) for _ in range(2)]
+    cases += [int_skew(rng, n, density=0.2) for n in range(4, 15)
+              for _ in range(3)]
+    cases += [permuted_blocks(rng, sizes) for sizes in
+              ([2, 2], [2, 4], [4, 2, 2], [3, 3], [2, 6, 4], [4, 4, 2, 2],
+               [1, 3, 2], [6, 2, 2, 2]) for _ in range(4)]
+    for M in cases:
+        want = expansion_pfaffian(M)
+        got = pfaffian(M)
+        assert type(got) is Fraction and got == want, M
+        signs.add((want > 0) - (want < 0))
+    assert signs == {-1, 0, 1}
+
+
+def test_a_dense_40_x_40_pfaffian_is_fast():
+    rng = random.Random(73)
+    M = [[Fraction(x, 7) for x in row] for row in int_skew(rng, 40)]
+    best = math.inf
+    for _ in range(3):
+        start = time.perf_counter()
+        pf = pfaffian(M)
+        best = min(best, time.perf_counter() - start)
+    assert pf ** 2 == linalg.det(M) != 0
+    assert best < 0.05
+
+
+def test_pf_at_matches_the_expansion_on_the_catalog():
+    # every constructible row, free2step:n:R/C for n <= 7 and octdouble,
+    # on v and on the l1 split, at the first witness candidates and at
+    # rational points
+    rng = random.Random(74)
+    names = ([f"table:{e.table_id}:{e.row}"
+              for e in list_entries(constructible=True)]
+             + [f"free2step:{n}:{F}" for n in range(2, 8) for F in "RC"]
+             + ["octdouble"])
+    for name in names:
+        alg = from_name(name)
+        v1 = l1_complement_indices(alg)
+        candidates = _witness_candidates(len(alg.center_indices))
+        points = [next(candidates) for _ in range(3)] + [
+            [Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+             for _ in alg.center_indices] for _ in range(2)]
+        for v in [None] + ([v1] if v1 is not None else []):
+            for lam in points:
+                form = b_matrix(alg, LinearFunctional(alg, lam), v_indices=v)
+                want = expansion_pfaffian(form.matrix, Fraction(0),
+                                          Fraction(1))
+                got = pf_at(alg, lam, v_indices=v)
+                assert type(got) is Fraction and got == want, (name, v, lam)
+
+
+def test_pf_at_signs_the_permuted_blocks():
+    result = pf_at_matches_the_expansion()
+    assert result["passed"], result["detail"]
+    assert result["detail"] == "12 nonzero values"
+    # the interleaved blocks {x1, x3}, {x2, x4, x5, x6}: Pf(b_lambda) =
+    # -t1 * (2 t1 (t1 + t2) - t2^2), so at (1, 1) it is -3
+    assert pf_at(interleaved_blocks(), [1, 1]) == -3
