@@ -193,8 +193,9 @@ def direct_sum(*blocks):
     )
 
 
-# center coordinates of (e3,0)*, (e6,0)*, (e2,0)*: octdouble's lambda_a
-OCTDOUBLE_LAMBDA_SUPPORT = (2, 5, 1)
+# center coordinates of (e7,0)*, (e6,0)*, (e2,0)*: octdouble's lambda_a,
+# a1 on the unit of the complement coordinate its split drops
+OCTDOUBLE_LAMBDA_SUPPORT = (6, 5, 1)
 
 
 def lambda_a(alg, a):
@@ -203,7 +204,8 @@ def lambda_a(alg, a):
     free2step: sum a_k (u_{2k-1} ^ u_{2k})*, a_k on the d = DIM[F]
     coordinates of its wedge; over C a complex a_k is a (re, im) pair
     or a complex (a bare number means real), over R it must be real.
-    octdouble: a = (a1, a2, a3) on (e3,0)*, (e6,0)*, (e2,0)*.
+    octdouble: a = (a1, a2, a3) on (e7,0)*, (e6,0)*, (e2,0)*, so a1
+    is t7, the coordinate whose split (0, e7) gives Pf = -t7*|t|^2.
     """
     family = alg.meta.get("family")
     zdim = len(alg.center_indices)

@@ -18,6 +18,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 _EXACT = (int, Fraction)    # the types exact kernels take as they are
+_RATIO = (*_EXACT, float)   # the types whose as_integer_ratio _scaled reads
 _ZERO = Fraction(0)
 
 
@@ -32,8 +33,9 @@ def transpose(mat):
 
 def _scaled(values):
     """(ints, den): values, read as Fractions, times den, the lcm of their
-    denominators, taken in a loop (a starred generator raises the peak)."""
-    ratios = [(x if type(x) in _EXACT else Fraction(x))
+    denominators, taken in a loop (a starred generator raises the peak);
+    an int, Fraction or float gives its ratio without a Fraction."""
+    ratios = [(x if type(x) in _RATIO else Fraction(x))
               .as_integer_ratio() for x in values]
     den = 1
     for _, q in ratios:

@@ -23,7 +23,6 @@ import sys
 from fractions import Fraction
 
 from . import linalg
-from .catalog import OCTDOUBLE_LAMBDA_SUPPORT
 from .pfaffian import (_cached_pattern, _skew_form, is_square_integrable,
                        pf_at)
 from .stepwise import find_codim_split
@@ -176,20 +175,13 @@ def orbit_representative(alg, coeffs):
 def pf_nonsingular(alg, coeffs):
     """Pf(lambda) != 0 on l1_complement_indices(alg), or on n/z when
     that is None (with no split, Pf = 0 there): the v1 of the split
-    search, [u1, u2] = z1, [u1, u3] = z2 giving v1 = (u1, u2), or on the
-    octonion double its (0, e3) drop."""
+    search, [u1, u2] = z1, [u1, u3] = z2 giving v1 = (u1, u2)."""
     return pf_at(alg, coeffs, v_indices=l1_complement_indices(alg)) != 0
 
 
 def l1_complement_indices(alg):
     """v1 = l1 ∩ v of find_codim_split's split, decided once per
-    algebra; None when it is square integrable or has no split.  The
-    octonion double drops (0, e3) instead, complement position
-    OCTDOUBLE_LAMBDA_SUPPORT[0], the unit of a1 in lambda_a: (0, e_k)
-    gives Pf = +-t_k*|t|^2, so the search's (0, e7) vanishes on the
-    whole (e3, e6, e2)* family, where t7 = 0.  That exception serves
-    only criterion 3's Pfaffian pins and pf_nonsingular; no orbit
-    reads it."""
+    algebra; None when it is square integrable or has no split."""
     v1 = alg.cached("l1_complement", _l1_complement)
     return None if v1 is None else list(v1)
 
@@ -197,8 +189,6 @@ def l1_complement_indices(alg):
 def _l1_complement(alg):
     if is_square_integrable(alg):
         return None
-    comp, a1 = alg.complement_indices, OCTDOUBLE_LAMBDA_SUPPORT[0]
-    if alg.meta.get("family") == "octdouble":
-        return comp[:a1] + comp[a1 + 1:]
     dec = find_codim_split(alg)
-    return None if dec is None else tuple(i for i in comp if i in dec.l1_indices)
+    return None if dec is None else tuple(
+        i for i in alg.complement_indices if i in dec.l1_indices)

@@ -90,10 +90,11 @@ def criterion_3(seed=0):
     """Restricted Pfaffian at lambda_a, exact symbolic equality."""
     # |Pf(lambda_a)| is |a_1 ... a_m| on case 1 (m <= 3) and
     # |a_1 ... a_m|^2 on case 6 (m <= 2, a_k complex).  On case 3 it is
-    # |a1 (a1^2 + a2^2 + a3^2)| on the normal-form split, which drops
-    # (0, e3).  G2 = Aut(O) makes every codimension-1 l1 containing z
-    # give a linear form times |lambda|^2, so a1a2a3 is out of reach of
-    # any split (README, "Case 3 normal form").
+    # |a1 (a1^2 + a2^2 + a3^2)| on the split search's split, which
+    # drops (0, e7), the unit of a1.  G2 = Aut(O) makes every
+    # codimension-1 l1 containing z give a linear form times |lambda|^2,
+    # so a1a2a3 is out of reach of any split (README, "Case 3 normal
+    # form").
     rows = [(f"case1 m={m}", free_two_step(2 * m + 1, "R"), _units(m, (1,)),
              prod) for m in (1, 2, 3)]
     rows += [(f"case6 m={m}", free_two_step(2 * m + 1, "C"),

@@ -96,9 +96,9 @@ def decompose(case_tag, n=None):
     row k: free2step over R (1) or C (6), n odd and 3 by default, and
     the octonion double (3), which takes no n.  The search drops the
     last generator of case1, both real coordinates of the last one of
-    case6, and (0, e7) of case3, where orbits.l1_complement_indices
-    alone drops (0, e3).  The odd-n check excludes the square-integrable
-    sizes, so find_codim_split's refusal is not re-run."""
+    case6, and (0, e7) of case3.  The odd-n check excludes the
+    square-integrable sizes, so find_codim_split's refusal is not
+    re-run."""
     case = case_number(case_tag)
     if case is None:
         raise ValueError(f"unsupported case tag {shown(case_tag)}; "

@@ -3,7 +3,7 @@
 Each numbered test runs the same criterion function the `selftest`
 subcommand uses, so the suite and the CLI can never drift apart.
 Criterion 3's octonionic-double clause asserts the normal-form Pfaffian
-+-a1*(a1^2+a2^2+a3^2) on the split that drops (0, e3); the README's
++-a1*(a1^2+a2^2+a3^2) on the split that drops (0, e7); the README's
 "Case 3 normal form" shows why no split of the paper's form gives the
 +-a1*a2*a3 an earlier version expected.  Tolerances are pinned inside
 the criterion functions.

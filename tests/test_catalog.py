@@ -198,8 +198,8 @@ def test_lambda_a_complex_split():
 def test_lambda_a_octonion_double_units():
     alg = octonion_double()
     coeffs = lambda_a(alg, [5, 7, 11])
-    # supported at the duals of e3, e6, e2
-    assert coeffs[2] == 5
+    # supported at the duals of e7, e6, e2
+    assert coeffs[6] == 5
     assert coeffs[5] == 7
     assert coeffs[1] == 11
     with pytest.raises(CatalogError):

@@ -4,8 +4,11 @@ oracles; echelon, rref and kernel read sparse (column, value) rows."""
 import math
 from fractions import Fraction
 
+import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from nilharm import linalg
 from nilharm.linalg import det, echelon, kernel, rref
 
 
@@ -153,3 +156,24 @@ def test_empty_input():
     assert kernel([], 0) == []
     assert echelon([]) == {}
     assert det([]) == 1
+
+
+def test_scaled_reads_a_float_ratio_without_a_fraction(monkeypatch):
+    floats = [0.1, -2.5, 3.0, -0.0, 1e-300, 5e300]
+    expected = linalg._scaled([Fraction(x) for x in floats])
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(linalg, "Fraction", counted)
+    assert linalg._scaled(floats) == expected
+    assert built == []
+    # a numpy scalar is no float to type(), so it goes through Fraction
+    assert linalg._scaled([np.float64(0.75), 1]) == ([3, 4], 4)
+    assert len(built) == 1
+    for bad, error in ((math.nan, ValueError), (math.inf, OverflowError),
+                       (-math.inf, OverflowError)):
+        with pytest.raises(error):
+            linalg._scaled([1, bad])

@@ -23,7 +23,8 @@ from nilharm.orbits import (darboux_basis, l1_complement_indices,
                             skew_spectrum)
 from nilharm.pfaffian import (LinearFunctional, b_matrix,
                               is_square_integrable, pf_at)
-from nilharm.stepwise import StepwiseDecomposition, find_codim_split, verify
+from nilharm.stepwise import (StepwiseDecomposition, decompose, find_codim_split,
+                              verify)
 from orbit_oracle import kernel_dims_match_the_exact_radical
 
 
@@ -671,16 +672,20 @@ def test_l1_complement_indices_families():
             assert got is None, name
             continue
         dec = find_codim_split(alg)
-        if alg.meta["family"] != "octdouble":
-            assert got == (None if dec is None else
-                           [i for i in comp if i in dec.l1_indices]), name
-            continue
-        # the one declared exception: v3 = (0, e3), not the search's
-        # (0, e7)
-        drop = comp.pop(OCTDOUBLE_LAMBDA_SUPPORT[0])
-        assert alg.basis_labels[drop] == "v3"
-        assert dec.l2_indices != (drop,)
-        assert got == comp, name
+        assert got == (None if dec is None else
+                       [i for i in comp if i in dec.l1_indices]), name
+
+
+def test_case3_is_stated_on_one_split():
+    # decompose, the split search, the normal form's v1 and lambda_a's
+    # a1 all name the complement coordinate v7 = (0, e7)
+    alg = octonion_double()
+    comp = list(alg.complement_indices)
+    drops = [decompose("case3").l2_indices,
+             find_codim_split(alg).l2_indices,
+             tuple(i for i in comp if i not in l1_complement_indices(alg)),
+             (comp[OCTDOUBLE_LAMBDA_SUPPORT[0]],)]
+    assert [[alg.basis_labels[i] for i in d] for d in drops] == [["v7"]] * 4
 
 
 @pytest.mark.parametrize("name", ["free2step:3:R", "octdouble",

@@ -76,3 +76,25 @@ def test_no_call_unpacks_a_generator_expression():
                   if isinstance(node, ast.Starred)
                   and isinstance(node.value, ast.GeneratorExp)]
     assert found == []
+
+
+def test_orbits_and_stepwise_do_not_branch_on_a_family_name():
+    # a case is read through a table (orbits._CASES) or the split
+    # search, not by comparing meta["family"] with a family's name
+    catalog = ast.parse((PACKAGE / "catalog.py").read_text(encoding="utf-8"))
+    families = {value.value for node in ast.walk(catalog)
+                if isinstance(node, ast.Dict)
+                for key, value in zip(node.keys, node.values)
+                if isinstance(key, ast.Constant) and key.value == "family"
+                and isinstance(value, ast.Constant)}
+    assert {"free2step", "octdouble"} <= families
+    found = []
+    for name in ("orbits.py", "stepwise.py"):
+        tree = ast.parse((PACKAGE / name).read_text(encoding="utf-8"))
+        found += [f"{name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Compare)
+                  for operand in (node.left, *node.comparators)
+                  for const in ast.walk(operand)
+                  if isinstance(const, ast.Constant)
+                  and const.value in families]
+    assert found == []
