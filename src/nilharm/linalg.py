@@ -51,9 +51,13 @@ def _int_rows(rows):
     return [ints[i * n:(i + 1) * n] for i in range(n)], den
 
 
-def _unscaled(ints, den):
-    """[Fraction(c, den) for c in ints], one built per nonzero c."""
-    return [Fraction(c, den) if c else _ZERO for c in ints]
+def _unscaled(ints, den, memo=None):
+    """[Fraction(c, den) for c in ints], one built per nonzero c, or per
+    distinct nonzero c over the calls that share the dict memo."""
+    if memo is None:
+        return [Fraction(c, den) if c else _ZERO for c in ints]
+    return [memo[c] if c in memo else
+            memo.setdefault(c, Fraction(c, den) if c else _ZERO) for c in ints]
 
 
 def _primitive(vec):

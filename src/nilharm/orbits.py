@@ -2,8 +2,8 @@
 
 Every case reads b_lambda(x, y) = lambda([x, y]) on v from the bracket
 table, through the cached skew pattern that every Pfaffian reads,
-filled once in integers: its exact rank from linalg._pivot_pairs, its
-sigmas from the float skew spectrum of the same form.  Case 1 (free
+filled once in integers: its exact rank from linalg._pivot_pairs, one
+sigma from tr(-b_lambda^2), more from the float spectrum.  Case 1 (free
 2-step over R): real skew M under K = SO(n) congruence.  Case 6 (over
 C, n odd): complex skew M under K = SU(n).  A unit u in ker M gives D
 = I + (c - 1) conj(u) u^T, unitary with D M D^T = M and det D = c for
@@ -15,16 +15,18 @@ product, det(x - b_lambda^2) = x (x + |lambda|^2)^6, so the orbit of
 lambda != 0 is the sphere of radius |lambda| (G2 is transitive on
 S^6).  The one float floor, the spectrum's resolution, is relative,
 so t * lambda has lambda's orbit type for every t > 0.  Only
-skew_spectrum and _skew_eigenvalues import numpy.
+skew_spectrum and _skew_eigenvalues, which a one-sigma orbit skips,
+import numpy.
 """
 
 import math
 import sys
 from fractions import Fraction
+from operator import mul
 
 from . import linalg
-from .pfaffian import (_cached_pattern, _skew_form, is_square_integrable,
-                       pf_at)
+from .pfaffian import (_cached_pattern, _counted, _skew_form,
+                       is_square_integrable, pf_at)
 from .stepwise import find_codim_split
 
 SKEW_INPUT_TOL = 1e-12
@@ -119,18 +121,19 @@ def orbit_representative(alg, coeffs):
 
     Refuses coeffs of the wrong length or past the float range, and an
     invariant past it.  The rank r of b_lambda is exact, a float
-    coefficient read as the dyadic it is: kernel_dim is (n - r) / unit,
-    and the sigmas are the largest r / 2 eigenvalues of i B, B the
-    exact form rounded to floats; one at or below n eps times the
-    largest, the error bound of eigvalsh, is noise, and is refused.
-    Over F with d = DIM[F], B realifies M in (u_p e_a) coordinates, so
-    d is the case's group and unit in _CASES; on case 3 |lambda|
-    appears three times.  A spectrum that does not come in runs of
-    equal values (within PAIR_TOL of the largest) is refused.
+    coefficient read as the dyadic it is: kernel_dim is (n - r) / unit.
+    Over F with d = DIM[F], b_lambda realifies M in (u_p e_a)
+    coordinates, so d is the case's group and unit in _CASES: each
+    sigma appears `group` times among the r / 2 positive eigenvalues of
+    i b_lambda, |lambda| three times on case 3.  When r / 2 is 0 or
+    group, and _one_invariant's exact test finds those equal, the one
+    sigma is read in integers.  Otherwise the sigmas are the largest
+    r / 2 eigenvalues of i B, B the exact form rounded to floats; one at
+    or below n eps times the largest, the error bound of eigvalsh, is
+    noise, and is refused, as is a spectrum that does not come in runs
+    of equal values (within PAIR_TOL of the largest).
     """
-    zdim = len(alg.center_indices)
-    if len(coeffs) != zdim:
-        raise ValueError(f"need {zdim} coefficients, got {len(coeffs)}")
+    _counted(alg, coeffs)
     case = _CASES.get((alg.meta.get("family"), alg.meta.get("F")))
     if case is None:
         raise ValueError(f"no orbit normal form implemented for {alg.name}")
@@ -148,10 +151,12 @@ def orbit_representative(alg, coeffs):
     gram, den = linalg._int_rows(_skew_form(*_cached_pattern(alg, None),
                                             ints, 0))
     n = len(gram)
+    pairs = sum(1 for _ in linalg._pivot_pairs([row[:] for row in gram]))
     try:    # an entry past 1.8e308 overflows, so does the largest sigma
-        eigs = _skew_eigenvalues([[x / (scale * den) for x in row]
-                                  for row in gram])
-        positive = eigs[n - sum(1 for _ in linalg._pivot_pairs(gram)):]
+        positive = _one_invariant(gram, pairs, scale * den, group)
+        if positive is None:
+            positive = _skew_eigenvalues([[x / (scale * den) for x in row]
+                                          for row in gram])[n - pairs:]
         if not all(map(math.isfinite, positive)):
             raise OverflowError
     except OverflowError:
@@ -170,6 +175,26 @@ def orbit_representative(alg, coeffs):
                          "K does not act on the bracket")
     return OrbitRepresentative(tag, positive[::group],
                                (n - 2 * len(positive)) // unit)
+
+
+def _one_invariant(gram, pairs, scale, group):
+    """The positive spectrum of i G / scale, G = gram of rank 2 pairs,
+    when it is empty or one sigma `group` times, else None.  Then
+    tr(-G^2) = 2 pairs sigma^2 scale^2; the sigmas are equal iff 2 pairs
+    tr(G^4) = tr(G^2)^2 (Cauchy-Schwarz), tr(G^4) = |G G^T|_F^2.  sigma
+    is an isqrt on 110 bits or more, rounded to odd: correctly rounded."""
+    if pairs != group:
+        return None if pairs else []
+    num, den = sum(x * x for row in gram for x in row), 2 * pairs * scale ** 2
+    if pairs > 1 and 2 * pairs * sum(
+            sum(map(mul, a, b)) ** 2 << (i != j)
+            for i, a in enumerate(gram)
+            for j, b in enumerate(gram[i:], i)) != num * num:
+        return None
+    k = max(0, 56 - (num.bit_length() - den.bit_length()) // 2)
+    q, rem = divmod(num << 2 * k, den)
+    root = math.isqrt(q)
+    return [(root | (rem > 0 or root * root < q)) / (1 << k)] * pairs
 
 
 def pf_nonsingular(alg, coeffs):

@@ -35,11 +35,15 @@ class LinearFunctional:
     __slots__ = ("coeffs",)
 
     def __init__(self, alg, coeffs):
-        zdim = len(alg.center_indices)
-        coeffs = [Fraction(c) for c in coeffs]
-        if len(coeffs) != zdim:
-            raise ValueError(f"need {zdim} coefficients, got {len(coeffs)}")
-        self.coeffs = coeffs
+        self.coeffs = _counted(alg, [c if type(c) is Fraction else Fraction(c)
+                                     for c in coeffs])
+
+
+def _counted(alg, coeffs):
+    """coeffs, refused unless there is one per center vector."""
+    if len(coeffs) != (zdim := len(alg.center_indices)):
+        raise ValueError(f"need {zdim} coefficients, got {len(coeffs)}")
+    return coeffs
 
 
 class SkewForm:
@@ -62,7 +66,8 @@ def b_matrix(alg, lam, v_indices=None):
     anything else means the algebra is not 2-step with that split.
     """
     ints, scale = linalg._scaled(lam.coeffs)
-    return SkewForm([linalg._unscaled(row, scale) for row in _skew_form(
+    memo = {}   # one Fraction per distinct value
+    return SkewForm([linalg._unscaled(row, scale, memo) for row in _skew_form(
         *_cached_pattern(alg, v_indices), ints, 0)])
 
 
@@ -247,7 +252,8 @@ def pf_at(alg, coeffs, v_indices=None):
     """Exact Pfaffian value at a concrete functional, as a Fraction:
     Pf(b_{L lambda}) / L^(n/2), in integers the sign of _pf_blocks
     times the Pfaffians of its blocks, a 2 x 2 block's its entry."""
-    ints, scale = linalg._scaled(LinearFunctional(alg, coeffs=coeffs).coeffs)
+    ints, scale = linalg._scaled(coeffs)
+    _counted(alg, ints)
     n, pattern = _cached_pattern(alg, v_indices)
     if n % 2:
         return Fraction(0)

@@ -1,7 +1,10 @@
-"""A named check of the orbit layer, in selftest's result form: the
+"""Named checks of the orbit layer, in selftest's result form: the
 kernel dimension orbit_representative reports against the exact radical
 of b_lambda, so a float rank decision that drifts from the exact one
-fails it.  The tests run it, and so does a mutation row."""
+fails it; and the sigmas of an orbit with two or more invariants, read
+off the float spectrum, against the exact trace of -b_lambda^2, so a
+spectrum scaled or shifted fails it.  The tests run them, and so do
+mutation rows."""
 
 import random
 from fractions import Fraction
@@ -13,6 +16,8 @@ from nilharm.pfaffian import LinearFunctional, b_matrix
 # the real radical dimensions per kernel direction of the orbit: one on
 # cases 1 and 3, two on case 6, whose kernel is complex
 KERNEL_UNIT = {"case1": 1, "case6": 2, "case3": 1}
+# the times each sigma appears in the real spectrum of i b_lambda
+SIGMA_GROUP = {"case1": 1, "case6": 2, "case3": 3}
 
 
 def radical_algebras():
@@ -58,3 +63,32 @@ def kernel_dims_match_the_exact_radical(seed=70, draws=4):
                             f"kernel {rep.kernel_dim}, radical {radical}")
     return {"passed": not failures,
             "detail": "; ".join(failures) or f"radicals {sorted(seen)}"}
+
+
+def sigmas_match_the_exact_trace(seed=71, draws=4):
+    """At `draws` seeded rational lambda on each of free2step:5:R, 5:C
+    and 7:R, whose orbits have two or three invariants, sum_j 2 g
+    sigma_j^2 equals tr(-b_lambda^2), the exact sum of the squares of
+    b_matrix's entries, to 1e-12 relative; g is the case's group.  A
+    lambda whose orbit has fewer than two invariants is a failure, as
+    the check would not read the float spectrum there."""
+    rng = random.Random(seed)
+    failures, counts = [], []
+    for alg in (free_two_step(5, "R"), free_two_step(5, "C"),
+                free_two_step(7, "R")):
+        for _ in range(draws):
+            lam = [Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                   for _ in alg.center_indices]
+            rep = orbit_representative(alg, lam)
+            counts.append(len(rep.invariants))
+            want = sum(x * x for row in b_matrix(
+                alg, LinearFunctional(alg, lam)).matrix for x in row)
+            got = sum(2 * SIGMA_GROUP[rep.case_tag] * s * s
+                      for s in rep.invariants)
+            if len(rep.invariants) < 2 or abs(got - want) > 1e-12 * want:
+                failures.append(f"{alg.name} at {[str(c) for c in lam]}: "
+                                f"sigmas {rep.invariants}, sum {got}, "
+                                f"tr(-b^2) {float(want)}")
+    return {"passed": not failures,
+            "detail": "; ".join(failures)
+            or f"invariants per orbit {sorted(set(counts))}"}

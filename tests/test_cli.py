@@ -836,15 +836,22 @@ def test_malformed_points_are_refused_before_numpy_loads():
 
 def test_exact_orbit_routes_do_not_load_numpy():
     # an algebra with no orbit normal form is refused before numpy
-    # loads; every case that answers reads skew_spectrum
+    # loads, and an orbit with one invariant, on cases 1, 6 and 3, is
+    # answered in integers; the last run, an orbit with two invariants,
+    # reads the float skew spectrum and loads numpy
     runs = [["orbit", "heisenberg:1:C", "--coeffs", "1", "--json"],
-            ["orbit", "heisenberg:1:C", "--coeffs", "1"]]
+            ["orbit", "heisenberg:1:C", "--coeffs", "1"],
+            ["orbit", "free2step:3:R", "--coeffs", "1,2,3", "--json"],
+            ["orbit", "free2step:3:C", "--coeffs", "3,4,0,0,0,0"],
+            ["orbit", "octdouble", "--coeffs", "1,2,3,4,5,6,7", "--json"],
+            ["orbit", "free2step:5:R", "--coeffs", "1,0,0,0,0,0,0,0,2,0"]]
     out = subprocess.run(
         [sys.executable, "-c", _MODULES_AFTER, json.dumps(runs),
          json.dumps(["numpy"])],
         capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
-    assert json.loads(out.stdout) == [[2, []], [2, []]]
+    assert json.loads(out.stdout) == [[2, []]] * 2 + [[0, []]] * 3 + [
+        [0, ["numpy"]]]
 
 
 def test_case3_orbit_is_one_answer_on_the_unit_sphere():

@@ -16,8 +16,12 @@ Criterion 10 is the byte-identity of two `selftest --json` outputs, a
 check with no entry in selftest.CRITERIA: its row puts a clock reading
 into criterion 1's detail and runs `cli.run` twice in-process.
 
-Orbit cases 1, 3 and 6 all read their sigmas off the float spectrum of
-orbits._skew_eigenvalues, and criterion 9 catches them doubled.
+An orbit with one invariant, the orbits of criterion 9 among them, has
+its sigma from the exact trace of -b_lambda^2 in orbits._one_invariant,
+and criterion 9 catches it doubled.  An orbit with two or more reads its
+sigmas off the float spectrum of orbits._skew_eigenvalues; criterion 9
+runs no such orbit, and the named check
+orbit_oracle.sigmas_match_the_exact_trace catches them doubled.
 Criterion 9 reads no kernel_dim; the named check
 orbit_oracle.kernel_dims_match_the_exact_radical compares each
 kernel_dim with the exact radical from darboux_basis, and catches the
@@ -37,7 +41,8 @@ import pytest
 from nilharm import (catalog, cli, composition, inversion, orbits, quadrature,
                      selftest)
 from nilharm.algebra import LieAlgebraData
-from orbit_oracle import kernel_dims_match_the_exact_radical
+from orbit_oracle import (kernel_dims_match_the_exact_radical,
+                          sigmas_match_the_exact_trace)
 from pfaffian_oracle import pf_at_matches_the_expansion
 
 
@@ -167,9 +172,21 @@ def radial_jacobian_2_pi_r2(monkeypatch):
     monkeypatch.setattr(inversion, "math", SimpleNamespace(pi=math.pi / 2))
 
 
+def one_invariant_sigma_doubled(monkeypatch):
+    # the sigma of an orbit with one invariant doubled, the kernel dim
+    # kept
+    one_invariant = orbits._one_invariant
+
+    def doubled(*args):
+        sigmas = one_invariant(*args)
+        return None if sigmas is None else [2 * s for s in sigmas]
+
+    monkeypatch.setattr(orbits, "_one_invariant", doubled)
+
+
 def skew_spectrum_doubled(monkeypatch):
-    # every eigenvalue of i b_lambda doubled: the orbit sigmas of cases
-    # 1, 3 and 6 doubled, the kernel dim kept
+    # every eigenvalue of i b_lambda doubled: the sigmas of an orbit
+    # with two or more invariants doubled, the kernel dim kept
     eigenvalues = orbits._skew_eigenvalues
 
     def doubled(M):
@@ -215,7 +232,8 @@ ROWS = [
     row(h1H_first_constant_negated, 9,
         raises="integrand is not rotation-invariant; refusing"),
     row(radial_jacobian_2_pi_r2, 9),
-    row(skew_spectrum_doubled, 9),
+    row(one_invariant_sigma_doubled, 9),
+    row(skew_spectrum_doubled, sigmas_match_the_exact_trace),
     row(skew_spectrum_kernel_plus_1, kernel_dims_match_the_exact_radical),
     row(pf_blocks_unsigned, pf_at_matches_the_expansion),
 ] + [row(mutation, criterion, ITEM_3)

@@ -25,7 +25,8 @@ from nilharm.pfaffian import (LinearFunctional, b_matrix,
                               is_square_integrable, pf_at)
 from nilharm.stepwise import (StepwiseDecomposition, decompose, find_codim_split,
                               verify)
-from orbit_oracle import kernel_dims_match_the_exact_radical
+from orbit_oracle import (kernel_dims_match_the_exact_radical,
+                          sigmas_match_the_exact_trace)
 
 
 def rand_skew_float(rng, n):
@@ -465,8 +466,45 @@ def test_case6_representative_sigma():
     rep = orbit_representative(alg, lambda_a(alg, [(3, 4)]))
     assert rep.case_tag == "case6"
     assert rep.kernel_dim == 1
-    # pinned bits of |3 + 4i| read off the realified 6 x 6 form
-    assert rep.invariants == [4.999999999999999]
+    # |3 + 4i| = sqrt(150 / 6), the one sigma's exact square, rounded
+    # once: 5.0, where the float spectrum read 4.999999999999999
+    assert rep.invariants == [5.0]
+
+
+def test_one_invariant_orbits_are_correctly_rounded():
+    # one sigma, from its exact square: sqrt(1 + 4 + 9) on case 1 and
+    # |lambda| = sqrt(140) on case 3, each the float math.sqrt rounds to
+    rep = orbit_representative(free_two_step(3, "R"), [1, 2, 3])
+    assert (rep.case_tag, rep.invariants, rep.kernel_dim) == (
+        "case1", [math.sqrt(14)], 1)
+    rep = orbit_representative(octonion_double(), [1, 2, 3, 4, 5, 6, 7])
+    assert (rep.case_tag, rep.invariants, rep.kernel_dim) == (
+        "case3", [math.sqrt(140)], 1)
+
+
+@pytest.mark.parametrize("name, kernel_dim", [
+    ("free2step:3:R", 3), ("free2step:4:C", 4), ("octdouble", 7)])
+def test_the_zero_orbit_has_no_invariant(name, kernel_dim):
+    alg = from_name(name)
+    rep = orbit_representative(alg, [0] * len(alg.center_indices))
+    assert (rep.invariants, rep.kernel_dim) == ([], kernel_dim)
+
+
+def test_one_invariant_orbits_build_no_fraction(count_fractions):
+    # cases 1, 6 and 3 at Fraction, int and float coefficients, each
+    # orbit with one invariant, answered in integers
+    runs = [("free2step:3:R", [Fraction(1, 2), 2, Fraction(-3, 7)]),
+            ("free2step:3:C", [3, 4, 0, 0, 0, 0]),
+            ("free2step:5:C", [0.5] + [0] * 19),
+            ("octdouble", [Fraction(k, 3) for k in range(1, 8)])]
+    for name, lam in runs:
+        alg = from_name(name)
+        want = orbit_representative(alg, lam)     # fills the caches
+        assert len(want.invariants) == 1
+        got, built = count_fractions(lambda: orbit_representative(alg, lam))
+        assert built == 0
+        assert (got.invariants, got.kernel_dim) == (want.invariants,
+                                                    want.kernel_dim)
 
 
 def test_case6_sigmas_are_pinned_on_seeded_functionals():
@@ -623,6 +661,12 @@ def test_kernel_dim_is_the_exact_radical():
     # the seeded functionals reach radicals from 0 to 6, kernel 3 on
     # case 6 included
     assert result["detail"] == "radicals [0, 1, 2, 4, 5, 6]"
+
+
+def test_sigmas_match_the_exact_trace():
+    result = sigmas_match_the_exact_trace()
+    assert result["passed"], result["detail"]
+    assert result["detail"] == "invariants per orbit [2, 3]"
 
 
 def test_case3_normal_form_is_nonsingular():

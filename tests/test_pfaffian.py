@@ -728,8 +728,44 @@ def test_pf_at_on_odd_and_empty_orderings():
 
 
 def test_pf_at_rejects_wrong_length():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^need 1 coefficients, got 2$"):
         pf_at(heisenberg(1, "C"), [1, 2])
+
+
+FRACTION_COUNT_ALGEBRAS = ("heisenberg:2:H", "octdouble", "table:2.2:23",
+                           "free2step:5:C", "free2step:4:R", "free2step:3:R")
+
+
+def test_pf_at_builds_only_its_result(count_fractions):
+    # on Fraction input no Fraction is rebuilt: the one built is the
+    # value returned, on odd n too (free2step:3:R)
+    rng = random.Random(75)
+    for name in FRACTION_COUNT_ALGEBRAS:
+        alg = from_name(name)
+        lam = [Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+               for _ in alg.center_indices]
+        want = pf_at(alg, lam)      # fills the caches
+        assert count_fractions(lambda: pf_at(alg, lam)) == (want, 1)
+
+
+def test_b_matrix_builds_one_fraction_per_distinct_value(count_fractions):
+    rng = random.Random(76)
+    totals = [0, 0]     # Fractions built, nonzero entries
+    for name in FRACTION_COUNT_ALGEBRAS:
+        alg = from_name(name)
+        lam = [Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+               for _ in alg.center_indices]
+        want = b_matrix(alg, LinearFunctional(alg, lam)).matrix
+        lf, built = count_fractions(lambda: LinearFunctional(alg, lam))
+        assert built == 0 and lf.coeffs == lam
+        got, built = count_fractions(lambda: b_matrix(alg, lf).matrix)
+        assert got == want
+        assert built == len({x for row in got for x in row if x})
+        totals[0] += built
+        totals[1] += sum(1 for row in got for x in row if x)
+    # the entries of the Heisenberg, octonion and table forms repeat
+    # +-lambda_t c: fewer than half as many Fractions as nonzero entries
+    assert totals[0] * 2 < totals[1], totals
 
 
 REFERENCE = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
