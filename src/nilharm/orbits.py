@@ -1,22 +1,20 @@
 """Coadjoint orbit representatives via skew normal forms.
 
-Every case reads b_lambda(x, y) = lambda([x, y]) on v from the bracket
-table, through the cached skew pattern that every Pfaffian reads,
-filled once in integers: its exact rank from linalg._pivot_pairs, one
-sigma from tr(-b_lambda^2), more from the float spectrum.  Case 1 (free
-2-step over R): real skew M under K = SO(n) congruence.  Case 6 (over
-C, n odd): complex skew M under K = SU(n).  A unit u in ker M gives D
-= I + (c - 1) conj(u) u^T, unitary with D M D^T = M and det D = c for
-|c| = 1, so the SU(n) orbits are the U(n) orbits, classified by the
-paired singular values of M (Youla 1961).  Even n gives the O(n) or
-U(n) invariants, not the sign or phase of Pf.  Case 3 (octonion
-double, K = G2): b_lambda is lambda paired with the octonion cross
-product, det(x - b_lambda^2) = x (x + |lambda|^2)^6, so the orbit of
-lambda != 0 is the sphere of radius |lambda| (G2 is transitive on
-S^6).  The one float floor, the spectrum's resolution, is relative,
-so t * lambda has lambda's orbit type for every t > 0.  Only
-skew_spectrum and _skew_eigenvalues, which a one-sigma orbit skips,
-import numpy.
+b_lambda(x, y) = lambda([x, y]) on v is read in integers from the
+cached skew pattern of the Pfaffians.  Case 1 (free 2-step over R):
+real skew M under K = SO(n).  Case 6 (over C): complex skew M under K
+= SU(n), whose orbits for odd n are the U(n) orbits (a unit u in ker M
+gives D = I + (c - 1) conj(u) u^T, unitary, D M D^T = M, det D = c),
+classified by the paired singular values of M (Youla 1961); even n
+gives the U(n) invariants, not the phase of Pf.  Case 3 (octonion
+double, K = G2): det(x - b_lambda^2) = x (x + |lambda|^2)^6 and G2 is
+transitive on S^6, so the invariant is |lambda|.  Three exact rules
+decide an answer's shape: the exact rank gives the number of invariants
+and kernel_dim; case 6 pairs by a cached check that the bracket is
+complex-bilinear; case 3 is refused unless its rank and Cauchy-Schwarz
+tests pass.  One range rule: an invariant outside 5e-324 to 1.8e308 is
+refused, a coefficient of any size is not.  Only two or more
+invariants, on case 1 or 6, read the float spectrum.
 """
 
 import math
@@ -31,7 +29,6 @@ from .stepwise import find_codim_split
 
 SKEW_INPUT_TOL = 1e-12
 RANK_TOL = 1e-10
-PAIR_TOL = 1e-9
 
 # (family, F) -> (case tag, group, unit): each sigma of the orbit
 # appears `group` times in the real spectrum of b_lambda on v, and each
@@ -45,7 +42,10 @@ def skew_spectrum(M):
     """Invariants (a_1 <= ... <= a_m, kernel_dim) of a real skew matrix,
     the a_j above RANK_TOL times its largest entry."""
     import numpy as np
-    M = np.asarray(M, dtype=float)
+    try:
+        M = np.asarray(M, dtype=float)
+    except ValueError:      # ragged rows, as darboux_basis refuses them
+        M = np.empty(0)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("skew_spectrum needs a square matrix")
     scale = np.abs(M).max(initial=0.0)      # initial: M may be 0 x 0
@@ -119,82 +119,87 @@ class OrbitRepresentative:
 def orbit_representative(alg, coeffs):
     """K-orbit invariants of a concrete functional (module docstring).
 
-    Refuses coeffs of the wrong length or past the float range, and an
-    invariant past it.  The rank r of b_lambda is exact, a float
-    coefficient read as the dyadic it is: kernel_dim is (n - r) / unit.
-    Over F with d = DIM[F], b_lambda realifies M in (u_p e_a)
-    coordinates, so d is the case's group and unit in _CASES: each
-    sigma appears `group` times among the r / 2 positive eigenvalues of
-    i b_lambda, |lambda| three times on case 3.  When r / 2 is 0 or
-    group, and _one_invariant's exact test finds those equal, the one
-    sigma is read in integers.  Otherwise the sigmas are the largest
-    r / 2 eigenvalues of i B, B the exact form rounded to floats; one at
-    or below n eps times the largest, the error bound of eigvalsh, is
-    noise, and is refused, as is a spectrum that does not come in runs
-    of equal values (within PAIR_TOL of the largest).
-    """
+    Refuses coeffs of the wrong length or with a NaN.  The rank r of
+    b_lambda is exact, a float read as the dyadic it is: kernel_dim is
+    (n - r) / unit, each sigma `group` times among the r / 2 positive
+    eigenvalues of i b_lambda (_CASES); on case 3, r / 2 <= 3 = group."""
     _counted(alg, coeffs)
     case = _CASES.get((alg.meta.get("family"), alg.meta.get("F")))
     if case is None:
         raise ValueError(f"no orbit normal form implemented for {alg.name}")
-    try:
-        floats = [float(c) for c in coeffs]
-    except OverflowError:       # an int or Fraction past 1.8e308
-        floats = [math.inf]
-    if any(math.isinf(f) or f == 0 != c for f, c in zip(floats, coeffs)):
-        raise ValueError("a coefficient is too small or too large for a "
-                         "float, whose range is 5e-324 to 1.8e308")
-    if any(map(math.isnan, floats)):
+    if any(c != c for c in coeffs):
         raise ValueError("skew_spectrum needs finite entries")
     tag, group, unit = case
-    ints, scale = linalg._scaled(coeffs)
-    gram, den = linalg._int_rows(_skew_form(*_cached_pattern(alg, None),
-                                            ints, 0))
-    n = len(gram)
-    pairs = sum(1 for _ in linalg._pivot_pairs([row[:] for row in gram]))
-    try:    # an entry past 1.8e308 overflows, so does the largest sigma
-        positive = _one_invariant(gram, pairs, scale * den, group)
-        if positive is None:
-            positive = _skew_eigenvalues([[x / (scale * den) for x in row]
-                                          for row in gram])[n - pairs:]
-        if not all(map(math.isfinite, positive)):
-            raise OverflowError
+    if tag == "case6" and not alg.cached("bilinear", _complex_bilinear):
+        raise ValueError("the bracket is not complex-bilinear, so K does "
+                         "not act on it")
+    try:    # an infinite coefficient overflows, so does a sigma past 1.8e308
+        ints, scale = linalg._scaled(coeffs)
+        gram, den = linalg._int_rows(_skew_form(*_cached_pattern(alg, None),
+                                                ints, 0))
+        pairs = sum(1 for _ in linalg._pivot_pairs([row[:] for row in gram]))
+        sigmas = (_one_invariant if pairs <= group else _float_invariants)(
+            gram, pairs, scale * den, group)
     except OverflowError:
-        raise ValueError("an orbit invariant is too large for a float, "
-                         "whose range is 5e-324 to 1.8e308") from None
-    if positive and positive[0] <= n * sys.float_info.epsilon * positive[-1]:
-        raise ValueError("an orbit invariant is below the resolution of "
-                         f"the float skew spectrum, {n} * 2.2e-16 times "
-                         "the largest")
-    # positive ascends, so a run of `group` values is equal when its ends are
-    if len(positive) % group or any(
-            b - a > PAIR_TOL * positive[-1]
-            for a, b in zip(positive[::group], positive[group - 1::group])):
-        raise ValueError(f"the real skew spectrum {positive} does not come "
-                         f"in equal {('pairs', 'triples')[group - 2]}, so "
-                         "K does not act on the bracket")
-    return OrbitRepresentative(tag, positive[::group],
-                               (n - 2 * len(positive)) // unit)
+        sigmas = [math.inf]
+    if not all(0 < s < math.inf for s in sigmas):
+        raise ValueError("an orbit invariant is outside the float range, "
+                         "5e-324 to 1.8e308")
+    return OrbitRepresentative(tag, sigmas, (len(gram) - 2 * pairs) // unit)
 
 
 def _one_invariant(gram, pairs, scale, group):
-    """The positive spectrum of i G / scale, G = gram of rank 2 pairs,
-    when it is empty or one sigma `group` times, else None.  Then
-    tr(-G^2) = 2 pairs sigma^2 scale^2; the sigmas are equal iff 2 pairs
-    tr(G^4) = tr(G^2)^2 (Cauchy-Schwarz), tr(G^4) = |G G^T|_F^2.  sigma
-    is an isqrt on 110 bits or more, rounded to odd: correctly rounded."""
-    if pairs != group:
-        return None if pairs else []
+    """[sigma], the positive spectrum of i G / scale, G = gram of rank 2
+    pairs, or []; refused unless group | pairs and 2 pairs |G G^T|_F^2 =
+    tr(G^2)^2 (Cauchy-Schwarz: equal sigmas).  sigma^2 = tr(-G^2) / (2
+    pairs scale^2), an isqrt on 110+ bits rounded to odd: correctly rounded."""
+    if not pairs:
+        return []
     num, den = sum(x * x for row in gram for x in row), 2 * pairs * scale ** 2
-    if pairs > 1 and 2 * pairs * sum(
+    if pairs % group or pairs > 1 and 2 * pairs * sum(
             sum(map(mul, a, b)) ** 2 << (i != j)
             for i, a in enumerate(gram)
             for j, b in enumerate(gram[i:], i)) != num * num:
-        return None
+        raise ValueError("the real skew spectrum does not come in equal "
+                         f"{('pairs', 'triples')[group - 2]}, so K does not "
+                         "act on the bracket")
     k = max(0, 56 - (num.bit_length() - den.bit_length()) // 2)
     q, rem = divmod(num << 2 * k, den)
     root = math.isqrt(q)
-    return [(root | (rem > 0 or root * root < q)) / (1 << k)] * pairs
+    return [(root | (rem > 0 or root * root < q)) / (1 << k)]
+
+
+def _float_invariants(gram, pairs, scale, group):
+    """Every group-th of the largest `pairs` eigenvalues of i G / scale,
+    read on G / (scale 2^k) near unit size and refused at or below n eps
+    times the largest, eigvalsh's error bound, then scaled back by 2^k."""
+    n = len(gram)
+    k = (max(abs(x) for row in gram for x in row).bit_length()
+         - scale.bit_length())
+    num, div = (1, scale << k) if k >= 0 else (1 << -k, scale)
+    spectrum = _skew_eigenvalues([[x * num / div for x in row]
+                                  for row in gram])[n - pairs:]
+    if spectrum[0] <= n * sys.float_info.epsilon * spectrum[-1]:
+        raise ValueError("an orbit invariant is below the resolution of "
+                         f"the float skew spectrum, {n} * 2.2e-16 times "
+                         "the largest")
+    return [math.ldexp(s, k) for s in spectrum[::group]]
+
+
+def _complex_bilinear(alg):
+    """[J e_a, e_b] = [e_a, J e_b] on v: then J anticommutes with every
+    b_lambda, so each eigenspace of -b_lambda^2 carries two anticommuting
+    complex structures, J and b_lambda / sigma, and the sigmas pair."""
+    J = _complex_structure(alg.complement_indices)
+    return all(tuple((k, s * c) for k, c in alg.bracket_row(Ja, b))
+               == tuple((k, t * c) for k, c in alg.bracket_row(a, Jb))
+               for a, (Ja, s) in J.items() for b, (Jb, t) in J.items())
+
+
+def _complex_structure(v):
+    """{a: (b, s)} with J e_a = s e_b: i on the (re, im) pairs of v."""
+    return {a: (b, s) for re, im in zip(v[::2], v[1::2])
+            for a, b, s in ((re, im, 1), (im, re, -1))}
 
 
 def pf_nonsingular(alg, coeffs):

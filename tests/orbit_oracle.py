@@ -1,15 +1,22 @@
 """Named checks of the orbit layer, in selftest's result form: the
 kernel dimension orbit_representative reports against the exact radical
 of b_lambda, so a float rank decision that drifts from the exact one
-fails it; and the sigmas of an orbit with two or more invariants, read
-off the float spectrum, against the exact trace of -b_lambda^2, so a
-spectrum scaled or shifted fails it.  The tests run them, and so do
-mutation rows."""
+fails it; the sigmas of an orbit with two or more invariants, read off
+the float spectrum, against the exact trace of -b_lambda^2, so a
+spectrum scaled or shifted fails it; and case 6's exact pairing rule,
+the complex-bilinearity check, against the algebras it must pass and
+fail and against the float spectrum it pairs.  The tests run them, and
+so do mutation rows."""
 
 import random
 from fractions import Fraction
 
-from nilharm.catalog import free_two_step, lambda_a, octonion_double
+import numpy as np
+
+from nilharm import orbits
+from nilharm.algebra import LieAlgebraData
+from nilharm.catalog import (free_two_step, from_name, lambda_a,
+                             octonion_double)
 from nilharm.orbits import darboux_basis, orbit_representative
 from nilharm.pfaffian import LinearFunctional, b_matrix
 
@@ -92,3 +99,58 @@ def sigmas_match_the_exact_trace(seed=71, draws=4):
     return {"passed": not failures,
             "detail": "; ".join(failures)
             or f"invariants per orbit {sorted(set(counts))}"}
+
+
+def edited_copy(alg, doubled):
+    """A copy of alg with the brackets [e_i, e_j], (i, j) in doubled,
+    doubled, and the meta keys family and F."""
+    entries = [(i, j, k, 2 * c if (i, j) in doubled else c)
+               for (i, j), row in alg.brackets().items() for k, c in row]
+    return LieAlgebraData(alg.dim, alg.basis_labels, entries,
+                          center_indices=alg.center_indices,
+                          complement_indices=alg.complement_indices,
+                          meta={k: alg.meta[k] for k in ("family", "F")
+                                if k in alg.meta})
+
+
+def not_complex_bilinear():
+    """free2step:3:C with only [u1, u2] and [iu1, u2] doubled, not [u1,
+    iu2] and [iu1, iu2]: the real spectrum at (u1 ^ u2)* is [1, 2],
+    which pairs no sigma."""
+    alg = from_name("free2step:3:C")
+    u1, u2 = alg.complement_indices[0:4:2]
+    return edited_copy(alg, {(u1, u2), (u1 + 1, u2)})
+
+
+def case6_pairs_by_the_bilinearity_check(seed=72, draws=4):
+    """free2step:n:C for n <= 7 passes orbits._complex_bilinear and
+    not_complex_bilinear() fails it; on each algebra that passes, at
+    `draws` seeded rational lambda, an orbit with two or more
+    invariants (its exact rank from darboux_basis) has an eigvalsh
+    spectrum of i b_lambda whose positive values pair within 1e-9 of
+    the largest: the float bound the exact check replaces."""
+    rng = random.Random(seed)
+    failures, paired = [], 0
+    for alg, want in ([(free_two_step(n, "C"), True) for n in range(2, 8)]
+                      + [(not_complex_bilinear(), False)]):
+        name = alg.name or "the not complex-bilinear copy"
+        if orbits._complex_bilinear(alg) != want:
+            failures.append(f"{name}: the check gives {not want}")
+        if not orbits._complex_bilinear(alg):
+            continue
+        for _ in range(draws):
+            lam = [Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                   for _ in alg.center_indices]
+            M = b_matrix(alg, LinearFunctional(alg, lam)).matrix
+            n, rank = len(M), len(M) - darboux_basis(M).radical_dim
+            if rank < 8:        # fewer than two invariants, of rank 4 each
+                continue
+            positive = np.linalg.eigvalsh(1j * np.array(M, dtype=float))[
+                n - rank // 2:]
+            paired += 1
+            if max(positive[1::2] - positive[::2]) > 1e-9 * positive[-1]:
+                failures.append(f"{name} at {[str(c) for c in lam]}: "
+                                f"spectrum {positive.tolist()} unpaired")
+    return {"passed": not failures,
+            "detail": "; ".join(failures)
+            or f"{paired} orbits with two or more invariants pair"}

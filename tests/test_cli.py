@@ -347,18 +347,23 @@ def test_case6_orbit_of_a_huge_functional(coeffs, sigma):
     assert doc["invariants"][0] == pytest.approx(sigma, rel=1e-12)
 
 
+# the one range rule of the orbit layer, for coefficients and sigmas
+OUT_OF_RANGE = ("error: an orbit invariant is outside the float range, "
+                "5e-324 to 1.8e308\n")
+
+
 @pytest.mark.parametrize("algebra, coeffs", [
     ("free2step:3:R", "1e-400,0,0"),
     ("free2step:3:C", "1e-400,1e-400,0,0,0,0"),
     ("octdouble", "0,1e-400,1e-400,0,0,0,0"),
     ("free2step:3:R", "1e400,0,0")])
 def test_orbit_refuses_a_coefficient_outside_the_float_range(algebra, coeffs):
-    # 1e-400 would become 0.0 and answer the zero orbit (all three
-    # cases); 1e400 would overflow in float()
+    # the coefficients are read exactly, and so is the sigma: 1e-400,
+    # sqrt(2) 1e-400 (all three cases) or 1e400 is no float, and is
+    # refused, not rounded to the zero orbit or printed as Infinity
     out = run_cli(["orbit", algebra, "--coeffs=" + coeffs])
     assert out.returncode == 2
-    assert out.stderr == ("error: a coefficient is too small or too large "
-                          "for a float, whose range is 5e-324 to 1.8e308\n")
+    assert out.stderr == OUT_OF_RANGE
 
 
 @pytest.mark.parametrize("algebra, coeffs", [
@@ -370,8 +375,7 @@ def test_orbit_refuses_an_invariant_outside_the_float_range(algebra, coeffs):
     # Infinity, which is not JSON (cases 1, 6 and 3)
     out = run_cli(["orbit", algebra, "--coeffs=" + coeffs, "--json"])
     assert out.returncode == 2
-    assert out.stderr == ("error: an orbit invariant is too large for a "
-                          "float, whose range is 5e-324 to 1.8e308\n")
+    assert out.stderr == OUT_OF_RANGE
 
 
 def test_orbit_kernel_is_the_exact_radical_under_a_small_sigma():
@@ -733,7 +737,7 @@ MALFORMED_OPERANDS = [
     (["invert", "heisenberg:1:C", "--function", "gaussian:diag:1e400,1,1"],
      "'1e400' is too large for a float"),
     (["orbit", "free2step:3:R", "--coeffs", "1e400,0,0"],
-     "too large for a float"),
+     "an orbit invariant is outside the float range"),
 ]
 
 

@@ -25,7 +25,12 @@ orbit_oracle.sigmas_match_the_exact_trace catches them doubled.
 Criterion 9 reads no kernel_dim; the named check
 orbit_oracle.kernel_dims_match_the_exact_radical compares each
 kernel_dim with the exact radical from darboux_basis, and catches the
-orbit's kernel_dim off by one.  The named check
+orbit's kernel_dim off by one.  Case 6 pairs its sigmas by the exact
+check orbits._complex_bilinear, which criterion 9 runs on no complex
+algebra; the named check
+orbit_oracle.case6_pairs_by_the_bilinearity_check catches it passing
+every algebra (the copy that is not complex-bilinear passes) and J
+without its sign (free2step:n:C fails).  The named check
 pfaffian_oracle.pf_at_matches_the_expansion catches pf_at's blocks
 multiplied without the sign of their permutation.
 """
@@ -41,7 +46,8 @@ import pytest
 from nilharm import (catalog, cli, composition, inversion, orbits, quadrature,
                      selftest)
 from nilharm.algebra import LieAlgebraData
-from orbit_oracle import (kernel_dims_match_the_exact_radical,
+from orbit_oracle import (case6_pairs_by_the_bilinearity_check,
+                          kernel_dims_match_the_exact_radical,
                           sigmas_match_the_exact_trace)
 from pfaffian_oracle import pf_at_matches_the_expansion
 
@@ -202,6 +208,18 @@ def skew_spectrum_kernel_plus_1(monkeypatch):
                         lambda tag, a, kernel_dim: rep(tag, a, kernel_dim + 1))
 
 
+def bilinearity_check_always_true(monkeypatch):
+    monkeypatch.setattr(orbits, "_complex_bilinear", lambda alg: True)
+
+
+def complex_structure_unsigned(monkeypatch):
+    # J e_im = e_re instead of -e_re: a reflection, not a complex
+    # structure
+    structure = orbits._complex_structure
+    monkeypatch.setattr(orbits, "_complex_structure", lambda v: {
+        a: (b, 1) for a, (b, _) in structure(v).items()})
+
+
 def row(mutation, check, marks=(), raises=None):
     """check: a criterion's number or a named check.  raises: the
     message of the ValueError or RuntimeError by which the check
@@ -235,6 +253,8 @@ ROWS = [
     row(one_invariant_sigma_doubled, 9),
     row(skew_spectrum_doubled, sigmas_match_the_exact_trace),
     row(skew_spectrum_kernel_plus_1, kernel_dims_match_the_exact_radical),
+    row(bilinearity_check_always_true, case6_pairs_by_the_bilinearity_check),
+    row(complex_structure_unsigned, case6_pairs_by_the_bilinearity_check),
     row(pf_blocks_unsigned, pf_at_matches_the_expansion),
 ] + [row(mutation, criterion, ITEM_3)
      for mutation in (flat_constant_7, pf_polynomial_times_3)

@@ -13,8 +13,7 @@ from math import prod
 import numpy as np
 import pytest
 
-from nilharm import composition, stepwise
-from nilharm.algebra import LieAlgebraData
+from nilharm import composition, orbits, stepwise
 from nilharm.catalog import (OCTDOUBLE_LAMBDA_SUPPORT, free_two_step, from_name,
                              lambda_a, list_entries, octonion_double)
 from nilharm.linalg import det
@@ -25,8 +24,9 @@ from nilharm.pfaffian import (LinearFunctional, b_matrix,
                               is_square_integrable, pf_at)
 from nilharm.stepwise import (StepwiseDecomposition, decompose, find_codim_split,
                               verify)
-from orbit_oracle import (kernel_dims_match_the_exact_radical,
-                          sigmas_match_the_exact_trace)
+from orbit_oracle import (case6_pairs_by_the_bilinearity_check, edited_copy,
+                          kernel_dims_match_the_exact_radical,
+                          not_complex_bilinear, sigmas_match_the_exact_trace)
 
 
 def rand_skew_float(rng, n):
@@ -80,6 +80,10 @@ def test_skew_spectrum_of_the_empty_matrix():
         assert skew_spectrum(np.zeros((0, 0))) == ([], 0)
 
 
+OUT_OF_RANGE = ("an orbit invariant is outside the float range, 5e-324 to "
+                "1.8e308")
+
+
 def test_orbit_representative_refuses_a_non_finite_coefficient():
     alg = free_two_step(3, "C")
     with warnings.catch_warnings():
@@ -87,8 +91,29 @@ def test_orbit_representative_refuses_a_non_finite_coefficient():
         with pytest.raises(ValueError,
                            match="^skew_spectrum needs finite entries$"):
             orbit_representative(alg, [math.nan, 1, 0, 0, 0, 0])
-        with pytest.raises(ValueError, match="too large for a float"):
+        # an infinite coefficient gives an infinite sigma
+        with pytest.raises(ValueError, match=f"^{OUT_OF_RANGE}$"):
             orbit_representative(alg, [1, math.inf, 0, 0, 0, 0])
+
+
+def test_a_coefficient_outside_the_float_range_is_read_exactly():
+    # 1e-400 is no float, but the sigma sqrt(1 + 1e-800) is 1.0
+    rep = orbit_representative(free_two_step(3, "R"),
+                               [1, Fraction(1, 10 ** 400), 0])
+    assert (rep.invariants, rep.kernel_dim) == ([1.0], 1)
+
+
+def test_an_all_tiny_two_invariant_orbit_is_refused_by_the_range_rule():
+    # sigmas 1e-400 and 2e-400: resolved on the spectrum scaled to unit
+    # size, and then outside the float range, not under the resolution
+    alg = free_two_step(5, "R")
+    tiny = Fraction(1, 10 ** 400)
+    with pytest.raises(ValueError, match=f"^{OUT_OF_RANGE}$"):
+        orbit_representative(alg, lambda_a(alg, [tiny, 2 * tiny]))
+    rep = orbit_representative(alg, lambda_a(alg, [tiny * 10 ** 90,
+                                                   2 * tiny * 10 ** 90]))
+    assert rep.invariants == [pytest.approx(1e-310, rel=1e-9),
+                              pytest.approx(2e-310, rel=1e-9)]
 
 
 def test_orbit_sigmas_are_refused_under_the_float_resolution():
@@ -147,6 +172,10 @@ def test_darboux_radical_detected():
 def test_darboux_basis_refuses_a_non_square_matrix(M):
     with pytest.raises(ValueError, match="square matrix"):
         darboux_basis(M)
+    # and skew_spectrum with its own message, not numpy's
+    with pytest.raises(ValueError,
+                       match="^skew_spectrum needs a square matrix$"):
+        skew_spectrum(M)
 
 
 def darboux_oracle(M):
@@ -353,18 +382,6 @@ def doubled_first_bracket(name):
     return edited_copy(alg, first)
 
 
-def edited_copy(alg, doubled):
-    """A copy of alg with the brackets [e_i, e_j], (i, j) in doubled,
-    doubled, and the meta keys family and F."""
-    entries = [(i, j, k, 2 * c if (i, j) in doubled else c)
-               for (i, j), row in alg.brackets().items() for k, c in row]
-    return LieAlgebraData(alg.dim, alg.basis_labels, entries,
-                          center_indices=alg.center_indices,
-                          complement_indices=alg.complement_indices,
-                          meta={k: alg.meta[k] for k in ("family", "F")
-                                if k in alg.meta})
-
-
 @pytest.mark.parametrize("name", ["free2step:3:R", "free2step:3:C",
                                   "octdouble"])
 def test_orbits_read_the_brackets_of_the_algebra_given(name):
@@ -380,20 +397,29 @@ def test_orbits_read_the_brackets_of_the_algebra_given(name):
         assert rep.kernel_dim == 1
 
 
-def test_case6_refuses_a_bracket_that_is_not_complex_bilinear():
-    # only [u1, u2] and [iu1, u2] doubled, not [u1, iu2] and [iu1, iu2]:
-    # the real spectrum at (u1 ^ u2)* is [1, 2], which pairs no sigma
-    alg = from_name("free2step:3:C")
-    u1, u2 = alg.complement_indices[0:4:2]
-    copy = edited_copy(alg, {(u1, u2), (u1 + 1, u2)})
-    with pytest.raises(ValueError, match=r"spectrum \[1\.0, 2\.0\] does "
-                       "not come in equal pairs"):
-        orbit_representative(copy, [1, 0, 0, 0, 0, 0])
+def forbid_the_float_spectrum(monkeypatch):
+    def unread(M):
+        raise AssertionError("the float spectrum was read")
+
+    monkeypatch.setattr(orbits, "_skew_eigenvalues", unread)
 
 
-def test_case3_refuses_a_bracket_that_is_not_the_cross_product():
+def test_case6_refuses_a_bracket_that_is_not_complex_bilinear(monkeypatch):
+    # by the algebra's bracket, at every lambda, the zero one included,
+    # with no float spectrum read
+    forbid_the_float_spectrum(monkeypatch)
+    copy = not_complex_bilinear()
+    for lam in ([1, 0, 0, 0, 0, 0], [0] * 6):
+        with pytest.raises(ValueError, match="^the bracket is not complex-"
+                           "bilinear, so K does not act on it$"):
+            orbit_representative(copy, lam)
+
+
+def test_case3_refuses_a_bracket_that_is_not_the_cross_product(monkeypatch):
     # one bracket of the octonion double doubled: at a lambda that reads
-    # it, the real spectrum comes in no equal triples
+    # it, the real spectrum comes in no equal triples, told in integers
+    # with no float spectrum read
+    forbid_the_float_spectrum(monkeypatch)
     alg = octonion_double()
     first = next(iter(alg.brackets()))
     copy = edited_copy(alg, {first})
@@ -661,6 +687,12 @@ def test_kernel_dim_is_the_exact_radical():
     # the seeded functionals reach radicals from 0 to 6, kernel 3 on
     # case 6 included
     assert result["detail"] == "radicals [0, 1, 2, 4, 5, 6]"
+
+
+def test_case6_pairs_by_the_bilinearity_check():
+    result = case6_pairs_by_the_bilinearity_check()
+    assert result["passed"], result["detail"]
+    assert result["detail"] == "16 orbits with two or more invariants pair"
 
 
 def test_sigmas_match_the_exact_trace():

@@ -98,3 +98,21 @@ def test_orbits_and_stepwise_do_not_branch_on_a_family_name():
                   if isinstance(const, ast.Constant)
                   and const.value in families]
     assert found == []
+
+
+def test_no_tolerance_decides_the_shape_of_an_orbit_answer():
+    # the number of invariants, kernel_dim and the pairs or triples are
+    # exact: no *_TOL is read by orbit_representative or _one_invariant,
+    # or by a code object nested in them, and PAIR_TOL is gone
+    from nilharm import orbits
+
+    def names(code):
+        yield from code.co_names
+        for const in code.co_consts:
+            if hasattr(const, "co_names"):
+                yield from names(const)
+
+    assert not hasattr(orbits, "PAIR_TOL")
+    read = {name for f in (orbits.orbit_representative, orbits._one_invariant)
+            for name in names(f.__code__)}
+    assert read and not [name for name in read if name.endswith("_TOL")]
